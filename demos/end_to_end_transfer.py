@@ -31,7 +31,7 @@ def describe(lambda_inv: float) -> None:
     trace = result.trace
 
     effective = hqzd1_even(4, spec.k, spec.lam)
-    eff_trace = simulate(effective, np.eye(4)[0], trace.grid, result.p0)
+    eff_trace = simulate(effective, np.eye(4)[0], trace.grid, result.zero_basis)
 
     print(f"\n=== 4-site chain, strong/weak ratio {lambda_inv:g} ===")
     print(f"classified order: {result.classification.order.value}")

@@ -81,6 +81,8 @@ from .qzd import (
     PrerequisiteIIResult,
     QzdClassification,
     QzdOrder,
+    WatchAnalysis,
+    analyze_watch,
     check_prerequisite_ii,
     classify,
 )

@@ -117,11 +117,8 @@ def _chain_spec(args: argparse.Namespace) -> ChainSpec:
 
 
 def _out_paths(args: argparse.Namespace, default_prefix: str) -> tuple[Path, Path]:
-    out = _resolve(args, "out")
-    prefix = Path(out) if out else Path(default_prefix)
-    if prefix.suffix == ".csv":
-        prefix = prefix.with_suffix("")
-    return prefix.with_suffix(".csv"), prefix.with_suffix(".json")
+    prefix = str(Path(_resolve(args, "out") or default_prefix)).removesuffix(".csv")
+    return Path(prefix + ".csv"), Path(prefix + ".json")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -198,7 +195,8 @@ def cmd_effective(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
     from .chain import build_chain
 
-    rep0, rep1, _ = effective_reports(build_chain(spec))
+    analysis = effective_reports(build_chain(spec))
+    rep0, rep1 = analysis.order0, analysis.order1
     payload = {
         "order0": {
             "nonzeros": _matrix_nonzeros(rep0.matrix, tol=1e-10),

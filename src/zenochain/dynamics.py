@@ -3,7 +3,8 @@
 Evolution is spectral (no time-step error beyond the eigensolver): the state
 at every grid time is assembled from the eigendecomposition at once. The
 leakage at time t is the population outside the watched zero-level subspace,
-1 - <psi(t)|P0|psi(t)>; its maximum over the observation window is delta.
+1 - ||V^T psi(t)||^2 for an orthonormal basis V of that subspace; its
+maximum over the observation window is delta.
 """
 
 from __future__ import annotations
@@ -74,13 +75,14 @@ def simulate(
     h: SymTridiagMatrix | np.ndarray,
     psi0: np.ndarray,
     grid: TimeGrid,
-    p0: np.ndarray,
+    basis: np.ndarray,
     mid_state: np.ndarray | None = None,
 ) -> EvolutionTrace:
     """Evolve psi0 under h across the grid and record populations.
 
     ``h`` may be tridiagonal (full chain) or dense (effective Hamiltonian);
-    ``p0`` is the watched-subspace projector used for the leakage.
+    ``basis`` (N x d, orthonormal columns) spans the watched subspace whose
+    population sets the leakage.
     """
     if isinstance(h, SymTridiagMatrix):
         d = eig_sym_tridiag(h)
@@ -89,9 +91,12 @@ def simulate(
     states = evolve_grid(d, psi0, grid.times)
 
     populations = np.abs(states.T) ** 2
-    if p0.shape != (d.size, d.size):
-        raise ValidationError("p0: projector dimension does not match the state")
-    subspace = np.einsum("it,ij,jt->t", states.conj(), p0, states).real
+    basis = np.asarray(basis, dtype=float)
+    if basis.ndim != 2 or basis.shape[0] != d.size:
+        raise ValidationError("basis: row count does not match the state")
+    if np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) > 1e-10:
+        raise ValidationError("basis: columns must be orthonormal")
+    subspace = np.sum(np.abs(basis.T @ states) ** 2, axis=0)
     # strip float dust so leakage stays a population in [0, 1]
     leakage = np.clip(1.0 - subspace, 0.0, 1.0)
 

@@ -26,16 +26,14 @@ from .dynamics import (
     simulate,
 )
 from .errors import ValidationError
-from .linalg import eig_sym_tridiag, invert_tridiag
-from .perturbation import (
-    EffectiveHamiltonianReport,
-    group_levels,
-    default_grouping_tolerance,
-    hqzd_order0,
-    hqzd_order1,
-    reduced_resolvent,
-)
-from .qzd import QzdClassification, QzdOrder, classify
+from .linalg import invert_tridiag
+from .perturbation import EffectiveHamiltonianReport
+from .qzd import QzdClassification, QzdOrder, WatchAnalysis, analyze_watch
+
+# Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
+from .linalg import eig_sym_tridiag  # noqa: F401
+from .perturbation import group_levels, hqzd_order0, hqzd_order1, reduced_resolvent  # noqa: F401
+from .qzd import classify  # noqa: F401
 
 THREADS_ENV_VAR = "ZENO_CHAIN_THREADS"
 
@@ -72,23 +70,15 @@ class ScenarioResult:
     classification: QzdClassification
     order0: EffectiveHamiltonianReport
     order1: EffectiveHamiltonianReport
-    p0: np.ndarray
+    zero_basis: np.ndarray
 
 
-def effective_reports(
-    hams: ChainHamiltonians,
-) -> tuple[EffectiveHamiltonianReport, EffectiveHamiltonianReport, np.ndarray]:
-    """Order-0 and order-1 effective Hamiltonians and the zero projector."""
-    d = eig_sym_tridiag(hams.h_watch)
-    ps = group_levels(d, default_grouping_tolerance(d))
-    if not ps.has_zero_level:
+def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
+    """The chain's watch analysis: effective Hamiltonians and zero basis."""
+    analysis = analyze_watch(hams.h_watch, hams.h_weak, hams.spec.lam)
+    if not analysis.levels.has_zero_level:
         raise ValidationError("chain watch matrix has no zero level")
-    p0 = ps.zero_level.projector
-    h = hams.h_weak.to_dense()
-    rep0 = hqzd_order0(p0, h)
-    qtilde = reduced_resolvent(ps)
-    rep1 = hqzd_order1(p0, h, qtilde, hams.spec.lam)
-    return rep0, rep1, p0
+    return analysis
 
 
 def run_scenario(
@@ -104,24 +94,22 @@ def run_scenario(
     psi0 = np.zeros(spec.n_sites)
     psi0[0] = 1.0
 
-    classification = classify(
-        hams.h_watch, hams.h_weak, psi0, lam=spec.lam
-    )
-    rep0, rep1, p0 = effective_reports(hams)
+    analysis = effective_reports(hams)
+    classification = analysis.classify(psi0)
 
     mid = None
     if spec.n_sites % 2 == 1 and not spec.is_modified:
         mid = analytic.phi_mid(spec.n_sites)
 
-    trace = simulate(hams.h_total, psi0, grid, p0, mid_state=mid)
+    trace = simulate(hams.h_total, psi0, grid, analysis.zero_basis, mid_state=mid)
     return ScenarioResult(
         hams=hams,
         trace=trace,
         leakage=measure_leakage(trace),
         classification=classification,
-        order0=rep0,
-        order1=rep1,
-        p0=p0,
+        order0=analysis.order0,
+        order1=analysis.order1,
+        zero_basis=analysis.zero_basis,
     )
 
 
@@ -165,6 +153,14 @@ def fit_slope_through_origin(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y) / denom)
 
 
+def _end_leakage(hams: ChainHamiltonians, n_steps: int) -> float:
+    """delta of |1> over the default window, watched on the two end sites."""
+    n = hams.spec.n_sites
+    ends = np.eye(n)[:, [0, -1]]
+    trace = simulate(hams.h_total, ends[:, 0], default_time_grid(hams, n_steps), ends)
+    return measure_leakage(trace).delta
+
+
 def run_sweep(
     g_list: list[float],
     n_list: list[int],
@@ -190,17 +186,8 @@ def run_sweep(
 
     def one_cell(cell: tuple[float, int, float]) -> SweepCell:
         g, n, lam_inv = cell
-        spec = ChainSpec(n_sites=n, lambda_inv=lam_inv, k=k)
-        hams = build_chain(spec)
-        p0 = np.zeros((n, n))
-        p0[0, 0] = p0[-1, -1] = 1.0
-        trace = simulate(
-            hams.h_total,
-            np.eye(n)[0],
-            default_time_grid(hams, n_steps),
-            p0,
-        )
-        return SweepCell(g, n, lam_inv, measure_leakage(trace).delta)
+        hams = build_chain(ChainSpec(n_sites=n, lambda_inv=lam_inv, k=k))
+        return SweepCell(g, n, lam_inv, _end_leakage(hams, n_steps))
 
     rows = _map_ordered(one_cell, cells)
 
@@ -267,14 +254,6 @@ def run_fluctuation_trials(
         hams = build_chain(spec)
         inv = invert_tridiag(interior_block(hams.h_watch))
         corner = -float(inv[0, -1])
-        p0 = np.zeros((n_sites, n_sites))
-        p0[0, 0] = p0[-1, -1] = 1.0
-        trace = simulate(
-            hams.h_total,
-            np.eye(n_sites)[0],
-            default_time_grid(hams, n_steps),
-            p0,
-        )
-        return FluctuationTrial(offset, corner, measure_leakage(trace).delta)
+        return FluctuationTrial(offset, corner, _end_leakage(hams, n_steps))
 
     return _map_ordered(one_trial, list(range(trials)))

@@ -1,7 +1,8 @@
 """Degenerate perturbation machinery for the watched chains.
 
-Groups the watch Hamiltonian's spectrum into degenerate levels, builds the
-eigenprojectors and the reduced resolvent, and assembles the order-0 and
+Groups the watch Hamiltonian's spectrum into degenerate levels, each kept as
+its block of eigenvectors (the dense eigenprojector is built only on
+request), forms the reduced resolvent, and assembles the order-0 and
 order-1 effective Hamiltonians
 
     H_eff0 = P0 H P0,
@@ -27,15 +28,20 @@ PROPORTIONALITY_ATOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class DegenerateLevel:
-    """One (possibly degenerate) eigenvalue with its eigenprojector."""
+    """One (possibly degenerate) eigenvalue with its N x m eigenvector block."""
 
     eigenvalue: float
     member_indices: tuple[int, ...]
-    projector: np.ndarray
+    vectors: np.ndarray
 
     @property
     def multiplicity(self) -> int:
         return len(self.member_indices)
+
+    @property
+    def projector(self) -> np.ndarray:
+        """The dense N x N eigenprojector, built on each call."""
+        return self.vectors @ self.vectors.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +68,16 @@ class ProjectorSet:
         )
 
 
-def default_grouping_tolerance(d: SpectralDecomposition) -> float:
+def default_grouping_tolerance(
+    d: SpectralDecomposition, rtol: float = DEFAULT_GROUPING_RTOL
+) -> float:
+    """rtol times the spectrum's largest |eigenvalue|: the one grouping rule.
+
+    An all-zero spectrum falls back to rtol itself; any positive tolerance
+    groups it the same way.
+    """
     scale = float(np.max(np.abs(d.eigenvalues))) if d.size else 0.0
-    return DEFAULT_GROUPING_RTOL * max(1.0, scale)
+    return rtol * scale if scale > 0.0 else rtol
 
 
 def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
@@ -87,14 +100,13 @@ def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
                 f"ambiguous eigenvalue clustering at tol={tol:.3e}; gaps: [{gaps}]"
             )
 
-    levels = []
-    zero_index: int | None = None
-    for idx in groups:
-        eta = float(np.mean(w[idx]))
-        vecs = d.eigenvectors[:, idx]
-        levels.append(
-            DegenerateLevel(eta, tuple(int(i) for i in idx), vecs @ vecs.T)
+    levels = [
+        DegenerateLevel(
+            float(np.mean(w[idx])), tuple(int(i) for i in idx), d.eigenvectors[:, idx]
         )
+        for idx in groups
+    ]
+    zero_index: int | None = None
     candidates = [i for i, lvl in enumerate(levels) if abs(lvl.eigenvalue) < tol]
     if candidates:
         zero_index = min(candidates, key=lambda i: abs(levels[i].eigenvalue))
@@ -130,16 +142,16 @@ def hqzd_order0(p0: np.ndarray, h: np.ndarray) -> EffectiveHamiltonianReport:
 def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
     """Qtilde = sum over nonzero levels of P_n / (-eta_n).
 
-    Annihilates the zero level; on the interior sites it equals minus the
-    inverse of the watch matrix's interior block.
+    Formed as one product V diag(-1/eta) V^T of the stacked nonzero
+    eigenvector blocks. Annihilates the zero level; on the interior sites it
+    equals minus the inverse of the watch matrix's interior block.
     """
     if not ps.has_zero_level:
         raise ValidationError("reduced resolvent requires a zero level")
-    size = ps.zero_level.projector.shape[0]
-    q = np.zeros((size, size))
-    for lvl in ps.nonzero_levels():
-        q -= lvl.projector / lvl.eigenvalue
-    return q
+    nonzero = ps.nonzero_levels()
+    v = np.hstack([ps.zero_level.vectors[:, :0], *(lvl.vectors for lvl in nonzero)])
+    w = np.array([-1.0 / lvl.eigenvalue for lvl in nonzero for _ in lvl.member_indices])
+    return (v * w) @ v.T
 
 
 def hqzd_order1(
@@ -197,8 +209,8 @@ def first_order_corrections(
         raise ValidationError(f"zero_basis: expected shape {(d.size, 2)}")
     if np.linalg.norm(basis.T @ basis - np.eye(2)) > 1e-10:
         raise ValidationError("zero_basis: columns must be orthonormal")
-    p0 = ps.zero_level.projector
-    if np.linalg.norm(p0 @ basis - basis) > 1e-10:
+    v0 = ps.zero_level.vectors
+    if np.linalg.norm(v0 @ (v0.T @ basis) - basis) > 1e-10:
         raise ValidationError("zero_basis: columns must span the zero level")
 
     outer = ps.nonzero_levels()

@@ -72,7 +72,7 @@ def test_criterion_02_four_site_strong_watching():
     result, elapsed = _timed_scenario(ChainSpec(4, 20.0))
     delta = result.leakage.delta
     effective = hqzd1_even(4, K, 1.0 / 20.0)
-    eff_trace = simulate(effective, np.eye(4)[0], result.trace.grid, result.p0)
+    eff_trace = simulate(effective, np.eye(4)[0], result.trace.grid, result.zero_basis)
     dev = max(
         float(np.max(np.abs(result.trace.populations[:, s] - eff_trace.populations[:, s])))
         for s in (0, 3)

@@ -67,6 +67,20 @@ class TestSimulate:
             ) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_out_prefix_keeps_its_dots(self, tmp_path):
+        # PREFIX.csv / PREFIX.json are appended, not swapped in for ".5"
+        for prefix in ("ratio37.5", "ratio37.25", "trace.csv"):
+            assert run_cli(
+                "simulate", "--n", "4", "--lambda-inv", "37.5",
+                "--steps", "10", "--out", str(tmp_path / prefix),
+            ) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [
+            "ratio37.25.csv", "ratio37.25.json",
+            "ratio37.5.csv", "ratio37.5.json",
+            "trace.csv", "trace.json",
+        ]
+
     def test_explicit_window_override(self, tmp_path):
         out = tmp_path / "w"
         assert run_cli(

@@ -29,10 +29,8 @@ from zenochain.perturbation import (
 K = 1.0
 
 
-def end_projector(n: int) -> np.ndarray:
-    p0 = np.zeros((n, n))
-    p0[0, 0] = p0[-1, -1] = 1.0
-    return p0
+def end_sites(n: int) -> np.ndarray:
+    return np.eye(n)[:, [0, -1]]
 
 
 def end_basis(n: int) -> np.ndarray:
@@ -49,7 +47,7 @@ class TestSimulate:
         eff[0, 3] = eff[3, 0] = -lam * K
         t_transfer = np.pi / (2 * lam * K)
         grid = TimeGrid(2 * t_transfer, 800)
-        trace = simulate(eff, np.eye(4)[0], grid, end_projector(4))
+        trace = simulate(eff, np.eye(4)[0], grid, end_sites(4))
         expected = np.sin(lam * K * grid.times) ** 2
         assert_allclose(trace.populations[:, 3], expected, atol=1e-12)
         assert_allclose(trace.populations[:, 0], 1.0 - expected, atol=1e-12)
@@ -73,13 +71,34 @@ class TestSimulate:
             assert np.all(trace.leakage >= 0.0)
             assert np.all(trace.leakage <= 1.0)
 
+    def test_leakage_matches_dense_projector_on_odd_zero_level(self):
+        spec = ChainSpec(7, 5.0)
+        hams = build_chain(spec)
+        ends = end_sites(7)
+        basis = np.column_stack([ends[:, 0], ends[:, 1], phi_mid(7)])
+        grid = default_time_grid(hams, 400)
+        trace = simulate(hams.h_total, np.eye(7)[0], grid, basis)
+
+        states = evolve_grid(eig_sym_tridiag(hams.h_total), np.eye(7)[0], grid.times)
+        p0 = basis @ basis.T
+        dense = 1.0 - np.einsum("it,ij,jt->t", states.conj(), p0, states).real
+        assert np.max(dense) > 0.01
+        assert_allclose(trace.leakage, dense, rtol=0.0, atol=1e-12)
+
+    def test_rejects_non_orthonormal_basis(self):
+        hams = build_chain(ChainSpec(4, 5.0))
+        grid = TimeGrid(1.0, 10)
+        for basis in (2.0 * end_sites(4), np.eye(4)[:, [0, 0]], np.ones((4, 1)) / 2.0 + 0.1):
+            with pytest.raises(ValidationError, match="orthonormal"):
+                simulate(hams.h_total, np.eye(4)[0], grid, basis)
+
     def test_dimension_checks(self):
         hams = build_chain(ChainSpec(4, 5.0))
         grid = TimeGrid(1.0, 10)
         with pytest.raises(ValidationError):
-            simulate(hams.h_total, np.eye(5)[0], grid, end_projector(5))
+            simulate(hams.h_total, np.eye(5)[0], grid, end_sites(5))
         with pytest.raises(ValidationError):
-            simulate(hams.h_total, np.eye(4)[0], grid, end_projector(6))
+            simulate(hams.h_total, np.eye(4)[0], grid, end_sites(6))
 
 
 class TestMeasureLeakage:
@@ -87,8 +106,7 @@ class TestMeasureLeakage:
         grid = TimeGrid(np.pi, 400)
         eff = np.zeros((2, 2))
         eff[0, 1] = eff[1, 0] = K
-        p0 = np.diag([1.0, 0.0])
-        trace = simulate(eff, np.array([1.0, 0.0]), grid, p0)
+        trace = simulate(eff, np.array([1.0, 0.0]), grid, np.eye(2)[:, :1])
         report = measure_leakage(trace)
         # leakage sin^2(t) peaks first at t = pi/2
         assert report.delta == pytest.approx(1.0, abs=1e-6)
@@ -161,7 +179,7 @@ class TestDynamicsProperties:
     def test_effective_and_full_end_populations_agree(self):
         result = run_scenario(ChainSpec(4, 20.0))
         eff_trace = simulate(
-            result.order1.matrix, np.eye(4)[0], result.trace.grid, result.p0
+            result.order1.matrix, np.eye(4)[0], result.trace.grid, result.zero_basis
         )
         for site in (0, 3):
             dev = np.max(
@@ -180,8 +198,8 @@ class TestDynamicsProperties:
             n = spec.n_sites
             hams = build_chain(spec)
             grid = TimeGrid(20.0, 400)
-            fwd = simulate(hams.h_total, np.eye(n)[0], grid, end_projector(n))
-            rev = simulate(hams.h_total, np.eye(n)[-1], grid, end_projector(n))
+            fwd = simulate(hams.h_total, np.eye(n)[0], grid, end_sites(n))
+            rev = simulate(hams.h_total, np.eye(n)[-1], grid, end_sites(n))
             assert_allclose(
                 fwd.populations, rev.populations[:, ::-1], atol=1e-12
             )

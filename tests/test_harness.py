@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from zenochain import cli, dynamics, harness, linalg, perturbation, qzd
 from zenochain.analytic import f_of_n, qtilde_fluctuating_corner
 from zenochain.chain import ChainSpec
 from zenochain.errors import ValidationError
@@ -171,3 +178,43 @@ class TestScenario:
         assert run_scenario(ChainSpec(4, 20.0), n_steps=50).trace.mid_overlap is None
         modified = run_scenario(ChainSpec(5, 20.0, delta_omega=20.0), n_steps=50)
         assert modified.trace.mid_overlap is None
+
+
+class TestOneWatchAnalysis:
+    @pytest.mark.parametrize(
+        "spec",
+        [ChainSpec(6, 5.0), ChainSpec(7, 5.0), ChainSpec(7, 20.0, delta_omega=20.0)],
+        ids=["even", "odd", "modified"],
+    )
+    def test_scenario_solves_and_groups_the_watch_once(self, spec, monkeypatch):
+        # one eigensolve of H_watch plus one of H_total, and a single grouping,
+        # whichever module binding a caller goes through
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for mod in (linalg, perturbation, qzd, dynamics, harness, cli):
+            for name in ("eig_sym_tridiag", "group_levels"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+        run_scenario(spec, n_steps=50)
+        assert calls == {"eig_sym_tridiag": 2, "group_levels": 1}
+
+
+class TestBenchmarkBindings:
+    def test_every_traced_binding_resolves(self, monkeypatch):
+        # the benchmark's tracer patches these module attributes by name
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(module_spec)
+        monkeypatch.setitem(sys.modules, module_spec.name, spans)  # for its dataclasses
+        module_spec.loader.exec_module(spans)
+        assert spans.BINDINGS
+        for mod_name, attr, _span in spans.BINDINGS:
+            mod = importlib.import_module(f"zenochain.{mod_name}")
+            assert callable(getattr(mod, attr, None)), f"zenochain.{mod_name}.{attr}"

@@ -88,6 +88,14 @@ class TestGroupLevels:
                     assert np.max(np.abs(a.projector @ b.projector)) < 1e-10
                     assert b.eigenvalue - a.eigenvalue > ps.grouping_tolerance
 
+    def test_levels_hold_eigenvector_blocks(self):
+        for spec in (ChainSpec(4, 5.0), ChainSpec(9, 3.0), ChainSpec(5, 20.0, delta_omega=20.0)):
+            _, d, ps = watch_levels(spec)
+            for lvl in ps.levels:
+                assert lvl.vectors.shape == (d.size, lvl.multiplicity)
+                assert_allclose(lvl.vectors, d.eigenvectors[:, list(lvl.member_indices)])
+                assert np.array_equal(lvl.projector, lvl.vectors @ lvl.vectors.T)
+
     def test_ambiguous_chain_of_gaps(self):
         w = np.array([0.0, 0.9, 1.8])
         d = SpectralDecomposition(w, np.eye(3))

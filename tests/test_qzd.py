@@ -8,6 +8,7 @@ import pytest
 from zenochain.chain import ChainSpec, build_chain
 from zenochain.dynamics import LeakageReport
 from zenochain.errors import AssumptionViolationError, ValidationError
+from zenochain.harness import run_scenario
 from zenochain.linalg import SymTridiagMatrix
 from zenochain.qzd import QzdOrder, check_prerequisite_ii, classify
 
@@ -101,6 +102,25 @@ class TestClassify:
         hams = build_chain(ChainSpec(4, 5.0))
         with pytest.raises(ValidationError):
             classify(hams.h_watch, hams.h_weak, np.array([1.0, 0.0, 0.0, 1.0]))
+
+
+ENERGY_SCALE_CHAINS = {
+    "even": (lambda k: ChainSpec(4, 20.0, k=k), QzdOrder.FIRST),
+    "odd": (lambda k: ChainSpec(5, 20.0, k=k), QzdOrder.ZEROTH),
+    "modified": (lambda k: ChainSpec(5, 20.0, k=k, delta_omega=20.0 * k), QzdOrder.FIRST),
+}
+
+
+class TestEnergyScale:
+    @pytest.mark.parametrize("k", (1e-9, 1e-3, 1.0, 1e9))
+    @pytest.mark.parametrize("chain", sorted(ENERGY_SCALE_CHAINS))
+    def test_order_and_delta_do_not_depend_on_k(self, chain, k):
+        # rescaling every energy by k (and the window by 1/k) changes nothing
+        make, order = ENERGY_SCALE_CHAINS[chain]
+        result = run_scenario(make(k))
+        assert result.classification.order is order
+        reference = run_scenario(make(1.0)).leakage.delta
+        assert result.leakage.delta == pytest.approx(reference, rel=1e-9)
 
 
 class TestPrerequisiteII:
