@@ -9,7 +9,7 @@ command-line flags take precedence over config values. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,7 +28,7 @@ from .harness import (
     effective_reports,
 )
 
-FLOAT_FORMAT = "{:.12g}"
+FLOAT_FORMAT = "%.12g"
 
 DEFAULTS = {
     "k": 1.0,
@@ -49,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         raise ValidationError(message)
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FORMAT.format(float(x))
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -95,8 +91,6 @@ def _resolve(args: argparse.Namespace, key: str, cast=None):
         if value is not None and cast is not None:
             try:
                 value = cast(value)
-            except ValidationError:
-                raise
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"config value {key}={value!r} is invalid") from exc
     if value is None:
@@ -121,19 +115,41 @@ def _out_paths(args: argparse.Namespace, default_prefix: str) -> tuple[Path, Pat
     return Path(prefix + ".csv"), Path(prefix + ".json")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _out_json(args: argparse.Namespace) -> Path | None:
+    out = _resolve(args, "out")
+    return Path(out) if out else None
 
 
-def _matrix_nonzeros(matrix: np.ndarray, tol: float = 1e-12) -> list[list]:
-    """Entries [i, j, value] (1-based, upper triangle) above tol."""
-    out = []
-    n = matrix.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            if abs(matrix[i, j]) > tol:
-                out.append([i + 1, j + 1, float(matrix[i, j])])
-    return out
+def _emit_json(path: Path | None, payload: dict) -> None:
+    """Print the payload and, given a path, write the same text there."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path is not None:
+        path.write_text(text + "\n")
+    print(text)
+
+
+def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """CSV: the header row, then one FLOAT_FORMAT row per sample.
+
+    ``columns`` are 1-D columns or 2-D blocks of columns, one row per sample.
+    """
+    table = np.column_stack(columns)
+    row = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for r in table:
+            fh.write(row % tuple(r.tolist()))
+
+
+def _matrix_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:
+    """Entries [i, j, value] (1-based, upper triangle) with |value| > cut."""
+    i, j = np.triu_indices(matrix.shape[0])
+    values = matrix[i, j]
+    keep = np.abs(values) > cut
+    return [
+        [a, b, v]
+        for a, b, v in zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist(), values[keep].tolist())
+    ]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -146,48 +162,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     csv_path, json_path = _out_paths(args, "simulate")
     trace = result.trace
     header = ["t"] + [f"p_{i + 1}" for i in range(spec.n_sites)] + ["leakage"]
+    columns = [trace.grid.times, trace.populations, trace.leakage]
     if trace.mid_overlap is not None:
         header.append("mid_overlap")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for j, t in enumerate(trace.grid.times):
-            row = [_fmt(t)] + [_fmt(p) for p in trace.populations[j]]
-            row.append(_fmt(trace.leakage[j]))
-            if trace.mid_overlap is not None:
-                row.append(_fmt(trace.mid_overlap[j]))
-            writer.writerow(row)
+        columns.append(trace.mid_overlap)
+    _write_table(csv_path, header, columns)
 
+    cut = 1e-12 * result.hams.h_weak.max_abs_entry()  # relative to the weak coupling k
     summary = {
         "delta": result.leakage.delta,
         "attained_at": result.leakage.attained_at,
         "classification_order": result.classification.order.value,
-        "effective_matrix_nonzeros": _matrix_nonzeros(
-            dominant_effective_matrix(result)
-        ),
+        "effective_matrix_nonzeros": _matrix_nonzeros(dominant_effective_matrix(result), cut),
     }
-    _write_json(json_path, summary)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit_json(json_path, summary)
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
-    result = run_scenario(spec, n_steps=8)  # classification needs no long trace
-    c = result.classification
-    payload = {
-        "watch_annihilates_initial": c.watch_annihilates_initial,
-        "zero_level_dimension": c.zero_level_dimension,
-        "order": c.order.value,
-        "prerequisite_i": c.prerequisite_i,
-        "commutator_norm_order0": c.commutator_norm_order0,
-        "commutator_norm_order1": c.commutator_norm_order1,
-        "notes": c.notes,
-    }
-    out = _resolve(args, "out")
-    if out:
-        _write_json(Path(out), payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    from .chain import build_chain
+
+    psi0 = np.zeros(spec.n_sites)
+    psi0[0] = 1.0
+    c = effective_reports(build_chain(spec)).classify(psi0)
+    _emit_json(_out_json(args), dataclasses.asdict(c) | {"order": c.order.value})
     return 0
 
 
@@ -197,19 +196,17 @@ def cmd_effective(args: argparse.Namespace) -> int:
 
     analysis = effective_reports(build_chain(spec))
     rep0, rep1 = analysis.order0, analysis.order1
+    cut = 1e-10 * analysis.h_weak.max_abs_entry()  # relative to the weak coupling k
     payload = {
         "order0": {
-            "nonzeros": _matrix_nonzeros(rep0.matrix, tol=1e-10),
+            "nonzeros": _matrix_nonzeros(rep0.matrix, cut),
             "eta1_common": rep0.eta1_common,
         },
         "order1_times_lambda": {
-            "nonzeros": _matrix_nonzeros(rep1.matrix, tol=1e-10),
+            "nonzeros": _matrix_nonzeros(rep1.matrix, cut),
         },
     }
-    out = _resolve(args, "out")
-    if out:
-        _write_json(Path(out), payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(_out_json(args), payload)
     return 0
 
 
@@ -218,7 +215,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if n is None:
         raise ValidationError("n: required (chain length)")
     delta0 = _resolve(args, "delta0", float)
-    print(_fmt(analytic.lambda_bound(n, delta0)))
+    print(FLOAT_FORMAT % analytic.lambda_bound(n, delta0))
     return 0
 
 
@@ -230,13 +227,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     result = run_sweep(g_list, n_list, k=k, n_steps=steps)
 
     csv_path, json_path = _out_paths(args, "sweep")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["G", "N", "lambda_inv", "delta"])
-        for row in result.rows:
-            writer.writerow(
-                [_fmt(row.g), row.n_sites, _fmt(row.lambda_inv), _fmt(row.delta)]
-            )
+    _write_table(
+        csv_path, ["G", "N", "lambda_inv", "delta"],
+        [np.array([(r.g, r.n_sites, r.lambda_inv, r.delta) for r in result.rows])],
+    )
 
     payload = {
         "slope": result.slope,
@@ -246,8 +240,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ],
         "rows": len(result.rows),
     }
-    _write_json(json_path, payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(json_path, payload)
     return 0
 
 
@@ -266,21 +259,17 @@ def cmd_fluctuate(args: argparse.Namespace) -> int:
     )
 
     csv_path, json_path = _out_paths(args, "fluctuate")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed_offset", "corner_element", "delta"])
-        for row in rows:
-            writer.writerow([row.seed_offset, _fmt(row.corner_element), _fmt(row.delta)])
+    offsets, corners, deltas = np.array(
+        [(r.seed_offset, r.corner_element, r.delta) for r in rows]
+    ).T
+    _write_table(csv_path, ["seed_offset", "corner_element", "delta"], [offsets, corners, deltas])
 
-    corners = np.array([row.corner_element for row in rows])
-    deltas = np.array([row.delta for row in rows])
     payload = {
         "trials": len(rows),
         "mean_corner_element": float(np.mean(corners)),
         "mean_delta": float(np.mean(deltas)),
     }
-    _write_json(json_path, payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(json_path, payload)
     return 0
 
 

@@ -23,7 +23,7 @@ from .errors import ClusteringError, UnsupportedConfigurationError, ValidationEr
 from .linalg import SpectralDecomposition
 
 DEFAULT_GROUPING_RTOL = 1e-8
-PROPORTIONALITY_ATOL = 1e-10
+PROPORTIONALITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,14 +127,18 @@ class EffectiveHamiltonianReport:
 
 
 def hqzd_order0(p0: np.ndarray, h: np.ndarray) -> EffectiveHamiltonianReport:
-    """Order-0 effective Hamiltonian P0 H P0."""
+    """Order-0 effective Hamiltonian P0 H P0.
+
+    It counts as c * P0 when ||P0 H P0 - c P0|| <= PROPORTIONALITY_RTOL * ||H||
+    (Frobenius norms), so the test is the same at every energy scale.
+    """
     m = p0 @ h @ p0
     trace_p0 = float(np.trace(p0))
     eta1_common: float | None = None
     if trace_p0 > 0.0:
         c = float(np.trace(m)) / trace_p0
         dev = np.linalg.norm(m - c * p0)
-        if dev <= PROPORTIONALITY_ATOL * max(1.0, float(np.linalg.norm(m))):
+        if dev <= PROPORTIONALITY_RTOL * float(np.linalg.norm(h)):
             eta1_common = c
     return EffectiveHamiltonianReport(0, m, eta1_common)
 

@@ -3,10 +3,14 @@
 These deliberately avoid the code paths they check: time evolution via a
 fixed-step Runge-Kutta integrator or a fixed-step matrix-exponential
 propagator, inversion via Gaussian elimination with partial pivoting,
-determinants via cofactor expansion.
+determinants via cofactor expansion, CSV text one formatted cell at a time,
+matrix listings by a double loop over the entries.
 """
 
 from __future__ import annotations
+
+import csv
+import io
 
 import numpy as np
 import scipy.linalg
@@ -117,3 +121,26 @@ def expm_leakage_peak(
         options={"xatol": dt * 1e-6},
     )
     return sampled, max(sampled, -float(opt.fun))
+
+
+def per_value_csv(header: list[str], rows) -> str:
+    """CSV text written cell by cell: '{:.12g}' per float, ints as they are."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [x if isinstance(x, int) else "{:.12g}".format(float(x)) for x in row]
+        )
+    return out.getvalue()
+
+
+def double_loop_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:
+    """Upper-triangle entries [i, j, value] (1-based) with |value| > cut."""
+    out = []
+    n = matrix.shape[0]
+    for i in range(n):
+        for j in range(i, n):
+            if abs(matrix[i, j]) > cut:
+                out.append([i + 1, j + 1, float(matrix[i, j])])
+    return out

@@ -8,7 +8,20 @@ import json
 import numpy as np
 import pytest
 
+from zenochain import cli, harness
+from zenochain.analytic import lambda_bound
+from zenochain.chain import ChainSpec, build_chain
 from zenochain.cli import main, read_config_file
+from zenochain.dynamics import TimeGrid
+from zenochain.harness import (
+    dominant_effective_matrix,
+    effective_reports,
+    run_fluctuation_trials,
+    run_scenario,
+    run_sweep,
+)
+
+from .oracles import double_loop_nonzeros, per_value_csv
 
 
 def run_cli(*argv: str) -> int:
@@ -108,6 +121,43 @@ class TestClassify:
         assert payload["order"] == expected
         assert payload["watch_annihilates_initial"] is True
 
+    def test_zero_shift_needs_no_time_window(self, capsys):
+        # the shifted-odd window pi * delta_omega / k^2 is empty at zero
+        # shift; classify builds no window, so it reports the unshifted order
+        assert run_cli("classify", "--n", "5", "--lambda-inv", "20", "--delta-omega", "0") == 0
+        assert json.loads(capsys.readouterr().out)["order"] == "zeroth"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ChainSpec(4, 20.0), ChainSpec(5, 20.0), ChainSpec(5, 20.0, delta_omega=20.0)],
+        ids=["even4", "odd5", "modified5"],
+    )
+    def test_matches_scenario_classification(self, capsys, spec):
+        c = run_scenario(spec).classification
+        want = {
+            "watch_annihilates_initial": c.watch_annihilates_initial,
+            "zero_level_dimension": c.zero_level_dimension,
+            "order": c.order.value,
+            "prerequisite_i": c.prerequisite_i,
+            "commutator_norm_order0": c.commutator_norm_order0,
+            "commutator_norm_order1": c.commutator_norm_order1,
+            "notes": c.notes,
+        }
+        argv = ["--n", str(spec.n_sites), "--lambda-inv", "20"]
+        if spec.delta_omega is not None:
+            argv += ["--delta-omega", "20"]
+        assert run_cli("classify", *argv) == 0
+        assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+    def test_runs_no_dynamics(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("classify must not simulate")
+
+        monkeypatch.setattr(cli, "run_scenario", forbidden)
+        monkeypatch.setattr(harness, "simulate", forbidden)
+        assert run_cli("classify", "--n", "4", "--lambda-inv", "20") == 0
+        assert json.loads(capsys.readouterr().out)["order"] == "first"
+
 
 class TestEffective:
     def test_four_site_matrices(self, capsys):
@@ -127,6 +177,162 @@ class TestEffective:
         assert entries[(1, 4)] == pytest.approx(-0.5, abs=1e-12)
         assert (1, 5) not in entries
         assert payload["order0"]["eta1_common"] is None
+
+
+class TestSmallEnergyScale:
+    """Nonzero cut-offs and the order-0 proportionality test scale with k."""
+
+    CHAINS = [
+        (["--n", "4"], None),
+        (["--n", "5"], None),
+        (["--n", "30"], None),
+        (["--n", "5"], 20.0),
+    ]
+    IDS = ["even4", "odd5", "even30", "modified5"]
+
+    @staticmethod
+    def _scaled(argv: list[str], delta_omega: float | None, k: float) -> list[str]:
+        argv = [*argv, "--lambda-inv", "20", "--k", repr(k)]
+        if delta_omega is not None:
+            argv += ["--delta-omega", repr(delta_omega * k)]
+        return argv
+
+    @staticmethod
+    def _assert_scaled(small: list, ref: list, k: float) -> None:
+        assert [e[:2] for e in small] == [e[:2] for e in ref]
+        assert [e[2] for e in small] == pytest.approx([k * e[2] for e in ref], rel=1e-9)
+
+    @pytest.mark.parametrize("argv, delta_omega", CHAINS, ids=IDS)
+    def test_effective_listing(self, capsys, argv, delta_omega):
+        payloads = []
+        for k in (1.0, 1e-11):
+            assert run_cli("effective", *self._scaled(argv, delta_omega, k)) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        ref, small = payloads
+        assert ref["order0"]["nonzeros"] or ref["order1_times_lambda"]["nonzeros"]
+        for key in ("order0", "order1_times_lambda"):
+            self._assert_scaled(small[key]["nonzeros"], ref[key]["nonzeros"], 1e-11)
+        if ref["order0"]["eta1_common"] is None:
+            assert small["order0"]["eta1_common"] is None
+        else:
+            assert small["order0"]["eta1_common"] == pytest.approx(0.0, abs=1e-23)
+
+    @pytest.mark.parametrize("argv, delta_omega", CHAINS, ids=IDS)
+    def test_simulate_summary(self, tmp_path, argv, delta_omega):
+        summaries = []
+        for k in (1.0, 1e-11):
+            out = tmp_path / f"k{k}"
+            argv_k = self._scaled(argv, delta_omega, k)
+            assert run_cli("simulate", *argv_k, "--steps", "50", "--out", str(out)) == 0
+            summaries.append(json.loads(out.with_name(out.name + ".json").read_text()))
+        ref, small = summaries
+        assert ref["effective_matrix_nonzeros"]
+        self._assert_scaled(
+            small["effective_matrix_nonzeros"], ref["effective_matrix_nonzeros"], 1e-11
+        )
+
+
+class TestOutputBytes:
+    """Every CLI output, byte for byte, against referees in tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "argv, spec, grid",
+        [
+            (["--n", "4"], ChainSpec(4, 20.0), None),
+            (["--n", "5"], ChainSpec(5, 20.0), None),
+            (["--n", "5", "--delta-omega", "20"], ChainSpec(5, 20.0, delta_omega=20.0), None),
+            (["--n", "6", "--t-max", "2.5", "--steps", "37"], ChainSpec(6, 20.0), TimeGrid(2.5, 37)),
+        ],
+        ids=["even4", "odd5", "modified5", "grid37"],
+    )
+    def test_simulate(self, tmp_path, capsys, argv, spec, grid):
+        out = tmp_path / "s"
+        assert run_cli("simulate", *argv, "--lambda-inv", "20", "--out", str(out)) == 0
+        result = run_scenario(spec, grid=grid)
+        trace = result.trace
+        header = ["t"] + [f"p_{i + 1}" for i in range(spec.n_sites)] + ["leakage"]
+        rows = [
+            [t, *p, leak]
+            for t, p, leak in zip(trace.grid.times, trace.populations, trace.leakage)
+        ]
+        if spec.n_sites % 2 == 1 and spec.delta_omega is None:
+            header.append("mid_overlap")
+            rows = [row + [m] for row, m in zip(rows, trace.mid_overlap)]
+        assert (tmp_path / "s.csv").read_bytes() == per_value_csv(header, rows).encode()
+
+        summary_text = (tmp_path / "s.json").read_text()
+        assert capsys.readouterr().out == summary_text
+        summary = json.loads(summary_text)
+        assert summary["effective_matrix_nonzeros"] == double_loop_nonzeros(
+            dominant_effective_matrix(result), 1e-12
+        )
+
+    def test_sweep(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert run_cli(
+            "sweep", "--g-list", "0.05,0.1", "--n-list", "4,6,8",
+            "--steps", "300", "--out", str(out),
+        ) == 0
+        result = run_sweep([0.05, 0.1], [4, 6, 8], n_steps=300)
+        rows = [[r.g, r.n_sites, r.lambda_inv, r.delta] for r in result.rows]
+        want = per_value_csv(["G", "N", "lambda_inv", "delta"], rows)
+        assert (tmp_path / "sw.csv").read_bytes() == want.encode()
+        assert capsys.readouterr().out == (tmp_path / "sw.json").read_text()
+
+    def test_fluctuate(self, tmp_path, capsys):
+        out = tmp_path / "fl"
+        assert run_cli("fluctuate", "--n", "10", "--trials", "20", "--out", str(out)) == 0
+        trials = run_fluctuation_trials(10, 0.05, 20, 0)
+        rows = [[t.seed_offset, t.corner_element, t.delta] for t in trials]
+        want = per_value_csv(["seed_offset", "corner_element", "delta"], rows)
+        assert (tmp_path / "fl.csv").read_bytes() == want.encode()
+        payload_text = (tmp_path / "fl.json").read_text()
+        assert capsys.readouterr().out == payload_text
+        payload = json.loads(payload_text)
+        assert payload["mean_corner_element"] == float(np.mean([r[1] for r in rows]))
+        assert payload["mean_delta"] == float(np.mean([r[2] for r in rows]))
+
+    def test_bound(self, capsys):
+        assert run_cli("bound", "--n", "30") == 0
+        assert capsys.readouterr().out == "{:.12g}".format(lambda_bound(30, 0.1)) + "\n"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChainSpec(4, 20.0),
+            ChainSpec(5, 20.0),
+            ChainSpec(30, 20.0),
+            ChainSpec(31, 20.0),
+            ChainSpec(31, 20.0, delta_omega=20.0),
+        ],
+        ids=["even4", "odd5", "even30", "odd31", "modified31"],
+    )
+    def test_effective_nonzeros(self, tmp_path, capsys, spec):
+        argv = ["--n", str(spec.n_sites), "--lambda-inv", "20"]
+        if spec.delta_omega is not None:
+            argv += ["--delta-omega", "20"]
+        out = tmp_path / "eff.json"
+        assert run_cli("effective", *argv, "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        assert printed == out.read_text()
+        payload = json.loads(printed)
+
+        analysis = effective_reports(build_chain(spec))
+        rep0, rep1 = analysis.order0, analysis.order1
+        assert payload["order0"]["nonzeros"] == double_loop_nonzeros(rep0.matrix, 1e-10)
+        assert payload["order1_times_lambda"]["nonzeros"] == double_loop_nonzeros(
+            rep1.matrix, 1e-10
+        )
+        # with no cut every round-off entry is listed, in the same order
+        for m in (rep0.matrix, rep1.matrix):
+            assert cli._matrix_nonzeros(m, 0.0) == double_loop_nonzeros(m, 0.0)
+
+    def test_nonzeros_of_dense_matrix(self):
+        # a dense matrix pins the row-major order of the listing
+        m = np.random.default_rng(0).normal(size=(9, 9))
+        m = m + m.T
+        for cut in (0.0, 0.5, 2.0):
+            assert cli._matrix_nonzeros(m, cut) == double_loop_nonzeros(m, cut)
 
 
 class TestBound:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -218,3 +219,14 @@ class TestBenchmarkBindings:
         for mod_name, attr, _span in spans.BINDINGS:
             mod = importlib.import_module(f"zenochain.{mod_name}")
             assert callable(getattr(mod, attr, None)), f"zenochain.{mod_name}.{attr}"
+
+    def test_smoke_run_passes(self):
+        # the benchmark parses the CLI's CSV and JSON and checks repeated runs
+        # for identical bytes; a CLI change that breaks it must fail here
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--smoke"],
+            cwd=root, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "smoke ok" in done.stdout

@@ -137,6 +137,23 @@ class TestOrder0:
         assert_allclose(rep.matrix, expect, atol=1e-14)
         assert rep.eta1_common is None
 
+    def test_proportionality_is_relative_to_h(self):
+        # at k = 1e-11 the odd N=5 order-0 term is still k times the closed
+        # form, so it is not a multiple of P0; the even N=4 one still is
+        k = 1e-11
+        hams, _, ps = watch_levels(ChainSpec(5, 20.0, k=k))
+        rep = hqzd_order0(ps.zero_level.projector, hams.h_weak.to_dense())
+        assert_allclose(rep.matrix, hqzd0_odd(5, k), rtol=0, atol=1e-12 * k)
+        assert rep.eta1_common is None
+
+        hams, _, ps = watch_levels(ChainSpec(4, 20.0, k=k))
+        rep = hqzd_order0(ps.zero_level.projector, hams.h_weak.to_dense())
+        assert rep.eta1_common == pytest.approx(0.0, abs=1e-12 * k)
+
+    def test_zero_perturbation_has_common_shift_zero(self):
+        p0 = np.diag([1.0, 1.0, 0.0])
+        assert hqzd_order0(p0, np.zeros((3, 3))).eta1_common == 0.0
+
     def test_commutes_with_projector(self):
         for spec in (ChainSpec(4, 5.0), ChainSpec(5, 5.0), ChainSpec(7, 9.0)):
             hams, _, ps = watch_levels(spec)
