@@ -41,7 +41,8 @@ class ChainSpec:
     """Parameters of one chain.
 
     delta_omega, when given, shifts the on-site energy of one even interior
-    site (default site 2, 1-based) of the full Hamiltonian.
+    site (default site 2, 1-based) of the full Hamiltonian. A zero shift is
+    stored as None: it builds the unshifted chain.
     """
 
     n_sites: int
@@ -66,6 +67,9 @@ class ChainSpec:
                 raise ValidationError(
                     f"delta_omega_site: must lie in [2, {self.n_sites - 1}]"
                 )
+            if self.delta_omega == 0.0:
+                # a zero shift builds the unshifted chain; store it as no shift
+                object.__setattr__(self, "delta_omega", None)
 
     @property
     def lam(self) -> float:

@@ -46,6 +46,10 @@ DEFAULTS = {
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with code 1."""
 
+    # the destination of every flag of every subcommand: the keys a config
+    # file may set (filled by build_parser)
+    config_keys: frozenset[str] = frozenset()
+
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         raise ValidationError(message)
@@ -68,8 +72,11 @@ def _parse_int_list(raw: str) -> list[int]:
     return out
 
 
-def read_config_file(path: str) -> dict[str, str]:
-    """Parse a config file of key=value lines ('#' starts a comment)."""
+def read_config_file(path: str, known: frozenset[str]) -> dict[str, str]:
+    """Parse a config file of key=value lines ('#' starts a comment).
+
+    A key outside ``known`` is an error naming the file and line.
+    """
     values: dict[str, str] = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -79,7 +86,10 @@ def read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -282,21 +292,27 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    keys: set[str] = set()
+
+    def add(p: _Parser, *names: str, **kwargs) -> None:
+        keys.add(p.add_argument(*names, **kwargs).dest)
 
     def add_common(p: _Parser) -> None:
-        p.add_argument("--config", help="config file of key=value lines")
-        p.add_argument("--out", help="output path prefix (default: subcommand name)")
+        add(p, "--config", help="config file of key=value lines")
+        add(p, "--out", help="output path prefix (default: subcommand name)")
 
     def add_chain(p: _Parser) -> None:
-        p.add_argument("--n", type=int, help="chain length N >= 4")
-        p.add_argument("--k", type=float, help="weak coupling k (default 1)")
-        p.add_argument(
+        add(p, "--n", type=int, help="chain length N >= 4")
+        add(p, "--k", type=float, help="weak coupling k (default 1)")
+        add(
+            p,
             "--lambda-inv",
             dest="lambda_inv",
             type=float,
             help="strong/weak coupling ratio (default 20)",
         )
-        p.add_argument(
+        add(
+            p,
             "--delta-omega",
             dest="delta_omega",
             type=float,
@@ -306,8 +322,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="evolve |1> and write the population trace")
     add_common(p)
     add_chain(p)
-    p.add_argument("--t-max", dest="t_max", type=float, help="window length (default: one effective cycle)")
-    p.add_argument("--steps", type=int, help="grid steps (default 4000)")
+    add(p, "--t-max", dest="t_max", type=float, help="window length (default: one effective cycle)")
+    add(p, "--steps", type=int, help="grid steps (default 4000)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("classify", help="classify the constrained-dynamics order")
@@ -322,29 +338,30 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bound", help="coupling-ratio bound keeping leakage under delta0")
     add_common(p)
-    p.add_argument("--n", type=int, help="chain length N (even)")
-    p.add_argument("--delta0", type=float, help="leakage standard (default 0.1)")
+    add(p, "--n", type=int, help="chain length N (even)")
+    add(p, "--delta0", type=float, help="leakage standard (default 0.1)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("sweep", help="G-sweep measuring delta and the quadratic fit")
     add_common(p)
-    p.add_argument("--g-list", dest="g_list", help="comma-separated G values")
-    p.add_argument("--n-list", dest="n_list", help="comma-separated even chain lengths")
-    p.add_argument("--k", type=float, help="weak coupling k (default 1)")
-    p.add_argument("--steps", type=int, help="grid steps per cell (default 4000)")
+    add(p, "--g-list", dest="g_list", help="comma-separated G values")
+    add(p, "--n-list", dest="n_list", help="comma-separated even chain lengths")
+    add(p, "--k", type=float, help="weak coupling k (default 1)")
+    add(p, "--steps", type=int, help="grid steps per cell (default 4000)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fluctuate", help="Monte Carlo over fluctuating couplings")
     add_common(p)
-    p.add_argument("--n", type=int, help="chain length N (even)")
-    p.add_argument("--amplitude", type=float, help="relative coupling noise (default 0.05)")
-    p.add_argument("--trials", type=int, help="number of trials (default 100)")
-    p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    p.add_argument("--lambda-inv", dest="lambda_inv", type=float, help="coupling ratio (default 20)")
-    p.add_argument("--k", type=float, help="weak coupling k (default 1)")
-    p.add_argument("--steps", type=int, help="grid steps per trial (default 4000)")
+    add(p, "--n", type=int, help="chain length N (even)")
+    add(p, "--amplitude", type=float, help="relative coupling noise (default 0.05)")
+    add(p, "--trials", type=int, help="number of trials (default 100)")
+    add(p, "--seed", type=int, help="base RNG seed (default 0)")
+    add(p, "--lambda-inv", dest="lambda_inv", type=float, help="coupling ratio (default 20)")
+    add(p, "--k", type=float, help="weak coupling k (default 1)")
+    add(p, "--steps", type=int, help="grid steps per trial (default 4000)")
     p.set_defaults(func=cmd_fluctuate)
 
+    parser.config_keys = frozenset(keys)
     return parser
 
 
@@ -352,8 +369,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = read_config_file(args.config) if getattr(args, "config", None) else {}
-        args._config = config
+        config = getattr(args, "config", None)
+        args._config = read_config_file(config, parser.config_keys) if config else {}
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,9 +18,11 @@ from .errors import UnsupportedConfigurationError, ValidationError
 from .linalg import (
     SpectralDecomposition,
     SymTridiagMatrix,
+    check_state,
     eig_sym_dense,
     eig_sym_tridiag,
     evolve_grid,
+    orthonormal_columns,
 )
 from .perturbation import FirstOrderCorrections
 
@@ -50,13 +52,12 @@ class EvolutionTrace:
     """Per-time site populations and watched-subspace bookkeeping.
 
     ``populations[j]`` is the length-N array |<i|psi(t_j)>|^2; ``leakage``
-    is 1 - subspace_population. ``mid_overlap`` tracks |<phi_mid|psi(t)>|^2
-    when a mid state was supplied.
+    is the population outside the watched subspace. ``mid_overlap`` tracks
+    |<phi_mid|psi(t)>|^2 when a mid state was supplied.
     """
 
     grid: TimeGrid
     populations: np.ndarray
-    subspace_population: np.ndarray
     leakage: np.ndarray
     mid_overlap: np.ndarray | None = None
 
@@ -91,23 +92,17 @@ def simulate(
     states = evolve_grid(d, psi0, grid.times)
 
     populations = np.abs(states.T) ** 2
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != d.size:
-        raise ValidationError("basis: row count does not match the state")
-    if np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) > 1e-10:
-        raise ValidationError("basis: columns must be orthonormal")
+    basis = orthonormal_columns(basis, d.size, "basis")
     subspace = np.sum(np.abs(basis.T @ states) ** 2, axis=0)
     # strip float dust so leakage stays a population in [0, 1]
     leakage = np.clip(1.0 - subspace, 0.0, 1.0)
 
     mid_overlap = None
     if mid_state is not None:
-        mid_state = np.asarray(mid_state)
-        if mid_state.shape != (d.size,):
-            raise ValidationError("mid_state: dimension does not match the state")
+        mid_state = check_state(mid_state, d.size, "mid_state")
         mid_overlap = np.abs(mid_state.conj() @ states) ** 2
 
-    return EvolutionTrace(grid, populations, subspace, leakage, mid_overlap)
+    return EvolutionTrace(grid, populations, leakage, mid_overlap)
 
 
 def measure_leakage(trace: EvolutionTrace) -> LeakageReport:
@@ -157,9 +152,7 @@ def u1_correction_trace(
     if psi0 is None:
         psi0 = np.zeros(d_watch.size)
         psi0[0] = 1.0
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (d_watch.size,):
-        raise ValidationError("psi0: dimension does not match the decomposition")
+    psi0 = check_state(psi0, d_watch.size, "psi0")
 
     base = np.concatenate(
         [corrections.outer_states, corrections.zero_basis], axis=1

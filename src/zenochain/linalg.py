@@ -116,8 +116,7 @@ def eig_sym_dense(a: np.ndarray) -> SpectralDecomposition:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > 1e-12 * scale:
+    if np.max(np.abs(a - a.T), initial=0.0) > 1e-12 * np.max(np.abs(a), initial=0.0):
         raise ValidationError("matrix is not symmetric")
     try:
         w, v = np.linalg.eigh(a)
@@ -128,20 +127,29 @@ def eig_sym_dense(a: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w, _fix_phases(v))
 
 
-def _check_state(d: SpectralDecomposition, psi0: np.ndarray) -> np.ndarray:
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (d.size,):
-        raise ValidationError(
-            f"state dimension {psi0.shape} does not match decomposition size {d.size}"
-        )
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-12:
-        raise ValidationError("psi0 must have unit norm within 1e-12")
-    return psi0
+def orthonormal_columns(v: np.ndarray, rows: int, name: str) -> np.ndarray:
+    """``v`` as a float array, checked to be rows x d with orthonormal columns."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[0] != rows:
+        raise ValidationError(f"{name}: expected {rows} rows, got shape {v.shape}")
+    if np.linalg.norm(v.T @ v - np.eye(v.shape[1])) > 1e-10:
+        raise ValidationError(f"{name}: columns must be orthonormal")
+    return v
+
+
+def check_state(v: np.ndarray, size: int, name: str) -> np.ndarray:
+    """``v`` as a complex array, checked to be a unit vector of length size."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (size,):
+        raise ValidationError(f"{name}: dimension {v.shape} does not match size {size}")
+    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        raise ValidationError(f"{name}: must have unit norm within 1e-12")
+    return v
 
 
 def evolve(d: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndarray:
     """psi(t) = sum_n exp(-i eta_n t) (v_n . psi0) v_n."""
-    psi0 = _check_state(d, psi0)
+    psi0 = check_state(psi0, d.size, "psi0")
     if t == 0.0:
         return psi0.copy()
     amps = d.eigenvectors.T @ psi0
@@ -150,7 +158,7 @@ def evolve(d: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndarray:
 
 def evolve_grid(d: SpectralDecomposition, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """States at many times at once; column j is psi(times[j])."""
-    psi0 = _check_state(d, psi0)
+    psi0 = check_state(psi0, d.size, "psi0")
     times = np.asarray(times, dtype=float)
     amps = d.eigenvectors.T @ psi0
     phases = np.exp(-1j * np.outer(d.eigenvalues, times))

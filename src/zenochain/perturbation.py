@@ -9,8 +9,9 @@ order-1 effective Hamiltonians
     lam * H_eff1 = lam * P0 H Qtilde H P0,
     Qtilde = sum_{n != 0} P_n / (-eta_n),
 
-all expressed in the full N-dimensional site basis so the dynamics module
-can evolve under them directly.
+each formed as a d0 x d0 block in an orthonormal basis V0 (N x d0) of the
+zero level and expanded to the N x N site basis only on request, so the
+dynamics module can evolve under it directly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteringError, UnsupportedConfigurationError, ValidationError
-from .linalg import SpectralDecomposition
+from .linalg import SpectralDecomposition, orthonormal_columns
 
 DEFAULT_GROUPING_RTOL = 1e-8
 PROPORTIONALITY_RTOL = 1e-10
@@ -66,6 +67,12 @@ class ProjectorSet:
         return tuple(
             lvl for i, lvl in enumerate(self.levels) if i != self.zero_level_index
         )
+
+    def nonzero_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero levels' stacked eigenvector blocks and one eigenvalue per column."""
+        nonzero = self.nonzero_levels()
+        v = np.hstack([self.levels[0].vectors[:, :0], *(lvl.vectors for lvl in nonzero)])
+        return v, np.array([lvl.eigenvalue for lvl in nonzero for _ in lvl.member_indices])
 
 
 def default_grouping_tolerance(
@@ -117,30 +124,48 @@ def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
 class EffectiveHamiltonianReport:
     """An effective Hamiltonian of a given perturbative order.
 
-    ``eta1_common`` is set (order 0 only) when the matrix is a multiple
-    c * P0 of the zero projector; c is then the common first-order shift.
+    ``block`` is the d0 x d0 matrix in the zero-level basis ``basis`` (N x d0).
+    ``eta1_common`` is set (order 0 only) when the block is a multiple c * 1
+    of the identity, i.e. the matrix is c * P0; c is then the common
+    first-order shift.
     """
 
     order: int
-    matrix: np.ndarray
+    block: np.ndarray
+    basis: np.ndarray
     eta1_common: float | None = None
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N matrix in the site basis, built on each call."""
+        return self.basis @ self.block @ self.basis.T
 
-def hqzd_order0(p0: np.ndarray, h: np.ndarray) -> EffectiveHamiltonianReport:
-    """Order-0 effective Hamiltonian P0 H P0.
 
-    It counts as c * P0 when ||P0 H P0 - c P0|| <= PROPORTIONALITY_RTOL * ||H||
+def _symmetric(block: np.ndarray) -> np.ndarray:
+    """The block with its round-off asymmetry removed.
+
+    An odd chain's order-1 block is pure round-off, asymmetric at its own
+    scale; symmetrised, every ``matrix`` passes ``eig_sym_dense`` exactly.
+    """
+    return 0.5 * (block + block.T)
+
+
+def hqzd_order0(v0: np.ndarray, h: np.ndarray) -> EffectiveHamiltonianReport:
+    """Order-0 effective Hamiltonian P0 H P0, as the block V0^T H V0.
+
+    It counts as c * P0 when ||V0^T H V0 - c 1|| <= PROPORTIONALITY_RTOL * ||H||
     (Frobenius norms), so the test is the same at every energy scale.
     """
-    m = p0 @ h @ p0
-    trace_p0 = float(np.trace(p0))
+    v0 = orthonormal_columns(v0, h.shape[0], "v0")
+    block = _symmetric(v0.T @ h @ v0)
+    dim0 = block.shape[0]
     eta1_common: float | None = None
-    if trace_p0 > 0.0:
-        c = float(np.trace(m)) / trace_p0
-        dev = np.linalg.norm(m - c * p0)
+    if dim0:
+        c = float(np.trace(block)) / dim0
+        dev = np.linalg.norm(block - c * np.eye(dim0))
         if dev <= PROPORTIONALITY_RTOL * float(np.linalg.norm(h)):
             eta1_common = c
-    return EffectiveHamiltonianReport(0, m, eta1_common)
+    return EffectiveHamiltonianReport(0, block, v0, eta1_common)
 
 
 def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
@@ -152,18 +177,20 @@ def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
     """
     if not ps.has_zero_level:
         raise ValidationError("reduced resolvent requires a zero level")
-    nonzero = ps.nonzero_levels()
-    v = np.hstack([ps.zero_level.vectors[:, :0], *(lvl.vectors for lvl in nonzero)])
-    w = np.array([-1.0 / lvl.eigenvalue for lvl in nonzero for _ in lvl.member_indices])
-    return (v * w) @ v.T
+    v, eta = ps.nonzero_spectrum()
+    return (v * (-1.0 / eta)) @ v.T
 
 
 def hqzd_order1(
-    p0: np.ndarray, h: np.ndarray, qtilde: np.ndarray, lam: float
+    v0: np.ndarray, h: np.ndarray, qtilde: np.ndarray, lam: float
 ) -> EffectiveHamiltonianReport:
-    """Order-1 effective Hamiltonian lam * P0 H Qtilde H P0."""
-    hp0 = h @ p0
-    return EffectiveHamiltonianReport(1, lam * (hp0.T @ qtilde @ hp0))
+    """Order-1 effective Hamiltonian lam * P0 H Qtilde H P0.
+
+    Formed as the block lam * (H V0)^T Qtilde (H V0).
+    """
+    v0 = orthonormal_columns(v0, h.shape[0], "v0")
+    hv0 = h @ v0
+    return EffectiveHamiltonianReport(1, _symmetric(lam * (hv0.T @ qtilde @ hv0)), v0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,20 +235,14 @@ def first_order_corrections(
                 "nonzero levels must be nondegenerate for eigenstate corrections"
             )
 
-    basis = np.asarray(zero_basis, dtype=float)
-    if basis.shape != (d.size, 2):
+    basis = orthonormal_columns(zero_basis, d.size, "zero_basis")
+    if basis.shape[1] != 2:
         raise ValidationError(f"zero_basis: expected shape {(d.size, 2)}")
-    if np.linalg.norm(basis.T @ basis - np.eye(2)) > 1e-10:
-        raise ValidationError("zero_basis: columns must be orthonormal")
     v0 = ps.zero_level.vectors
     if np.linalg.norm(v0 @ (v0.T @ basis) - basis) > 1e-10:
         raise ValidationError("zero_basis: columns must span the zero level")
 
-    outer = ps.nonzero_levels()
-    eta0 = np.array([lvl.eigenvalue for lvl in outer])
-    states = np.column_stack(
-        [d.eigenvectors[:, lvl.member_indices[0]] for lvl in outer]
-    ) if outer else np.zeros((d.size, 0))
+    states, eta0 = ps.nonzero_spectrum()
 
     h_outer_zero = states.T @ h @ basis      # <n|H|b_a>, shape (n_outer, 2)
     h_outer_outer = states.T @ h @ states    # <m|H|n>
@@ -230,13 +251,9 @@ def first_order_corrections(
     zero_eta1 = np.einsum("ia,ij,ja->a", basis, h, basis)
     zero_eta2 = np.einsum("na,n,na->a", h_outer_zero, -1.0 / eta0, h_outer_zero)
 
-    n_outer = len(outer)
-    outer_corr = np.zeros((d.size, n_outer))
-    for j in range(n_outer):
-        weights = np.zeros(n_outer)
-        others = np.arange(n_outer) != j
-        weights[others] = h_outer_outer[others, j] / (eta0[j] - eta0[others])
-        outer_corr[:, j] = states @ weights + basis @ (h_outer_zero[j] / eta0[j])
+    gaps = eta0[None, :] - eta0[:, None]    # eta_n - eta_m at [m, n]
+    np.fill_diagonal(gaps, np.inf)          # no m = n term
+    outer_corr = states @ (h_outer_outer / gaps) + basis @ (h_outer_zero / eta0[:, None]).T
 
     return FirstOrderCorrections(
         zero_basis=basis,

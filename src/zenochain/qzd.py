@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import LeakageReport
 from .errors import AssumptionViolationError, ValidationError
-from .linalg import SymTridiagMatrix, eig_sym_tridiag
+from .linalg import SymTridiagMatrix, check_state, eig_sym_tridiag
 from .perturbation import (
     DEFAULT_GROUPING_RTOL,
     EffectiveHamiltonianReport,
@@ -59,11 +59,6 @@ class PrerequisiteIIResult:
     attained_at: float
 
 
-def _comm_norm(m: np.ndarray, rho: np.ndarray) -> float:
-    c = m @ rho - rho @ m
-    return float(np.linalg.norm(c))
-
-
 @dataclass(frozen=True, eq=False)
 class WatchAnalysis:
     """Everything the watch spectrum fixes for one chain, computed once.
@@ -83,11 +78,7 @@ class WatchAnalysis:
 
     def classify(self, psi0: np.ndarray) -> QzdClassification:
         """The order decision of ``classify`` for this watch and psi0."""
-        psi0 = np.asarray(psi0, dtype=complex)
-        if psi0.shape != (self.h_watch.size,):
-            raise ValidationError("psi0: dimension does not match the chain")
-        if abs(np.linalg.norm(psi0) - 1.0) > 1e-12:
-            raise ValidationError("psi0: must have unit norm")
+        psi0 = check_state(psi0, self.h_watch.size, "psi0")
 
         residual = float(np.linalg.norm(self.h_watch.matvec(psi0)))
         if residual > self.tol * self.h_watch.max_abs_entry():
@@ -98,6 +89,11 @@ class WatchAnalysis:
 
         dim0 = self.zero_basis.shape[1]
         if dim0 < 2:
+            notes = (
+                "zero level is one-dimensional; no room for a transition"
+                if dim0
+                else "watch spectrum has no zero level at the grouping tolerance"
+            )
             return QzdClassification(
                 watch_annihilates_initial=True,
                 zero_level_dimension=dim0,
@@ -105,28 +101,21 @@ class WatchAnalysis:
                 prerequisite_i=False,
                 commutator_norm_order0=0.0,
                 commutator_norm_order1=0.0,
-                notes="zero level is one-dimensional; no room for a transition"
-                if dim0
-                else "watch spectrum has no zero level at the grouping tolerance",
+                notes=notes,
             )
 
-        tol = self.tol
-        rep0, rep1 = self.order0, self.order1
-        rho0 = np.outer(psi0, psi0.conj())
-        comm0 = _comm_norm(rep0.matrix, rho0)
-        norm0 = float(np.linalg.norm(rep0.matrix))
-        comm1 = _comm_norm(rep1.matrix, rho0)
-        norm1 = float(np.linalg.norm(rep1.matrix))
+        # V0 is an isometry, so Frobenius norms of the d0 x d0 blocks and of
+        # their commutators with |a><a|, a = V0^T psi0, equal the N x N ones;
+        # a zero block has a zero commutator, which never counts as moving
+        a = self.zero_basis.T @ psi0
+        rho0 = np.outer(a, a.conj())
+        reps = (self.order0, self.order1)
+        comm0, comm1 = (float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in reps)
+        norm0, norm1 = (float(np.linalg.norm(r.block)) for r in reps)
+        proportional = self.order0.eta1_common is not None
+        prerequisite_i = proportional and comm1 > self.tol * norm1
 
-        weak_scale = float(np.linalg.norm(self.h_weak.to_dense()))
-        c = float(np.trace(rep0.matrix)) / dim0
-        p0 = self.levels.zero_level.projector
-        deviation = float(np.linalg.norm(rep0.matrix - c * p0))
-        proportional = deviation < tol * max(weak_scale, 1e-300)
-        comm1_nonzero = norm1 > 0.0 and comm1 > tol * norm1
-        prerequisite_i = proportional and comm1_nonzero
-
-        if norm0 > 0.0 and comm0 > tol * norm0:
+        if comm0 > self.tol * norm0:
             order = QzdOrder.ZEROTH
             notes = "order-0 effective Hamiltonian moves the initial state"
         elif prerequisite_i:
@@ -170,12 +159,10 @@ def analyze_watch(
     ps = group_levels(d, default_grouping_tolerance(d, tol))
     if not ps.has_zero_level:
         return WatchAnalysis(h_watch, h_weak, tol, ps, d.eigenvectors[:, :0], None, None)
-    p0 = ps.zero_level.projector
+    v0 = ps.zero_level.vectors
     h = h_weak.to_dense()
-    rep1 = hqzd_order1(p0, h, reduced_resolvent(ps), lam)
-    return WatchAnalysis(
-        h_watch, h_weak, tol, ps, ps.zero_level.vectors, hqzd_order0(p0, h), rep1
-    )
+    rep1 = hqzd_order1(v0, h, reduced_resolvent(ps), lam)
+    return WatchAnalysis(h_watch, h_weak, tol, ps, v0, hqzd_order0(v0, h), rep1)
 
 
 def classify(
@@ -189,13 +176,15 @@ def classify(
 
     Decision tree: no zero level or dim P0 < 2 -> no_dynamics; the order-0
     effective Hamiltonian fails to commute with |psi0><psi0| -> zeroth;
-    otherwise, if it is proportional to P0 and the order-1 effective
-    Hamiltonian fails to commute -> first; otherwise higher_or_none.
+    otherwise, if it is proportional to P0 (its ``eta1_common`` is set) and
+    the order-1 effective Hamiltonian fails to commute -> first; otherwise
+    higher_or_none.
 
-    Eigenvalues group at tol times the largest |eigenvalue| of H_watch.
-    Commutators count as nonvanishing when their Frobenius norm exceeds
-    tol times the norm of the effective matrix; proportionality to P0 is
-    tested against tol times the norm of H_weak.
+    ``tol`` governs the grouping and the two commutator tests only:
+    eigenvalues group at tol times the largest |eigenvalue| of H_watch, and
+    a commutator counts as nonvanishing when its Frobenius norm exceeds tol
+    times the norm of the effective matrix. Proportionality to P0 is the
+    one test of ``hqzd_order0``, relative to the norm of H_weak.
     """
     return analyze_watch(h_watch, h_weak, lam, tol).classify(psi0)
 

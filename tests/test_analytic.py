@@ -39,7 +39,7 @@ def projector_route_order1(spec: ChainSpec) -> np.ndarray:
     d = eig_sym_tridiag(hams.h_watch)
     ps = group_levels(d, default_grouping_tolerance(d))
     q = reduced_resolvent(ps)
-    return hqzd_order1(ps.zero_level.projector, hams.h_weak.to_dense(), q, spec.lam).matrix
+    return hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), q, spec.lam).matrix
 
 
 class TestToeplitzEigenpairs:
@@ -105,7 +105,7 @@ class TestOddOrder0ClosedForm:
         hams = build_chain(ChainSpec(n_sites, 5.0))
         d = eig_sym_tridiag(hams.h_watch)
         ps = group_levels(d, default_grouping_tolerance(d))
-        rep = hqzd_order0(ps.zero_level.projector, hams.h_weak.to_dense())
+        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
         assert np.max(np.abs(rep.matrix - hqzd0_odd(n_sites, K))) < 1e-10
 
     def test_nine_site_coupling_magnitude(self):

@@ -30,6 +30,16 @@ class TestBuildChain:
         # the watch matrix carries the shift scaled by lambda
         assert_allclose(hams.h_watch.diag, [0.0, 1.0, 0.0, 0.0, 0.0])
 
+    def test_zero_shift_is_unmodified(self):
+        plain = build_chain(ChainSpec(5, 20.0))
+        zero = build_chain(ChainSpec(5, 20.0, delta_omega=0.0))
+        assert zero.spec.delta_omega is None and not zero.spec.is_modified
+        assert ChainSpec(5, 20.0, delta_omega=1e-7).is_modified
+        for name in ("h_total", "h_watch", "h_weak"):
+            for part in ("diag", "offdiag"):
+                a, b = getattr(getattr(plain, name), part), getattr(getattr(zero, name), part)
+                assert np.array_equal(a, b)
+
     def test_zero_amplitude_fluctuation_is_identity(self):
         plain = build_chain(ChainSpec(n_sites=8, lambda_inv=10.0))
         fluct = build_chain(

@@ -13,6 +13,7 @@ from zenochain.analytic import lambda_bound
 from zenochain.chain import ChainSpec, build_chain
 from zenochain.cli import main, read_config_file
 from zenochain.dynamics import TimeGrid
+from zenochain.errors import ValidationError
 from zenochain.harness import (
     dominant_effective_matrix,
     effective_reports,
@@ -93,6 +94,16 @@ class TestSimulate:
             "ratio37.5.csv", "ratio37.5.json",
             "trace.csv", "trace.json",
         ]
+
+    def test_zero_shift_is_the_unshifted_chain(self, tmp_path, capsys):
+        # a zero delta_omega builds the unshifted Hamiltonian, so it gets the
+        # unshifted window and mid-mode column, byte for byte
+        argv = ["simulate", "--n", "5", "--lambda-inv", "20", "--steps", "300"]
+        assert run_cli(*argv, "--out", str(tmp_path / "plain")) == 0
+        assert run_cli(*argv, "--delta-omega", "0", "--out", str(tmp_path / "zero")) == 0
+        for suffix in (".csv", ".json"):
+            plain = (tmp_path / f"plain{suffix}").read_bytes()
+            assert (tmp_path / f"zero{suffix}").read_bytes() == plain
 
     def test_explicit_window_override(self, tmp_path):
         out = tmp_path / "w"
@@ -421,10 +432,28 @@ class TestConfigFile:
         cfg.write_text("n 4\n")
         assert run_cli("bound", "--config", str(cfg)) == 1
 
+    def test_unknown_key_is_rejected(self, tmp_path, capsys):
+        # a misspelt key must not fall back to the default silently
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n=4\nlambda_inv=20\nstpes=10\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:3" in err and "stpes" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_keys_of_other_subcommands_are_accepted(self, tmp_path, capsys):
+        # one config file may serve several subcommands
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("n=6\ndelta0=0.1\ng-list=0.1\ntrials=3\n")
+        assert run_cli("bound", "--config", str(cfg)) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(lambda_bound(6, 0.1), abs=1e-9)
+
     def test_reader(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("a=1\nb = x y  # trailing comment\n\n")
-        assert read_config_file(str(cfg)) == {"a": "1", "b": "x y"}
+        assert read_config_file(str(cfg), frozenset({"a", "b"})) == {"a": "1", "b": "x y"}
+        with pytest.raises(ValidationError, match=r"c\.cfg:1: unknown key 'a'"):
+            read_config_file(str(cfg), frozenset({"b"}))
 
 
 class TestExitCodes:

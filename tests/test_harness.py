@@ -206,6 +206,24 @@ class TestOneWatchAnalysis:
         run_scenario(spec, n_steps=50)
         assert calls == {"eig_sym_tridiag": 2, "group_levels": 1}
 
+    @pytest.mark.parametrize(
+        "spec",
+        [ChainSpec(6, 20.0), ChainSpec(7, 20.0), ChainSpec(7, 20.0, delta_omega=20.0)],
+        ids=["even", "odd", "modified"],
+    )
+    def test_no_dense_projector_is_built(self, spec, monkeypatch, capsys):
+        # the zero level enters only through its N x d0 basis
+        def forbidden(self):
+            raise AssertionError("dense N x N projector built")
+
+        monkeypatch.setattr(perturbation.DegenerateLevel, "projector", property(forbidden))
+        run_scenario(spec, n_steps=50)
+        argv = ["--n", str(spec.n_sites), "--lambda-inv", "20"]
+        if spec.delta_omega is not None:
+            argv += ["--delta-omega", "20"]
+        assert cli.main(["classify", *argv]) == 0
+        assert cli.main(["effective", *argv]) == 0
+
 
 class TestBenchmarkBindings:
     def test_every_traced_binding_resolves(self, monkeypatch):

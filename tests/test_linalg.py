@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from zenochain.chain import ChainSpec, build_chain, interior_block
 from zenochain.errors import SingularMatrixError, ValidationError
+from zenochain.qzd import analyze_watch
 from zenochain.linalg import (
     SymTridiagMatrix,
     det_tridiag,
@@ -98,6 +99,28 @@ class TestEig:
     def test_dense_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             eig_sym_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_dense_symmetry_check_is_relative(self):
+        # one triangle only: eigh would silently read the lower one
+        with pytest.raises(ValidationError, match="symmetric"):
+            eig_sym_dense(np.array([[0.0, 1e-13], [0.0, 0.0]]))
+        assert_allclose(eig_sym_dense(np.zeros((2, 2))).eigenvalues, [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ChainSpec(4, 20.0, k=1e-11), ChainSpec(5, 20.0, k=1e-11),
+         ChainSpec(5, 20.0, k=1e-11, delta_omega=20e-11)],
+        ids=["even4", "odd5", "modified5"],
+    )
+    def test_dense_accepts_small_effective_matrices(self, spec):
+        # both orders, including the odd chain's order 1, which is round-off
+        hams = build_chain(spec)
+        analysis = analyze_watch(hams.h_watch, hams.h_weak, spec.lam)
+        for rep in (analysis.order0, analysis.order1):
+            padding = np.zeros(spec.n_sites - rep.block.shape[0])
+            expect = np.sort(np.concatenate([np.linalg.eigvalsh(rep.block), padding]))
+            got = eig_sym_dense(rep.matrix).eigenvalues
+            assert_allclose(got, expect, rtol=0.0, atol=1e-12 * spec.k)
 
 
 class TestEvolve:

@@ -112,13 +112,13 @@ class TestOrder0:
     def test_even_chain_vanishes_with_common_shift_zero(self):
         for n in (4, 8, 14):
             hams, _, ps = watch_levels(ChainSpec(n, 5.0))
-            rep = hqzd_order0(ps.zero_level.projector, hams.h_weak.to_dense())
+            rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
             assert np.max(np.abs(rep.matrix)) < 1e-12
             assert rep.eta1_common == pytest.approx(0.0, abs=1e-12)
 
     def test_odd_five_site_matches_closed_form(self):
         hams, _, ps = watch_levels(ChainSpec(5, 5.0))
-        rep = hqzd_order0(ps.zero_level.projector, hams.h_weak.to_dense())
+        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
         assert_allclose(rep.matrix, hqzd0_odd(5, K), atol=1e-12)
         # couples each end to the mid mode with strength k/sqrt(2)
         assert_allclose(rep.matrix[0, 1], K / 2, atol=1e-12)
@@ -130,8 +130,7 @@ class TestOrder0:
         h = np.zeros((4, 4))
         h[0, 1] = h[1, 0] = K
         h[1, 2] = h[2, 1] = K
-        p0 = np.diag([1.0, 1.0, 0.0, 0.0])
-        rep = hqzd_order0(p0, h)
+        rep = hqzd_order0(np.eye(4)[:, :2], h)
         expect = np.zeros((4, 4))
         expect[0, 1] = expect[1, 0] = K
         assert_allclose(rep.matrix, expect, atol=1e-14)
@@ -142,23 +141,48 @@ class TestOrder0:
         # form, so it is not a multiple of P0; the even N=4 one still is
         k = 1e-11
         hams, _, ps = watch_levels(ChainSpec(5, 20.0, k=k))
-        rep = hqzd_order0(ps.zero_level.projector, hams.h_weak.to_dense())
+        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
         assert_allclose(rep.matrix, hqzd0_odd(5, k), rtol=0, atol=1e-12 * k)
         assert rep.eta1_common is None
 
         hams, _, ps = watch_levels(ChainSpec(4, 20.0, k=k))
-        rep = hqzd_order0(ps.zero_level.projector, hams.h_weak.to_dense())
+        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
         assert rep.eta1_common == pytest.approx(0.0, abs=1e-12 * k)
 
     def test_zero_perturbation_has_common_shift_zero(self):
-        p0 = np.diag([1.0, 1.0, 0.0])
-        assert hqzd_order0(p0, np.zeros((3, 3))).eta1_common == 0.0
+        assert hqzd_order0(np.eye(3)[:, :2], np.zeros((3, 3))).eta1_common == 0.0
+
+    def test_common_shift_divides_by_zero_level_dimension(self):
+        # a rotated d0 = 3 basis of R^5 whose block of h is c * 1; h also
+        # couples the level to the rest, which the block does not see
+        c = 0.7
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 5)))
+        v0, rest = q[:, :3], q[:, 3:]
+        coupling = v0 @ np.array([[1.0, 0.0], [0.5, -0.2], [0.0, 2.0]]) @ rest.T
+        h = q @ np.diag([c, c, c, 2.0, -1.0]) @ q.T + coupling + coupling.T
+        rep = hqzd_order0(v0, h)
+        assert rep.block.shape == (3, 3)
+        assert rep.eta1_common == pytest.approx(c, rel=1e-13)
+        assert_allclose(rep.matrix, c * v0 @ v0.T, atol=1e-13)
+
+    def test_rejects_projector_as_basis(self):
+        # an N x N projector gives the right P0 H P0 but a trace over N, not
+        # d0, so it must not pass for V0
+        for spec in (ChainSpec(4, 5.0), ChainSpec(5, 5.0)):
+            hams, _, ps = watch_levels(spec)
+            h, q = hams.h_weak.to_dense(), reduced_resolvent(ps)
+            with pytest.raises(ValidationError, match="orthonormal"):
+                hqzd_order0(ps.zero_level.projector, h)
+            with pytest.raises(ValidationError, match="orthonormal"):
+                hqzd_order1(ps.zero_level.projector, h, q, 0.2)
+        with pytest.raises(ValidationError, match="rows"):
+            hqzd_order0(np.eye(5)[:, :2], np.zeros((4, 4)))
 
     def test_commutes_with_projector(self):
         for spec in (ChainSpec(4, 5.0), ChainSpec(5, 5.0), ChainSpec(7, 9.0)):
             hams, _, ps = watch_levels(spec)
             p0 = ps.zero_level.projector
-            rep = hqzd_order0(p0, hams.h_weak.to_dense())
+            rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
             comm = rep.matrix @ p0 - p0 @ rep.matrix
             assert np.max(np.abs(comm)) < 1e-10
 
@@ -207,7 +231,7 @@ class TestOrder1:
     def test_four_site_end_to_end(self):
         hams, _, ps = watch_levels(ChainSpec(4, 5.0))
         q = reduced_resolvent(ps)
-        rep = hqzd_order1(ps.zero_level.projector, hams.h_weak.to_dense(), q, lam=0.2)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), q, lam=0.2)
         expect = np.zeros((4, 4))
         expect[0, 3] = expect[3, 0] = -0.2 * K
         assert_allclose(rep.matrix, expect, atol=1e-12)
@@ -217,7 +241,7 @@ class TestOrder1:
         lam = 1.0 / 7.0
         hams, _, ps = watch_levels(ChainSpec(n_sites, 7.0))
         q = reduced_resolvent(ps)
-        rep = hqzd_order1(ps.zero_level.projector, hams.h_weak.to_dense(), q, lam)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), q, lam)
         assert np.max(np.abs(rep.matrix - hqzd1_even(n_sites, K, lam))) < 1e-10
 
     @pytest.mark.parametrize("n_sites", (5, 7, 9))
@@ -228,7 +252,7 @@ class TestOrder1:
         assert ps.zero_level.multiplicity == 2
         q = reduced_resolvent(ps)
         rep = hqzd_order1(
-            ps.zero_level.projector, hams.h_weak.to_dense(), q, 1.0 / lambda_inv
+            ps.zero_level.vectors, hams.h_weak.to_dense(), q, 1.0 / lambda_inv
         )
         assert np.max(np.abs(rep.matrix - hqzd1_odd_modified(n_sites, K, dw))) < 1e-8
 
@@ -236,7 +260,7 @@ class TestOrder1:
         hams, _, ps = watch_levels(ChainSpec(8, 5.0))
         p0 = ps.zero_level.projector
         q = reduced_resolvent(ps)
-        rep = hqzd_order1(p0, hams.h_weak.to_dense(), q, 0.3)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), q, 0.3)
         outside = (np.eye(8) - p0) @ rep.matrix
         assert np.max(np.abs(outside)) < 1e-10
         assert np.max(np.abs(rep.matrix - rep.matrix.T)) < 1e-12
@@ -253,9 +277,8 @@ class TestPerturbationSumRule:
     def test_quadratic_term_is_exact(self, spec):
         hams, _, ps = watch_levels(spec)
         n = spec.n_sites
-        p0 = ps.zero_level.projector
         q = reduced_resolvent(ps)
-        rep1 = hqzd_order1(p0, hams.h_weak.to_dense(), q, 1.0)
+        rep1 = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), q, 1.0)
         basis = end_basis(n)
         eta2 = np.sort(np.linalg.eigvalsh(basis.T @ rep1.matrix @ basis))
 
