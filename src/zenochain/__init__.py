@@ -9,6 +9,7 @@ from .analytic import (
     DELTA_FIT_COEFF,
     big_g,
     delta_estimate,
+    delta_exact_n4,
     f_of_n,
     g_n,
     hqzd0_odd,

@@ -136,6 +136,17 @@ def delta_estimate(n_sites: int, lam: float) -> float:
     return DELTA_FIT_COEFF * g * g
 
 
+def delta_exact_n4(lam: float) -> float:
+    """Exact peak leakage of the four-site chain, 4 lam^2 / (1 + 4 lam^2).
+
+    Started in |1>, the two interior sites hold the population
+    4 lam^2 / (1 + 4 lam^2) * sin^2(W t / 2), W = k sqrt(lam^-2 + 4), so the
+    peak does not depend on k and is first reached at t = pi / W, well inside
+    the default window pi / (lam k).
+    """
+    return 4.0 * lam * lam / (1.0 + 4.0 * lam * lam)
+
+
 def lambda_bound(n_sites: int, delta0: float) -> float:
     """Smallest coupling ratio keeping the leakage below delta0.
 

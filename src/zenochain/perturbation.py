@@ -1,9 +1,9 @@
 """Degenerate perturbation machinery for the watched chains.
 
-Groups the watch Hamiltonian's spectrum into degenerate levels, each kept as
-its block of eigenvectors (the dense eigenprojector is built only on
-request), forms the reduced resolvent, and assembles the order-0 and
-order-1 effective Hamiltonians
+Groups the watch Hamiltonian's spectrum into degenerate levels, kept as
+arrays (level objects and dense eigenprojectors are built only on request),
+forms the reduced resolvent, and assembles the order-0 and order-1
+effective Hamiltonians
 
     H_eff0 = P0 H P0,
     lam * H_eff1 = lam * P0 H Qtilde H P0,
@@ -47,9 +47,15 @@ class DegenerateLevel:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorSet:
-    """Degenerate levels of a spectral decomposition, sorted by eigenvalue."""
+    """Degenerate levels of a spectral decomposition, sorted by eigenvalue.
 
-    levels: tuple[DegenerateLevel, ...]
+    Level i has the mean eigenvalue ``eigenvalues[i]`` and the eigenvector columns
+    ``vectors[:, bounds[i]:bounds[i + 1]]``; level objects are built on request.
+    """
+
+    eigenvalues: np.ndarray
+    bounds: np.ndarray
+    vectors: np.ndarray
     grouping_tolerance: float
     zero_level_index: int | None
 
@@ -57,22 +63,26 @@ class ProjectorSet:
     def has_zero_level(self) -> bool:
         return self.zero_level_index is not None
 
+    def _level(self, i: int) -> DegenerateLevel:
+        lo, hi = int(self.bounds[i]), int(self.bounds[i + 1])
+        members = tuple(range(lo, hi))
+        return DegenerateLevel(float(self.eigenvalues[i]), members, self.vectors[:, lo:hi])
+
+    @property
+    def levels(self) -> tuple[DegenerateLevel, ...]:
+        return tuple(self._level(i) for i in range(self.eigenvalues.size))
+
     @property
     def zero_level(self) -> DegenerateLevel:
         if self.zero_level_index is None:
             raise ValidationError("projector set has no zero level")
-        return self.levels[self.zero_level_index]
-
-    def nonzero_levels(self) -> tuple[DegenerateLevel, ...]:
-        return tuple(
-            lvl for i, lvl in enumerate(self.levels) if i != self.zero_level_index
-        )
+        return self._level(self.zero_level_index)
 
     def nonzero_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero levels' stacked eigenvector blocks and one eigenvalue per column."""
-        nonzero = self.nonzero_levels()
-        v = np.hstack([self.levels[0].vectors[:, :0], *(lvl.vectors for lvl in nonzero)])
-        return v, np.array([lvl.eigenvalue for lvl in nonzero for _ in lvl.member_indices])
+        """The nonzero levels' eigenvector columns and one eigenvalue per column."""
+        counts = np.diff(self.bounds)
+        keep = np.repeat(np.arange(counts.size) != self.zero_level_index, counts)
+        return self.vectors[:, keep], np.repeat(self.eigenvalues, counts)[keep]
 
 
 def default_grouping_tolerance(
@@ -97,27 +107,16 @@ def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
     if tol <= 0.0:
         raise ValidationError("tol: must be positive")
     w = d.eigenvalues
-    splits = np.nonzero(np.diff(w) > tol)[0] + 1
-    groups = np.split(np.arange(d.size), splits)
-
-    for idx in groups:
-        if w[idx[-1]] - w[idx[0]] > tol:
-            gaps = ", ".join(f"{g:.3e}" for g in np.diff(w))
-            raise ClusteringError(
-                f"ambiguous eigenvalue clustering at tol={tol:.3e}; gaps: [{gaps}]"
-            )
-
-    levels = [
-        DegenerateLevel(
-            float(np.mean(w[idx])), tuple(int(i) for i in idx), d.eigenvectors[:, idx]
+    bounds = np.concatenate(([0], np.nonzero(np.diff(w) > tol)[0] + 1, [d.size]))
+    if np.any(w[bounds[1:] - 1] - w[bounds[:-1]] > tol):
+        gaps = ", ".join(f"{g:.3e}" for g in np.diff(w))
+        raise ClusteringError(
+            f"ambiguous eigenvalue clustering at tol={tol:.3e}; gaps: [{gaps}]"
         )
-        for idx in groups
-    ]
-    zero_index: int | None = None
-    candidates = [i for i, lvl in enumerate(levels) if abs(lvl.eigenvalue) < tol]
-    if candidates:
-        zero_index = min(candidates, key=lambda i: abs(levels[i].eigenvalue))
-    return ProjectorSet(tuple(levels), tol, zero_index)
+    means = np.add.reduceat(w, bounds[:-1]) / np.diff(bounds)
+    nearest = int(np.argmin(np.abs(means)))
+    zero_index = nearest if abs(means[nearest]) < tol else None
+    return ProjectorSet(means, bounds, d.eigenvectors, tol, zero_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +168,11 @@ def hqzd_order0(v0: np.ndarray, h: np.ndarray) -> EffectiveHamiltonianReport:
 
 
 def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
-    """Qtilde = sum over nonzero levels of P_n / (-eta_n).
+    """Qtilde = sum over nonzero levels of P_n / (-eta_n), as a dense N x N matrix.
 
-    Formed as one product V diag(-1/eta) V^T of the stacked nonzero
-    eigenvector blocks. Annihilates the zero level; on the interior sites it
-    equals minus the inverse of the watch matrix's interior block.
+    Formed as one product V diag(-1/eta) V^T of the nonzero eigenvector
+    columns. Annihilates the zero level; on the interior sites it equals
+    minus the inverse of the watch matrix's interior block.
     """
     if not ps.has_zero_level:
         raise ValidationError("reduced resolvent requires a zero level")
@@ -182,15 +181,16 @@ def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
 
 
 def hqzd_order1(
-    v0: np.ndarray, h: np.ndarray, qtilde: np.ndarray, lam: float
+    v0: np.ndarray, h: np.ndarray, ps: ProjectorSet, lam: float
 ) -> EffectiveHamiltonianReport:
     """Order-1 effective Hamiltonian lam * P0 H Qtilde H P0.
 
-    Formed as the block lam * (H V0)^T Qtilde (H V0).
+    Formed as lam * c^T diag(-1/eta) c, c = V^T (H V0) over the nonzero columns V of ``ps``.
     """
     v0 = orthonormal_columns(v0, h.shape[0], "v0")
-    hv0 = h @ v0
-    return EffectiveHamiltonianReport(1, _symmetric(lam * (hv0.T @ qtilde @ hv0)), v0)
+    v, eta = ps.nonzero_spectrum()
+    c = v.T @ (h @ v0)
+    return EffectiveHamiltonianReport(1, _symmetric(lam * (c.T @ (c / -eta[:, None]))), v0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,11 +229,10 @@ def first_order_corrections(
         raise UnsupportedConfigurationError(
             "first-order corrections require a two-fold degenerate zero level"
         )
-    for lvl in ps.nonzero_levels():
-        if lvl.multiplicity != 1:
-            raise UnsupportedConfigurationError(
-                "nonzero levels must be nondegenerate for eigenstate corrections"
-            )
+    if np.any(np.delete(np.diff(ps.bounds), ps.zero_level_index) != 1):
+        raise UnsupportedConfigurationError(
+            "nonzero levels must be nondegenerate for eigenstate corrections"
+        )
 
     basis = orthonormal_columns(zero_basis, d.size, "zero_basis")
     if basis.shape[1] != 2:

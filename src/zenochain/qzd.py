@@ -25,8 +25,10 @@ from .perturbation import (
     group_levels,
     hqzd_order0,
     hqzd_order1,
-    reduced_resolvent,
 )
+
+# Unused here, but perfbench/spans.py BINDINGS patches this name on this module.
+from .perturbation import reduced_resolvent  # noqa: F401
 
 
 class QzdOrder(str, Enum):
@@ -65,12 +67,14 @@ class WatchAnalysis:
 
     ``zero_basis`` (N x d0) spans the zero level of H_watch (N x 0 without
     one); ``order0`` and ``order1`` are the effective Hamiltonians of H_weak
-    there, None without a zero level. ``tol`` is the relative tolerance.
+    there, None without a zero level. ``tol`` is the relative tolerance and
+    ``lam`` the coupling ratio the order-1 term carries.
     """
 
     h_watch: SymTridiagMatrix
     h_weak: SymTridiagMatrix
     tol: float
+    lam: float
     levels: ProjectorSet
     zero_basis: np.ndarray
     order0: EffectiveHamiltonianReport | None
@@ -105,17 +109,23 @@ class WatchAnalysis:
             )
 
         # V0 is an isometry, so Frobenius norms of the d0 x d0 blocks and of
-        # their commutators with |a><a|, a = V0^T psi0, equal the N x N ones;
-        # a zero block has a zero commutator, which never counts as moving
+        # their commutators with |a><a|, a = V0^T psi0, equal the N x N ones
         a = self.zero_basis.T @ psi0
         rho0 = np.outer(a, a.conj())
         reps = (self.order0, self.order1)
-        comm0, comm1 = (float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in reps)
-        norm0, norm1 = (float(np.linalg.norm(r.block)) for r in reps)
+        comms = [float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in reps]
+        # each order's scale bounds its block: ||H_weak|| for order 0 and
+        # lam ||H_weak||^2 / min |eta != 0| for order 1 (Frobenius norms); a
+        # commutator at or below tol times its scale is round-off, reported as 0.0
+        diag, off = self.h_weak.diag, self.h_weak.offdiag
+        weak2 = float(diag @ diag + 2.0 * off @ off)
+        eta = np.delete(self.levels.eigenvalues, self.levels.zero_level_index)
+        scales = (np.sqrt(weak2), self.lam * weak2 / np.min(np.abs(eta), initial=np.inf))
+        comm0, comm1 = (c if c > self.tol * s else 0.0 for c, s in zip(comms, scales))
         proportional = self.order0.eta1_common is not None
-        prerequisite_i = proportional and comm1 > self.tol * norm1
+        prerequisite_i = proportional and comm1 > 0.0
 
-        if comm0 > self.tol * norm0:
+        if comm0 > 0.0:
             order = QzdOrder.ZEROTH
             notes = "order-0 effective Hamiltonian moves the initial state"
         elif prerequisite_i:
@@ -158,11 +168,11 @@ def analyze_watch(
     d = eig_sym_tridiag(h_watch)
     ps = group_levels(d, default_grouping_tolerance(d, tol))
     if not ps.has_zero_level:
-        return WatchAnalysis(h_watch, h_weak, tol, ps, d.eigenvectors[:, :0], None, None)
+        return WatchAnalysis(h_watch, h_weak, tol, lam, ps, d.eigenvectors[:, :0], None, None)
     v0 = ps.zero_level.vectors
     h = h_weak.to_dense()
-    rep1 = hqzd_order1(v0, h, reduced_resolvent(ps), lam)
-    return WatchAnalysis(h_watch, h_weak, tol, ps, v0, hqzd_order0(v0, h), rep1)
+    rep0, rep1 = hqzd_order0(v0, h), hqzd_order1(v0, h, ps, lam)
+    return WatchAnalysis(h_watch, h_weak, tol, lam, ps, v0, rep0, rep1)
 
 
 def classify(
@@ -183,8 +193,10 @@ def classify(
     ``tol`` governs the grouping and the two commutator tests only:
     eigenvalues group at tol times the largest |eigenvalue| of H_watch, and
     a commutator counts as nonvanishing when its Frobenius norm exceeds tol
-    times the norm of the effective matrix. Proportionality to P0 is the
-    one test of ``hqzd_order0``, relative to the norm of H_weak.
+    times its order's scale, ||H_weak|| for order 0 and
+    lam ||H_weak||^2 / min |eta != 0| for order 1; one that does not is
+    reported as 0.0. Proportionality to P0 is the one test of
+    ``hqzd_order0``, relative to the norm of H_weak.
     """
     return analyze_watch(h_watch, h_weak, lam, tol).classify(psi0)
 

@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: time evolution via a
 fixed-step Runge-Kutta integrator or a fixed-step matrix-exponential
 propagator, inversion via Gaussian elimination with partial pivoting,
 determinants via cofactor expansion, CSV text one formatted cell at a time,
-matrix listings by a double loop over the entries.
+matrix listings by a double loop over the entries, eigenvalue grouping one
+Python level at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import io
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+
+from zenochain.errors import ClusteringError
 
 
 def rk4_evolve(h_dense: np.ndarray, psi0: np.ndarray, t_samples: np.ndarray, dt: float) -> np.ndarray:
@@ -43,6 +46,34 @@ def rk4_evolve(h_dense: np.ndarray, psi0: np.ndarray, t_samples: np.ndarray, dt:
         psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
     return out
+
+
+def group_levels_by_loop(
+    w: np.ndarray, tol: float
+) -> tuple[list[tuple[float, tuple[int, ...]]], int | None]:
+    """Degenerate levels of the ascending eigenvalues ``w``, one level at a time.
+
+    Adjacent eigenvalues closer than ``tol`` share a level. Returns the
+    levels as (mean, member indices) and the index of the zero level (the
+    level of smallest |mean| below ``tol``, or None). Raises ClusteringError
+    when a level spans more than ``tol``.
+    """
+    groups = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] > tol:
+            groups.append([i])
+        else:
+            groups[-1].append(i)
+    for idx in groups:
+        if w[idx[-1]] - w[idx[0]] > tol:
+            gaps = ", ".join(f"{g:.3e}" for g in np.diff(w))
+            raise ClusteringError(
+                f"ambiguous eigenvalue clustering at tol={tol:.3e}; gaps: [{gaps}]"
+            )
+    levels = [(float(np.mean(w[idx])), tuple(idx)) for idx in groups]
+    candidates = [i for i, (mean, _) in enumerate(levels) if abs(mean) < tol]
+    zero = min(candidates, key=lambda i: abs(levels[i][0])) if candidates else None
+    return levels, zero
 
 
 def gaussian_elimination_inverse(a: np.ndarray) -> np.ndarray:

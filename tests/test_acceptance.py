@@ -255,7 +255,7 @@ def test_criterion_07_oracle_equivalence():
         d = eig_sym_tridiag(hams.h_watch)
         ps = group_levels(d, default_grouping_tolerance(d))
         qtilde = reduced_resolvent(ps)
-        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), qtilde, lam)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, lam)
         worst_even = max(
             worst_even, float(np.max(np.abs(rep.matrix - hqzd1_even(n, K, lam))))
         )
@@ -274,7 +274,7 @@ def test_criterion_07_oracle_equivalence():
             rep = hqzd_order1(
                 ps.zero_level.vectors,
                 hams.h_weak.to_dense(),
-                reduced_resolvent(ps),
+                ps,
                 1.0 / lam_inv,
             )
             worst_odd = max(

@@ -10,6 +10,7 @@ from zenochain.analytic import (
     DELTA_FIT_COEFF,
     big_g,
     delta_estimate,
+    delta_exact_n4,
     f_of_n,
     g_n,
     hqzd0_odd,
@@ -21,15 +22,18 @@ from zenochain.analytic import (
     toeplitz_eigenpair,
 )
 from zenochain.chain import ChainSpec, build_chain, interior_block
+from zenochain.dynamics import default_time_grid
 from zenochain.errors import ValidationError
+from zenochain.harness import run_scenario
 from zenochain.linalg import eig_sym_tridiag, invert_tridiag
 from zenochain.perturbation import (
     default_grouping_tolerance,
     group_levels,
     hqzd_order0,
     hqzd_order1,
-    reduced_resolvent,
 )
+
+from .oracles import expm_leakage_peak
 
 K = 1.0
 
@@ -38,8 +42,7 @@ def projector_route_order1(spec: ChainSpec) -> np.ndarray:
     hams = build_chain(spec)
     d = eig_sym_tridiag(hams.h_watch)
     ps = group_levels(d, default_grouping_tolerance(d))
-    q = reduced_resolvent(ps)
-    return hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), q, spec.lam).matrix
+    return hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, spec.lam).matrix
 
 
 class TestToeplitzEigenpairs:
@@ -196,6 +199,28 @@ class TestMixingProfile:
 
     def test_fit_constant_value(self):
         assert DELTA_FIT_COEFF == 4.3
+
+
+FOUR_SITE_CASES = [(1.0, 20.0), (2.0, 7.0), (0.3, 3.0), (5.0, 1.5)]
+
+
+class TestFourSiteExactPeak:
+    @pytest.mark.parametrize("k, lambda_inv", FOUR_SITE_CASES)
+    def test_matches_refined_expm_peak(self, k, lambda_inv):
+        hams = build_chain(ChainSpec(4, lambda_inv, k=k))
+        grid = default_time_grid(hams)
+        psi0 = np.eye(4)[0]
+        _, refined = expm_leakage_peak(
+            hams.h_total.to_dense(), psi0, [0, 3], grid.t_max, grid.n_steps
+        )
+        assert refined == pytest.approx(delta_exact_n4(1.0 / lambda_inv), rel=1e-10)
+
+    @pytest.mark.parametrize("k, lambda_inv", FOUR_SITE_CASES)
+    def test_bounds_sampled_scenario_peak(self, k, lambda_inv):
+        # the grid-sampled delta sits just below the exact peak, never above
+        exact = delta_exact_n4(1.0 / lambda_inv)
+        delta = run_scenario(ChainSpec(4, lambda_inv, k=k)).leakage.delta
+        assert exact * (1.0 - 1e-5) <= delta <= exact * (1.0 + 1e-12)
 
 
 class TestFluctuatingCorner:

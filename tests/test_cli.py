@@ -160,6 +160,16 @@ class TestClassify:
         assert run_cli("classify", *argv) == 0
         assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("k", ("1e-9", "1", "1e9"))
+    def test_round_off_order1_commutator_reads_zero(self, capsys, k):
+        # the unshifted odd chain's order-1 block vanishes in theory; its
+        # round-off (about 1e-17 k) lies far below its scale and prints as 0
+        assert run_cli("classify", "--n", "5", "--lambda-inv", "20", "--k", k) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["order"] == "zeroth"
+        assert payload["commutator_norm_order1"] == 0.0
+        assert payload["commutator_norm_order0"] == pytest.approx(float(k), rel=1e-12)
+
     def test_runs_no_dynamics(self, monkeypatch, capsys):
         def forbidden(*args, **kwargs):
             raise AssertionError("classify must not simulate")

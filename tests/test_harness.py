@@ -212,11 +212,16 @@ class TestOneWatchAnalysis:
         ids=["even", "odd", "modified"],
     )
     def test_no_dense_projector_is_built(self, spec, monkeypatch, capsys):
-        # the zero level enters only through its N x d0 basis
-        def forbidden(self):
-            raise AssertionError("dense N x N projector built")
+        # the zero level enters only through its N x d0 basis, and the
+        # order-1 block through the nonzero eigenpairs: neither a dense
+        # projector nor the dense reduced resolvent is formed
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense N x N operator built")
 
         monkeypatch.setattr(perturbation.DegenerateLevel, "projector", property(forbidden))
+        for mod in (perturbation, qzd, harness, cli):
+            if hasattr(mod, "reduced_resolvent"):
+                monkeypatch.setattr(mod, "reduced_resolvent", forbidden)
         run_scenario(spec, n_steps=50)
         argv = ["--n", str(spec.n_sites), "--lambda-inv", "20"]
         if spec.delta_omega is not None:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zenochain.analytic import (
@@ -33,6 +35,8 @@ from zenochain.perturbation import (
     hqzd_order1,
     reduced_resolvent,
 )
+
+from .oracles import group_levels_by_loop
 
 K = 1.0
 
@@ -107,6 +111,47 @@ class TestGroupLevels:
         with pytest.raises(ValidationError):
             group_levels(d, 0.0)
 
+    @given(
+        st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=10),
+        st.sampled_from([1e-8, 1e-3, 1.0, 1e6]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_level_referee(self, values, tol):
+        # values within a few tol of each other: merged, split, ambiguous and
+        # competing zero-level clusters all occur
+        w = np.sort(np.array(values) * tol)
+        d = SpectralDecomposition(w, np.eye(w.size))
+        try:
+            want, want_zero = group_levels_by_loop(w, tol)
+        except ClusteringError as exc:
+            with pytest.raises(ClusteringError) as got:
+                group_levels(d, tol)
+            assert str(got.value) == str(exc)
+            return
+        ps = group_levels(d, tol)
+        assert [lvl.member_indices for lvl in ps.levels] == [m for _, m in want]
+        # the two sum a level in different orders: means agree to round-off
+        ulps = 4 * np.finfo(float).eps * np.max(np.abs(w))
+        assert_allclose(ps.eigenvalues, [mean for mean, _ in want], rtol=0, atol=ulps)
+        if ps.zero_level_index != want_zero:
+            # only a tie in |mean| within round-off may pick another level
+            assert None not in (ps.zero_level_index, want_zero)
+            gap = abs(ps.eigenvalues[ps.zero_level_index]) - abs(want[want_zero][0])
+            assert abs(gap) <= ulps
+        for lvl in ps.levels:
+            assert np.array_equal(lvl.vectors, np.eye(w.size)[:, list(lvl.member_indices)])
+
+    def test_no_level_objects_are_held(self):
+        _, d, ps = watch_levels(ChainSpec(9, 3.0))
+        assert ps.vectors is d.eigenvectors
+        assert {name: type(value) for name, value in vars(ps).items()} == {
+            "eigenvalues": np.ndarray,
+            "bounds": np.ndarray,
+            "vectors": np.ndarray,
+            "grouping_tolerance": float,
+            "zero_level_index": int,
+        }
+
 
 class TestOrder0:
     def test_even_chain_vanishes_with_common_shift_zero(self):
@@ -170,11 +215,11 @@ class TestOrder0:
         # d0, so it must not pass for V0
         for spec in (ChainSpec(4, 5.0), ChainSpec(5, 5.0)):
             hams, _, ps = watch_levels(spec)
-            h, q = hams.h_weak.to_dense(), reduced_resolvent(ps)
+            h = hams.h_weak.to_dense()
             with pytest.raises(ValidationError, match="orthonormal"):
                 hqzd_order0(ps.zero_level.projector, h)
             with pytest.raises(ValidationError, match="orthonormal"):
-                hqzd_order1(ps.zero_level.projector, h, q, 0.2)
+                hqzd_order1(ps.zero_level.projector, h, ps, 0.2)
         with pytest.raises(ValidationError, match="rows"):
             hqzd_order0(np.eye(5)[:, :2], np.zeros((4, 4)))
 
@@ -230,8 +275,7 @@ class TestReducedResolvent:
 class TestOrder1:
     def test_four_site_end_to_end(self):
         hams, _, ps = watch_levels(ChainSpec(4, 5.0))
-        q = reduced_resolvent(ps)
-        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), q, lam=0.2)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, lam=0.2)
         expect = np.zeros((4, 4))
         expect[0, 3] = expect[3, 0] = -0.2 * K
         assert_allclose(rep.matrix, expect, atol=1e-12)
@@ -240,8 +284,7 @@ class TestOrder1:
     def test_even_matches_closed_form(self, n_sites):
         lam = 1.0 / 7.0
         hams, _, ps = watch_levels(ChainSpec(n_sites, 7.0))
-        q = reduced_resolvent(ps)
-        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), q, lam)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, lam)
         assert np.max(np.abs(rep.matrix - hqzd1_even(n_sites, K, lam))) < 1e-10
 
     @pytest.mark.parametrize("n_sites", (5, 7, 9))
@@ -250,17 +293,35 @@ class TestOrder1:
         dw = lambda_inv * K
         hams, _, ps = watch_levels(ChainSpec(n_sites, lambda_inv, delta_omega=dw))
         assert ps.zero_level.multiplicity == 2
-        q = reduced_resolvent(ps)
         rep = hqzd_order1(
-            ps.zero_level.vectors, hams.h_weak.to_dense(), q, 1.0 / lambda_inv
+            ps.zero_level.vectors, hams.h_weak.to_dense(), ps, 1.0 / lambda_inv
         )
         assert np.max(np.abs(rep.matrix - hqzd1_odd_modified(n_sites, K, dw))) < 1e-8
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChainSpec(4, 5.0),
+            ChainSpec(12, 7.0),
+            ChainSpec(9, 3.0),
+            ChainSpec(7, 20.0, delta_omega=20.0),
+            ChainSpec(10, 10.0, fluctuation=CouplingFluctuation(0.1, 3)),
+        ],
+        ids=["even4", "even12", "odd9", "mod7", "fluct10"],
+    )
+    def test_matches_dense_reduced_resolvent(self, spec):
+        # referee: lam (H V0)^T Qtilde (H V0) with the dense N x N Qtilde; on
+        # the unshifted odd chain both blocks are round-off of a zero block
+        hams, _, ps = watch_levels(spec)
+        v0, h = ps.zero_level.vectors, hams.h_weak.to_dense()
+        ref = spec.lam * (h @ v0).T @ reduced_resolvent(ps) @ (h @ v0)
+        rep = hqzd_order1(v0, h, ps, spec.lam)
+        assert np.max(np.abs(rep.block - ref)) <= 1e-13 * spec.lam * K
 
     def test_supported_inside_zero_level(self):
         hams, _, ps = watch_levels(ChainSpec(8, 5.0))
         p0 = ps.zero_level.projector
-        q = reduced_resolvent(ps)
-        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), q, 0.3)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, 0.3)
         outside = (np.eye(8) - p0) @ rep.matrix
         assert np.max(np.abs(outside)) < 1e-10
         assert np.max(np.abs(rep.matrix - rep.matrix.T)) < 1e-12
@@ -277,8 +338,7 @@ class TestPerturbationSumRule:
     def test_quadratic_term_is_exact(self, spec):
         hams, _, ps = watch_levels(spec)
         n = spec.n_sites
-        q = reduced_resolvent(ps)
-        rep1 = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), q, 1.0)
+        rep1 = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, 1.0)
         basis = end_basis(n)
         eta2 = np.sort(np.linalg.eigvalsh(basis.T @ rep1.matrix @ basis))
 

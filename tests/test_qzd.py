@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
-from zenochain.chain import ChainSpec, build_chain
-from zenochain.dynamics import LeakageReport
+from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
+from zenochain.dynamics import LeakageReport, TimeGrid, default_time_grid, simulate
 from zenochain.errors import AssumptionViolationError, ValidationError
 from zenochain.harness import run_scenario
 from zenochain.linalg import SymTridiagMatrix
@@ -44,6 +49,15 @@ class TestClassify:
         c = classify_chain(ChainSpec(5, 20.0, delta_omega=20.0))
         assert c.order is QzdOrder.FIRST
         assert c.zero_level_dimension == 2
+
+    def test_round_off_order1_commutator_is_reported_as_zero(self):
+        # the unshifted odd chain's order-1 block vanishes in theory; what
+        # round-off leaves of it lies below tol times lam ||H_weak||^2 / min|eta|
+        for n in range(5, 30, 2):
+            for k in (1e-9, 1.0, 1e9):
+                c = classify_chain(ChainSpec(n, 20.0, k=k))
+                assert c.commutator_norm_order1 == 0.0
+                assert c.commutator_norm_order0 > 0.0
 
     def test_watch_must_annihilate_initial_state(self):
         hams = build_chain(ChainSpec(6, 5.0))
@@ -121,6 +135,66 @@ class TestEnergyScale:
         assert result.classification.order is order
         reference = run_scenario(make(1.0)).leakage.delta
         assert result.leakage.delta == pytest.approx(reference, rel=1e-9)
+
+
+def flip(m: SymTridiagMatrix) -> SymTridiagMatrix:
+    return SymTridiagMatrix(m.diag[::-1], m.offdiag[::-1])
+
+
+@st.composite
+def asymmetric_chains(draw):
+    """Fluctuating chains of either parity, or odd chains shifted on site 2."""
+    lambda_inv = draw(st.floats(3.0, 40.0))
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 14))
+        noise = CouplingFluctuation(draw(st.floats(0.01, 0.2)), draw(st.integers(0, 2**16)))
+        return ChainSpec(n, lambda_inv, fluctuation=noise)
+    n = 2 * draw(st.integers(2, 6)) + 1
+    return ChainSpec(n, lambda_inv, delta_omega=draw(st.floats(5.0, 50.0)))
+
+
+@st.composite
+def chains(draw):
+    """Even, odd and shifted-odd chains, some with fluctuating couplings."""
+    if draw(st.booleans()):
+        return draw(asymmetric_chains())
+    return ChainSpec(draw(st.integers(4, 14)), draw(st.floats(3.0, 40.0)))
+
+
+class TestPhysicalInvariances:
+    @given(asymmetric_chains())
+    @settings(max_examples=25, deadline=None)
+    def test_reversed_chain_started_from_last_site(self, spec):
+        # mirroring the chain and starting from |N> is the same physics
+        hams = build_chain(spec)
+        n = spec.n_sites
+        fwd = classify(hams.h_watch, hams.h_weak, e_k(n, 0), lam=spec.lam)
+        rev = classify(flip(hams.h_watch), flip(hams.h_weak), e_k(n, n - 1), lam=spec.lam)
+        assert (rev.order, rev.prerequisite_i) == (fwd.order, fwd.prerequisite_i)
+        grid = default_time_grid(hams, 200)
+        ends = np.eye(n)[:, [0, -1]]
+        series = simulate(hams.h_total, ends[:, 0], grid, ends).leakage
+        mirrored = simulate(flip(hams.h_total), ends[:, 1], grid, ends).leakage
+        assert_allclose(mirrored, series, rtol=0, atol=1e-12)
+
+    @given(chains(), st.floats(-3.0, 3.0))
+    @settings(max_examples=25, deadline=None)
+    def test_energy_rescaling_keeps_order_and_delta(self, spec, log_c):
+        # k -> c k (and any shift with it) with the window scaled by 1/c
+        c = 10.0**log_c
+        shift = None if spec.delta_omega is None else c * spec.delta_omega
+        scaled = dataclasses.replace(spec, k=c * spec.k, delta_omega=shift)
+        grid = default_time_grid(build_chain(spec), 200)
+        base = run_scenario(spec, grid)
+        got = run_scenario(scaled, TimeGrid(grid.t_max / c, grid.n_steps))
+        assert got.classification.order is base.classification.order
+        assert got.leakage.delta == pytest.approx(base.leakage.delta, rel=1e-9)
+
+    @given(st.integers(2, 15), st.floats(1.5, 1e4), st.floats(-9.0, 9.0))
+    @settings(max_examples=40, deadline=None)
+    def test_even_chains_are_first_order_at_every_energy_scale(self, half, lambda_inv, log_k):
+        spec = ChainSpec(2 * half, lambda_inv, k=10.0**log_k)
+        assert classify_chain(spec).order is QzdOrder.FIRST
 
 
 class TestPrerequisiteII:
