@@ -34,6 +34,7 @@ from .dynamics import (
     default_time_grid,
     dominant_angular_frequency,
     leakage_frequency_estimate,
+    leakage_series,
     measure_leakage,
     simulate,
     u1_correction_trace,
@@ -65,6 +66,7 @@ from .linalg import (
     eig_sym_tridiag,
     evolve,
     evolve_grid,
+    inverse_corner_tridiag,
     invert_tridiag,
 )
 from .perturbation import (

@@ -1,16 +1,13 @@
 """Scenario runners: single simulations, the G-sweep, and fluctuation trials.
 
 Sweep and Monte Carlo cells are pure computations with their own seeded
-generators; they run on a thread pool capped by the ZENO_CHAIN_THREADS
-environment variable, and results are always assembled in submission order
-so output is deterministic.
+generators, run one after another in submission order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,55 +19,53 @@ from .dynamics import (
     LeakageReport,
     TimeGrid,
     default_time_grid,
-    measure_leakage,
-    simulate,
+    evolve_trace,
+    leakage_series,
+    peak_report,
 )
-from .errors import ValidationError
-from .linalg import invert_tridiag
+from .errors import UnsupportedConfigurationError, ValidationError
+from .linalg import SpectralDecomposition, eig_sym_tridiag, inverse_corner_tridiag
 from .perturbation import EffectiveHamiltonianReport
 from .qzd import QzdClassification, QzdOrder, WatchAnalysis, analyze_watch
 
 # Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
-from .linalg import eig_sym_tridiag  # noqa: F401
+from .dynamics import measure_leakage, simulate  # noqa: F401
 from .perturbation import group_levels, hqzd_order0, hqzd_order1, reduced_resolvent  # noqa: F401
 from .qzd import classify  # noqa: F401
 
-THREADS_ENV_VAR = "ZENO_CHAIN_THREADS"
 
-
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"{THREADS_ENV_VAR}: must be an integer") from exc
-        if n < 1:
-            raise ValidationError(f"{THREADS_ENV_VAR}: must be >= 1")
-        return n
-    return min(32, os.cpu_count() or 1)
-
-
-def _map_ordered(fn, items):
-    """Map preserving order; parallel only when more than one worker."""
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _site_one(n_sites: int) -> np.ndarray:
+    psi0 = np.zeros(n_sites)
+    psi0[0] = 1.0
+    return psi0
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """Everything a single-chain run produces."""
+    """Everything a single-chain run produces.
+
+    ``spectrum`` is the eigendecomposition of h_total. ``trace``, every
+    site's population at every grid time, is built from it on first read and
+    then kept; the leakage report needs only the watched amplitudes.
+    """
 
     hams: ChainHamiltonians
-    trace: EvolutionTrace
+    grid: TimeGrid
+    spectrum: SpectralDecomposition
     leakage: LeakageReport
     classification: QzdClassification
     order0: EffectiveHamiltonianReport
     order1: EffectiveHamiltonianReport
     zero_basis: np.ndarray
+
+    @cached_property
+    def trace(self) -> EvolutionTrace:
+        spec = self.hams.spec
+        mid = None
+        if spec.n_sites % 2 == 1 and not spec.is_modified:
+            mid = analytic.phi_mid(spec.n_sites)
+        psi0 = _site_one(spec.n_sites)
+        return evolve_trace(self.spectrum, psi0, self.grid, self.zero_basis, mid_state=mid)
 
 
 def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
@@ -81,31 +76,46 @@ def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
     return analysis
 
 
+def _window_order(spec: ChainSpec) -> QzdOrder:
+    """The order whose cycle ``default_time_grid`` spans for this chain."""
+    if spec.n_sites % 2 == 1 and not spec.is_modified:
+        return QzdOrder.ZEROTH
+    return QzdOrder.FIRST
+
+
 def run_scenario(
     spec: ChainSpec,
     grid: TimeGrid | None = None,
     n_steps: int = DEFAULT_N_STEPS,
 ) -> ScenarioResult:
-    """Build the chain, classify it, and evolve |1> across the window."""
-    hams = build_chain(spec)
-    if grid is None:
-        grid = default_time_grid(hams, n_steps)
+    """Build the chain, classify it, and measure the leakage of |1> over the window.
 
-    psi0 = np.zeros(spec.n_sites)
-    psi0[0] = 1.0
+    Without ``grid`` the window is ``default_time_grid``'s, which is one
+    cycle of the order its branch assumes; a chain classified otherwise
+    raises UnsupportedConfigurationError and needs an explicit grid.
+    """
+    hams = build_chain(spec)
+    psi0 = _site_one(spec.n_sites)
 
     analysis = effective_reports(hams)
     classification = analysis.classify(psi0)
+    if grid is None:
+        assumed = _window_order(spec)
+        if classification.order is not assumed:
+            raise UnsupportedConfigurationError(
+                f"the default window spans one cycle of {assumed.value}-order "
+                f"dynamics, but the chain is classified {classification.order.value}; "
+                "give an explicit t_max (--t-max)"
+            )
+        grid = default_time_grid(hams, n_steps)
 
-    mid = None
-    if spec.n_sites % 2 == 1 and not spec.is_modified:
-        mid = analytic.phi_mid(spec.n_sites)
-
-    trace = simulate(hams.h_total, psi0, grid, analysis.zero_basis, mid_state=mid)
+    spectrum = eig_sym_tridiag(hams.h_total)
+    series = leakage_series(spectrum, psi0, analysis.zero_basis, grid)
     return ScenarioResult(
         hams=hams,
-        trace=trace,
-        leakage=measure_leakage(trace),
+        grid=grid,
+        spectrum=spectrum,
+        leakage=peak_report(series, grid),
         classification=classification,
         order0=analysis.order0,
         order1=analysis.order1,
@@ -157,8 +167,8 @@ def _end_leakage(hams: ChainHamiltonians, n_steps: int) -> float:
     """delta of |1> over the default window, watched on the two end sites."""
     n = hams.spec.n_sites
     ends = np.eye(n)[:, [0, -1]]
-    trace = simulate(hams.h_total, ends[:, 0], default_time_grid(hams, n_steps), ends)
-    return measure_leakage(trace).delta
+    grid = default_time_grid(hams, n_steps)
+    return float(np.max(leakage_series(eig_sym_tridiag(hams.h_total), ends[:, 0], ends, grid)))
 
 
 def run_sweep(
@@ -184,12 +194,10 @@ def run_sweep(
                 )
             cells.append((g, n, lam_inv))
 
-    def one_cell(cell: tuple[float, int, float]) -> SweepCell:
-        g, n, lam_inv = cell
+    rows = []
+    for g, n, lam_inv in cells:
         hams = build_chain(ChainSpec(n_sites=n, lambda_inv=lam_inv, k=k))
-        return SweepCell(g, n, lam_inv, _end_leakage(hams, n_steps))
-
-    rows = _map_ordered(one_cell, cells)
+        rows.append(SweepCell(g, n, lam_inv, _end_leakage(hams, n_steps)))
 
     g_values, means, flats = [], [], []
     for g in g_list:
@@ -236,8 +244,8 @@ def run_fluctuation_trials(
     """Monte Carlo over chains with fluctuating interior couplings.
 
     Trial j seeds its generator with seed + j; each records the reduced
-    resolvent's corner element <2|Qtilde|N-1> (via the interior-block
-    inverse) and the measured delta of the full dynamics.
+    resolvent's corner element <2|Qtilde|N-1> (the corner of the
+    interior-block inverse) and the measured delta of the full dynamics.
     """
     if trials < 1:
         raise ValidationError("trials: must be >= 1")
@@ -252,8 +260,7 @@ def run_fluctuation_trials(
             fluctuation=CouplingFluctuation(amplitude, seed + offset),
         )
         hams = build_chain(spec)
-        inv = invert_tridiag(interior_block(hams.h_watch))
-        corner = -float(inv[0, -1])
+        corner = -inverse_corner_tridiag(interior_block(hams.h_watch))
         return FluctuationTrial(offset, corner, _end_leakage(hams, n_steps))
 
-    return _map_ordered(one_trial, list(range(trials)))
+    return [one_trial(offset) for offset in range(trials)]

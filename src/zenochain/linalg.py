@@ -182,19 +182,12 @@ def det_tridiag(m: SymTridiagMatrix) -> float:
     return float(_continuants(m)[-1])
 
 
-def invert_tridiag(m: SymTridiagMatrix) -> np.ndarray:
-    """Closed-form inverse of a symmetric tridiagonal matrix.
+def _nonsingular_continuants(m: SymTridiagMatrix) -> np.ndarray:
+    """``_continuants(m)``, or SingularMatrixError when m is singular.
 
-    Element (i, j), i <= j, equals
-    (-1)^(i+j) b_i...b_{j-1} theta_{i-1} phi_{j+1} / theta_N
-    with theta the forward and phi the backward continuants.
-
-    Raises SingularMatrixError when |det| < 1e-12 * (max|entry|)^N; an
-    unmodified odd chain's interior block lands here through its exact zero
-    mode.
+    Singular means |det| < 1e-12 * (max|entry|)^N.
     """
     n = m.size
-    a, b = m.diag, m.offdiag
     theta = _continuants(m)
     det = theta[-1]
 
@@ -208,6 +201,24 @@ def invert_tridiag(m: SymTridiagMatrix) -> np.ndarray:
         raise SingularMatrixError(
             f"tridiagonal matrix of size {n}x{n} is singular (det={det:.3e})"
         )
+    return theta
+
+
+def invert_tridiag(m: SymTridiagMatrix) -> np.ndarray:
+    """Closed-form inverse of a symmetric tridiagonal matrix.
+
+    Element (i, j), i <= j, equals
+    (-1)^(i+j) b_i...b_{j-1} theta_{i-1} phi_{j+1} / theta_N
+    with theta the forward and phi the backward continuants.
+
+    Raises SingularMatrixError when |det| < 1e-12 * (max|entry|)^N; an
+    unmodified odd chain's interior block lands here through its exact zero
+    mode.
+    """
+    n = m.size
+    a, b = m.diag, m.offdiag
+    theta = _nonsingular_continuants(m)
+    det = theta[-1]
 
     phi = np.empty(n + 2)
     phi[n + 1] = 1.0
@@ -224,3 +235,12 @@ def invert_tridiag(m: SymTridiagMatrix) -> np.ndarray:
             inv[i, j] = prod * phi[j + 2]
             inv[j, i] = inv[i, j]
     return inv
+
+
+def inverse_corner_tridiag(m: SymTridiagMatrix) -> float:
+    """Element (0, N-1) of ``invert_tridiag(m)`` in O(N): prod(-b) / theta_N.
+
+    Raises the same SingularMatrixError as ``invert_tridiag``.
+    """
+    theta = _nonsingular_continuants(m)
+    return float(np.prod(-m.offdiag) / theta[-1])

@@ -105,6 +105,17 @@ class TestSimulate:
             plain = (tmp_path / f"plain{suffix}").read_bytes()
             assert (tmp_path / f"zero{suffix}").read_bytes() == plain
 
+    def test_window_and_classification_must_agree(self, tmp_path, capsys):
+        # lam * delta_omega = 5e-9 is inside the grouping tolerance: the chain
+        # is zeroth order, and the shifted-odd default window does not fit it
+        argv = ["simulate", "--n", "5", "--lambda-inv", "20", "--delta-omega", "1e-7"]
+        assert run_cli(*argv, "--out", str(tmp_path / "d")) == 1
+        err = capsys.readouterr().err
+        assert "first" in err and "zeroth" in err and "--t-max" in err
+        assert not (tmp_path / "d.csv").exists()
+        assert run_cli(*argv, "--t-max", "6.3", "--steps", "50", "--out", str(tmp_path / "e")) == 0
+        assert json.loads((tmp_path / "e.json").read_text())["classification_order"] == "zeroth"
+
     def test_explicit_window_override(self, tmp_path):
         out = tmp_path / "w"
         assert run_cli(
@@ -483,7 +494,3 @@ class TestExitCodes:
         assert run_cli(
             "simulate", "--n", "4", "--lambda-inv", "5", "--out", str(out)
         ) == 3
-
-    def test_threads_env_validated(self, monkeypatch):
-        monkeypatch.setenv("ZENO_CHAIN_THREADS", "-2")
-        assert run_cli("sweep", "--g-list", "0.1", "--n-list", "4", "--steps", "50") == 1

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zenochain.analytic import g_n, phi_mid
@@ -13,13 +15,14 @@ from zenochain.dynamics import (
     default_time_grid,
     dominant_angular_frequency,
     leakage_frequency_estimate,
+    leakage_series,
     measure_leakage,
     simulate,
     u1_correction_trace,
 )
 from zenochain.errors import UnsupportedConfigurationError, ValidationError
-from zenochain.harness import run_scenario
-from zenochain.linalg import eig_sym_tridiag, evolve_grid
+from zenochain.harness import effective_reports, run_scenario
+from zenochain.linalg import eig_sym_dense, eig_sym_tridiag, evolve_grid
 from zenochain.perturbation import (
     default_grouping_tolerance,
     first_order_corrections,
@@ -99,6 +102,66 @@ class TestSimulate:
             simulate(hams.h_total, np.eye(5)[0], grid, end_sites(5))
         with pytest.raises(ValidationError):
             simulate(hams.h_total, np.eye(4)[0], grid, end_sites(6))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A chain of each kind, its zero-level basis, a start state and a grid."""
+    kind = draw(st.sampled_from(["even", "odd", "shifted"]))
+    odd = kind != "even"
+    n = 2 * draw(st.integers(2, 19 if odd else 20)) + odd  # even 4-40, odd 5-39
+    k = 10.0 ** draw(st.floats(-2.0, 2.0))
+    shift = draw(st.floats(5.0, 50.0)) * k if kind == "shifted" else None
+    hams = build_chain(ChainSpec(n, draw(st.floats(1.5, 40.0)), k=k, delta_omega=shift))
+    # steps + 1 = 2 and 38 are not multiples of B = ceil(sqrt(steps + 1)); 997 is prime
+    steps = draw(st.one_of(st.sampled_from([1, 2, 37, 997, 4000]), st.integers(1, 600)))
+    psi0 = np.eye(n)[0].astype(complex)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi0 /= np.linalg.norm(psi0)
+    basis = effective_reports(hams).zero_basis
+    return hams, psi0, basis, default_time_grid(hams, steps)
+
+
+class TestLeakageSeries:
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_simulate(self, case):
+        hams, psi0, basis, grid = case
+        want = simulate(hams.h_total, psi0, grid, basis).leakage
+        got = leakage_series(eig_sym_tridiag(hams.h_total), psi0, basis, grid)
+        assert got.shape == want.shape
+        assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_dense_effective_hamiltonian(self):
+        # the degenerate spectrum of an N x N effective matrix, watched on
+        # one end site so the leakage is the transferred population
+        result = run_scenario(ChainSpec(8, 5.0), n_steps=300)
+        eff, grid = result.order1.matrix, result.grid
+        for basis in (result.zero_basis, end_sites(8)[:, :1]):
+            want = simulate(eff, np.eye(8)[0], grid, basis).leakage
+            got = leakage_series(eig_sym_dense(eff), np.eye(8)[0], basis, grid)
+            assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        assert np.max(got) == pytest.approx(1.0, abs=1e-6)
+
+    def test_validates_like_simulate(self):
+        hams = build_chain(ChainSpec(4, 5.0))
+        d, grid = eig_sym_tridiag(hams.h_total), TimeGrid(1.0, 10)
+        bad_calls = [
+            (np.eye(5)[0], end_sites(4)),
+            (2.0 * np.eye(4)[0], end_sites(4)),
+            (np.eye(4)[0], end_sites(6)),
+            (np.eye(4)[0], 2.0 * end_sites(4)),
+            (np.eye(4)[0], np.eye(4)[:, [0, 0]]),
+        ]
+        for psi0, basis in bad_calls:
+            with pytest.raises(ValidationError) as want:
+                simulate(hams.h_total, psi0, grid, basis)
+            with pytest.raises(ValidationError) as got:
+                leakage_series(d, psi0, basis, grid)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
 
 
 class TestMeasureLeakage:

@@ -1,4 +1,4 @@
-"""Sweep engine, fluctuation trials, slope fitting, worker configuration."""
+"""Scenario runner, sweep engine, fluctuation trials, slope fitting."""
 
 from __future__ import annotations
 
@@ -15,14 +15,14 @@ import pytest
 from zenochain import cli, dynamics, harness, linalg, perturbation, qzd
 from zenochain.analytic import f_of_n, qtilde_fluctuating_corner
 from zenochain.chain import ChainSpec
-from zenochain.errors import ValidationError
+from zenochain.dynamics import TimeGrid, measure_leakage
+from zenochain.errors import UnsupportedConfigurationError, ValidationError
 from zenochain.harness import (
     dominant_effective_matrix,
     fit_slope_through_origin,
     run_fluctuation_trials,
     run_scenario,
     run_sweep,
-    worker_count,
 )
 from zenochain.qzd import QzdOrder
 
@@ -75,14 +75,6 @@ class TestSweep:
     def test_odd_length_rejected(self):
         with pytest.raises(ValidationError):
             run_sweep([0.1], [5])
-
-    def test_deterministic_across_worker_counts(self, monkeypatch):
-        monkeypatch.setenv("ZENO_CHAIN_THREADS", "1")
-        serial = run_sweep([0.05, 0.1], [4, 6], n_steps=500)
-        monkeypatch.setenv("ZENO_CHAIN_THREADS", "4")
-        threaded = run_sweep([0.05, 0.1], [4, 6], n_steps=500)
-        assert [r.delta for r in serial.rows] == [r.delta for r in threaded.rows]
-        assert serial.slope == threaded.slope
 
 
 class TestBoundGuarantee:
@@ -146,24 +138,6 @@ class TestFluctuationTrials:
             run_fluctuation_trials(6, 0.05, 0, seed=0)
 
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ZENO_CHAIN_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("ZENO_CHAIN_THREADS", "zero")
-        with pytest.raises(ValidationError):
-            worker_count()
-        monkeypatch.setenv("ZENO_CHAIN_THREADS", "0")
-        with pytest.raises(ValidationError):
-            worker_count()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("ZENO_CHAIN_THREADS", raising=False)
-        assert worker_count() >= 1
-
-
 class TestScenario:
     def test_dominant_matrix_follows_classification(self):
         first = run_scenario(ChainSpec(4, 20.0), n_steps=100)
@@ -180,6 +154,31 @@ class TestScenario:
         modified = run_scenario(ChainSpec(5, 20.0, delta_omega=20.0), n_steps=50)
         assert modified.trace.mid_overlap is None
 
+    @pytest.mark.parametrize(
+        "spec",
+        [ChainSpec(30, 20.0), ChainSpec(31, 7.0), ChainSpec(29, 20.0, delta_omega=20.0)],
+        ids=["even", "odd", "modified"],
+    )
+    def test_leakage_matches_the_trace(self, spec):
+        result = run_scenario(spec)
+        from_trace = measure_leakage(result.trace)
+        assert abs(result.leakage.delta - from_trace.delta) <= 1e-13
+        assert result.leakage.attained_at == from_trace.attained_at
+        assert (result.leakage.t_max, result.leakage.n_steps) == (
+            from_trace.t_max, from_trace.n_steps
+        )
+
+    def test_window_must_match_the_classified_order(self):
+        # the shift lam * delta_omega = 5e-9 lies inside the grouping
+        # tolerance, so the chain is zeroth order with d0 = 3, while the
+        # default window of a shifted odd chain spans a first-order cycle
+        spec = ChainSpec(5, 20.0, delta_omega=1e-7)
+        with pytest.raises(UnsupportedConfigurationError, match="zeroth.*t_max"):
+            run_scenario(spec)
+        result = run_scenario(spec, grid=TimeGrid(np.pi * 2.0, 200))
+        assert result.classification.order is QzdOrder.ZEROTH
+        assert result.zero_basis.shape == (5, 3)
+
 
 class TestOneWatchAnalysis:
     @pytest.mark.parametrize(
@@ -189,7 +188,9 @@ class TestOneWatchAnalysis:
     )
     def test_scenario_solves_and_groups_the_watch_once(self, spec, monkeypatch):
         # one eigensolve of H_watch plus one of H_total, and a single grouping,
-        # whichever module binding a caller goes through
+        # whichever module binding a caller goes through; the N x (steps+1)
+        # states are evolved only on the first read of .trace, from the
+        # H_total spectrum the run already holds
         calls = Counter()
 
         def counting(name, fn):
@@ -200,11 +201,14 @@ class TestOneWatchAnalysis:
             return wrapper
 
         for mod in (linalg, perturbation, qzd, dynamics, harness, cli):
-            for name in ("eig_sym_tridiag", "group_levels"):
+            for name in ("eig_sym_tridiag", "group_levels", "evolve_grid"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
-        run_scenario(spec, n_steps=50)
+        result = run_scenario(spec, n_steps=50)
         assert calls == {"eig_sym_tridiag": 2, "group_levels": 1}
+        trace = result.trace
+        assert result.trace is trace
+        assert calls == {"eig_sym_tridiag": 2, "group_levels": 1, "evolve_grid": 1}
 
     @pytest.mark.parametrize(
         "spec",

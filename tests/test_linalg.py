@@ -18,6 +18,7 @@ from zenochain.linalg import (
     eig_sym_tridiag,
     evolve,
     evolve_grid,
+    inverse_corner_tridiag,
     invert_tridiag,
 )
 
@@ -178,6 +179,7 @@ class TestInvert:
         inv = invert_tridiag(block)
         sign = (-1.0) ** (n_sites // 2 - 1)
         assert_allclose(-inv[0, -1], sign / K, atol=1e-12)
+        assert_allclose(-inverse_corner_tridiag(block), sign / K, atol=1e-12)
         assert_allclose(inv[0, 0], 0.0, atol=1e-12)
         assert_allclose(inv[-1, -1], 0.0, atol=1e-12)
 
@@ -193,6 +195,26 @@ class TestInvert:
         assert np.max(np.abs(inv - gaussian_elimination_inverse(m.to_dense()))) < 1e-10
         assert np.max(np.abs(inv @ m.to_dense() - np.eye(m.size))) < 1e-10
         assert np.max(np.abs(inv - inv.T)) < 1e-10
+
+
+class TestInverseCorner:
+    @given(well_conditioned_tridiag())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_full_inverse(self, m):
+        corner = invert_tridiag(m)[0, -1]
+        assert abs(inverse_corner_tridiag(m) - corner) <= 1e-12 * abs(corner)
+
+    def test_singular_guard_is_the_inverse_guard(self):
+        for m in (
+            interior_block(build_chain(ChainSpec(5, 5.0)).h_watch),
+            tridiag([1.0, 1.0], [1.0]),
+            tridiag([0.0, 0.0, 0.0], [0.0, 0.0]),
+        ):
+            with pytest.raises(SingularMatrixError) as want:
+                invert_tridiag(m)
+            with pytest.raises(SingularMatrixError) as got:
+                inverse_corner_tridiag(m)
+            assert str(got.value) == str(want.value)
 
 
 class TestDet:
