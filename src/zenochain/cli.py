@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,6 +30,9 @@ from .harness import (
 )
 
 FLOAT_FORMAT = "%.12g"
+# rows per formatted write: one whole-table string would add its own size
+# (about 18 MiB for a 94-site default simulate) to the peak memory
+WRITE_BLOCK_ROWS = 256
 
 DEFAULTS = {
     "k": 1.0,
@@ -66,7 +70,7 @@ def _parse_int_list(raw: str) -> list[int]:
     values = _parse_float_list(raw)
     out = []
     for v in values:
-        if v != int(v):
+        if not math.isfinite(v) or v != int(v):
             raise ValidationError(f"expected integers in list, got {v}")
         out.append(int(v))
     return out
@@ -142,13 +146,15 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> No
     """CSV: the header row, then one FLOAT_FORMAT row per sample.
 
     ``columns`` are 1-D columns or 2-D blocks of columns, one row per sample.
+    Rows are formatted WRITE_BLOCK_ROWS at a time, one ``bytes %`` each.
     """
     table = np.column_stack(columns)
-    row = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in table:
-            fh.write(row % tuple(r.tolist()))
+    row = ",".join([FLOAT_FORMAT] * table.shape[1]).encode() + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        for start in range(0, table.shape[0], WRITE_BLOCK_ROWS):
+            block = table[start : start + WRITE_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _matrix_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:

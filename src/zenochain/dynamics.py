@@ -11,7 +11,6 @@ every site's population, are built only for a trace (``simulate``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,9 @@ from .linalg import (
     eig_sym_dense,
     eig_sym_tridiag,
     evolve_grid,
+    grid_phase_factors,
     orthonormal_columns,
+    phase_sums,
 )
 from .perturbation import FirstOrderCorrections
 
@@ -40,8 +41,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not self.t_max > 0.0:
-            raise ValidationError("t_max: must be positive")
+        if not (self.t_max > 0.0 and np.isfinite(self.t_max)):
+            raise ValidationError("t_max: must be finite and positive")
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ValidationError("n_steps: must be a positive integer")
 
@@ -128,24 +129,20 @@ def leakage_series(
     """The leakage of ``simulate`` at every grid time, without the states.
 
     Watched amplitude a is sum_n w[a, n] exp(-i eta_n t) with
-    w[a, n] = <b_a|n><n|psi0>. Writing time index j*B + r, B ~ sqrt(steps+1),
-    factors each phase into a coarse exp(-i eta_n t_jB) and a fine
-    exp(-i eta_n t_r), so every amplitude over the grid is one product
-    (coarse * w_a) @ fine. That takes N * 2 sqrt(steps) exponentials where
-    the states take N * steps.
+    w[a, n] = <b_a|n><n|psi0>. With each phase factored into a coarse and a
+    fine part (``grid_phase_factors``), every amplitude over the grid is one
+    product (coarse * w_a) @ fine; neither the states nor an N x (steps+1)
+    phase table is built.
     """
     psi0 = check_state(psi0, d.size, "psi0")
     basis = orthonormal_columns(basis, d.size, "basis")
     u, eta = d.eigenvectors, d.eigenvalues
     w = (basis.T @ u) * (u.T @ psi0)  # d0 x N
 
-    # the grid samples t_j = j * dt, so t_jB + t_r = t_(jB+r) up to rounding
     times = grid.times
-    b = math.ceil(math.sqrt(times.size))
-    coarse = np.exp(-1j * np.outer(times[::b], eta))  # ceil(T/B) x N
-    fine = np.exp(-1j * np.outer(eta, times[:b]))  # N x B
+    coarse, fine = grid_phase_factors(eta, times)  # ceil(T/B) x N, N x B
     amps = (w[:, None, :] * coarse).reshape(-1, d.size) @ fine
-    amps = amps.reshape(basis.shape[1], coarse.shape[0] * b)[:, : times.size]
+    amps = amps.reshape(basis.shape[1], -1)[:, : times.size]
     return np.clip(1.0 - np.sum(np.abs(amps) ** 2, axis=0), 0.0, 1.0)
 
 
@@ -218,9 +215,8 @@ def u1_correction_trace(
 
     c = base.T @ psi0   # <s0|psi0>
     dcoef = corr.T @ psi0   # <s1|psi0>
-    mixed = corr * c[None, :] + base * dcoef[None, :]
-    phases = np.exp(-1j * np.outer(eta, tau_grid.times))
-    series = lam * (mixed @ phases)
+    times = tau_grid.times
+    series = lam * (phase_sums(corr, eta, c, times) + phase_sums(base, eta, dcoef, times))
     return np.sum(np.abs(series) ** 2, axis=0)
 
 

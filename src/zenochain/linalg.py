@@ -8,6 +8,7 @@ complex phases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +157,57 @@ def evolve(d: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndarray:
     return d.eigenvectors @ (np.exp(-1j * d.eigenvalues * t) * amps)
 
 
-def evolve_grid(d: SpectralDecomposition, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """States at many times at once; column j is psi(times[j])."""
-    psi0 = check_state(psi0, d.size, "psi0")
+def grid_phase_factors(
+    eigenvalues: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i eta_n t_j) on a uniform grid from 0, as coarse and fine factors.
+
+    Writing time index j = c*B + r with B = ceil(sqrt(T)) for T times,
+    exp(-i eta_n t_j) = coarse[c, n] * fine[n, r] up to rounding, with
+    coarse = exp(-i t_cB eta_n) (ceil(T/B) x N) and fine = exp(-i eta_n t_r)
+    (N x B): N * 2B exponentials where the full table takes N * T.
+
+    ``times`` must be a uniform grid from 0 (as ``TimeGrid.times`` makes it)
+    to 1e-12 relative; anything else raises ValidationError.
+    """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise ValidationError("times: expected a non-empty 1-d array")
+    uniform = np.linspace(0.0, times[-1], times.size)
+    if not np.max(np.abs(times - uniform)) <= 1e-12 * abs(times[-1]):
+        raise ValidationError("times: expected a uniform grid starting at 0")
+    # t_cB + t_r = t_(cB+r) up to rounding because the grid samples j * dt
+    b = math.ceil(math.sqrt(times.size))
+    coarse = np.exp(-1j * (times[::b, None] * eigenvalues))
+    fine = np.exp(-1j * (eigenvalues[:, None] * times[:b]))
+    return coarse, fine
+
+
+def phase_sums(
+    vectors: np.ndarray, eigenvalues: np.ndarray, weights: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """Column j is sum_n vectors[:, n] weights[n] exp(-i eta_n t_j).
+
+    ``vectors`` is real; ``times`` a uniform grid from 0. The weighted N x T
+    phase table is formed from ``grid_phase_factors``, and the real
+    ``vectors`` multiply its (re, im) pairs in one real matrix product.
+    """
+    if np.iscomplexobj(vectors):
+        raise ValidationError("vectors: must be real")
+    coarse, fine = grid_phase_factors(eigenvalues, times)
+    n = fine.shape[0]
+    table = ((coarse.T * weights[:, None])[:, :, None] * fine[:, None, :]).reshape(n, -1)
+    return (vectors @ table.view(float)).view(complex)[:, : len(times)]
+
+
+def evolve_grid(d: SpectralDecomposition, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """States at many times at once; column j is psi(times[j]).
+
+    ``times`` must be a uniform grid from 0 (see ``grid_phase_factors``).
+    """
+    psi0 = check_state(psi0, d.size, "psi0")
     amps = d.eigenvectors.T @ psi0
-    phases = np.exp(-1j * np.outer(d.eigenvalues, times))
-    return d.eigenvectors @ (phases * amps[:, None])
+    return phase_sums(d.eigenvectors, d.eigenvalues, amps, times)
 
 
 def _continuants(m: SymTridiagMatrix) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the code paths they check: time evolution via a
-fixed-step Runge-Kutta integrator or a fixed-step matrix-exponential
-propagator, inversion via Gaussian elimination with partial pivoting,
-determinants via cofactor expansion, CSV text one formatted cell at a time,
-matrix listings by a double loop over the entries, eigenvalue grouping one
-Python level at a time.
+fixed-step Runge-Kutta integrator, a fixed-step matrix-exponential
+propagator or one exponential per sample time, inversion via Gaussian
+elimination with partial pivoting, determinants via cofactor expansion,
+CSV text one formatted cell at a time, matrix listings by a double loop over
+the entries, eigenvalue grouping one Python level at a time.
 """
 
 from __future__ import annotations
@@ -152,6 +152,27 @@ def expm_leakage_peak(
         options={"xatol": dt * 1e-6},
     )
     return sampled, max(sampled, -float(opt.fun))
+
+
+def direct_exp_evolve(
+    vectors: np.ndarray,
+    eigenvalues: np.ndarray,
+    psi0: np.ndarray,
+    times,
+    right: np.ndarray | None = None,
+) -> np.ndarray:
+    """Columns vectors @ (exp(-i eta t) * (right^T psi0)), one time at a time.
+
+    ``right`` defaults to ``vectors``; with orthonormal eigenvectors U this is
+    psi(t) = U exp(-i Lambda t) U^T psi0. Each time takes its own exp of
+    eta * t, so the times may be any values in any order.
+    """
+    right = vectors if right is None else right
+    coef = np.asarray(right).T @ np.asarray(psi0, dtype=complex)
+    out = np.empty((vectors.shape[0], len(times)), dtype=complex)
+    for j, t in enumerate(times):
+        out[:, j] = vectors @ (np.exp(-1j * eigenvalues * t) * coef)
+    return out
 
 
 def per_value_csv(header: list[str], rows) -> str:

@@ -359,6 +359,22 @@ class TestOutputBytes:
         for m in (rep0.matrix, rep1.matrix):
             assert cli._matrix_nonzeros(m, 0.0) == double_loop_nonzeros(m, 0.0)
 
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513])
+    def test_table_in_blocks(self, tmp_path, n_rows):
+        # the tables end before, on and after the edges of 256-row blocks;
+        # the entries reach every %g branch
+        special = [0.0, -0.0, -1.5, 5e-324, 2.2e-310, 1e-20, -1e20, 1e20,
+                   3.0, -7.0, 1e16, 123456789012.5, 1e-5, 1e-4]
+        rng = np.random.default_rng(n_rows)
+        block = rng.normal(size=(n_rows, 4)) * 10.0 ** rng.integers(-25, 25, (n_rows, 4))
+        k = min(len(special), block.size)
+        block.ravel()[:k] = special[:k]
+        times = np.arange(n_rows) * 0.25
+        header = ["t", "a", "b", "c", "d"]
+        cli._write_table(tmp_path / "t.csv", header, [times, block])
+        rows = [[t, *r] for t, r in zip(times.tolist(), block.tolist())]
+        assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, rows).encode()
+
     def test_nonzeros_of_dense_matrix(self):
         # a dense matrix pins the row-major order of the listing
         m = np.random.default_rng(0).normal(size=(9, 9))
@@ -488,6 +504,21 @@ class TestExitCodes:
     def test_missing_required_value_is_1(self, capsys):
         assert run_cli("simulate", "--lambda-inv", "5") == 1
         assert "n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_max", ["inf", "nan"])
+    def test_non_finite_window_is_1(self, tmp_path, capsys, t_max):
+        out = tmp_path / "w"
+        argv = ["simulate", "--n", "4", "--t-max", t_max, "--steps", "10", "--out", str(out)]
+        assert run_cli(*argv) == 1
+        assert "error: t_max" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists() and not (tmp_path / "w.json").exists()
+
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])
+    def test_non_finite_chain_length_is_1(self, tmp_path, capsys, entry):
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--n-list", f"4,{entry}", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: expected integers in list, got {entry}\n"
+        assert not (tmp_path / "sw.csv").exists()
 
     def test_io_error_is_3(self, tmp_path):
         out = tmp_path / "missing_dir" / "x"

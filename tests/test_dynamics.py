@@ -29,6 +29,9 @@ from zenochain.perturbation import (
     group_levels,
 )
 
+from .oracles import direct_exp_evolve
+from .test_linalg import ORACLE_CHAINS, ORACLE_IDS
+
 K = 1.0
 
 
@@ -82,11 +85,27 @@ class TestSimulate:
         grid = default_time_grid(hams, 400)
         trace = simulate(hams.h_total, np.eye(7)[0], grid, basis)
 
-        states = evolve_grid(eig_sym_tridiag(hams.h_total), np.eye(7)[0], grid.times)
+        d = eig_sym_tridiag(hams.h_total)
+        states = direct_exp_evolve(d.eigenvectors, d.eigenvalues, np.eye(7)[0], grid.times)
         p0 = basis @ basis.T
         dense = 1.0 - np.einsum("it,ij,jt->t", states.conj(), p0, states).real
         assert np.max(dense) > 0.01
         assert_allclose(trace.leakage, dense, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 37, 4000])
+    @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
+    def test_scenario_trace_matches_direct_exp(self, spec, n_steps):
+        result = run_scenario(spec, n_steps=n_steps)
+        trace, d, n = result.trace, result.spectrum, spec.n_sites
+        states = direct_exp_evolve(d.eigenvectors, d.eigenvalues, np.eye(n)[0], trace.grid.times)
+        assert np.max(np.abs(trace.populations - np.abs(states.T) ** 2)) <= 1e-13
+        watched = np.sum(np.abs(result.zero_basis.T @ states) ** 2, axis=0)
+        assert np.max(np.abs(trace.leakage - (1.0 - watched))) <= 1e-13
+        if n % 2 == 1 and spec.delta_omega is None:
+            mid = np.abs(phi_mid(n) @ states) ** 2
+            assert np.max(np.abs(trace.mid_overlap - mid)) <= 1e-13
+        else:
+            assert trace.mid_overlap is None
 
     def test_rejects_non_orthonormal_basis(self):
         hams = build_chain(ChainSpec(4, 5.0))
@@ -233,7 +252,7 @@ class TestDynamicsProperties:
         d = eig_sym_tridiag(hams.h_total)
         psi0 = np.zeros(spec.n_sites, dtype=complex)
         psi0[0] = 1.0
-        states = evolve_grid(d, psi0, result.trace.grid.times)
+        states = direct_exp_evolve(d.eigenvectors, d.eigenvalues, psi0, result.trace.grid.times)
         hw = hams.h_watch.to_dense()
         watched = np.einsum("it,ij,jt->t", states.conj(), hw, states).real
         bound = 2.0 * spec.k * result.trace.leakage
@@ -285,6 +304,29 @@ class TestU1Correction:
         series = u1_correction_trace(d, fc, lam, tau_grid)
         delta = run_scenario(ChainSpec(4, 20.0)).leakage.delta
         assert 0.5 <= float(np.max(series)) / delta <= 2.0
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 37, 4000])
+    @pytest.mark.parametrize("n_sites", [4, 40])
+    def test_matches_direct_exp(self, n_sites, n_steps):
+        lam = 0.05
+        _, d, fc = self.setup_corrections(n_sites, 1.0 / lam)
+        tau_grid = TimeGrid(np.pi / (lam**2 * K), n_steps)
+        base = np.concatenate([fc.outer_states, fc.zero_basis], axis=1)
+        corr = np.concatenate([fc.outer_corrections, fc.zero_corrections], axis=1)
+        eta = np.concatenate(
+            [fc.outer_eta0 + lam * fc.outer_eta1, lam * fc.zero_eta1 + lam**2 * fc.zero_eta2]
+        )
+        rng = np.random.default_rng(n_sites)
+        random_state = rng.normal(size=n_sites) + 1j * rng.normal(size=n_sites)
+        for psi0 in (np.eye(n_sites)[0], random_state / np.linalg.norm(random_state)):
+            # lam sum_s exp(-i eta_s tau) (|s1><s0| + |s0><s1|) psi0
+            series = lam * (
+                direct_exp_evolve(corr, eta, psi0, tau_grid.times, right=base)
+                + direct_exp_evolve(base, eta, psi0, tau_grid.times, right=corr)
+            )
+            want = np.sum(np.abs(series) ** 2, axis=0)
+            got = u1_correction_trace(d, fc, lam, tau_grid, psi0)
+            assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_vanishes_with_lambda(self):
         _, d, fc = self.setup_corrections(6, 20.0)
@@ -352,7 +394,8 @@ class TestTimeGrid:
         assert_allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            TimeGrid(0.0, 10)
+        for t_max in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValidationError, match="t_max"):
+                TimeGrid(t_max, 10)
         with pytest.raises(ValidationError):
             TimeGrid(1.0, 0)

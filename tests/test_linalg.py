@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zenochain.chain import ChainSpec, build_chain, interior_block
+from zenochain.dynamics import default_time_grid
 from zenochain.errors import SingularMatrixError, ValidationError
 from zenochain.qzd import analyze_watch
 from zenochain.linalg import (
@@ -20,11 +21,23 @@ from zenochain.linalg import (
     evolve_grid,
     inverse_corner_tridiag,
     invert_tridiag,
+    phase_sums,
 )
 
-from .oracles import cofactor_det, gaussian_elimination_inverse, rk4_evolve
+from .oracles import cofactor_det, direct_exp_evolve, gaussian_elimination_inverse, rk4_evolve
 
 K = 1.0
+
+# even, odd and shifted-odd chains, small and large
+ORACLE_CHAINS = [
+    ChainSpec(4, 20.0),
+    ChainSpec(40, 20.0),
+    ChainSpec(5, 20.0),
+    ChainSpec(95, 20.0),
+    ChainSpec(5, 20.0, delta_omega=20.0),
+    ChainSpec(95, 20.0, delta_omega=20.0),
+]
+ORACLE_IDS = ["even4", "even40", "odd5", "odd95", "shifted5", "shifted95"]
 
 
 def tridiag(diag, offdiag) -> SymTridiagMatrix:
@@ -153,6 +166,55 @@ class TestEvolve:
         reference = rk4_evolve(hams.h_total.to_dense(), psi0, samples, dt=1e-3)
         # global phase is shared (both integrate the same equation exactly)
         assert np.max(np.abs(spectral - reference)) < 1e-6
+
+    # steps + 1 = 2, 38, 4001 samples are not multiples of the ceil(sqrt)
+    # block length of the factored phases
+    @pytest.mark.parametrize("n_steps", [1, 2, 37, 4000])
+    @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
+    def test_grid_matches_direct_exp(self, spec, n_steps):
+        hams = build_chain(spec)
+        d = eig_sym_tridiag(hams.h_total)
+        times = default_time_grid(hams, n_steps).times
+        site_one = np.eye(spec.n_sites)[0]
+        want = direct_exp_evolve(d.eigenvectors, d.eigenvalues, site_one, times)
+        assert np.max(np.abs(evolve_grid(d, site_one, times) - want)) <= 1e-13
+
+        # a random complex state weights the fast modes as much as the slow
+        # ones; both sides then round phase arguments as large as
+        # max|eta| * t_max, which sets the tolerance
+        rng = np.random.default_rng(spec.n_sites * 10_000 + n_steps)
+        psi0 = rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites)
+        psi0 /= np.linalg.norm(psi0)
+        want = direct_exp_evolve(d.eigenvectors, d.eigenvalues, psi0, times)
+        tol = 4.0 * np.finfo(float).eps * np.max(np.abs(d.eigenvalues)) * times[-1]
+        assert np.max(np.abs(evolve_grid(d, psi0, times) - want)) <= tol
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.linspace(0.5, 2.0, 11),
+            np.array([1.0]),
+            np.array([0.0, 0.1, 0.3, 0.6]),
+            np.linspace(0.0, 2.0, 11) + np.eye(11)[5] * 1e-9,
+        ],
+        ids=["offset", "single_nonzero", "growing_steps", "one_sample_off"],
+    )
+    def test_grid_must_be_uniform_from_zero(self, times):
+        d = eig_sym_tridiag(tridiag([0.0, 0.0], [K]))
+        with pytest.raises(ValidationError, match="uniform grid starting at 0"):
+            evolve_grid(d, np.array([1.0, 0.0]), times)
+
+    def test_phase_sums_need_real_vectors(self):
+        # the real product over (re, im) pairs would mix complex vectors' parts
+        with pytest.raises(ValidationError, match="real"):
+            phase_sums(np.eye(2) * 1j, np.zeros(2), np.ones(2), np.linspace(0.0, 1.0, 5))
+
+    def test_grid_check_allows_rounding(self):
+        d = eig_sym_tridiag(tridiag([0.0, 0.0], [K]))
+        times = np.linspace(0.0, 2.0, 11)
+        psi0 = np.array([1.0, 0.0])
+        nudged = evolve_grid(d, psi0, times + np.eye(11)[5] * 1e-13)
+        assert_allclose(nudged, evolve_grid(d, psi0, times), rtol=0.0, atol=1e-12)
 
     @given(well_conditioned_tridiag(max_size=20), st.floats(0.0, 50.0))
     @settings(max_examples=30, deadline=None)
