@@ -14,6 +14,7 @@ perturbation module diagonalizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 4:
             raise ValidationError("n_sites: must be an integer >= 4")
+        for name in ("k", "lambda_inv", "delta_omega"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name}: must be finite, got {value}")
         if not self.k > 0.0:
             raise ValidationError("k: must be positive")
         if not self.lambda_inv >= 1.0:

@@ -34,6 +34,38 @@ FLOAT_FORMAT = "%.12g"
 # (about 18 MiB for a 94-site default simulate) to the peak memory
 WRITE_BLOCK_ROWS = 256
 
+
+def _words(chars: np.ndarray) -> np.ndarray:
+    """Rows of 4 ASCII codes as uint32 words, then the same rows again with
+    their trailing "0" characters as NUL (written text drops every NUL)."""
+    chars = chars.astype(np.uint8)
+    trimmed = chars.copy()
+    trailing = np.ones(len(chars), bool)
+    for j in (3, 2, 1, 0):
+        trailing &= chars[:, j] == ord("0")
+        trimmed[:, j] *= ~trailing
+    return np.concatenate([chars, trimmed]).view(np.uint32).ravel()
+
+
+# The words _format_block writes its text from, 4 characters each: _DIGITS[i]
+# is the digits of i (0000-9999), _HEAD[i] is "a.bc" and _TAIL[i] is "ae-b"
+# for the digits abc of i < 1000, _ONES[i] is the digit i; an index plus half
+# the table's size gives the trimmed word. _POW10[k] is 10**k from a correctly
+# rounded decimal literal (pow would add its own rounding).
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_ASCII = np.column_stack([np.repeat(np.tile(_DIGIT, 10**j), 10 ** (3 - j)) for j in range(4)])
+_DIGITS = _words(_ASCII)
+_HEAD = _words(np.column_stack([_ASCII[:1000, 1], np.full(1000, ord(".")), _ASCII[:1000, 2:]]))
+_TAIL = _words(np.column_stack(
+    [_ASCII[:1000, 1], np.full((1000, 2), [ord("e"), ord("-")]), _ASCII[:1000, 2]]
+))
+_ONES = _words(np.column_stack([_DIGIT, np.zeros((10, 3), np.uint8)]))
+_POW10 = np.array([float(f"1e{k}") for k in range(113)])
+_RECORD = 20  # bytes per cell: the longest FLOAT_FORMAT text (19) and its separator
+_CELL = np.dtype((np.void, _RECORD))  # one record as one item: row scatters are fast
+_FALLBACK = ("%-" + str(_RECORD) + FLOAT_FORMAT[1:]).encode()
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
+
 DEFAULTS = {
     "k": 1.0,
     "delta0": 0.1,
@@ -142,19 +174,98 @@ def _emit_json(path: Path | None, payload: dict) -> None:
     print(text)
 
 
+def _digit_groups(q: np.ndarray, widths: tuple[int, ...]) -> list[np.ndarray]:
+    """Groups of ``widths`` decimal digits of q from the right, then the rest."""
+    groups = []
+    for w in widths:
+        rest = q // 10**w
+        groups.append(q - rest * 10**w)
+        q = rest
+    return groups + [q]
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """The CSV rows of a 2-D block: exactly ``FLOAT_FORMAT % value`` per cell.
+
+    See ``_write_table`` for the classes of cells and the proof of rounding.
+    Each cell gets a record of _RECORD bytes: its text, NUL padding and its
+    separator in the last byte; the rows are the records without the NULs.
+    """
+    x = block.ravel()
+    n = x.size
+    cand = (x >= 1e-100) & (x < 1.0)  # both classes lie in this range
+    xc = np.where(cand, x, 0.5)
+    e0 = np.floor(np.log10(xc)).astype(np.intp)
+    s = xc * _POW10[11 - e0]
+    m = np.rint(s)
+    carry = m == 1e12
+    m[carry] = 1e11
+    exp10 = e0 + carry  # the decimal exponent of the rounded value
+    proven = cand & (np.abs(s - np.floor(s) - 0.5) > 1e-3) & (s >= 1e11) & (m < 1e12)
+    fixed = np.flatnonzero(proven & (exp10 >= -4) & (exp10 < 0))
+    sci = np.flatnonzero(proven & (exp10 < -4) & (exp10 >= -99))
+
+    records = np.empty(n, _CELL)
+    if fixed.size:
+        # "0." and the 15 digits of m * 10**(exp10 + 4), trailing zeros trimmed
+        q = m[fixed].astype(np.int64) * 10 ** (exp10[fixed] + 4)
+        f, *groups = _digit_groups(q, (1, 4, 4, 4))
+        words = [_DIGITS.take(f * 1000 + _DIGITS.size // 2)]
+        trim = f == 0  # only zeros follow the group
+        for g, table in zip(groups, (_DIGITS, _DIGITS, _DIGITS, _HEAD)):
+            words.append(table.take(g + trim * (table.size // 2)))
+            trim &= g == 0
+        records[fixed] = np.column_stack(words[::-1]).view(_CELL).ravel()
+    if sci.size:
+        # "d.ddddddddddde-XX"; a last digit 0 would be trimmed and falls back
+        last, g3, g2, g1 = _digit_groups(m[sci].astype(np.int64), (1, 4, 4))
+        e = -exp10[sci]
+        keep = last != 0
+        sci = sci[keep]
+        records[sci] = np.column_stack([
+            _HEAD.take(g1), _DIGITS.take(g2), _DIGITS.take(g3),
+            _TAIL.take(last * 100 + e), _ONES.take(e % 10),
+        ]).view(_CELL).ravel()[keep]
+    rest = np.ones(n, bool)
+    rest[fixed] = rest[sci] = False
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        text = (_FALLBACK * rest.size % tuple(x[rest].tolist())).translate(_SPACE_TO_NUL)
+        records[rest] = np.frombuffer(text, _CELL)
+    chars = records.view(np.uint8).reshape(n, _RECORD)
+    chars[:, -1] = ord(",")
+    chars.reshape(*block.shape, _RECORD)[:, -1, -1] = ord("\n")
+    return records.tobytes().translate(None, b"\0")
+
+
 def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """CSV: the header row, then one FLOAT_FORMAT row per sample.
 
     ``columns`` are 1-D columns or 2-D blocks of columns, one row per sample.
-    Rows are formatted WRITE_BLOCK_ROWS at a time, one ``bytes %`` each.
+    Rows are formatted WRITE_BLOCK_ROWS at a time by ``_format_block``, whose
+    bytes equal ``FLOAT_FORMAT % value`` cell for cell. With
+    e0 = floor(log10 x), the 12-digit mantissa m rounds s = x * 10**(11 - e0);
+    a carry to 1e12 bumps the exponent. The power is a correctly rounded
+    literal, so s has two roundings: |s - S| <= 2 * 2**-53 * S < 2.3e-4 for the
+    exact S < 1e12 + 1. Where |frac(s) - 1/2| > 1e-3, 1e11 <= s (log10 may
+    round up just below a power of ten) and the mantissa, carried, is below
+    1e12, s rounds as S does. Such cells are written from digit tables in
+    one of two classes:
+
+    - 1e-4 <= rounded value < 1: "0." and the 15 digits of m * 10**(X + 4)
+      (X the rounded exponent), trailing zeros trimmed;
+    - 1e-99 <= rounded value < 1e-4 with a nonzero last digit:
+      "d.ddddddddddde-XX".
+
+    Every other cell (zero, negative, >= 1, near a rounding tie, trimmed or
+    3-digit-exponent scientific, not finite) takes one batched Python
+    ``%-20.12g`` per block.
     """
     table = np.column_stack(columns)
-    row = ",".join([FLOAT_FORMAT] * table.shape[1]).encode() + b"\n"
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
         for start in range(0, table.shape[0], WRITE_BLOCK_ROWS):
-            block = table[start : start + WRITE_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_block(table[start : start + WRITE_BLOCK_ROWS]))
 
 
 def _matrix_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:

@@ -6,6 +6,7 @@ generators, run one after another in submission order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -184,6 +185,9 @@ def run_sweep(
     """
     if not g_list or not n_list:
         raise ValidationError("sweep: g_list and n_list must be non-empty")
+    for g in g_list:
+        if not (math.isfinite(g) and g > 0.0):
+            raise ValidationError(f"sweep: G must be finite and positive, got {g:g}")
     cells = []
     for g in g_list:
         for n in n_list:

@@ -69,6 +69,26 @@ class SymTridiagMatrix:
             m = max(m, float(np.max(np.abs(self.offdiag))))
         return m
 
+    def frobenius_norm(self) -> float:
+        return math.sqrt(float(self.diag @ self.diag + 2.0 * self.offdiag @ self.offdiag))
+
+    def rows_times(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows where ``self @ v`` can be nonzero, and its entries there.
+
+        Only the rows holding a nonzero entry are formed (for H_weak, the four
+        rows of its two end bonds), in O(rows * columns of v).
+        """
+        n = self.size
+        off = np.concatenate(([0.0], self.offdiag, [0.0]))  # row i: off[i] left, off[i + 1] right
+        rows = np.flatnonzero((self.diag != 0.0) | (off[:-1] != 0.0) | (off[1:] != 0.0))
+        left, right = np.maximum(rows - 1, 0), np.minimum(rows + 1, n - 1)
+        out = (
+            self.diag[rows, None] * v[rows]
+            + off[rows, None] * v[left]
+            + off[rows + 1, None] * v[right]
+        )
+        return rows, out
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteringError, UnsupportedConfigurationError, ValidationError
-from .linalg import SpectralDecomposition, orthonormal_columns
+from .linalg import SpectralDecomposition, SymTridiagMatrix, orthonormal_columns
 
 DEFAULT_GROUPING_RTOL = 1e-8
 PROPORTIONALITY_RTOL = 1e-10
@@ -78,11 +78,14 @@ class ProjectorSet:
             raise ValidationError("projector set has no zero level")
         return self._level(self.zero_level_index)
 
-    def nonzero_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero levels' eigenvector columns and one eigenvalue per column."""
+    def nonzero_spectrum(
+        self, rows: np.ndarray | slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero levels' eigenvector columns (on ``rows`` only, if given)
+        and one eigenvalue per column."""
         counts = np.diff(self.bounds)
         keep = np.repeat(np.arange(counts.size) != self.zero_level_index, counts)
-        return self.vectors[:, keep], np.repeat(self.eigenvalues, counts)[keep]
+        return self.vectors[rows][:, keep], np.repeat(self.eigenvalues, counts)[keep]
 
 
 def default_grouping_tolerance(
@@ -149,20 +152,39 @@ def _symmetric(block: np.ndarray) -> np.ndarray:
     return 0.5 * (block + block.T)
 
 
-def hqzd_order0(v0: np.ndarray, h: np.ndarray) -> EffectiveHamiltonianReport:
+def _weak_on_zero_level(
+    v0: np.ndarray, h: np.ndarray | SymTridiagMatrix
+) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
+    """V0 (checked), the rows where H V0 can be nonzero, and H V0 on them.
+
+    A SymTridiagMatrix H gives only the rows its nonzero entries touch (four
+    for H_weak's two end bonds); no dense N x N H is formed.
+    """
+    if isinstance(h, SymTridiagMatrix):
+        v0 = orthonormal_columns(v0, h.size, "v0")
+        return (v0, *h.rows_times(v0))
+    v0 = orthonormal_columns(v0, h.shape[0], "v0")
+    return v0, slice(None), h @ v0
+
+
+def hqzd_order0(
+    v0: np.ndarray, h: np.ndarray | SymTridiagMatrix
+) -> EffectiveHamiltonianReport:
     """Order-0 effective Hamiltonian P0 H P0, as the block V0^T H V0.
 
     It counts as c * P0 when ||V0^T H V0 - c 1|| <= PROPORTIONALITY_RTOL * ||H||
-    (Frobenius norms), so the test is the same at every energy scale.
+    (Frobenius norms), so the test is the same at every energy scale. ``h``
+    is dense or tridiagonal.
     """
-    v0 = orthonormal_columns(v0, h.shape[0], "v0")
-    block = _symmetric(v0.T @ h @ v0)
+    v0, rows, hv0 = _weak_on_zero_level(v0, h)
+    block = _symmetric(v0[rows].T @ hv0)
     dim0 = block.shape[0]
     eta1_common: float | None = None
     if dim0:
         c = float(np.trace(block)) / dim0
         dev = np.linalg.norm(block - c * np.eye(dim0))
-        if dev <= PROPORTIONALITY_RTOL * float(np.linalg.norm(h)):
+        h_norm = h.frobenius_norm() if isinstance(h, SymTridiagMatrix) else np.linalg.norm(h)
+        if dev <= PROPORTIONALITY_RTOL * float(h_norm):
             eta1_common = c
     return EffectiveHamiltonianReport(0, block, v0, eta1_common)
 
@@ -181,15 +203,17 @@ def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
 
 
 def hqzd_order1(
-    v0: np.ndarray, h: np.ndarray, ps: ProjectorSet, lam: float
+    v0: np.ndarray, h: np.ndarray | SymTridiagMatrix, ps: ProjectorSet, lam: float
 ) -> EffectiveHamiltonianReport:
     """Order-1 effective Hamiltonian lam * P0 H Qtilde H P0.
 
-    Formed as lam * c^T diag(-1/eta) c, c = V^T (H V0) over the nonzero columns V of ``ps``.
+    Formed as lam * c^T diag(-1/eta) c, c = V^T (H V0) over the nonzero columns V
+    of ``ps``, summed over the rows where H V0 can be nonzero. ``h`` is dense
+    or tridiagonal.
     """
-    v0 = orthonormal_columns(v0, h.shape[0], "v0")
-    v, eta = ps.nonzero_spectrum()
-    c = v.T @ (h @ v0)
+    v0, rows, hv0 = _weak_on_zero_level(v0, h)
+    v, eta = ps.nonzero_spectrum(rows)
+    c = v.T @ hv0
     return EffectiveHamiltonianReport(1, _symmetric(lam * (c.T @ (c / -eta[:, None]))), v0)
 
 

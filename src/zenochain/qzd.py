@@ -170,8 +170,7 @@ def analyze_watch(
     if not ps.has_zero_level:
         return WatchAnalysis(h_watch, h_weak, tol, lam, ps, d.eigenvectors[:, :0], None, None)
     v0 = ps.zero_level.vectors
-    h = h_weak.to_dense()
-    rep0, rep1 = hqzd_order0(v0, h), hqzd_order1(v0, h, ps, lam)
+    rep0, rep1 = hqzd_order0(v0, h_weak), hqzd_order1(v0, h_weak, ps, lam)
     return WatchAnalysis(h_watch, h_weak, tol, lam, ps, v0, rep0, rep1)
 
 

@@ -135,6 +135,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match=field):
             ChainSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["lambda_inv", "k", "delta_omega"])
+    def test_non_finite_field_is_named(self, field, value):
+        kwargs = dict(n_sites=5, lambda_inv=20.0, k=1.0, delta_omega=20.0) | {field: value}
+        with pytest.raises(ValidationError, match=f"^{field}: must be finite, got {value}$"):
+            ChainSpec(**kwargs)
+
     def test_invalid_fluctuation(self):
         with pytest.raises(ValidationError, match="relative_amplitude"):
             CouplingFluctuation(0.3, 0)

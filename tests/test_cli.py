@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenochain import cli, harness
 from zenochain.analytic import lambda_bound
@@ -375,6 +378,80 @@ class TestOutputBytes:
         rows = [[t, *r] for t, r in zip(times.tolist(), block.tolist())]
         assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, rows).encode()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(1, 300),
+        cols=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        drawn=st.lists(st.one_of(  # placed at random cells
+            st.floats(),  # any double: nan, +-inf, +-0, subnormals, huge values
+            st.floats(min_value=1e-100, max_value=1.0),  # where the digit tables apply
+        ), max_size=20),
+    )
+    def test_any_table(self, tmp_path_factory, rows, cols, seed, drawn):
+        # random bit patterns, log-uniform values across both digit-table
+        # classes and their edges, and the drawn values
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, (rows, cols), dtype=np.uint64, endpoint=False)
+        table = np.where(
+            rng.random((rows, cols)) < 0.3,
+            bits.view(np.float64),
+            10.0 ** rng.uniform(-102.0, 1.0, (rows, cols)),
+        )
+        table.ravel()[rng.integers(0, table.size, len(drawn))] = drawn
+        path = tmp_path_factory.mktemp("any") / "t.csv"
+        header = [f"c{i}" for i in range(cols)]
+        cli._write_table(path, header, [table])
+        assert path.read_bytes() == per_value_csv(header, table.tolist()).encode()
+
+    def test_adversarial_values(self, tmp_path):
+        # rounding to 1, the fixed/scientific switch at 1e-4, the 2/3-digit
+        # exponent switch, a trimmed mantissa, powers of two (2**-18 =
+        # 3.814697265625e-06 is an exact tie at the 12th digit), and the
+        # doubles nearest to decimal ties (m + 1/2) * 10**e, with neighbours
+        values = [0.99999999999995, 9.99999999999995e-5, 9.99999999999995e-100, 1e-100,
+                  1.5e-7, 123456789012.5, 0.5, 0.25, 1e-4, 1e-5, 0.1, 1e-99]
+        values += [2.0**-k for k in range(1, 61)] + [(2 * i + 1) * 2.0**-53 for i in range(1, 40)]
+        rng = np.random.default_rng(9)
+        mantissas = rng.integers(10**11, 10**12, 200)
+        exponents = rng.integers(-110, -11, 200)
+        values += [(m + 0.5) * 10.0 ** float(e) for m, e in zip(mantissas, exponents)]
+        values = np.array(values)
+        table = np.column_stack([values, np.nextafter(values, 0), np.nextafter(values, 1)])
+        cli._write_table(tmp_path / "t.csv", ["a", "b", "c"], [table])
+        want = per_value_csv(["a", "b", "c"], table.tolist())
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("n_sites", [40, 67, 94])
+    @pytest.mark.parametrize("kind", ["even", "odd", "modified"])
+    def test_default_grid_traces(self, tmp_path, kind, n_sites):
+        n = n_sites + (n_sites % 2 if kind == "even" else 1 - n_sites % 2)
+        spec = ChainSpec(n, 20.0, delta_omega=20.0 if kind == "modified" else None)
+        trace = run_scenario(spec).trace
+        columns = [trace.grid.times, trace.populations, trace.leakage]
+        if trace.mid_overlap is not None:
+            columns.append(trace.mid_overlap)
+        table = np.column_stack(columns)
+        header = [f"c{i}" for i in range(table.shape[1])]
+        cli._write_table(tmp_path / "t.csv", header, [table])
+        assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, table.tolist()).encode()
+
+    def test_fallback_serves_few_trace_cells(self, tmp_path, monkeypatch):
+        # the Python formatter takes the cells the digit tables cannot prove;
+        # on a trace that is a few percent, not every cell
+        served = []
+
+        class CountingFormat(bytes):
+            def __mul__(self, count):
+                served.append(count)
+                return bytes(self) * count
+
+        monkeypatch.setattr(cli, "_FALLBACK", CountingFormat(cli._FALLBACK))
+        trace = run_scenario(ChainSpec(94, 20.0)).trace
+        table = np.column_stack([trace.grid.times, trace.populations, trace.leakage])
+        cli._write_table(tmp_path / "t.csv", ["c"] * table.shape[1], [table])
+        assert 0 < sum(served) < 0.1 * table.size
+
     def test_nonzeros_of_dense_matrix(self):
         # a dense matrix pins the row-major order of the listing
         m = np.random.default_rng(0).normal(size=(9, 9))
@@ -518,6 +595,25 @@ class TestExitCodes:
         out = tmp_path / "sw"
         assert run_cli("sweep", "--n-list", f"4,{entry}", "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: expected integers in list, got {entry}\n"
+        assert not (tmp_path / "sw.csv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag, field", [
+        ("--lambda-inv", "lambda_inv"), ("--k", "k"), ("--delta-omega", "delta_omega"),
+    ])
+    def test_non_finite_chain_field_is_1(self, tmp_path, capsys, flag, field, value):
+        out = tmp_path / "c"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would escape as an exception
+            assert run_cli("simulate", "--n", "5", flag, value, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {field}: must be finite, got {value}\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("g", ["0", "-0.1", "nan", "inf"])
+    def test_bad_g_is_1(self, tmp_path, capsys, g):
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--g-list", f"0.1,{g}", "--n-list", "4", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: sweep: G must be finite and positive, got {g}\n"
         assert not (tmp_path / "sw.csv").exists()
 
     def test_io_error_is_3(self, tmp_path):

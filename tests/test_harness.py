@@ -76,6 +76,16 @@ class TestSweep:
         with pytest.raises(ValidationError):
             run_sweep([0.1], [5])
 
+    @pytest.mark.parametrize("g", [0.0, -0.1, np.nan, np.inf])
+    def test_g_must_be_finite_and_positive(self, monkeypatch, g):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_end_leakage", no_cell)
+        message = f"^sweep: G must be finite and positive, got {g:g}$"
+        with pytest.raises(ValidationError, match=message):
+            run_sweep([0.1, g], [4])
+
 
 class TestBoundGuarantee:
     @pytest.mark.parametrize("n_sites", (4, 10, 30, 100))
@@ -232,6 +242,22 @@ class TestOneWatchAnalysis:
             argv += ["--delta-omega", "20"]
         assert cli.main(["classify", *argv]) == 0
         assert cli.main(["effective", *argv]) == 0
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ChainSpec(6, 20.0), ChainSpec(7, 20.0), ChainSpec(7, 20.0, delta_omega=20.0)],
+        ids=["even", "odd", "modified"],
+    )
+    def test_weak_matrix_is_not_densified(self, spec, monkeypatch):
+        # H V0 comes from the end bonds of the tridiagonal H_weak
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense N x N H_weak built")
+
+        monkeypatch.setattr(linalg.SymTridiagMatrix, "to_dense", forbidden)
+        result = run_scenario(spec, n_steps=50)
+        assert result.classification.order is not None
+        assert cli.main(["effective", "--n", str(spec.n_sites), "--lambda-inv", "20"]) == 0
 
 
 class TestBenchmarkBindings:

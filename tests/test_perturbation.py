@@ -318,6 +318,38 @@ class TestOrder1:
         rep = hqzd_order1(v0, h, ps, spec.lam)
         assert np.max(np.abs(rep.block - ref)) <= 1e-13 * spec.lam * K
 
+    @pytest.mark.parametrize("k", [1e-9, 1e-3, 1.0, 1e3, 1e9])
+    @pytest.mark.parametrize(
+        "n_sites, shifted",
+        [(n, False) for n in (4, 5, 6, 7, 30, 31, 200, 201, 500, 501)]
+        + [(n, True) for n in (5, 7, 31, 201, 501)],
+    )
+    def test_end_bond_rows_match_dense_referee(self, n_sites, k, shifted):
+        # H_weak passed as tridiagonal: H V0 on the end-bond rows only; the
+        # referee is the dense H_weak and the dense N x N Qtilde
+        spec = ChainSpec(n_sites, 20.0, k=k, delta_omega=20.0 * k if shifted else None)
+        hams, _, ps = watch_levels(spec)
+        v0, h = ps.zero_level.vectors, hams.h_weak.to_dense()
+        hv0 = h @ v0
+        ref0 = v0.T @ hv0
+        ref1 = spec.lam * hv0.T @ reduced_resolvent(ps) @ hv0
+        rep0, rep1 = hqzd_order0(v0, hams.h_weak), hqzd_order1(v0, hams.h_weak, ps, spec.lam)
+        assert np.max(np.abs(rep0.block - ref0)) <= 1e-12 * k
+        assert np.max(np.abs(rep1.block - ref1)) <= 1e-12 * spec.lam * k
+        assert rep0.eta1_common == hqzd_order0(v0, h).eta1_common
+
+    def test_end_bond_rows(self):
+        # H_weak has nonzero entries on rows 1, 2, N-1 and N only
+        h = build_chain(ChainSpec(9, 20.0)).h_weak
+        v = np.random.default_rng(0).normal(size=(9, 3))
+        rows, hv = h.rows_times(v)
+        assert rows.tolist() == [0, 1, 7, 8]
+        assert_allclose(hv, (h.to_dense() @ v)[rows], rtol=0, atol=1e-15)
+        mixed = SymTridiagMatrix(np.array([0.0, 2.0, 0.0, 0.0, 0.0]), np.array([0, 0, 0, 3.0]))
+        rows, hv = mixed.rows_times(v[:5])
+        assert rows.tolist() == [1, 3, 4]
+        assert_allclose(hv, (mixed.to_dense() @ v[:5])[rows], rtol=0, atol=1e-15)
+
     def test_supported_inside_zero_level(self):
         hams, _, ps = watch_levels(ChainSpec(8, 5.0))
         p0 = ps.zero_level.projector
