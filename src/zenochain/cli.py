@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: simulate, classify, effective, bound, sweep, fluctuate.
-Options may also come from a config file of key=value lines (--config);
-command-line flags take precedence over config values. Exit codes:
-0 success, 1 validation error, 2 numerical failure, 3 I/O error.
+Subcommands: simulate, classify, effective, bound, sweep, fluctuate; COMMANDS
+lists the flags of each, FLAGS declares each flag once. A config file of
+key=value lines (--config) sets defaults; command-line flags take precedence.
+Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -66,25 +66,12 @@ _CELL = np.dtype((np.void, _RECORD))  # one record as one item: row scatters are
 _FALLBACK = ("%-" + str(_RECORD) + FLOAT_FORMAT[1:]).encode()
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
-DEFAULTS = {
-    "k": 1.0,
-    "delta0": 0.1,
-    "steps": DEFAULT_N_STEPS,
-    "g_list": "0.05,0.1,0.15,0.2",
-    "n_list": "4,6,8,10,12,14,16,18,20,22,24,26,28,30",
-    "amplitude": 0.05,
-    "trials": 100,
-    "seed": 0,
-    "lambda_inv": 20.0,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with code 1."""
 
-    # the destination of every flag of every subcommand: the keys a config
-    # file may set (filled by build_parser)
-    config_keys: frozenset[str] = frozenset()
+    # subcommand -> its parser, on the top-level parser (set by build_parser)
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -100,12 +87,10 @@ def _parse_float_list(raw: str) -> list[float]:
 
 def _parse_int_list(raw: str) -> list[int]:
     values = _parse_float_list(raw)
-    out = []
     for v in values:
         if not math.isfinite(v) or v != int(v):
             raise ValidationError(f"expected integers in list, got {v}")
-        out.append(int(v))
-    return out
+    return [int(v) for v in values]
 
 
 def read_config_file(path: str, known: frozenset[str]) -> dict[str, str]:
@@ -129,48 +114,53 @@ def read_config_file(path: str, known: frozenset[str]) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str, cast=None):
-    """Flag value if given, else config value, else built-in default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = args._config.get(key)
-        if value is not None and cast is not None:
-            try:
-                value = cast(value)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"config value {key}={value!r} is invalid") from exc
-    if value is None:
-        value = DEFAULTS.get(key)
-    return value
+# flag destination -> add_argument keywords; the keys are also the config keys
+FLAGS: dict[str, dict] = {
+    "config": dict(help="config file of key=value lines"),
+    "out": dict(help="output path prefix (default: subcommand name)"),
+    "n": dict(type=int, help="chain length N >= 4 (even for bound and fluctuate)"),
+    "k": dict(type=float, default=1.0, help="weak coupling k (default %(default)s)"),
+    "lambda_inv": dict(type=float, default=20.0, help="coupling ratio (default %(default)s)"),
+    "delta_omega": dict(type=float, help="on-site energy shift at site 2 (modified chains)"),
+    "t_max": dict(type=float, help="window length (default: one effective cycle)"),
+    "steps": dict(type=int, default=DEFAULT_N_STEPS, help="grid steps (default %(default)s)"),
+    "delta0": dict(type=float, default=0.1, help="leakage standard (default %(default)s)"),
+    "g_list": dict(
+        type=_parse_float_list, default="0.05,0.1,0.15,0.2",
+        help="comma-separated G values (default %(default)s)",
+    ),
+    "n_list": dict(
+        type=_parse_int_list, default="4,6,8,10,12,14,16,18,20,22,24,26,28,30",
+        help="comma-separated even chain lengths (default %(default)s)",
+    ),
+    "amplitude": dict(type=float, default=0.05, help="coupling noise (default %(default)s)"),
+    "trials": dict(type=int, default=100, help="number of trials (default %(default)s)"),
+    "seed": dict(type=int, default=0, help="base RNG seed (default %(default)s)"),
+}
+
+
+def _n_sites(args: argparse.Namespace) -> int:
+    if args.n is None:
+        raise ValidationError("n: required (chain length)")
+    return args.n
 
 
 def _chain_spec(args: argparse.Namespace) -> ChainSpec:
-    n = _resolve(args, "n", int)
-    if n is None:
-        raise ValidationError("n: required (chain length)")
-    lambda_inv = _resolve(args, "lambda_inv", float)
-    k = _resolve(args, "k", float)
-    delta_omega = _resolve(args, "delta_omega", float)
     return ChainSpec(
-        n_sites=n, lambda_inv=lambda_inv, k=k, delta_omega=delta_omega
+        n_sites=_n_sites(args), lambda_inv=args.lambda_inv, k=args.k, delta_omega=args.delta_omega
     )
 
 
 def _out_paths(args: argparse.Namespace, default_prefix: str) -> tuple[Path, Path]:
-    prefix = str(Path(_resolve(args, "out") or default_prefix)).removesuffix(".csv")
+    prefix = str(Path(args.out or default_prefix)).removesuffix(".csv")
     return Path(prefix + ".csv"), Path(prefix + ".json")
 
 
-def _out_json(args: argparse.Namespace) -> Path | None:
-    out = _resolve(args, "out")
-    return Path(out) if out else None
-
-
-def _emit_json(path: Path | None, payload: dict) -> None:
+def _emit_json(path: Path | str | None, payload: dict) -> None:
     """Print the payload and, given a path, write the same text there."""
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is not None:
-        path.write_text(text + "\n")
+    if path:
+        Path(path).write_text(text + "\n")
     print(text)
 
 
@@ -261,11 +251,11 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> No
     3-digit-exponent scientific, not finite) takes one batched Python
     ``%-20.12g`` per block.
     """
-    table = np.column_stack(columns)
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
-        for start in range(0, table.shape[0], WRITE_BLOCK_ROWS):
-            fh.write(_format_block(table[start : start + WRITE_BLOCK_ROWS]))
+        for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+            block = np.column_stack([c[start : start + WRITE_BLOCK_ROWS] for c in columns])
+            fh.write(_format_block(block))
 
 
 def _matrix_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:
@@ -281,10 +271,8 @@ def _matrix_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
-    steps = _resolve(args, "steps", int)
-    t_max = _resolve(args, "t_max", float)
-    grid = TimeGrid(t_max, steps) if t_max is not None else None
-    result = run_scenario(spec, grid=grid, n_steps=steps)
+    grid = TimeGrid(args.t_max, args.steps) if args.t_max is not None else None
+    result = run_scenario(spec, grid=grid, n_steps=args.steps)
 
     csv_path, json_path = _out_paths(args, "simulate")
     trace = result.trace
@@ -313,7 +301,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     psi0 = np.zeros(spec.n_sites)
     psi0[0] = 1.0
     c = effective_reports(build_chain(spec)).classify(psi0)
-    _emit_json(_out_json(args), dataclasses.asdict(c) | {"order": c.order.value})
+    _emit_json(args.out, dataclasses.asdict(c) | {"order": c.order.value})
     return 0
 
 
@@ -333,25 +321,17 @@ def cmd_effective(args: argparse.Namespace) -> int:
             "nonzeros": _matrix_nonzeros(rep1.matrix, cut),
         },
     }
-    _emit_json(_out_json(args), payload)
+    _emit_json(args.out, payload)
     return 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    n = _resolve(args, "n", int)
-    if n is None:
-        raise ValidationError("n: required (chain length)")
-    delta0 = _resolve(args, "delta0", float)
-    print(FLOAT_FORMAT % analytic.lambda_bound(n, delta0))
+    print(FLOAT_FORMAT % analytic.lambda_bound(_n_sites(args), args.delta0))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    g_list = _parse_float_list(_resolve(args, "g_list"))
-    n_list = _parse_int_list(_resolve(args, "n_list"))
-    k = _resolve(args, "k", float)
-    steps = _resolve(args, "steps", int)
-    result = run_sweep(g_list, n_list, k=k, n_steps=steps)
+    result = run_sweep(args.g_list, args.n_list, k=args.k, n_steps=args.steps)
 
     csv_path, json_path = _out_paths(args, "sweep")
     _write_table(
@@ -372,17 +352,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fluctuate(args: argparse.Namespace) -> int:
-    n = _resolve(args, "n", int)
-    if n is None:
-        raise ValidationError("n: required (chain length)")
-    amplitude = _resolve(args, "amplitude", float)
-    trials = _resolve(args, "trials", int)
-    seed = _resolve(args, "seed", int)
-    lambda_inv = _resolve(args, "lambda_inv", float)
-    k = _resolve(args, "k", float)
-    steps = _resolve(args, "steps", int)
     rows = run_fluctuation_trials(
-        n, amplitude, trials, seed, lambda_inv=lambda_inv, k=k, n_steps=steps
+        _n_sites(args), args.amplitude, args.trials, args.seed,
+        lambda_inv=args.lambda_inv, k=args.k, n_steps=args.steps,
     )
 
     csv_path, json_path = _out_paths(args, "fluctuate")
@@ -400,6 +372,27 @@ def cmd_fluctuate(args: argparse.Namespace) -> int:
     return 0
 
 
+_CHAIN = ("n", "k", "lambda_inv", "delta_omega")
+
+# subcommand -> (function, help, flags besides --config and --out)
+COMMANDS = {
+    "simulate": (
+        cmd_simulate, "evolve |1> and write the population trace", (*_CHAIN, "t_max", "steps")
+    ),
+    "classify": (cmd_classify, "classify the constrained-dynamics order", _CHAIN),
+    "effective": (cmd_effective, "print the order-0/1 effective Hamiltonians", _CHAIN),
+    "bound": (cmd_bound, "coupling-ratio bound keeping leakage under delta0", ("n", "delta0")),
+    "sweep": (
+        cmd_sweep, "G-sweep measuring delta and the quadratic fit",
+        ("g_list", "n_list", "k", "steps"),
+    ),
+    "fluctuate": (
+        cmd_fluctuate, "Monte Carlo over fluctuating couplings",
+        ("n", "amplitude", "trials", "seed", "lambda_inv", "k", "steps"),
+    ),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="zenochain",
@@ -409,76 +402,12 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    keys: set[str] = set()
-
-    def add(p: _Parser, *names: str, **kwargs) -> None:
-        keys.add(p.add_argument(*names, **kwargs).dest)
-
-    def add_common(p: _Parser) -> None:
-        add(p, "--config", help="config file of key=value lines")
-        add(p, "--out", help="output path prefix (default: subcommand name)")
-
-    def add_chain(p: _Parser) -> None:
-        add(p, "--n", type=int, help="chain length N >= 4")
-        add(p, "--k", type=float, help="weak coupling k (default 1)")
-        add(
-            p,
-            "--lambda-inv",
-            dest="lambda_inv",
-            type=float,
-            help="strong/weak coupling ratio (default 20)",
-        )
-        add(
-            p,
-            "--delta-omega",
-            dest="delta_omega",
-            type=float,
-            help="on-site energy shift at site 2 (modified chains)",
-        )
-
-    p = sub.add_parser("simulate", help="evolve |1> and write the population trace")
-    add_common(p)
-    add_chain(p)
-    add(p, "--t-max", dest="t_max", type=float, help="window length (default: one effective cycle)")
-    add(p, "--steps", type=int, help="grid steps (default 4000)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("classify", help="classify the constrained-dynamics order")
-    add_common(p)
-    add_chain(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("effective", help="print the order-0/1 effective Hamiltonians")
-    add_common(p)
-    add_chain(p)
-    p.set_defaults(func=cmd_effective)
-
-    p = sub.add_parser("bound", help="coupling-ratio bound keeping leakage under delta0")
-    add_common(p)
-    add(p, "--n", type=int, help="chain length N (even)")
-    add(p, "--delta0", type=float, help="leakage standard (default 0.1)")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("sweep", help="G-sweep measuring delta and the quadratic fit")
-    add_common(p)
-    add(p, "--g-list", dest="g_list", help="comma-separated G values")
-    add(p, "--n-list", dest="n_list", help="comma-separated even chain lengths")
-    add(p, "--k", type=float, help="weak coupling k (default 1)")
-    add(p, "--steps", type=int, help="grid steps per cell (default 4000)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("fluctuate", help="Monte Carlo over fluctuating couplings")
-    add_common(p)
-    add(p, "--n", type=int, help="chain length N (even)")
-    add(p, "--amplitude", type=float, help="relative coupling noise (default 0.05)")
-    add(p, "--trials", type=int, help="number of trials (default 100)")
-    add(p, "--seed", type=int, help="base RNG seed (default 0)")
-    add(p, "--lambda-inv", dest="lambda_inv", type=float, help="coupling ratio (default 20)")
-    add(p, "--k", type=float, help="weak coupling k (default 1)")
-    add(p, "--steps", type=int, help="grid steps per trial (default 4000)")
-    p.set_defaults(func=cmd_fluctuate)
-
-    parser.config_keys = frozenset(keys)
+    for command, (func, help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in ("config", "out", *names):
+            p.add_argument("--" + name.replace("_", "-"), **FLAGS[name])
+        p.set_defaults(func=func)
+    parser.commands = sub.choices
     return parser
 
 
@@ -486,8 +415,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = getattr(args, "config", None)
-        args._config = read_config_file(config, parser.config_keys) if config else {}
+        if args.config:
+            # config values become the subcommand's defaults: argparse casts
+            # them and lets the command-line flags override them
+            config = read_config_file(args.config, frozenset(FLAGS))
+            parser.commands[args.command].set_defaults(**config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

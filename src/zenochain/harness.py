@@ -188,6 +188,10 @@ def run_sweep(
     for g in g_list:
         if not (math.isfinite(g) and g > 0.0):
             raise ValidationError(f"sweep: G must be finite and positive, got {g:g}")
+    for name, values in (("G", g_list), ("N", n_list)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValidationError(f"sweep: {name}={repeated[0]:g} is repeated")
     cells = []
     for g in g_list:
         for n in n_list:

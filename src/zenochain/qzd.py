@@ -117,10 +117,9 @@ class WatchAnalysis:
         # each order's scale bounds its block: ||H_weak|| for order 0 and
         # lam ||H_weak||^2 / min |eta != 0| for order 1 (Frobenius norms); a
         # commutator at or below tol times its scale is round-off, reported as 0.0
-        diag, off = self.h_weak.diag, self.h_weak.offdiag
-        weak2 = float(diag @ diag + 2.0 * off @ off)
+        weak = self.h_weak.frobenius_norm()
         eta = np.delete(self.levels.eigenvalues, self.levels.zero_level_index)
-        scales = (np.sqrt(weak2), self.lam * weak2 / np.min(np.abs(eta), initial=np.inf))
+        scales = (weak, self.lam * weak**2 / np.min(np.abs(eta), initial=np.inf))
         comm0, comm1 = (c if c > self.tol * s else 0.0 for c, s in zip(comms, scales))
         proportional = self.order0.eta1_common is not None
         prerequisite_i = proportional and comm1 > 0.0

@@ -460,6 +460,31 @@ class TestOutputBytes:
             assert cli._matrix_nonzeros(m, cut) == double_loop_nonzeros(m, cut)
 
 
+class TestWriteTable:
+    def test_stacks_one_block_at_a_time(self, tmp_path, monkeypatch):
+        # the writer never holds the whole table: each stacked block has at
+        # most WRITE_BLOCK_ROWS rows, and the bytes are those of the whole table
+        n_rows = 2 * cli.WRITE_BLOCK_ROWS + 3
+        times = np.arange(n_rows) * 0.5
+        block = np.random.default_rng(1).random((n_rows, 3))
+        header = ["t", "a", "b", "c"]
+        stacked = []
+        column_stack = np.column_stack
+
+        def recording_column_stack(tup):
+            table = column_stack(tup)
+            if np.shares_memory(tup[0], times):  # the table's columns, not digit words
+                stacked.append(table.shape[0])
+            return table
+
+        monkeypatch.setattr(cli.np, "column_stack", recording_column_stack)
+        cli._write_table(tmp_path / "t.csv", header, [times, block])
+        assert stacked and max(stacked) <= cli.WRITE_BLOCK_ROWS
+        assert sum(stacked) == n_rows
+        rows = [[t, *r] for t, r in zip(times.tolist(), block.tolist())]
+        assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, rows).encode()
+
+
 class TestBound:
     def test_four_site(self, capsys):
         assert run_cli("bound", "--n", "4", "--delta0", "0.1") == 0
@@ -562,6 +587,42 @@ class TestConfigFile:
         assert run_cli("bound", "--config", str(cfg)) == 0
         assert float(capsys.readouterr().out) == pytest.approx(lambda_bound(6, 0.1), abs=1e-9)
 
+    @pytest.mark.parametrize("command, options", [
+        ("simulate", {"n": "5", "lambda-inv": "20", "delta-omega": "20", "k": "1.5",
+                      "t-max": "2.5", "steps": "37"}),
+        ("sweep", {"g-list": "0.05,0.1", "n-list": "4,6", "k": "2", "steps": "200"}),
+        ("fluctuate", {"n": "6", "amplitude": "0.04", "trials": "3", "seed": "5",
+                       "lambda-inv": "15", "k": "0.5", "steps": "200"}),
+        ("classify", {"n": "5", "lambda-inv": "20", "delta-omega": "20", "k": "2"}),
+        ("effective", {"n": "7", "lambda-inv": "12", "k": "0.5"}),
+    ])
+    def test_config_equals_flags(self, tmp_path, capsys, command, options):
+        # every subcommand reads its flags from a config file as from the
+        # command line: the same files and the same stdout
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        by_flags.mkdir()
+        by_config.mkdir()
+        out = "run.json" if command in ("classify", "effective") else "run"
+        flags = [token for key, value in options.items() for token in (f"--{key}", value)]
+        assert run_cli(command, *flags, "--out", str(by_flags / out)) == 0
+        printed = capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        lines = [f"{key.replace('-', '_')} = {value}" for key, value in options.items()]
+        cfg.write_text("\n".join(lines + [f"out = {by_config / out}"]) + "\n")
+        assert run_cli(command, "--config", str(cfg)) == 0
+        assert capsys.readouterr().out == printed
+        written = sorted(f.name for f in by_flags.iterdir())
+        assert written and sorted(f.name for f in by_config.iterdir()) == written
+        for name in written:
+            assert (by_config / name).read_bytes() == (by_flags / name).read_bytes()
+
+    def test_bad_config_value_is_1(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n=4\nsteps=x\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+        assert "argument --steps: invalid int value: 'x'" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.cfg"]
+
     def test_reader(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("a=1\nb = x y  # trailing comment\n\n")
@@ -614,6 +675,16 @@ class TestExitCodes:
         out = tmp_path / "sw"
         assert run_cli("sweep", "--g-list", f"0.1,{g}", "--n-list", "4", "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: sweep: G must be finite and positive, got {g}\n"
+        assert not (tmp_path / "sw.csv").exists()
+
+    @pytest.mark.parametrize("g_list, n_list, message", [
+        ("0.1,0.1", "4,6", "G=0.1 is repeated"),
+        ("0.05,0.1", "4,6,4", "N=4 is repeated"),
+    ])
+    def test_repeated_sweep_value_is_1(self, tmp_path, capsys, g_list, n_list, message):
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--g-list", g_list, "--n-list", n_list, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: sweep: {message}\n"
         assert not (tmp_path / "sw.csv").exists()
 
     def test_io_error_is_3(self, tmp_path):

@@ -86,6 +86,20 @@ class TestSweep:
         with pytest.raises(ValidationError, match=message):
             run_sweep([0.1, g], [4])
 
+    @pytest.mark.parametrize("g_list, n_list, message", [
+        ([0.1, 0.1], [4, 6], "G=0.1 is repeated"),
+        ([0.05, 0.1, 0.05], [4], "G=0.05 is repeated"),
+        ([0.1], [4, 4, 6], "N=4 is repeated"),
+    ])
+    def test_repeated_values_rejected(self, monkeypatch, g_list, n_list, message):
+        # a repeated value would run its cells again and count twice in the fit
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_end_leakage", no_cell)
+        with pytest.raises(ValidationError, match=f"^sweep: {message}$"):
+            run_sweep(g_list, n_list)
+
 
 class TestBoundGuarantee:
     @pytest.mark.parametrize("n_sites", (4, 10, 30, 100))
