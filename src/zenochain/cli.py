@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analytic
 from .chain import ChainSpec
-from .dynamics import DEFAULT_N_STEPS, TimeGrid
+from .dynamics import DEFAULT_N_STEPS, TimeGrid, site_one
 from .errors import NumericalFailureError, ValidationError
 from .harness import (
     dominant_effective_matrix,
@@ -96,9 +96,11 @@ def _parse_int_list(raw: str) -> list[int]:
 def read_config_file(path: str, known: frozenset[str]) -> dict[str, str]:
     """Parse a config file of key=value lines ('#' starts a comment).
 
-    A key outside ``known`` is an error naming the file and line.
+    A key outside ``known``, or one given twice (``lambda-inv`` and
+    ``lambda_inv`` are one key), is an error naming the file and line.
     """
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -110,6 +112,8 @@ def read_config_file(path: str, known: frozenset[str]) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ValidationError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
         values[key] = value.strip()
     return values
 
@@ -298,9 +302,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
     from .chain import build_chain
 
-    psi0 = np.zeros(spec.n_sites)
-    psi0[0] = 1.0
-    c = effective_reports(build_chain(spec)).classify(psi0)
+    c = effective_reports(build_chain(spec)).classify(site_one(spec.n_sites))
     _emit_json(args.out, dataclasses.asdict(c) | {"order": c.order.value})
     return 0
 
@@ -418,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             # config values become the subcommand's defaults: argparse casts
             # them and lets the command-line flags override them
-            config = read_config_file(args.config, frozenset(FLAGS))
+            config = read_config_file(args.config, frozenset(FLAGS) - {"config"})
             parser.commands[args.command].set_defaults(**config)
             args = parser.parse_args(argv)
         return args.func(args)

@@ -29,6 +29,7 @@ from .linalg import (
     phase_sums,
 )
 from .perturbation import FirstOrderCorrections
+from .qzd import analyze_watch
 
 DEFAULT_N_STEPS = 4000
 
@@ -74,6 +75,13 @@ class LeakageReport:
     attained_at: float
     t_max: float
     n_steps: int
+
+
+def site_one(n_sites: int) -> np.ndarray:
+    """The state |1>: the whole population on the first site."""
+    psi0 = np.zeros(n_sites)
+    psi0[0] = 1.0
+    return psi0
 
 
 def simulate(
@@ -163,21 +171,14 @@ def measure_leakage(trace: EvolutionTrace) -> LeakageReport:
 
 
 def default_time_grid(hams: ChainHamiltonians, n_steps: int = DEFAULT_N_STEPS) -> TimeGrid:
-    """One full cycle of the leading constrained dynamics.
+    """One cycle of the dynamics that moves |1>: ``WatchAnalysis.cycle`` of its order.
 
-    Even chains: t_max = pi / (lam * k), the end-to-end oscillation period.
-    Odd chains with an on-site shift: t_max = pi * delta_omega / k^2 (the
-    end-to-end rate is k^2/delta_omega). Unmodified odd chains: one cycle of
-    the three-state ladder through the mid zero mode, pi * sqrt(N-1) / k.
+    That is pi / (lam k) on unshifted even chains, pi sqrt(N-1) / k on
+    unshifted odd ones and pi |delta_omega| / k^2 on shifted odd ones.
     """
-    spec = hams.spec
-    if spec.n_sites % 2 == 0:
-        t_max = np.pi * spec.lambda_inv / spec.k
-    elif spec.is_modified:
-        t_max = np.pi * abs(spec.delta_omega) / spec.k**2
-    else:
-        t_max = np.pi * np.sqrt(spec.n_sites - 1) / spec.k
-    return TimeGrid(float(t_max), n_steps)
+    analysis = analyze_watch(hams.h_watch, hams.h_weak, hams.spec.lam)
+    order = analysis.classify(site_one(hams.spec.n_sites)).order
+    return TimeGrid(analysis.cycle(order), n_steps)
 
 
 def u1_correction_trace(
@@ -196,8 +197,7 @@ def u1_correction_trace(
     second-order eigenvalue shifts, the only surviving ones.
     """
     if psi0 is None:
-        psi0 = np.zeros(d_watch.size)
-        psi0[0] = 1.0
+        psi0 = site_one(d_watch.size)
     psi0 = check_state(psi0, d_watch.size, "psi0")
 
     base = np.concatenate(

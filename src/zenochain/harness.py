@@ -7,7 +7,7 @@ generators, run one after another in submission order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,8 +23,9 @@ from .dynamics import (
     evolve_trace,
     leakage_series,
     peak_report,
+    site_one,
 )
-from .errors import UnsupportedConfigurationError, ValidationError
+from .errors import ValidationError
 from .linalg import SpectralDecomposition, eig_sym_tridiag, inverse_corner_tridiag
 from .perturbation import EffectiveHamiltonianReport
 from .qzd import QzdClassification, QzdOrder, WatchAnalysis, analyze_watch
@@ -33,12 +34,6 @@ from .qzd import QzdClassification, QzdOrder, WatchAnalysis, analyze_watch
 from .dynamics import measure_leakage, simulate  # noqa: F401
 from .perturbation import group_levels, hqzd_order0, hqzd_order1, reduced_resolvent  # noqa: F401
 from .qzd import classify  # noqa: F401
-
-
-def _site_one(n_sites: int) -> np.ndarray:
-    psi0 = np.zeros(n_sites)
-    psi0[0] = 1.0
-    return psi0
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +60,7 @@ class ScenarioResult:
         mid = None
         if spec.n_sites % 2 == 1 and not spec.is_modified:
             mid = analytic.phi_mid(spec.n_sites)
-        psi0 = _site_one(spec.n_sites)
+        psi0 = site_one(spec.n_sites)
         return evolve_trace(self.spectrum, psi0, self.grid, self.zero_basis, mid_state=mid)
 
 
@@ -77,13 +72,6 @@ def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
     return analysis
 
 
-def _window_order(spec: ChainSpec) -> QzdOrder:
-    """The order whose cycle ``default_time_grid`` spans for this chain."""
-    if spec.n_sites % 2 == 1 and not spec.is_modified:
-        return QzdOrder.ZEROTH
-    return QzdOrder.FIRST
-
-
 def run_scenario(
     spec: ChainSpec,
     grid: TimeGrid | None = None,
@@ -91,24 +79,17 @@ def run_scenario(
 ) -> ScenarioResult:
     """Build the chain, classify it, and measure the leakage of |1> over the window.
 
-    Without ``grid`` the window is ``default_time_grid``'s, which is one
-    cycle of the order its branch assumes; a chain classified otherwise
-    raises UnsupportedConfigurationError and needs an explicit grid.
+    Without ``grid`` the window is one cycle of the classified order's
+    effective dynamics (``WatchAnalysis.cycle``); a chain whose order has
+    no cycle raises UnsupportedConfigurationError and needs an explicit grid.
     """
     hams = build_chain(spec)
-    psi0 = _site_one(spec.n_sites)
+    psi0 = site_one(spec.n_sites)
 
     analysis = effective_reports(hams)
     classification = analysis.classify(psi0)
     if grid is None:
-        assumed = _window_order(spec)
-        if classification.order is not assumed:
-            raise UnsupportedConfigurationError(
-                f"the default window spans one cycle of {assumed.value}-order "
-                f"dynamics, but the chain is classified {classification.order.value}; "
-                "give an explicit t_max (--t-max)"
-            )
-        grid = default_time_grid(hams, n_steps)
+        grid = TimeGrid(analysis.cycle(classification.order), n_steps)
 
     spectrum = eig_sym_tridiag(hams.h_total)
     series = leakage_series(spectrum, psi0, analysis.zero_basis, grid)
@@ -164,11 +145,9 @@ def fit_slope_through_origin(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y) / denom)
 
 
-def _end_leakage(hams: ChainHamiltonians, n_steps: int) -> float:
-    """delta of |1> over the default window, watched on the two end sites."""
-    n = hams.spec.n_sites
-    ends = np.eye(n)[:, [0, -1]]
-    grid = default_time_grid(hams, n_steps)
+def _end_leakage(hams: ChainHamiltonians, grid: TimeGrid) -> float:
+    """delta of |1> over ``grid``, watched on the two end sites."""
+    ends = np.eye(hams.spec.n_sites)[:, [0, -1]]
     return float(np.max(leakage_series(eig_sym_tridiag(hams.h_total), ends[:, 0], ends, grid)))
 
 
@@ -205,7 +184,8 @@ def run_sweep(
     rows = []
     for g, n, lam_inv in cells:
         hams = build_chain(ChainSpec(n_sites=n, lambda_inv=lam_inv, k=k))
-        rows.append(SweepCell(g, n, lam_inv, _end_leakage(hams, n_steps)))
+        grid = default_time_grid(hams, n_steps)
+        rows.append(SweepCell(g, n, lam_inv, _end_leakage(hams, grid)))
 
     g_values, means, flats = [], [], []
     for g in g_list:
@@ -253,22 +233,20 @@ def run_fluctuation_trials(
 
     Trial j seeds its generator with seed + j; each records the reduced
     resolvent's corner element <2|Qtilde|N-1> (the corner of the
-    interior-block inverse) and the measured delta of the full dynamics.
+    interior-block inverse) and the measured delta of the full dynamics,
+    over the default window of the same chain without coupling noise.
     """
     if trials < 1:
         raise ValidationError("trials: must be >= 1")
     if n_sites % 2 != 0:
         raise ValidationError("n_sites: fluctuation trials are defined for even chains")
+    noise_free = ChainSpec(n_sites=n_sites, lambda_inv=lambda_inv, k=k)
+    grid = default_time_grid(build_chain(noise_free), n_steps)
 
     def one_trial(offset: int) -> FluctuationTrial:
-        spec = ChainSpec(
-            n_sites=n_sites,
-            lambda_inv=lambda_inv,
-            k=k,
-            fluctuation=CouplingFluctuation(amplitude, seed + offset),
-        )
-        hams = build_chain(spec)
+        noise = CouplingFluctuation(amplitude, seed + offset)
+        hams = build_chain(replace(noise_free, fluctuation=noise))
         corner = -inverse_corner_tridiag(interior_block(hams.h_watch))
-        return FluctuationTrial(offset, corner, _end_leakage(hams, n_steps))
+        return FluctuationTrial(offset, corner, _end_leakage(hams, grid))
 
     return [one_trial(offset) for offset in range(trials)]

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import LeakageReport
-from .errors import AssumptionViolationError, ValidationError
+from .errors import AssumptionViolationError, UnsupportedConfigurationError, ValidationError
 from .linalg import SymTridiagMatrix, check_state, eig_sym_tridiag
 from .perturbation import (
     DEFAULT_GROUPING_RTOL,
@@ -29,6 +29,9 @@ from .perturbation import (
 
 # Unused here, but perfbench/spans.py BINDINGS patches this name on this module.
 from .perturbation import reduced_resolvent  # noqa: F401
+
+if TYPE_CHECKING:
+    from .dynamics import LeakageReport
 
 
 class QzdOrder(str, Enum):
@@ -155,6 +158,24 @@ class WatchAnalysis:
             commutator_norm_order1=comm1,
             notes=notes,
         )
+
+    def cycle(self, order: QzdOrder) -> float:
+        """2 pi over the smallest nonzero level gap of ``order``'s block.
+
+        The block is ``order0``'s (zeroth) or ``order1``'s (first); levels at
+        most tol times its largest |level| apart count as one. Other orders,
+        and a block of one level, raise UnsupportedConfigurationError.
+        """
+        rep = {QzdOrder.ZEROTH: self.order0, QzdOrder.FIRST: self.order1}.get(order)
+        e = np.linalg.eigvalsh(rep.block) if rep is not None else np.zeros(1)
+        gaps = np.diff(e)
+        gaps = gaps[gaps > self.tol * np.max(np.abs(e))]
+        if not gaps.size:
+            raise UnsupportedConfigurationError(
+                f"{order.value} order has no effective cycle to set the default "
+                "window; give an explicit t_max (--t-max)"
+            )
+        return float(2.0 * np.pi / np.min(gaps))
 
 
 def analyze_watch(

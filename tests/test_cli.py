@@ -108,16 +108,20 @@ class TestSimulate:
             plain = (tmp_path / f"plain{suffix}").read_bytes()
             assert (tmp_path / f"zero{suffix}").read_bytes() == plain
 
-    def test_window_and_classification_must_agree(self, tmp_path, capsys):
+    def test_shift_inside_tolerance_runs_on_its_zeroth_window(self, tmp_path, capsys):
         # lam * delta_omega = 5e-9 is inside the grouping tolerance: the chain
-        # is zeroth order, and the shifted-odd default window does not fit it
-        argv = ["simulate", "--n", "5", "--lambda-inv", "20", "--delta-omega", "1e-7"]
-        assert run_cli(*argv, "--out", str(tmp_path / "d")) == 1
-        err = capsys.readouterr().err
-        assert "first" in err and "zeroth" in err and "--t-max" in err
-        assert not (tmp_path / "d.csv").exists()
-        assert run_cli(*argv, "--t-max", "6.3", "--steps", "50", "--out", str(tmp_path / "e")) == 0
-        assert json.loads((tmp_path / "e.json").read_text())["classification_order"] == "zeroth"
+        # is zeroth order with d0 = 3 and runs on its zeroth-order cycle, 2 pi
+        chain = ["--n", "5", "--lambda-inv", "20", "--delta-omega", "1e-7"]
+        out = tmp_path / "d"
+        assert run_cli("simulate", *chain, "--steps", "50", "--out", str(out)) == 0
+        assert json.loads((tmp_path / "d.json").read_text())["classification_order"] == "zeroth"
+        with open(tmp_path / "d.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert "mid_overlap" not in rows[0]
+        assert rows[-1][0] == f"{2.0 * np.pi:.12g}"
+        capsys.readouterr()
+        assert run_cli("classify", *chain) == 0
+        assert json.loads(capsys.readouterr().out)["zero_level_dimension"] == 3
 
     def test_explicit_window_override(self, tmp_path):
         out = tmp_path / "w"
@@ -578,6 +582,27 @@ class TestConfigFile:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
         err = capsys.readouterr().err
         assert f"{cfg}:3" in err and "stpes" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_key_inside_a_config_file_is_rejected(self, tmp_path, capsys):
+        # a nested config line would be silently ignored, so it is an unknown key
+        cfg = tmp_path / "nested.cfg"
+        cfg.write_text("n=4\nconfig=other.cfg\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and "'config'" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("lines, repeated", [
+        ("n=4\nsteps=10\nn=6\n", "'n' repeats line 1"),
+        ("n=4\nlambda-inv=20\nlambda_inv=30\n", "'lambda_inv' repeats line 2"),
+    ], ids=["same-spelling", "dash-and-underscore"])
+    def test_repeated_key_is_rejected(self, tmp_path, capsys, lines, repeated):
+        # the last value must not win silently
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(lines)
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+        assert f"{cfg}:3: key {repeated}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_keys_of_other_subcommands_are_accepted(self, tmp_path, capsys):

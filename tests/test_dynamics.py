@@ -207,20 +207,61 @@ class TestMeasureLeakage:
         assert report.delta == pytest.approx(0.023, abs=0.003)
 
 
+def _closed_form_window(family: str, n: int, k: float, lam_inv: float) -> tuple[ChainSpec, float]:
+    """A chain of ``family`` and the closed form of its one-cycle window."""
+    if family == "even":
+        return ChainSpec(n, lam_inv, k), np.pi * lam_inv / k
+    if family == "odd":
+        return ChainSpec(n, lam_inv, k), np.pi * np.sqrt(n - 1) / k
+    delta_omega = 20.0 * k
+    return ChainSpec(n, lam_inv, k, delta_omega=delta_omega), np.pi * delta_omega / k**2
+
+
+WINDOW_CASES = [
+    (family, n, k, lam_inv)
+    for family, sizes in (
+        ("even", (4, 10, 100, 500)),
+        ("odd", (5, 11, 101, 501)),
+        ("shifted_odd", (5, 11, 101, 501)),
+    )
+    for n in sizes
+    for k, lam_inv in ((1e-9, 10.0), (1.0, 25.0), (1e3, 40.0))
+]
+
+
 class TestDefaultWindow:
     def test_even_window_is_one_effective_cycle(self):
         hams = build_chain(ChainSpec(4, 20.0))
         grid = default_time_grid(hams)
-        assert grid.t_max == pytest.approx(np.pi * 20.0 / K)
+        assert grid.t_max == pytest.approx(np.pi * 20.0 / K, rel=1e-12)
         assert grid.n_steps == 4000
 
     def test_modified_odd_window(self):
         hams = build_chain(ChainSpec(5, 20.0, delta_omega=20.0))
-        assert default_time_grid(hams).t_max == pytest.approx(np.pi * 20.0 / K**2)
+        assert default_time_grid(hams).t_max == pytest.approx(np.pi * 20.0 / K**2, rel=1e-12)
 
     def test_unmodified_odd_window(self):
         hams = build_chain(ChainSpec(5, 20.0))
-        assert default_time_grid(hams).t_max == pytest.approx(np.pi * 2.0 / K)
+        assert default_time_grid(hams).t_max == pytest.approx(np.pi * 2.0 / K, rel=1e-12)
+
+    @pytest.mark.parametrize("family, n, k, lam_inv", WINDOW_CASES)
+    def test_window_matches_closed_form(self, family, n, k, lam_inv):
+        # pi lam_inv / k (even), pi sqrt(N-1) / k (unshifted odd) and
+        # pi |delta_omega| / k^2 (shifted odd) referee the one cycle rule
+        spec, closed_form = _closed_form_window(family, n, k, lam_inv)
+        assert default_time_grid(build_chain(spec), 10).t_max == pytest.approx(
+            closed_form, rel=1e-12
+        )
+
+    def test_shifted_even_window_is_its_order1_cycle(self):
+        # no closed form: the window is 2 pi over the order-1 block's level gap,
+        # shorter than the unshifted pi lam_inv / k
+        hams = build_chain(ChainSpec(4, 20.0, delta_omega=5.0))
+        levels = np.linalg.eigvalsh(effective_reports(hams).order1.block)
+        t_max = default_time_grid(hams).t_max
+        assert t_max == pytest.approx(2.0 * np.pi / (levels[1] - levels[0]), rel=1e-12)
+        assert t_max == pytest.approx(62.3467, abs=1e-4)
+        assert t_max < np.pi * 20.0 / K
 
 
 class TestDynamicsProperties:

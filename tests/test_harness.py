@@ -14,16 +14,18 @@ import pytest
 
 from zenochain import cli, dynamics, harness, linalg, perturbation, qzd
 from zenochain.analytic import f_of_n, qtilde_fluctuating_corner
-from zenochain.chain import ChainSpec
-from zenochain.dynamics import TimeGrid, measure_leakage
+from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
+from zenochain.dynamics import default_time_grid, leakage_series, measure_leakage
 from zenochain.errors import UnsupportedConfigurationError, ValidationError
 from zenochain.harness import (
     dominant_effective_matrix,
+    effective_reports,
     fit_slope_through_origin,
     run_fluctuation_trials,
     run_scenario,
     run_sweep,
 )
+from zenochain.linalg import eig_sym_tridiag
 from zenochain.qzd import QzdOrder
 
 
@@ -136,8 +138,6 @@ class TestFluctuationTrials:
             assert row.delta == pytest.approx(baseline.leakage.delta, abs=1e-12)
 
     def test_corner_matches_closed_form_per_trial(self):
-        from zenochain.chain import CouplingFluctuation, build_chain
-
         rows = run_fluctuation_trials(10, 0.05, 5, seed=7, n_steps=200)
         for row in rows:
             spec = ChainSpec(
@@ -147,6 +147,16 @@ class TestFluctuationTrials:
             assert row.corner_element == pytest.approx(
                 qtilde_fluctuating_corner(couplings), abs=1e-10
             )
+
+    def test_every_trial_uses_the_noise_free_window(self):
+        # the window is computed once, from the chain without coupling noise
+        rows = run_fluctuation_trials(10, 0.05, 5, seed=7, n_steps=200)
+        grid = default_time_grid(build_chain(ChainSpec(10, 20.0)), 200)
+        ends = np.eye(10)[:, [0, -1]]
+        for row in rows:
+            spec = ChainSpec(10, 20.0, fluctuation=CouplingFluctuation(0.05, 7 + row.seed_offset))
+            d = eig_sym_tridiag(build_chain(spec).h_total)
+            assert row.delta == float(np.max(leakage_series(d, ends[:, 0], ends, grid)))
 
     def test_deterministic_given_seed(self):
         a = run_fluctuation_trials(8, 0.05, 4, seed=3, n_steps=200)
@@ -192,16 +202,26 @@ class TestScenario:
             from_trace.t_max, from_trace.n_steps
         )
 
-    def test_window_must_match_the_classified_order(self):
+    def test_shift_inside_tolerance_runs_on_its_zeroth_window(self):
         # the shift lam * delta_omega = 5e-9 lies inside the grouping
-        # tolerance, so the chain is zeroth order with d0 = 3, while the
-        # default window of a shifted odd chain spans a first-order cycle
-        spec = ChainSpec(5, 20.0, delta_omega=1e-7)
-        with pytest.raises(UnsupportedConfigurationError, match="zeroth.*t_max"):
-            run_scenario(spec)
-        result = run_scenario(spec, grid=TimeGrid(np.pi * 2.0, 200))
+        # tolerance, so the chain is zeroth order with d0 = 3, and its window
+        # is the unshifted odd chain's zeroth-order cycle pi sqrt(N-1) / k
+        result = run_scenario(ChainSpec(5, 20.0, delta_omega=1e-7), n_steps=200)
         assert result.classification.order is QzdOrder.ZEROTH
         assert result.zero_basis.shape == (5, 3)
+        assert result.grid.t_max == pytest.approx(2.0 * np.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [QzdOrder.NO_DYNAMICS, QzdOrder.HIGHER_OR_NONE])
+    def test_orders_without_a_cycle_need_an_explicit_window(self, order):
+        analysis = effective_reports(build_chain(ChainSpec(6, 20.0)))
+        with pytest.raises(UnsupportedConfigurationError, match="--t-max"):
+            analysis.cycle(order)
+
+    def test_single_level_block_has_no_cycle(self):
+        # an even chain's order-0 block is a multiple of P0: one level, no gap
+        analysis = effective_reports(build_chain(ChainSpec(6, 20.0)))
+        with pytest.raises(UnsupportedConfigurationError, match="--t-max"):
+            analysis.cycle(QzdOrder.ZEROTH)
 
 
 class TestOneWatchAnalysis:
