@@ -64,17 +64,24 @@ from .linalg import (
     det_tridiag,
     eig_sym_dense,
     eig_sym_tridiag,
+    eigvals_sym_tridiag,
+    eigvecs_sym_tridiag,
     evolve,
     evolve_grid,
     inverse_corner_tridiag,
     invert_tridiag,
+    solve_bordered_tridiag,
 )
 from .perturbation import (
     DegenerateLevel,
     EffectiveHamiltonianReport,
     FirstOrderCorrections,
+    LevelGrouping,
     ProjectorSet,
+    ZeroLevelCoupling,
+    couple_zero_level,
     first_order_corrections,
+    group_eigenvalues,
     group_levels,
     hqzd_order0,
     hqzd_order1,

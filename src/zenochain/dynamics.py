@@ -26,6 +26,7 @@ from .linalg import (
     evolve_grid,
     grid_phase_factors,
     orthonormal_columns,
+    overlaps,
     phase_sums,
 )
 from .perturbation import FirstOrderCorrections
@@ -145,7 +146,7 @@ def leakage_series(
     psi0 = check_state(psi0, d.size, "psi0")
     basis = orthonormal_columns(basis, d.size, "basis")
     u, eta = d.eigenvectors, d.eigenvalues
-    w = (basis.T @ u) * (u.T @ psi0)  # d0 x N
+    w = (basis.T @ u) * overlaps(u, psi0)  # d0 x N
 
     times = grid.times
     coarse, fine = grid_phase_factors(eta, times)  # ceil(T/B) x N, N x B
@@ -213,8 +214,8 @@ def u1_correction_trace(
         ]
     )
 
-    c = base.T @ psi0   # <s0|psi0>
-    dcoef = corr.T @ psi0   # <s1|psi0>
+    c = overlaps(base, psi0)   # <s0|psi0>
+    dcoef = overlaps(corr, psi0)   # <s1|psi0>
     times = tau_grid.times
     series = lam * (phase_sums(corr, eta, c, times) + phase_sums(base, eta, dcoef, times))
     return np.sum(np.abs(series) ** 2, axis=0)
@@ -240,9 +241,9 @@ def leakage_frequency_estimate(d_tot: SpectralDecomposition, n_sites: int) -> fl
     pair = [n_sites // 2 - 1, n_sites // 2]
     sym = np.zeros(n_sites)
     sym[0] = sym[-1] = 1.0 / np.sqrt(2.0)
-    overlaps = [abs(sym @ v[:, i]) for i in pair]
-    alpha = pair[int(np.argmax(overlaps))]
-    beta = pair[1 - int(np.argmax(overlaps))]
+    sym_weights = [abs(sym @ v[:, i]) for i in pair]
+    alpha = pair[int(np.argmax(sym_weights))]
+    beta = pair[1 - int(np.argmax(sym_weights))]
 
     interior_plus = w[n_sites // 2 + 1]
     partner = alpha if (n_sites // 2 - 1) % 2 == 1 else beta

@@ -1,9 +1,10 @@
 """Real-symmetric tridiagonal linear algebra.
 
-Eigendecomposition, spectral time evolution, and closed-form tridiagonal
-inverses/determinants. Every Hamiltonian in this package is real symmetric,
-so eigenvectors are kept real and time evolution only multiplies them by
-complex phases.
+Eigendecomposition (full, eigenvalues only, or a few eigenvectors), a
+bordered tridiagonal solve, spectral time evolution, and closed-form
+tridiagonal inverses/determinants. Every Hamiltonian in this package is
+real symmetric, so eigenvectors are kept real and time evolution only
+multiplies them by complex phases.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NumericalFailureError, SingularMatrixError, ValidationError
 
@@ -55,12 +56,16 @@ class SymTridiagMatrix:
         return a
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """self @ v for v of shape (N,) or (N, k), in O(N k)."""
         v = np.asarray(v)
-        if v.shape != (self.size,):
+        if v.shape[:1] != (self.size,) or v.ndim > 2:
             raise ValidationError(f"vector length {v.shape} does not match size {self.size}")
-        out = self.diag * v
-        out[:-1] = out[:-1] + self.offdiag * v[1:]
-        out[1:] = out[1:] + self.offdiag * v[:-1]
+        diag, off = self.diag, self.offdiag
+        if v.ndim == 2:
+            diag, off = diag[:, None], off[:, None]
+        out = diag * v
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
         return out
 
     def max_abs_entry(self) -> float:
@@ -71,23 +76,6 @@ class SymTridiagMatrix:
 
     def frobenius_norm(self) -> float:
         return math.sqrt(float(self.diag @ self.diag + 2.0 * self.offdiag @ self.offdiag))
-
-    def rows_times(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows where ``self @ v`` can be nonzero, and its entries there.
-
-        Only the rows holding a nonzero entry are formed (for H_weak, the four
-        rows of its two end bonds), in O(rows * columns of v).
-        """
-        n = self.size
-        off = np.concatenate(([0.0], self.offdiag, [0.0]))  # row i: off[i] left, off[i + 1] right
-        rows = np.flatnonzero((self.diag != 0.0) | (off[:-1] != 0.0) | (off[1:] != 0.0))
-        left, right = np.maximum(rows - 1, 0), np.minimum(rows + 1, n - 1)
-        out = (
-            self.diag[rows, None] * v[rows]
-            + off[rows, None] * v[left]
-            + off[rows + 1, None] * v[right]
-        )
-        return rows, out
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,25 +96,111 @@ class SpectralDecomposition:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs to the canonical convention, in place."""
-    lead = np.argmax(np.abs(vectors) > PHASE_EPS, axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
+    """Flip eigenvector signs to the canonical convention, in place.
+
+    Row 0 decides every column whose first entry exceeds ``PHASE_EPS`` in
+    magnitude; only the other columns are scanned for their first such entry.
+    """
+    signs = np.sign(vectors[0])
+    scan = np.flatnonzero(np.abs(vectors[0]) <= PHASE_EPS)
+    if scan.size:
+        rest = vectors[:, scan]
+        lead = np.argmax(np.abs(rest) > PHASE_EPS, axis=0)
+        signs[scan] = np.sign(rest[lead, np.arange(scan.size)])
     signs[signs == 0.0] = 1.0
     vectors *= signs
     return vectors
 
 
 def eig_sym_tridiag(m: SymTridiagMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric tridiagonal matrix."""
+    """Full eigendecomposition of a symmetric tridiagonal matrix (LAPACK ``dstevd``)."""
     if m.size == 1:
         return SpectralDecomposition(m.diag.copy(), np.ones((1, 1)))
-    try:
-        w, v = scipy.linalg.eigh_tridiagonal(m.diag, m.offdiag)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+    w, v, info = lapack.dstevd(m.diag, m.offdiag)
+    if info != 0:
         raise NumericalFailureError(
             f"tridiagonal eigensolver failed to converge on a {m.size}x{m.size} matrix"
-        ) from exc
+        )
     return SpectralDecomposition(w, _fix_phases(v))
+
+
+def eigvals_sym_tridiag(m: SymTridiagMatrix) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal matrix, ascending.
+
+    LAPACK ``dstevd`` without eigenvectors: O(N^2), no N x N array.
+    """
+    if m.size == 1:
+        return m.diag.copy()
+    w, _, info = lapack.dstevd(m.diag, m.offdiag, compute_v=0)
+    if info != 0:
+        raise NumericalFailureError(
+            f"tridiagonal eigenvalue solver failed on a {m.size}x{m.size} matrix"
+        )
+    return w
+
+
+def eigvecs_sym_tridiag(m: SymTridiagMatrix, lo: int, hi: int) -> np.ndarray:
+    """Eigenvectors of eigenvalues lo..hi-1 (ascending order), N x (hi - lo).
+
+    Bisection (``dstebz``) and inverse iteration (``dstein``) for those
+    eigenvalues only; columns are ascending, signs as in ``eig_sym_tridiag``.
+    """
+    if m.size == 1:
+        return np.ones((1, hi - lo))
+    count, w, block, split, info = lapack.dstebz(
+        m.diag, m.offdiag, 2, 0.0, 0.0, lo + 1, hi, 0.0, "B"
+    )
+    if info == 0:
+        order = np.argsort(w[:count], kind="stable")
+        v, info = lapack.dstein(m.diag, m.offdiag, w[:count], block, split)
+    if info != 0:
+        raise NumericalFailureError(
+            f"tridiagonal eigenvector solver failed on a {m.size}x{m.size} matrix"
+        )
+    return _fix_phases(v[:, order])
+
+
+def solve_bordered_tridiag(m: SymTridiagMatrix, v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with V^T x = 0 and m x + V y = b for some y: the bordered system
+    [[m, V], [V^T, 0]] [x; y] = [b; 0].
+
+    ``v`` (N x d) has orthonormal columns spanning the (near-)null space of
+    m. For b orthogonal to V, x = sum over the other eigenpairs of
+    u u^T b / eta. The d pivot rows of V's LU factorisation (each column's
+    largest entry after elimination) get sigma = max|m_ij| added to m's
+    diagonal, which makes the tridiagonal m' nonsingular: on an irreducible
+    block with a simple zero eigenvalue, v_r^2 = det(m without row and
+    column r) / p'(0), so det(m') = sigma det(m without r) != 0. One
+    ``dgtsv`` solves m' for b, the lifted unit vectors E and V together, and
+    a 2d x 2d capacitance system removes the lift. O(N d (d + columns of b)).
+    """
+    n, d = v.shape
+    c = b.shape[1]
+    if d == n:
+        return np.zeros(b.shape)
+    rows = np.arange(n)
+    for j, p in enumerate(lapack.dgetrf(v)[1].tolist()):
+        rows[j], rows[p] = rows[p], rows[j]
+    rows = rows[:d]
+    sigma = m.max_abs_entry() or 1.0
+    diag = m.diag.copy()
+    diag[rows] += sigma
+    rhs = np.zeros((n, c + 2 * d), order="F")
+    rhs[:, :c] = b
+    rhs[rows, c + np.arange(d)] = 1.0
+    rhs[:, c + d :] = v
+    *_, sol, info = lapack.dgtsv(m.offdiag, diag, m.offdiag, rhs, overwrite_b=1)
+    if info == 0:
+        # x = sol_b + sol_E (sigma z) - sol_V y with z = E^T x and V^T x = 0
+        scale = np.full(2 * d, -1.0)
+        scale[:d] = sigma
+        g = np.vstack([sol[rows], v.T @ sol])
+        cap = g[:, c:] * scale
+        cap[:d, :d] -= np.eye(d)
+        *_, zy, info = lapack.dgesv(cap, -g[:, :c])
+    if info != 0:
+        raise NumericalFailureError(f"bordered {n}x{n} tridiagonal solve is singular")
+    return sol[:, :c] + sol[:, c:] @ (scale[:, None] * zy)
 
 
 def eig_sym_dense(a: np.ndarray) -> SpectralDecomposition:
@@ -168,13 +242,43 @@ def check_state(v: np.ndarray, size: int, name: str) -> np.ndarray:
     return v
 
 
+def overlaps(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """vectors^T psi for real ``vectors`` and complex ``psi``.
+
+    The real and imaginary parts of psi are multiplied separately (the
+    second only when psi has one), so no complex copy of ``vectors`` is made.
+    """
+    out = vectors.T @ psi.real + 0j
+    if np.any(psi.imag):
+        out += 1j * (vectors.T @ psi.imag)
+    return out
+
+
 def evolve(d: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndarray:
     """psi(t) = sum_n exp(-i eta_n t) (v_n . psi0) v_n."""
     psi0 = check_state(psi0, d.size, "psi0")
     if t == 0.0:
         return psi0.copy()
-    amps = d.eigenvectors.T @ psi0
+    amps = overlaps(d.eigenvectors, psi0)
     return d.eigenvectors @ (np.exp(-1j * d.eigenvalues * t) * amps)
+
+
+def _phase_powers(eigenvalues: np.ndarray, step: float, count: int) -> np.ndarray:
+    """exp(-i eta_n m step) for m = 0..count-1 (count x N), by doubling.
+
+    One exponential per power of two, all taken at once: rows [m, 2m) are
+    rows [0, m) times exp(-i eta m step), about log2(count) exponentials per
+    eigenvalue.
+    """
+    table = np.empty((count, eigenvalues.size), dtype=complex)
+    table[0] = 1.0
+    doublings = max(count - 1, 1).bit_length()
+    m = 1
+    for factor in np.exp(-1j * np.outer(step * 2.0 ** np.arange(doublings), eigenvalues)):
+        k = min(m, count - m)
+        np.multiply(table[:k], factor, out=table[m : m + k])
+        m *= 2
+    return table
 
 
 def grid_phase_factors(
@@ -185,7 +289,8 @@ def grid_phase_factors(
     Writing time index j = c*B + r with B = ceil(sqrt(T)) for T times,
     exp(-i eta_n t_j) = coarse[c, n] * fine[n, r] up to rounding, with
     coarse = exp(-i t_cB eta_n) (ceil(T/B) x N) and fine = exp(-i eta_n t_r)
-    (N x B): N * 2B exponentials where the full table takes N * T.
+    (N x B). Each table is built by doubling (``_phase_powers``), so both
+    take about N * 2 log2(B) exponentials where the full table takes N * T.
 
     ``times`` must be a uniform grid from 0 (as ``TimeGrid.times`` makes it)
     to 1e-12 relative; anything else raises ValidationError.
@@ -193,13 +298,12 @@ def grid_phase_factors(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValidationError("times: expected a non-empty 1-d array")
-    uniform = np.linspace(0.0, times[-1], times.size)
-    if not np.max(np.abs(times - uniform)) <= 1e-12 * abs(times[-1]):
+    dt = times[-1] / max(times.size - 1, 1)
+    if not np.max(np.abs(times - dt * np.arange(times.size))) <= 1e-12 * abs(times[-1]):
         raise ValidationError("times: expected a uniform grid starting at 0")
-    # t_cB + t_r = t_(cB+r) up to rounding because the grid samples j * dt
     b = math.ceil(math.sqrt(times.size))
-    coarse = np.exp(-1j * (times[::b, None] * eigenvalues))
-    fine = np.exp(-1j * (eigenvalues[:, None] * times[:b]))
+    coarse = _phase_powers(eigenvalues, b * dt, -(-times.size // b))
+    fine = np.ascontiguousarray(_phase_powers(eigenvalues, dt, b).T)
     return coarse, fine
 
 
@@ -226,7 +330,7 @@ def evolve_grid(d: SpectralDecomposition, psi0: np.ndarray, times: np.ndarray) -
     ``times`` must be a uniform grid from 0 (see ``grid_phase_factors``).
     """
     psi0 = check_state(psi0, d.size, "psi0")
-    amps = d.eigenvectors.T @ psi0
+    amps = overlaps(d.eigenvectors, psi0)
     return phase_sums(d.eigenvectors, d.eigenvalues, amps, times)
 
 

@@ -11,7 +11,9 @@ effective Hamiltonians
 
 each formed as a d0 x d0 block in an orthonormal basis V0 (N x d0) of the
 zero level and expanded to the N x N site basis only on request, so the
-dynamics module can evolve under it directly.
+dynamics module can evolve under it directly. The order-1 block needs
+Qtilde only on the d0 columns of H V0, which one bordered tridiagonal solve
+gives without any eigenvector of a nonzero level.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteringError, UnsupportedConfigurationError, ValidationError
-from .linalg import SpectralDecomposition, SymTridiagMatrix, orthonormal_columns
+from .linalg import (
+    SpectralDecomposition,
+    SymTridiagMatrix,
+    orthonormal_columns,
+    solve_bordered_tridiag,
+)
 
 DEFAULT_GROUPING_RTOL = 1e-8
 PROPORTIONALITY_RTOL = 1e-10
@@ -46,22 +53,33 @@ class DegenerateLevel:
 
 
 @dataclass(frozen=True, eq=False)
-class ProjectorSet:
-    """Degenerate levels of a spectral decomposition, sorted by eigenvalue.
+class LevelGrouping:
+    """Degenerate levels of an ascending spectrum, sorted by eigenvalue.
 
-    Level i has the mean eigenvalue ``eigenvalues[i]`` and the eigenvector columns
-    ``vectors[:, bounds[i]:bounds[i + 1]]``; level objects are built on request.
+    Level i has the mean eigenvalue ``eigenvalues[i]`` and the members
+    ``bounds[i]:bounds[i + 1]`` of the spectrum; ``zero_level_index`` is the
+    level within the grouping tolerance of zero, if any.
     """
 
     eigenvalues: np.ndarray
     bounds: np.ndarray
-    vectors: np.ndarray
     grouping_tolerance: float
     zero_level_index: int | None
 
     @property
     def has_zero_level(self) -> bool:
         return self.zero_level_index is not None
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectorSet(LevelGrouping):
+    """A ``LevelGrouping`` with the eigenvector columns of every level.
+
+    Level i has the eigenvector columns ``vectors[:, bounds[i]:bounds[i + 1]]``;
+    level objects are built on request.
+    """
+
+    vectors: np.ndarray
 
     def _level(self, i: int) -> DegenerateLevel:
         lo, hi = int(self.bounds[i]), int(self.bounds[i + 1])
@@ -78,30 +96,27 @@ class ProjectorSet:
             raise ValidationError("projector set has no zero level")
         return self._level(self.zero_level_index)
 
-    def nonzero_spectrum(
-        self, rows: np.ndarray | slice = slice(None)
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero levels' eigenvector columns (on ``rows`` only, if given)
-        and one eigenvalue per column."""
+    def nonzero_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero levels' eigenvector columns and one eigenvalue per column."""
         counts = np.diff(self.bounds)
         keep = np.repeat(np.arange(counts.size) != self.zero_level_index, counts)
-        return self.vectors[rows][:, keep], np.repeat(self.eigenvalues, counts)[keep]
+        return self.vectors[:, keep], np.repeat(self.eigenvalues, counts)[keep]
 
 
 def default_grouping_tolerance(
-    d: SpectralDecomposition, rtol: float = DEFAULT_GROUPING_RTOL
+    eigenvalues: np.ndarray, rtol: float = DEFAULT_GROUPING_RTOL
 ) -> float:
     """rtol times the spectrum's largest |eigenvalue|: the one grouping rule.
 
     An all-zero spectrum falls back to rtol itself; any positive tolerance
     groups it the same way.
     """
-    scale = float(np.max(np.abs(d.eigenvalues))) if d.size else 0.0
+    scale = float(np.max(np.abs(eigenvalues), initial=0.0))
     return rtol * scale if scale > 0.0 else rtol
 
 
-def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
-    """Cluster numerically equal eigenvalues into degenerate levels.
+def group_eigenvalues(w: np.ndarray, tol: float) -> LevelGrouping:
+    """Cluster numerically equal ascending eigenvalues into degenerate levels.
 
     Adjacent eigenvalues closer than ``tol`` join the same level. Raises
     ClusteringError when chained merging produces a cluster wider than
@@ -109,8 +124,7 @@ def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
     """
     if tol <= 0.0:
         raise ValidationError("tol: must be positive")
-    w = d.eigenvalues
-    bounds = np.concatenate(([0], np.nonzero(np.diff(w) > tol)[0] + 1, [d.size]))
+    bounds = np.concatenate(([0], np.nonzero(np.diff(w) > tol)[0] + 1, [w.size]))
     if np.any(w[bounds[1:] - 1] - w[bounds[:-1]] > tol):
         gaps = ", ".join(f"{g:.3e}" for g in np.diff(w))
         raise ClusteringError(
@@ -119,7 +133,12 @@ def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
     means = np.add.reduceat(w, bounds[:-1]) / np.diff(bounds)
     nearest = int(np.argmin(np.abs(means)))
     zero_index = nearest if abs(means[nearest]) < tol else None
-    return ProjectorSet(means, bounds, d.eigenvectors, tol, zero_index)
+    return LevelGrouping(means, bounds, tol, zero_index)
+
+
+def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
+    """``group_eigenvalues`` of d's spectrum, with d's eigenvectors attached."""
+    return ProjectorSet(**vars(group_eigenvalues(d.eigenvalues, tol)), vectors=d.eigenvectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,41 +171,49 @@ def _symmetric(block: np.ndarray) -> np.ndarray:
     return 0.5 * (block + block.T)
 
 
-def _weak_on_zero_level(
-    v0: np.ndarray, h: np.ndarray | SymTridiagMatrix
-) -> tuple[np.ndarray, np.ndarray | slice, np.ndarray]:
-    """V0 (checked), the rows where H V0 can be nonzero, and H V0 on them.
+@dataclass(frozen=True, eq=False)
+class ZeroLevelCoupling:
+    """A perturbation H acting on a zero-level basis V0, formed once.
 
-    A SymTridiagMatrix H gives only the rows its nonzero entries touch (four
-    for H_weak's two end bonds); no dense N x N H is formed.
+    ``basis`` is V0 (N x d0, checked orthonormal), ``h_basis`` is H V0
+    (N x d0), ``block`` is V0^T H V0 (not symmetrised) and ``h_norm`` the
+    Frobenius norm of H.
+    """
+
+    basis: np.ndarray
+    h_basis: np.ndarray
+    block: np.ndarray
+    h_norm: float
+
+
+def couple_zero_level(v0: np.ndarray, h: np.ndarray | SymTridiagMatrix) -> ZeroLevelCoupling:
+    """Check V0 and form H V0, for both effective Hamiltonians.
+
+    A SymTridiagMatrix H is applied in O(N d0); no dense N x N H is formed.
     """
     if isinstance(h, SymTridiagMatrix):
         v0 = orthonormal_columns(v0, h.size, "v0")
-        return (v0, *h.rows_times(v0))
-    v0 = orthonormal_columns(v0, h.shape[0], "v0")
-    return v0, slice(None), h @ v0
+        hv0, h_norm = h.matvec(v0), h.frobenius_norm()
+    else:
+        v0 = orthonormal_columns(v0, h.shape[0], "v0")
+        hv0, h_norm = h @ v0, float(np.linalg.norm(h))
+    return ZeroLevelCoupling(v0, hv0, v0.T @ hv0, h_norm)
 
 
-def hqzd_order0(
-    v0: np.ndarray, h: np.ndarray | SymTridiagMatrix
-) -> EffectiveHamiltonianReport:
+def hqzd_order0(coupling: ZeroLevelCoupling) -> EffectiveHamiltonianReport:
     """Order-0 effective Hamiltonian P0 H P0, as the block V0^T H V0.
 
     It counts as c * P0 when ||V0^T H V0 - c 1|| <= PROPORTIONALITY_RTOL * ||H||
-    (Frobenius norms), so the test is the same at every energy scale. ``h``
-    is dense or tridiagonal.
+    (Frobenius norms), so the test is the same at every energy scale.
     """
-    v0, rows, hv0 = _weak_on_zero_level(v0, h)
-    block = _symmetric(v0[rows].T @ hv0)
+    block = _symmetric(coupling.block)
     dim0 = block.shape[0]
     eta1_common: float | None = None
     if dim0:
         c = float(np.trace(block)) / dim0
-        dev = np.linalg.norm(block - c * np.eye(dim0))
-        h_norm = h.frobenius_norm() if isinstance(h, SymTridiagMatrix) else np.linalg.norm(h)
-        if dev <= PROPORTIONALITY_RTOL * float(h_norm):
+        if np.linalg.norm(block - c * np.eye(dim0)) <= PROPORTIONALITY_RTOL * coupling.h_norm:
             eta1_common = c
-    return EffectiveHamiltonianReport(0, block, v0, eta1_common)
+    return EffectiveHamiltonianReport(0, block, coupling.basis, eta1_common)
 
 
 def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
@@ -203,18 +230,20 @@ def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
 
 
 def hqzd_order1(
-    v0: np.ndarray, h: np.ndarray | SymTridiagMatrix, ps: ProjectorSet, lam: float
+    coupling: ZeroLevelCoupling, h_watch: SymTridiagMatrix, lam: float
 ) -> EffectiveHamiltonianReport:
     """Order-1 effective Hamiltonian lam * P0 H Qtilde H P0.
 
-    Formed as lam * c^T diag(-1/eta) c, c = V^T (H V0) over the nonzero columns V
-    of ``ps``, summed over the rows where H V0 can be nonzero. ``h`` is dense
-    or tridiagonal.
+    With b = (1 - V0 V0^T) H V0, Qtilde H V0 = -x for x = sum_{eta != 0}
+    u u^T b / eta, the solution of the bordered system [[H_watch, V0],
+    [V0^T, 0]] [x; y] = [b; 0] (``solve_bordered_tridiag``). The block is
+    -lam b^T x: O(N d0^2) once the zero level is known, and no eigenvector
+    of a nonzero level is needed. V0 must span H_watch's zero level.
     """
-    v0, rows, hv0 = _weak_on_zero_level(v0, h)
-    v, eta = ps.nonzero_spectrum(rows)
-    c = v.T @ hv0
-    return EffectiveHamiltonianReport(1, _symmetric(lam * (c.T @ (c / -eta[:, None]))), v0)
+    v0 = coupling.basis
+    b = coupling.h_basis - v0 @ coupling.block
+    x = solve_bordered_tridiag(h_watch, v0, b)
+    return EffectiveHamiltonianReport(1, _symmetric(-lam * (b.T @ x)), v0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,19 +16,21 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AssumptionViolationError, UnsupportedConfigurationError, ValidationError
-from .linalg import SymTridiagMatrix, check_state, eig_sym_tridiag
+from .linalg import SymTridiagMatrix, check_state, eigvals_sym_tridiag, eigvecs_sym_tridiag
 from .perturbation import (
     DEFAULT_GROUPING_RTOL,
     EffectiveHamiltonianReport,
-    ProjectorSet,
+    LevelGrouping,
+    couple_zero_level,
     default_grouping_tolerance,
-    group_levels,
+    group_eigenvalues,
     hqzd_order0,
     hqzd_order1,
 )
 
-# Unused here, but perfbench/spans.py BINDINGS patches this name on this module.
-from .perturbation import reduced_resolvent  # noqa: F401
+# Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
+from .linalg import eig_sym_tridiag  # noqa: F401
+from .perturbation import group_levels, reduced_resolvent  # noqa: F401
 
 if TYPE_CHECKING:
     from .dynamics import LeakageReport
@@ -68,7 +70,8 @@ class PrerequisiteIIResult:
 class WatchAnalysis:
     """Everything the watch spectrum fixes for one chain, computed once.
 
-    ``zero_basis`` (N x d0) spans the zero level of H_watch (N x 0 without
+    ``levels`` groups the eigenvalues of H_watch (no eigenvectors are
+    kept); ``zero_basis`` (N x d0) spans its zero level (N x 0 without
     one); ``order0`` and ``order1`` are the effective Hamiltonians of H_weak
     there, None without a zero level. ``tol`` is the relative tolerance and
     ``lam`` the coupling ratio the order-1 term carries.
@@ -78,7 +81,7 @@ class WatchAnalysis:
     h_weak: SymTridiagMatrix
     tol: float
     lam: float
-    levels: ProjectorSet
+    levels: LevelGrouping
     zero_basis: np.ndarray
     order0: EffectiveHamiltonianReport | None
     order1: EffectiveHamiltonianReport | None
@@ -184,14 +187,22 @@ def analyze_watch(
     lam: float = 1.0,
     tol: float = DEFAULT_GROUPING_RTOL,
 ) -> WatchAnalysis:
-    """One eigensolve and grouping of H_watch, then both effective Hamiltonians."""
-    d = eig_sym_tridiag(h_watch)
-    ps = group_levels(d, default_grouping_tolerance(d, tol))
-    if not ps.has_zero_level:
-        return WatchAnalysis(h_watch, h_weak, tol, lam, ps, d.eigenvectors[:, :0], None, None)
-    v0 = ps.zero_level.vectors
-    rep0, rep1 = hqzd_order0(v0, h_weak), hqzd_order1(v0, h_weak, ps, lam)
-    return WatchAnalysis(h_watch, h_weak, tol, lam, ps, v0, rep0, rep1)
+    """The watch's levels, zero basis and both effective Hamiltonians.
+
+    One eigenvalue solve of H_watch and its grouping; eigenvectors of the
+    zero level only, H_weak V0 once for both blocks, and one bordered solve
+    for the order-1 block. No N x N array is formed.
+    """
+    w = eigvals_sym_tridiag(h_watch)
+    levels = group_eigenvalues(w, default_grouping_tolerance(w, tol))
+    if not levels.has_zero_level:
+        return WatchAnalysis(
+            h_watch, h_weak, tol, lam, levels, np.zeros((h_watch.size, 0)), None, None
+        )
+    lo, hi = levels.bounds[levels.zero_level_index : levels.zero_level_index + 2]
+    coupling = couple_zero_level(eigvecs_sym_tridiag(h_watch, lo, hi), h_weak)
+    rep0, rep1 = hqzd_order0(coupling), hqzd_order1(coupling, h_watch, lam)
+    return WatchAnalysis(h_watch, h_weak, tol, lam, levels, coupling.basis, rep0, rep1)
 
 
 def classify(

@@ -5,7 +5,9 @@ fixed-step Runge-Kutta integrator, a fixed-step matrix-exponential
 propagator or one exponential per sample time, inversion via Gaussian
 elimination with partial pivoting, determinants via cofactor expansion,
 CSV text one formatted cell at a time, matrix listings by a double loop over
-the entries, eigenvalue grouping one Python level at a time.
+the entries, eigenvalue grouping one Python level at a time, effective
+Hamiltonians as eigenvector sums over a dense eigendecomposition, and
+eigenvector signs by a scan of every entry.
 """
 
 from __future__ import annotations
@@ -196,3 +198,34 @@ def double_loop_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:
             if abs(matrix[i, j]) > cut:
                 out.append([i + 1, j + 1, float(matrix[i, j])])
     return out
+
+
+def scan_fix_phases(vectors: np.ndarray, eps: float) -> np.ndarray:
+    """Signs flipped so each column's first entry above ``eps`` in magnitude is
+    positive; a column without one keeps the sign of its first entry (a zero
+    entry counts as positive). Scans every entry; returns a new array."""
+    lead = np.argmax(np.abs(vectors) > eps, axis=0)
+    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return vectors * signs
+
+
+def eigenvector_sum_effective(
+    h_watch: np.ndarray, h_weak: np.ndarray, lam: float, rtol: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """P0, P0 H P0 and lam P0 H Qtilde H P0 from a dense eigh of H_watch.
+
+    The zero level is the level ``group_levels_by_loop`` finds at
+    rtol * max|eta|, spanned by V0. The order-1 term is the eigenvector sum
+    lam c^T diag(-1/eta) c with c = V^T (H V0) over the other eigenpairs
+    (V, eta). Returns the three N x N matrices and min |eta| over those pairs.
+    """
+    w, u = np.linalg.eigh(h_watch)
+    scale = float(np.max(np.abs(w)))
+    levels, zero = group_levels_by_loop(w, rtol * scale if scale > 0.0 else rtol)
+    members = list(levels[zero][1])
+    v0, v, eta = u[:, members], np.delete(u, members, axis=1), np.delete(w, members)
+    hv0 = h_weak @ v0
+    c = v.T @ hv0
+    block1 = lam * c.T @ (c / -eta[:, None])
+    return v0 @ v0.T, v0 @ (v0.T @ hv0) @ v0.T, v0 @ block1 @ v0.T, float(np.min(np.abs(eta)))

@@ -33,6 +33,7 @@ from zenochain.linalg import (
     invert_tridiag,
 )
 from zenochain.perturbation import (
+    couple_zero_level,
     default_grouping_tolerance,
     group_levels,
     hqzd_order1,
@@ -253,9 +254,10 @@ def test_criterion_07_oracle_equivalence():
         lam = 1.0 / 9.0
         hams = build_chain(ChainSpec(n, 9.0))
         d = eig_sym_tridiag(hams.h_watch)
-        ps = group_levels(d, default_grouping_tolerance(d))
+        ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
         qtilde = reduced_resolvent(ps)
-        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, lam)
+        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
+        rep = hqzd_order1(coupling, hams.h_watch, lam)
         worst_even = max(
             worst_even, float(np.max(np.abs(rep.matrix - hqzd1_even(n, K, lam))))
         )
@@ -270,11 +272,10 @@ def test_criterion_07_oracle_equivalence():
             dw = lam_inv * K
             hams = build_chain(ChainSpec(n, lam_inv, delta_omega=dw))
             d = eig_sym_tridiag(hams.h_watch)
-            ps = group_levels(d, default_grouping_tolerance(d))
+            ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
             rep = hqzd_order1(
-                ps.zero_level.vectors,
-                hams.h_weak.to_dense(),
-                ps,
+                couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()),
+                hams.h_watch,
                 1.0 / lam_inv,
             )
             worst_odd = max(
@@ -342,7 +343,7 @@ def test_criterion_09_property_suites():
     for spec in (ChainSpec(8, 5.0), ChainSpec(9, 5.0), ChainSpec(5, 20.0, delta_omega=20.0)):
         hams = build_chain(spec)
         d = eig_sym_tridiag(hams.h_watch)
-        ps = group_levels(d, default_grouping_tolerance(d))
+        ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
         total = sum(lvl.projector for lvl in ps.levels)
         projector_gap = max(
             projector_gap, float(np.max(np.abs(total - np.eye(spec.n_sites))))

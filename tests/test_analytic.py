@@ -27,6 +27,7 @@ from zenochain.errors import ValidationError
 from zenochain.harness import run_scenario
 from zenochain.linalg import eig_sym_tridiag, invert_tridiag
 from zenochain.perturbation import (
+    couple_zero_level,
     default_grouping_tolerance,
     group_levels,
     hqzd_order0,
@@ -41,8 +42,9 @@ K = 1.0
 def projector_route_order1(spec: ChainSpec) -> np.ndarray:
     hams = build_chain(spec)
     d = eig_sym_tridiag(hams.h_watch)
-    ps = group_levels(d, default_grouping_tolerance(d))
-    return hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, spec.lam).matrix
+    ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
+    coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
+    return hqzd_order1(coupling, hams.h_watch, spec.lam).matrix
 
 
 class TestToeplitzEigenpairs:
@@ -107,8 +109,8 @@ class TestOddOrder0ClosedForm:
     def test_matches_projector_route(self, n_sites):
         hams = build_chain(ChainSpec(n_sites, 5.0))
         d = eig_sym_tridiag(hams.h_watch)
-        ps = group_levels(d, default_grouping_tolerance(d))
-        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
+        ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
+        rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
         assert np.max(np.abs(rep.matrix - hqzd0_odd(n_sites, K))) < 1e-10
 
     def test_nine_site_coupling_magnitude(self):

@@ -332,7 +332,7 @@ class TestU1Correction:
     def setup_corrections(self, n_sites: int, lambda_inv: float):
         hams = build_chain(ChainSpec(n_sites, lambda_inv))
         d = eig_sym_tridiag(hams.h_watch)
-        ps = group_levels(d, default_grouping_tolerance(d))
+        ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
         fc = first_order_corrections(
             d, ps, hams.h_weak.to_dense(), end_basis(n_sites)
         )
@@ -393,7 +393,7 @@ class TestU1Correction:
     def test_odd_unmodified_chain_rejected(self):
         hams = build_chain(ChainSpec(5, 20.0))
         d = eig_sym_tridiag(hams.h_watch)
-        ps = group_levels(d, default_grouping_tolerance(d))
+        ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
         with pytest.raises(UnsupportedConfigurationError):
             first_order_corrections(d, ps, hams.h_weak.to_dense(), end_basis(5))
 

@@ -231,10 +231,11 @@ class TestOneWatchAnalysis:
         ids=["even", "odd", "modified"],
     )
     def test_scenario_solves_and_groups_the_watch_once(self, spec, monkeypatch):
-        # one eigensolve of H_watch plus one of H_total, and a single grouping,
-        # whichever module binding a caller goes through; the N x (steps+1)
-        # states are evolved only on the first read of .trace, from the
-        # H_total spectrum the run already holds
+        # one eigendecomposition, of H_total; H_watch gets one eigenvalue
+        # solve, one grouping and its zero-level eigenvectors only, whichever
+        # module binding a caller goes through; the N x (steps+1) states are
+        # evolved only on the first read of .trace, from the H_total spectrum
+        # the run already holds
         calls = Counter()
 
         def counting(name, fn):
@@ -244,15 +245,29 @@ class TestOneWatchAnalysis:
 
             return wrapper
 
+        names = (
+            "eig_sym_tridiag",
+            "eigvals_sym_tridiag",
+            "eigvecs_sym_tridiag",
+            "group_eigenvalues",
+            "group_levels",
+            "evolve_grid",
+        )
         for mod in (linalg, perturbation, qzd, dynamics, harness, cli):
-            for name in ("eig_sym_tridiag", "group_levels", "evolve_grid"):
+            for name in names:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
         result = run_scenario(spec, n_steps=50)
-        assert calls == {"eig_sym_tridiag": 2, "group_levels": 1}
+        once = {
+            "eig_sym_tridiag": 1,
+            "eigvals_sym_tridiag": 1,
+            "group_eigenvalues": 1,
+            "eigvecs_sym_tridiag": 1,
+        }
+        assert calls == once
         trace = result.trace
         assert result.trace is trace
-        assert calls == {"eig_sym_tridiag": 2, "group_levels": 1, "evolve_grid": 1}
+        assert calls == {**once, "evolve_grid": 1}
 
     @pytest.mark.parametrize(
         "spec",
@@ -261,7 +276,7 @@ class TestOneWatchAnalysis:
     )
     def test_no_dense_projector_is_built(self, spec, monkeypatch, capsys):
         # the zero level enters only through its N x d0 basis, and the
-        # order-1 block through the nonzero eigenpairs: neither a dense
+        # order-1 block through one bordered solve: neither a dense
         # projector nor the dense reduced resolvent is formed
         def forbidden(*args, **kwargs):
             raise AssertionError("dense N x N operator built")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -13,18 +14,29 @@ from zenochain.dynamics import default_time_grid
 from zenochain.errors import SingularMatrixError, ValidationError
 from zenochain.qzd import analyze_watch
 from zenochain.linalg import (
+    PHASE_EPS,
     SymTridiagMatrix,
+    _fix_phases,
     det_tridiag,
     eig_sym_dense,
     eig_sym_tridiag,
+    eigvals_sym_tridiag,
+    eigvecs_sym_tridiag,
     evolve,
     evolve_grid,
     inverse_corner_tridiag,
     invert_tridiag,
     phase_sums,
+    solve_bordered_tridiag,
 )
 
-from .oracles import cofactor_det, direct_exp_evolve, gaussian_elimination_inverse, rk4_evolve
+from .oracles import (
+    cofactor_det,
+    direct_exp_evolve,
+    gaussian_elimination_inverse,
+    rk4_evolve,
+    scan_fix_phases,
+)
 
 K = 1.0
 
@@ -137,6 +149,94 @@ class TestEig:
             assert_allclose(got, expect, rtol=0.0, atol=1e-12 * spec.k)
 
 
+class TestPhases:
+    @given(
+        st.integers(1, 30),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scan_of_every_entry(self, n, seed, data):
+        # a random orthogonal matrix with the leading rows of some columns
+        # zeroed or shrunk to at most PHASE_EPS, down to whole zero columns
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        for j in range(n):
+            lead = data.draw(st.integers(0, n))
+            scale = data.draw(st.sampled_from([0.0, 1.0, PHASE_EPS, 0.5 * PHASE_EPS]))
+            q[:lead, j] *= scale
+        want = scan_fix_phases(q, PHASE_EPS)
+        got = _fix_phases(q.copy())
+        assert np.array_equal(got, want)
+
+
+class TestPartialEig:
+    @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
+    def test_match_full_decomposition(self, spec):
+        h = build_chain(spec).h_watch
+        d = eig_sym_tridiag(h)
+        assert_allclose(eigvals_sym_tridiag(h), d.eigenvalues, rtol=0.0, atol=1e-14)
+        # the d0 columns of the watch's zero level span its zero eigenspace
+        lo, hi = np.searchsorted(d.eigenvalues, [-1e-9, 1e-9])
+        v = eigvecs_sym_tridiag(h, lo, hi)
+        assert v.shape == (spec.n_sites, hi - lo)
+        assert np.max(np.abs(v.T @ v - np.eye(hi - lo))) < 1e-14
+        p, want = v @ v.T, d.eigenvectors[:, lo:hi] @ d.eigenvectors[:, lo:hi].T
+        assert np.max(np.abs(p - want)) < 1e-13
+        for col in v.T:
+            assert col[np.abs(col) > PHASE_EPS][0] > 0
+
+    def test_size_one(self):
+        m = tridiag([3.0], [])
+        assert_allclose(eigvals_sym_tridiag(m), [3.0])
+        assert_allclose(eigvecs_sym_tridiag(m, 0, 1), [[1.0]])
+
+
+@st.composite
+def singular_tridiag(draw):
+    """An irreducible random tridiagonal matrix shifted so that one of its
+    eigenvalues is zero, optionally between two isolated zero sites."""
+    n = draw(st.integers(1, 40))
+    diag = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    off = draw(st.lists(st.floats(0.2, 2.0), min_size=n - 1, max_size=n - 1))
+    m = tridiag(diag, off)
+    w = eig_sym_tridiag(m).eigenvalues
+    i = draw(st.integers(0, n - 1))
+    m = tridiag(diag - w[i], off)
+    if draw(st.booleans()):
+        m = tridiag(np.concatenate(([0.0], m.diag, [0.0])), np.concatenate(([0.0], off, [0.0])))
+    return m
+
+
+class TestBorderedSolve:
+    @given(singular_tridiag(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_sum_over_the_other_eigenpairs(self, m, seed):
+        d = eig_sym_tridiag(m)
+        zero = np.abs(d.eigenvalues) <= 1e-12 * max(1.0, m.max_abs_entry())
+        v, u, eta = d.eigenvectors[:, zero], d.eigenvectors[:, ~zero], d.eigenvalues[~zero]
+        b = np.random.default_rng(seed).normal(size=(m.size, 3))
+        b -= v @ (v.T @ b)
+        x = solve_bordered_tridiag(m, v, b)
+        want = u @ ((u.T @ b) / eta[:, None])
+        gap = np.min(np.abs(eta), initial=np.inf)
+        tol = 1e-13 * m.max_abs_entry() * np.linalg.norm(b) / gap**2
+        assert np.max(np.abs(x - want)) <= max(tol, 1e-13)
+        assert np.max(np.abs(v.T @ x)) <= max(tol, 1e-13)
+
+    def test_lifts_distinct_rows_of_a_shared_block(self):
+        # two zero eigenvalues inside one irreducible block would put both
+        # columns' largest entries on one row; the pivoted rows stay distinct
+        q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(6, 6)))
+        a = q @ np.diag([0.0, 0.0, 1.0, -2.0, 3.0, 1.5]) @ q.T
+        t, z = scipy.linalg.hessenberg(a, calc_q=True)
+        m = tridiag(np.diag(t), np.diag(t, 1))
+        v = z.T @ q[:, :2]
+        b = z.T @ q[:, 2:4]
+        want = z.T @ q[:, 2:4] @ np.diag([1.0, -0.5])
+        assert_allclose(solve_bordered_tridiag(m, v, b), want, rtol=0.0, atol=1e-12)
+
+
 class TestEvolve:
     def test_t_zero_is_identity(self):
         d = eig_sym_tridiag(tridiag([0.0, 0.0, 0.0], [1.0, 1.0]))
@@ -188,6 +288,16 @@ class TestEvolve:
         want = direct_exp_evolve(d.eigenvectors, d.eigenvalues, psi0, times)
         tol = 4.0 * np.finfo(float).eps * np.max(np.abs(d.eigenvalues)) * times[-1]
         assert np.max(np.abs(evolve_grid(d, psi0, times) - want)) <= tol
+
+    @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
+    def test_grid_populations_match_direct_exp(self, spec):
+        # the README's accuracy statement for every site's population
+        hams = build_chain(spec)
+        d = eig_sym_tridiag(hams.h_total)
+        times = default_time_grid(hams).times
+        site_one = np.eye(spec.n_sites)[0]
+        want = np.abs(direct_exp_evolve(d.eigenvectors, d.eigenvalues, site_one, times)) ** 2
+        assert np.max(np.abs(np.abs(evolve_grid(d, site_one, times)) ** 2 - want)) <= 3e-15
 
     @pytest.mark.parametrize(
         "times",

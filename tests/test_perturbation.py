@@ -28,6 +28,7 @@ from zenochain.linalg import (
     invert_tridiag,
 )
 from zenochain.perturbation import (
+    couple_zero_level,
     default_grouping_tolerance,
     first_order_corrections,
     group_levels,
@@ -44,7 +45,7 @@ K = 1.0
 def watch_levels(spec: ChainSpec):
     hams = build_chain(spec)
     d = eig_sym_tridiag(hams.h_watch)
-    ps = group_levels(d, default_grouping_tolerance(d))
+    ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
     return hams, d, ps
 
 
@@ -157,13 +158,13 @@ class TestOrder0:
     def test_even_chain_vanishes_with_common_shift_zero(self):
         for n in (4, 8, 14):
             hams, _, ps = watch_levels(ChainSpec(n, 5.0))
-            rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
+            rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
             assert np.max(np.abs(rep.matrix)) < 1e-12
             assert rep.eta1_common == pytest.approx(0.0, abs=1e-12)
 
     def test_odd_five_site_matches_closed_form(self):
         hams, _, ps = watch_levels(ChainSpec(5, 5.0))
-        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
+        rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
         assert_allclose(rep.matrix, hqzd0_odd(5, K), atol=1e-12)
         # couples each end to the mid mode with strength k/sqrt(2)
         assert_allclose(rep.matrix[0, 1], K / 2, atol=1e-12)
@@ -175,7 +176,7 @@ class TestOrder0:
         h = np.zeros((4, 4))
         h[0, 1] = h[1, 0] = K
         h[1, 2] = h[2, 1] = K
-        rep = hqzd_order0(np.eye(4)[:, :2], h)
+        rep = hqzd_order0(couple_zero_level(np.eye(4)[:, :2], h))
         expect = np.zeros((4, 4))
         expect[0, 1] = expect[1, 0] = K
         assert_allclose(rep.matrix, expect, atol=1e-14)
@@ -186,16 +187,17 @@ class TestOrder0:
         # form, so it is not a multiple of P0; the even N=4 one still is
         k = 1e-11
         hams, _, ps = watch_levels(ChainSpec(5, 20.0, k=k))
-        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
+        rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
         assert_allclose(rep.matrix, hqzd0_odd(5, k), rtol=0, atol=1e-12 * k)
         assert rep.eta1_common is None
 
         hams, _, ps = watch_levels(ChainSpec(4, 20.0, k=k))
-        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
+        rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
         assert rep.eta1_common == pytest.approx(0.0, abs=1e-12 * k)
 
     def test_zero_perturbation_has_common_shift_zero(self):
-        assert hqzd_order0(np.eye(3)[:, :2], np.zeros((3, 3))).eta1_common == 0.0
+        zero = couple_zero_level(np.eye(3)[:, :2], np.zeros((3, 3)))
+        assert hqzd_order0(zero).eta1_common == 0.0
 
     def test_common_shift_divides_by_zero_level_dimension(self):
         # a rotated d0 = 3 basis of R^5 whose block of h is c * 1; h also
@@ -205,7 +207,7 @@ class TestOrder0:
         v0, rest = q[:, :3], q[:, 3:]
         coupling = v0 @ np.array([[1.0, 0.0], [0.5, -0.2], [0.0, 2.0]]) @ rest.T
         h = q @ np.diag([c, c, c, 2.0, -1.0]) @ q.T + coupling + coupling.T
-        rep = hqzd_order0(v0, h)
+        rep = hqzd_order0(couple_zero_level(v0, h))
         assert rep.block.shape == (3, 3)
         assert rep.eta1_common == pytest.approx(c, rel=1e-13)
         assert_allclose(rep.matrix, c * v0 @ v0.T, atol=1e-13)
@@ -216,18 +218,17 @@ class TestOrder0:
         for spec in (ChainSpec(4, 5.0), ChainSpec(5, 5.0)):
             hams, _, ps = watch_levels(spec)
             h = hams.h_weak.to_dense()
-            with pytest.raises(ValidationError, match="orthonormal"):
-                hqzd_order0(ps.zero_level.projector, h)
-            with pytest.raises(ValidationError, match="orthonormal"):
-                hqzd_order1(ps.zero_level.projector, h, ps, 0.2)
+            for weak in (h, hams.h_weak):
+                with pytest.raises(ValidationError, match="orthonormal"):
+                    couple_zero_level(ps.zero_level.projector, weak)
         with pytest.raises(ValidationError, match="rows"):
-            hqzd_order0(np.eye(5)[:, :2], np.zeros((4, 4)))
+            couple_zero_level(np.eye(5)[:, :2], np.zeros((4, 4)))
 
     def test_commutes_with_projector(self):
         for spec in (ChainSpec(4, 5.0), ChainSpec(5, 5.0), ChainSpec(7, 9.0)):
             hams, _, ps = watch_levels(spec)
             p0 = ps.zero_level.projector
-            rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak.to_dense())
+            rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
             comm = rep.matrix @ p0 - p0 @ rep.matrix
             assert np.max(np.abs(comm)) < 1e-10
 
@@ -275,7 +276,8 @@ class TestReducedResolvent:
 class TestOrder1:
     def test_four_site_end_to_end(self):
         hams, _, ps = watch_levels(ChainSpec(4, 5.0))
-        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, lam=0.2)
+        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
+        rep = hqzd_order1(coupling, hams.h_watch, lam=0.2)
         expect = np.zeros((4, 4))
         expect[0, 3] = expect[3, 0] = -0.2 * K
         assert_allclose(rep.matrix, expect, atol=1e-12)
@@ -284,7 +286,8 @@ class TestOrder1:
     def test_even_matches_closed_form(self, n_sites):
         lam = 1.0 / 7.0
         hams, _, ps = watch_levels(ChainSpec(n_sites, 7.0))
-        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, lam)
+        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
+        rep = hqzd_order1(coupling, hams.h_watch, lam)
         assert np.max(np.abs(rep.matrix - hqzd1_even(n_sites, K, lam))) < 1e-10
 
     @pytest.mark.parametrize("n_sites", (5, 7, 9))
@@ -293,9 +296,8 @@ class TestOrder1:
         dw = lambda_inv * K
         hams, _, ps = watch_levels(ChainSpec(n_sites, lambda_inv, delta_omega=dw))
         assert ps.zero_level.multiplicity == 2
-        rep = hqzd_order1(
-            ps.zero_level.vectors, hams.h_weak.to_dense(), ps, 1.0 / lambda_inv
-        )
+        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
+        rep = hqzd_order1(coupling, hams.h_watch, 1.0 / lambda_inv)
         assert np.max(np.abs(rep.matrix - hqzd1_odd_modified(n_sites, K, dw))) < 1e-8
 
     @pytest.mark.parametrize(
@@ -315,7 +317,7 @@ class TestOrder1:
         hams, _, ps = watch_levels(spec)
         v0, h = ps.zero_level.vectors, hams.h_weak.to_dense()
         ref = spec.lam * (h @ v0).T @ reduced_resolvent(ps) @ (h @ v0)
-        rep = hqzd_order1(v0, h, ps, spec.lam)
+        rep = hqzd_order1(couple_zero_level(v0, h), hams.h_watch, spec.lam)
         assert np.max(np.abs(rep.block - ref)) <= 1e-13 * spec.lam * K
 
     @pytest.mark.parametrize("k", [1e-9, 1e-3, 1.0, 1e3, 1e9])
@@ -333,27 +335,29 @@ class TestOrder1:
         hv0 = h @ v0
         ref0 = v0.T @ hv0
         ref1 = spec.lam * hv0.T @ reduced_resolvent(ps) @ hv0
-        rep0, rep1 = hqzd_order0(v0, hams.h_weak), hqzd_order1(v0, hams.h_weak, ps, spec.lam)
+        coupling = couple_zero_level(v0, hams.h_weak)
+        rep0, rep1 = hqzd_order0(coupling), hqzd_order1(coupling, hams.h_watch, spec.lam)
         assert np.max(np.abs(rep0.block - ref0)) <= 1e-12 * k
         assert np.max(np.abs(rep1.block - ref1)) <= 1e-12 * spec.lam * k
-        assert rep0.eta1_common == hqzd_order0(v0, h).eta1_common
+        assert rep0.eta1_common == hqzd_order0(couple_zero_level(v0, h)).eta1_common
 
-    def test_end_bond_rows(self):
-        # H_weak has nonzero entries on rows 1, 2, N-1 and N only
-        h = build_chain(ChainSpec(9, 20.0)).h_weak
+    def test_block_product_matches_dense(self):
+        # H V0 from the tridiagonal H_weak (two end bonds) and from a matrix
+        # with a diagonal entry, N x 3 blocks and single vectors alike
         v = np.random.default_rng(0).normal(size=(9, 3))
-        rows, hv = h.rows_times(v)
-        assert rows.tolist() == [0, 1, 7, 8]
-        assert_allclose(hv, (h.to_dense() @ v)[rows], rtol=0, atol=1e-15)
+        h = build_chain(ChainSpec(9, 20.0)).h_weak
+        assert_allclose(h.matvec(v), h.to_dense() @ v, rtol=0, atol=1e-15)
         mixed = SymTridiagMatrix(np.array([0.0, 2.0, 0.0, 0.0, 0.0]), np.array([0, 0, 0, 3.0]))
-        rows, hv = mixed.rows_times(v[:5])
-        assert rows.tolist() == [1, 3, 4]
-        assert_allclose(hv, (mixed.to_dense() @ v[:5])[rows], rtol=0, atol=1e-15)
+        assert_allclose(mixed.matvec(v[:5]), mixed.to_dense() @ v[:5], rtol=0, atol=1e-15)
+        assert_allclose(mixed.matvec(v[:5, 0]), mixed.to_dense() @ v[:5, 0], rtol=0, atol=1e-15)
+        with pytest.raises(ValidationError, match="does not match"):
+            mixed.matvec(v)
 
     def test_supported_inside_zero_level(self):
         hams, _, ps = watch_levels(ChainSpec(8, 5.0))
         p0 = ps.zero_level.projector
-        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, 0.3)
+        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
+        rep = hqzd_order1(coupling, hams.h_watch, 0.3)
         outside = (np.eye(8) - p0) @ rep.matrix
         assert np.max(np.abs(outside)) < 1e-10
         assert np.max(np.abs(rep.matrix - rep.matrix.T)) < 1e-12
@@ -370,7 +374,8 @@ class TestPerturbationSumRule:
     def test_quadratic_term_is_exact(self, spec):
         hams, _, ps = watch_levels(spec)
         n = spec.n_sites
-        rep1 = hqzd_order1(ps.zero_level.vectors, hams.h_weak.to_dense(), ps, 1.0)
+        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
+        rep1 = hqzd_order1(coupling, hams.h_watch, 1.0)
         basis = end_basis(n)
         eta2 = np.sort(np.linalg.eigvalsh(basis.T @ rep1.matrix @ basis))
 

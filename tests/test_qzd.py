@@ -15,7 +15,9 @@ from zenochain.dynamics import LeakageReport, TimeGrid, default_time_grid, simul
 from zenochain.errors import AssumptionViolationError, ValidationError
 from zenochain.harness import run_scenario
 from zenochain.linalg import SymTridiagMatrix
-from zenochain.qzd import QzdOrder, check_prerequisite_ii, classify
+from zenochain.qzd import QzdOrder, analyze_watch, check_prerequisite_ii, classify
+
+from .oracles import eigenvector_sum_effective
 
 
 def e_k(n: int, k: int) -> np.ndarray:
@@ -195,6 +197,40 @@ class TestPhysicalInvariances:
     def test_even_chains_are_first_order_at_every_energy_scale(self, half, lambda_inv, log_k):
         spec = ChainSpec(2 * half, lambda_inv, k=10.0**log_k)
         assert classify_chain(spec).order is QzdOrder.FIRST
+
+
+@st.composite
+def watched_chains(draw):
+    """Even, odd, shifted-odd and fluctuating chains, N 4-301, k 1e-9...1e9."""
+    family = draw(st.sampled_from(["even", "odd", "shifted", "fluctuating"]))
+    half = draw(st.integers(2, 150))
+    n = {"even": 2 * half, "fluctuating": draw(st.integers(4, 301))}.get(family, 2 * half + 1)
+    k = 10.0 ** draw(st.floats(-9.0, 9.0))
+    shift = draw(st.floats(5.0, 50.0)) * k if family == "shifted" else None
+    noise = None
+    if family == "fluctuating":
+        noise = CouplingFluctuation(draw(st.floats(0.0, 0.2)), draw(st.integers(0, 2**16)))
+    return ChainSpec(n, draw(st.floats(7.0, 40.0)), k=k, delta_omega=shift, fluctuation=noise)
+
+
+class TestAgainstEigenvectorSums:
+    """The analysis' blocks against eigenvector sums over a dense eigh of H_watch."""
+
+    @given(watched_chains())
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_and_zero_projector(self, spec):
+        hams = build_chain(spec)
+        analysis = analyze_watch(hams.h_watch, hams.h_weak, spec.lam)
+        p0, m0, m1, eta_min = eigenvector_sum_effective(
+            hams.h_watch.to_dense(), hams.h_weak.to_dense(), spec.lam
+        )
+        v0 = analysis.zero_basis
+        assert v0.shape[1] == round(np.trace(p0))
+        weak = hams.h_weak.frobenius_norm()
+        order1_scale = spec.lam * weak**2 / eta_min  # classify's order-1 scale
+        assert np.max(np.abs(analysis.order1.matrix - m1)) <= 1e-12 * order1_scale
+        assert np.max(np.abs(analysis.order0.matrix - m0)) <= 1e-12 * weak
+        assert np.max(np.abs(v0 @ v0.T - p0)) <= 1e-12
 
 
 class TestPrerequisiteII:
