@@ -225,16 +225,19 @@ class TestBorderedSolve:
         assert np.max(np.abs(v.T @ x)) <= max(tol, 1e-13)
 
     def test_lifts_distinct_rows_of_a_shared_block(self):
-        # two zero eigenvalues inside one irreducible block would put both
-        # columns' largest entries on one row; the pivoted rows stay distinct
-        q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(6, 6)))
-        a = q @ np.diag([0.0, 0.0, 1.0, -2.0, 3.0, 1.5]) @ q.T
-        t, z = scipy.linalg.hessenberg(a, calc_q=True)
+        # an irreducible matrix with eigenvalues -+1e-9, which a grouping
+        # tolerance can merge into one level: both eigenvectors have their
+        # largest entry on one row, and the pivoted rows must still differ
+        q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(6, 6)))
+        t = scipy.linalg.hessenberg(q @ np.diag([-1e-9, 1e-9, 1.0, -2.0, 3.0, 1.5]) @ q.T)
         m = tridiag(np.diag(t), np.diag(t, 1))
-        v = z.T @ q[:, :2]
-        b = z.T @ q[:, 2:4]
-        want = z.T @ q[:, 2:4] @ np.diag([1.0, -0.5])
-        assert_allclose(solve_bordered_tridiag(m, v, b), want, rtol=0.0, atol=1e-12)
+        d = eig_sym_tridiag(m)
+        v, u = d.eigenvectors[:, 1:3], np.delete(d.eigenvectors, [1, 2], axis=1)
+        eta = np.delete(d.eigenvalues, [1, 2])
+        assert len(set(np.argmax(np.abs(v), axis=0))) == 1
+        b = u[:, :2] + u[:, 2:]
+        want = u @ ((u.T @ b) / eta[:, None])
+        assert_allclose(solve_bordered_tridiag(m, v, b), want, rtol=0.0, atol=1e-13)
 
 
 class TestEvolve:
