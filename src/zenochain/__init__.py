@@ -69,7 +69,6 @@ from .linalg import (
     evolve,
     evolve_grid,
     inverse_corner_tridiag,
-    invert_tridiag,
     solve_bordered_tridiag,
 )
 from .perturbation import (

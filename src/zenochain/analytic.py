@@ -166,7 +166,9 @@ def qtilde_fluctuating_corner(couplings: np.ndarray) -> float:
     ``couplings`` lists the interior bond strengths k_2 .. k_{N-2} (bond i
     joins sites i and i+1, 1-based). The element is
     (-1)^(N/2 - 1) * (prod over odd i of k_i) / (prod over even i of k_i),
-    so the noise largely cancels between numerator and denominator.
+    so the noise largely cancels between numerator and denominator. It is
+    formed as a product of ratios k_3/k_2, k_5/k_4, ... over the last even
+    k_{N-2}, which stays finite where either product alone overflows.
     """
     couplings = np.asarray(couplings, dtype=float)
     n_sites = couplings.size + 3
@@ -177,4 +179,4 @@ def qtilde_fluctuating_corner(couplings: np.ndarray) -> float:
     odd = couplings[bond_index % 2 == 1]
     even = couplings[bond_index % 2 == 0]
     sign = -1.0 if (n_sites // 2 - 1) % 2 else 1.0
-    return float(sign * np.prod(odd) / np.prod(even))
+    return float(sign * np.prod(odd / even[:-1]) / even[-1])

@@ -41,16 +41,15 @@ class CouplingFluctuation:
 class ChainSpec:
     """Parameters of one chain.
 
-    delta_omega, when given, shifts the on-site energy of one even interior
-    site (default site 2, 1-based) of the full Hamiltonian. A zero shift is
-    stored as None: it builds the unshifted chain.
+    delta_omega, when given, shifts the on-site energy of site 2 (1-based)
+    of the full Hamiltonian. A zero shift is stored as None: it builds the
+    unshifted chain.
     """
 
     n_sites: int
     lambda_inv: float
     k: float = 1.0
     delta_omega: float | None = None
-    delta_omega_site: int = 2
     fluctuation: CouplingFluctuation | None = None
 
     def __post_init__(self) -> None:
@@ -64,17 +63,9 @@ class ChainSpec:
             raise ValidationError("k: must be positive")
         if not self.lambda_inv >= 1.0:
             raise ValidationError("lambda_inv: must be >= 1")
-        if self.delta_omega is not None:
-            site = self.delta_omega_site
-            if not isinstance(site, (int, np.integer)) or site % 2 != 0:
-                raise ValidationError("delta_omega_site: must be an even site index")
-            if not 2 <= site <= self.n_sites - 1:
-                raise ValidationError(
-                    f"delta_omega_site: must lie in [2, {self.n_sites - 1}]"
-                )
-            if self.delta_omega == 0.0:
-                # a zero shift builds the unshifted chain; store it as no shift
-                object.__setattr__(self, "delta_omega", None)
+        if self.delta_omega == 0.0:
+            # a zero shift builds the unshifted chain; store it as no shift
+            object.__setattr__(self, "delta_omega", None)
 
     @property
     def lam(self) -> float:
@@ -110,7 +101,7 @@ def build_chain(spec: ChainSpec) -> ChainHamiltonians:
 
     watch_diag = np.zeros(n)
     if spec.delta_omega is not None:
-        watch_diag[spec.delta_omega_site - 1] = spec.lam * spec.delta_omega
+        watch_diag[1] = spec.lam * spec.delta_omega  # site 2
 
     watch_off = np.zeros(n - 1)
     interior = np.full(n - 3, k)

@@ -112,14 +112,14 @@ def evolve_trace(
     basis: np.ndarray,
     mid_state: np.ndarray | None = None,
 ) -> EvolutionTrace:
-    """``simulate`` for a Hamiltonian already decomposed into ``d``."""
-    states = evolve_grid(d, psi0, grid.times)
+    """``simulate`` for a Hamiltonian already decomposed into ``d``.
 
+    The leakage is ``leakage_series`` of the same arguments, so its peak is
+    the ``delta`` that ``run_scenario`` reports, bit for bit.
+    """
+    states = evolve_grid(d, psi0, grid.times)
     populations = np.abs(states.T) ** 2
-    basis = orthonormal_columns(basis, d.size, "basis")
-    subspace = np.sum(np.abs(basis.T @ states) ** 2, axis=0)
-    # strip float dust so leakage stays a population in [0, 1]
-    leakage = np.clip(1.0 - subspace, 0.0, 1.0)
+    leakage = leakage_series(d, psi0, basis, grid)
 
     mid_overlap = None
     if mid_state is not None:
@@ -152,6 +152,7 @@ def leakage_series(
     coarse, fine = grid_phase_factors(eta, times)  # ceil(T/B) x N, N x B
     amps = (w[:, None, :] * coarse).reshape(-1, d.size) @ fine
     amps = amps.reshape(basis.shape[1], -1)[:, : times.size]
+    # strip float dust so leakage stays a population in [0, 1]
     return np.clip(1.0 - np.sum(np.abs(amps) ** 2, axis=0), 0.0, 1.0)
 
 

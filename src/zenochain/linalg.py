@@ -1,10 +1,10 @@
 """Real-symmetric tridiagonal linear algebra.
 
 Eigendecomposition (full, eigenvalues only, or a few eigenvectors), a
-bordered tridiagonal solve, spectral time evolution, and closed-form
-tridiagonal inverses/determinants. Every Hamiltonian in this package is
-real symmetric, so eigenvectors are kept real and time evolution only
-multiplies them by complex phases.
+bordered tridiagonal solve, spectral time evolution, the corner element of
+a tridiagonal inverse and the continuant determinant. Every Hamiltonian in
+this package is real symmetric, so eigenvectors are kept real and time
+evolution only multiplies them by complex phases.
 """
 
 from __future__ import annotations
@@ -351,65 +351,22 @@ def det_tridiag(m: SymTridiagMatrix) -> float:
     return float(_continuants(m)[-1])
 
 
-def _nonsingular_continuants(m: SymTridiagMatrix) -> np.ndarray:
-    """``_continuants(m)``, or SingularMatrixError when m is singular.
-
-    Singular means |det| < 1e-12 * (max|entry|)^N.
-    """
-    n = m.size
-    theta = _continuants(m)
-    det = theta[-1]
-
-    scale = m.max_abs_entry()
-    singular = det == 0.0 or scale == 0.0
-    if not singular:
-        # compare in logs so the threshold never overflows for large N
-        log_thresh = np.log(1e-12) + n * np.log(scale)
-        singular = np.log(abs(det)) < log_thresh
-    if singular:
-        raise SingularMatrixError(
-            f"tridiagonal matrix of size {n}x{n} is singular (det={det:.3e})"
-        )
-    return theta
-
-
-def invert_tridiag(m: SymTridiagMatrix) -> np.ndarray:
-    """Closed-form inverse of a symmetric tridiagonal matrix.
-
-    Element (i, j), i <= j, equals
-    (-1)^(i+j) b_i...b_{j-1} theta_{i-1} phi_{j+1} / theta_N
-    with theta the forward and phi the backward continuants.
-
-    Raises SingularMatrixError when |det| < 1e-12 * (max|entry|)^N; an
-    unmodified odd chain's interior block lands here through its exact zero
-    mode.
-    """
-    n = m.size
-    a, b = m.diag, m.offdiag
-    theta = _nonsingular_continuants(m)
-    det = theta[-1]
-
-    phi = np.empty(n + 2)
-    phi[n + 1] = 1.0
-    phi[n] = a[n - 1]
-    for i in range(n - 1, 0, -1):
-        phi[i] = a[i - 1] * phi[i + 1] - b[i - 1] ** 2 * phi[i + 2]
-
-    inv = np.empty((n, n))
-    for i in range(n):
-        prod = theta[i] / det
-        inv[i, i] = prod * phi[i + 2]
-        for j in range(i + 1, n):
-            prod *= -b[j - 1]
-            inv[i, j] = prod * phi[j + 2]
-            inv[j, i] = inv[i, j]
-    return inv
-
-
 def inverse_corner_tridiag(m: SymTridiagMatrix) -> float:
-    """Element (0, N-1) of ``invert_tridiag(m)`` in O(N): prod(-b) / theta_N.
+    """Element (0, N-1) of m's inverse: x[0] for the solution of m x = e_N.
 
-    Raises the same SingularMatrixError as ``invert_tridiag``.
+    One LAPACK ``dgtsvx`` call factors m (LU with partial pivoting),
+    estimates its reciprocal condition number and solves. SingularMatrixError
+    when m has an exact zero pivot or its reciprocal condition number is
+    below machine epsilon (``info > 0``); an unmodified odd chain's interior
+    block lands here through its exact zero mode.
     """
-    theta = _nonsingular_continuants(m)
-    return float(np.prod(-m.offdiag) / theta[-1])
+    n = m.size
+    rhs = np.zeros((n, 1))
+    rhs[-1] = 1.0
+    off = m.offdiag if n > 1 else np.zeros(1)  # f2py wants one unread entry at N = 1
+    *_, x, rcond, _, _, info = lapack.dgtsvx(off, m.diag, off, rhs)
+    if info > 0:
+        raise SingularMatrixError(
+            f"tridiagonal matrix of size {n}x{n} is singular (rcond={rcond:.3e})"
+        )
+    return float(x[0, 0])

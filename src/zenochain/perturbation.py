@@ -30,7 +30,7 @@ from .linalg import (
     solve_bordered_tridiag,
 )
 
-DEFAULT_GROUPING_RTOL = 1e-8
+GROUPING_RTOL = 1e-8
 PROPORTIONALITY_RTOL = 1e-10
 
 
@@ -103,16 +103,14 @@ class ProjectorSet(LevelGrouping):
         return self.vectors[:, keep], np.repeat(self.eigenvalues, counts)[keep]
 
 
-def default_grouping_tolerance(
-    eigenvalues: np.ndarray, rtol: float = DEFAULT_GROUPING_RTOL
-) -> float:
-    """rtol times the spectrum's largest |eigenvalue|: the one grouping rule.
+def default_grouping_tolerance(eigenvalues: np.ndarray) -> float:
+    """GROUPING_RTOL times the spectrum's largest |eigenvalue|: the grouping rule.
 
-    An all-zero spectrum falls back to rtol itself; any positive tolerance
-    groups it the same way.
+    An all-zero spectrum falls back to GROUPING_RTOL itself; any positive
+    tolerance groups it the same way.
     """
     scale = float(np.max(np.abs(eigenvalues), initial=0.0))
-    return rtol * scale if scale > 0.0 else rtol
+    return GROUPING_RTOL * scale if scale > 0.0 else GROUPING_RTOL
 
 
 def group_eigenvalues(w: np.ndarray, tol: float) -> LevelGrouping:

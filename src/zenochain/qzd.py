@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AssumptionViolationError, UnsupportedConfigurationError, ValidationError
 from .linalg import SymTridiagMatrix, check_state, eigvals_sym_tridiag, eigvecs_sym_tridiag
 from .perturbation import (
-    DEFAULT_GROUPING_RTOL,
+    GROUPING_RTOL,
     EffectiveHamiltonianReport,
     LevelGrouping,
     couple_zero_level,
@@ -73,25 +73,25 @@ class WatchAnalysis:
     ``levels`` groups the eigenvalues of H_watch (no eigenvectors are
     kept); ``zero_basis`` (N x d0) spans its zero level (N x 0 without
     one); ``order0`` and ``order1`` are the effective Hamiltonians of H_weak
-    there, None without a zero level. ``tol`` is the relative tolerance and
-    ``lam`` the coupling ratio the order-1 term carries.
+    there and ``scales`` their scales, ||H_weak|| and
+    lam ||H_weak||^2 / min |eta != 0| (Frobenius norms), all None without a
+    zero level.
     """
 
     h_watch: SymTridiagMatrix
     h_weak: SymTridiagMatrix
-    tol: float
-    lam: float
     levels: LevelGrouping
     zero_basis: np.ndarray
     order0: EffectiveHamiltonianReport | None
     order1: EffectiveHamiltonianReport | None
+    scales: tuple[float, float] | None
 
     def classify(self, psi0: np.ndarray) -> QzdClassification:
         """The order decision of ``classify`` for this watch and psi0."""
         psi0 = check_state(psi0, self.h_watch.size, "psi0")
 
         residual = float(np.linalg.norm(self.h_watch.matvec(psi0)))
-        if residual > self.tol * self.h_watch.max_abs_entry():
+        if residual > GROUPING_RTOL * self.h_watch.max_abs_entry():
             raise AssumptionViolationError(
                 f"H_watch does not annihilate psi0 (|H_w psi0| = {residual:.3e}); "
                 "the watched-subspace framework does not apply"
@@ -120,13 +120,9 @@ class WatchAnalysis:
         rho0 = np.outer(a, a.conj())
         reps = (self.order0, self.order1)
         comms = [float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in reps]
-        # each order's scale bounds its block: ||H_weak|| for order 0 and
-        # lam ||H_weak||^2 / min |eta != 0| for order 1 (Frobenius norms); a
-        # commutator at or below tol times its scale is round-off, reported as 0.0
-        weak = self.h_weak.frobenius_norm()
-        eta = np.delete(self.levels.eigenvalues, self.levels.zero_level_index)
-        scales = (weak, self.lam * weak**2 / np.min(np.abs(eta), initial=np.inf))
-        comm0, comm1 = (c if c > self.tol * s else 0.0 for c, s in zip(comms, scales))
+        # each order's scale bounds its block; a commutator at or below
+        # GROUPING_RTOL times its scale is round-off, reported as 0.0
+        comm0, comm1 = (c if c > GROUPING_RTOL * s else 0.0 for c, s in zip(comms, self.scales))
         proportional = self.order0.eta1_common is not None
         prerequisite_i = proportional and comm1 > 0.0
 
@@ -166,13 +162,14 @@ class WatchAnalysis:
         """2 pi over the smallest nonzero level gap of ``order``'s block.
 
         The block is ``order0``'s (zeroth) or ``order1``'s (first); levels at
-        most tol times its largest |level| apart count as one. Other orders,
-        and a block of one level, raise UnsupportedConfigurationError.
+        most GROUPING_RTOL times its largest |level| apart count as one.
+        Other orders, and a block of one level, raise
+        UnsupportedConfigurationError.
         """
         rep = {QzdOrder.ZEROTH: self.order0, QzdOrder.FIRST: self.order1}.get(order)
         e = np.linalg.eigvalsh(rep.block) if rep is not None else np.zeros(1)
         gaps = np.diff(e)
-        gaps = gaps[gaps > self.tol * np.max(np.abs(e))]
+        gaps = gaps[gaps > GROUPING_RTOL * np.max(np.abs(e))]
         if not gaps.size:
             raise UnsupportedConfigurationError(
                 f"{order.value} order has no effective cycle to set the default "
@@ -185,7 +182,6 @@ def analyze_watch(
     h_watch: SymTridiagMatrix,
     h_weak: SymTridiagMatrix,
     lam: float = 1.0,
-    tol: float = DEFAULT_GROUPING_RTOL,
 ) -> WatchAnalysis:
     """The watch's levels, zero basis and both effective Hamiltonians.
 
@@ -194,22 +190,25 @@ def analyze_watch(
     for the order-1 block. No N x N array is formed.
     """
     w = eigvals_sym_tridiag(h_watch)
-    levels = group_eigenvalues(w, default_grouping_tolerance(w, tol))
-    if not levels.has_zero_level:
+    levels = group_eigenvalues(w, default_grouping_tolerance(w))
+    zero = levels.zero_level_index
+    if zero is None:
         return WatchAnalysis(
-            h_watch, h_weak, tol, lam, levels, np.zeros((h_watch.size, 0)), None, None
+            h_watch, h_weak, levels, np.zeros((h_watch.size, 0)), None, None, None
         )
-    lo, hi = levels.bounds[levels.zero_level_index : levels.zero_level_index + 2]
+    lo, hi = levels.bounds[zero : zero + 2]
     coupling = couple_zero_level(eigvecs_sym_tridiag(h_watch, lo, hi), h_weak)
     rep0, rep1 = hqzd_order0(coupling), hqzd_order1(coupling, h_watch, lam)
-    return WatchAnalysis(h_watch, h_weak, tol, lam, levels, coupling.basis, rep0, rep1)
+    eta = np.abs(levels.eigenvalues)
+    eta[zero] = np.inf
+    scales = (coupling.h_norm, lam * coupling.h_norm**2 / np.min(eta))
+    return WatchAnalysis(h_watch, h_weak, levels, coupling.basis, rep0, rep1, scales)
 
 
 def classify(
     h_watch: SymTridiagMatrix,
     h_weak: SymTridiagMatrix,
     psi0: np.ndarray,
-    tol: float = DEFAULT_GROUPING_RTOL,
     lam: float = 1.0,
 ) -> QzdClassification:
     """Classify the order of the constrained dynamics.
@@ -220,15 +219,15 @@ def classify(
     the order-1 effective Hamiltonian fails to commute -> first; otherwise
     higher_or_none.
 
-    ``tol`` governs the grouping and the two commutator tests only:
-    eigenvalues group at tol times the largest |eigenvalue| of H_watch, and
-    a commutator counts as nonvanishing when its Frobenius norm exceeds tol
-    times its order's scale, ||H_weak|| for order 0 and
-    lam ||H_weak||^2 / min |eta != 0| for order 1; one that does not is
-    reported as 0.0. Proportionality to P0 is the one test of
-    ``hqzd_order0``, relative to the norm of H_weak.
+    ``GROUPING_RTOL`` (1e-8) governs the grouping and the two commutator
+    tests only: eigenvalues group at GROUPING_RTOL times the largest
+    |eigenvalue| of H_watch, and a commutator counts as nonvanishing when
+    its Frobenius norm exceeds GROUPING_RTOL times its order's scale,
+    ||H_weak|| for order 0 and lam ||H_weak||^2 / min |eta != 0| for order
+    1; one that does not is reported as 0.0. Proportionality to P0 is the
+    one test of ``hqzd_order0``, relative to the norm of H_weak.
     """
-    return analyze_watch(h_watch, h_weak, lam, tol).classify(psi0)
+    return analyze_watch(h_watch, h_weak, lam).classify(psi0)
 
 
 def check_prerequisite_ii(report: LeakageReport, delta0: float) -> PrerequisiteIIResult:

@@ -21,11 +21,11 @@ from zenochain.analytic import (
     qtilde_fluctuating_corner,
     toeplitz_eigenpair,
 )
-from zenochain.chain import ChainSpec, build_chain, interior_block
+from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
 from zenochain.dynamics import default_time_grid
 from zenochain.errors import ValidationError
 from zenochain.harness import run_scenario
-from zenochain.linalg import eig_sym_tridiag, invert_tridiag
+from zenochain.linalg import eig_sym_tridiag
 from zenochain.perturbation import (
     couple_zero_level,
     default_grouping_tolerance,
@@ -34,7 +34,7 @@ from zenochain.perturbation import (
     hqzd_order1,
 )
 
-from .oracles import expm_leakage_peak
+from .oracles import expm_leakage_peak, gaussian_elimination_inverse
 
 K = 1.0
 
@@ -249,10 +249,21 @@ class TestFluctuatingCorner:
             off = np.concatenate([couplings])
             from zenochain.linalg import SymTridiagMatrix
 
-            inv = invert_tridiag(SymTridiagMatrix(diag, off))
+            inv = gaussian_elimination_inverse(SymTridiagMatrix(diag, off).to_dense())
             assert qtilde_fluctuating_corner(couplings) == pytest.approx(
                 -inv[0, -1], abs=1e-12
             )
+
+    @pytest.mark.parametrize("n_sites", [250, 500, 1000])
+    @pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
+    def test_long_chains_match_dense_inverse(self, n_sites, k):
+        # either product alone overflows at N = 250, k = 1e3
+        for amplitude in (0.05, 0.2):
+            spec = ChainSpec(n_sites, 20.0, k=k, fluctuation=CouplingFluctuation(amplitude, 3))
+            watch = build_chain(spec).h_watch
+            want = -np.linalg.inv(interior_block(watch).to_dense())[0, -1]
+            got = qtilde_fluctuating_corner(watch.offdiag[1:-1])
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValidationError):

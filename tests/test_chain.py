@@ -127,8 +127,6 @@ class TestValidation:
             (dict(n_sites=3, lambda_inv=5.0), "n_sites"),
             (dict(n_sites=6, lambda_inv=0.5), "lambda_inv"),
             (dict(n_sites=6, lambda_inv=5.0, k=0.0), "k"),
-            (dict(n_sites=6, lambda_inv=5.0, delta_omega=1.0, delta_omega_site=3), "delta_omega_site"),
-            (dict(n_sites=6, lambda_inv=5.0, delta_omega=1.0, delta_omega_site=6), "delta_omega_site"),
         ],
     )
     def test_invalid_spec_names_field(self, kwargs, field):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from zenochain import cli, harness
 from zenochain.analytic import lambda_bound
-from zenochain.chain import ChainSpec, build_chain
+from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
 from zenochain.cli import main, read_config_file
 from zenochain.dynamics import TimeGrid
 from zenochain.errors import ValidationError
@@ -551,6 +551,27 @@ class TestFluctuate:
                 "--seed", "11", "--steps", "300", "--out", str(out),
             ) == 0
         assert (tmp_path / "fa.csv").read_bytes() == (tmp_path / "fb.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, amplitude, k", [("--amplitude", 0.2, 1.0), ("--k", 0.05, 1e3)], ids=["noisy", "k1e3"]
+    )
+    def test_long_chain_corners_match_dense_inverse(self, tmp_path, flag, amplitude, k):
+        # N = 200 blocks with condition numbers 91-295, while |det| is 1e-15
+        # of max|entry|^N (noisy) or overflows a double (k = 1e3)
+        value = str(amplitude if flag == "--amplitude" else k)
+        out = tmp_path / "fl"
+        argv = ["fluctuate", "--n", "200", flag, value, "--trials", "3", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        assert np.isfinite(json.loads((tmp_path / "fl.json").read_text())["mean_corner_element"])
+        with open(tmp_path / "fl.csv", newline="") as fh:
+            written = [float(row[1]) for row in list(csv.reader(fh))[1:]]
+        trials = run_fluctuation_trials(200, amplitude, 3, 0, k=k)
+        for trial, cell in zip(trials, written, strict=True):
+            noise = CouplingFluctuation(amplitude, trial.seed_offset)
+            block = interior_block(build_chain(ChainSpec(200, 20.0, k=k, fluctuation=noise)).h_watch)
+            want = -np.linalg.inv(block.to_dense())[0, -1]
+            assert abs(trial.corner_element - want) <= 1e-12 * abs(want)
+            assert abs(cell - want) <= 1e-11 * abs(want)  # the CSV keeps 12 digits
 
 
 class TestConfigFile:
