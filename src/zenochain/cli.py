@@ -51,7 +51,8 @@ def _words(chars: np.ndarray) -> np.ndarray:
 # is the digits of i (0000-9999), _HEAD[i] is "a.bc" and _TAIL[i] is "ae-b"
 # for the digits abc of i < 1000, _ONES[i] is the digit i; an index plus half
 # the table's size gives the trimmed word. _POW10[k] is 10**k from a correctly
-# rounded decimal literal (pow would add its own rounding).
+# rounded decimal literal (pow would add its own rounding); _INT_POW10[k] is
+# the integer 10**k for the fixed class's shifts.
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _ASCII = np.column_stack([np.repeat(np.tile(_DIGIT, 10**j), 10 ** (3 - j)) for j in range(4)])
 _DIGITS = _words(_ASCII)
@@ -61,6 +62,7 @@ _TAIL = _words(np.column_stack(
 ))
 _ONES = _words(np.column_stack([_DIGIT, np.zeros((10, 3), np.uint8)]))
 _POW10 = np.array([float(f"1e{k}") for k in range(113)])
+_INT_POW10 = 10 ** np.arange(5, dtype=np.int64)
 _RECORD = 20  # bytes per cell: the longest FLOAT_FORMAT text (19) and its separator
 _CELL = np.dtype((np.void, _RECORD))  # one record as one item: row scatters are fast
 _FALLBACK = ("%-" + str(_RECORD) + FLOAT_FORMAT[1:]).encode()
@@ -202,7 +204,7 @@ def _format_block(block: np.ndarray) -> bytes:
     records = np.empty(n, _CELL)
     if fixed.size:
         # "0." and the 15 digits of m * 10**(exp10 + 4), trailing zeros trimmed
-        q = m[fixed].astype(np.int64) * 10 ** (exp10[fixed] + 4)
+        q = m[fixed].astype(np.int64) * _INT_POW10.take(exp10[fixed] + 4)
         f, *groups = _digit_groups(q, (1, 4, 4, 4))
         words = [_DIGITS.take(f * 1000 + _DIGITS.size // 2)]
         trim = f == 0  # only zeros follow the group

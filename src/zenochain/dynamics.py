@@ -6,7 +6,7 @@ leakage at time t is the population outside the watched zero-level subspace,
 maximum over the observation window is delta. ``leakage_series`` computes it
 from the d0 watched amplitudes alone; the full N-site states, and with them
 every site's population, are built only for a trace (``simulate``,
-``evolve_trace``).
+``evolve_trace``, ``leakage_trace``).
 """
 
 from __future__ import annotations
@@ -117,9 +117,21 @@ def evolve_trace(
     The leakage is ``leakage_series`` of the same arguments, so its peak is
     the ``delta`` that ``run_scenario`` reports, bit for bit.
     """
+    leakage = leakage_series(d, psi0, basis, grid)
+    return leakage_trace(d, psi0, grid, leakage, mid_state)
+
+
+def leakage_trace(
+    d: SpectralDecomposition,
+    psi0: np.ndarray,
+    grid: TimeGrid,
+    leakage: np.ndarray,
+    mid_state: np.ndarray | None = None,
+) -> EvolutionTrace:
+    """The trace of psi0 under ``d`` around a leakage series already computed
+    for it (``leakage_series`` of the same state and grid)."""
     states = evolve_grid(d, psi0, grid.times)
     populations = np.abs(states.T) ** 2
-    leakage = leakage_series(d, psi0, basis, grid)
 
     mid_overlap = None
     if mid_state is not None:

@@ -20,8 +20,8 @@ from .dynamics import (
     LeakageReport,
     TimeGrid,
     default_time_grid,
-    evolve_trace,
     leakage_series,
+    leakage_trace,
     peak_report,
     site_one,
 )
@@ -40,15 +40,18 @@ from .qzd import classify  # noqa: F401
 class ScenarioResult:
     """Everything a single-chain run produces.
 
-    ``spectrum`` is the eigendecomposition of h_total. ``trace``, every
-    site's population at every grid time, is built from it on first read and
-    then kept; the leakage report needs only the watched amplitudes.
+    ``spectrum`` is the eigendecomposition of h_total and
+    ``leakage_series`` the leakage at every grid time, whose peak is
+    ``leakage``. ``trace``, every site's population at every grid time, is
+    built from the spectrum on first read and then kept; its leakage is
+    ``leakage_series``.
     """
 
     hams: ChainHamiltonians
     grid: TimeGrid
     spectrum: SpectralDecomposition
     leakage: LeakageReport
+    leakage_series: np.ndarray
     classification: QzdClassification
     order0: EffectiveHamiltonianReport
     order1: EffectiveHamiltonianReport
@@ -61,7 +64,7 @@ class ScenarioResult:
         if spec.n_sites % 2 == 1 and not spec.is_modified:
             mid = analytic.phi_mid(spec.n_sites)
         psi0 = site_one(spec.n_sites)
-        return evolve_trace(self.spectrum, psi0, self.grid, self.zero_basis, mid_state=mid)
+        return leakage_trace(self.spectrum, psi0, self.grid, self.leakage_series, mid_state=mid)
 
 
 def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
@@ -98,6 +101,7 @@ def run_scenario(
         grid=grid,
         spectrum=spectrum,
         leakage=peak_report(series, grid),
+        leakage_series=series,
         classification=classification,
         order0=analysis.order0,
         order1=analysis.order1,

@@ -10,6 +10,7 @@ evolution only multiplies them by complex phases.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,12 @@ from .errors import NumericalFailureError, SingularMatrixError, ValidationError
 
 # Components below this magnitude do not fix an eigenvector's sign.
 PHASE_EPS = 1e-12
+# Mirror-symmetric matrices of at least this size are solved as two half-size
+# parity blocks; below it one full solve costs less than the split's overhead.
+PARITY_MIN_SIZE = 64
+_SQRT_HALF = math.sqrt(0.5)
+# det_tridiag rescales its continuants when they leave this range.
+_CONTINUANT_LOW, _CONTINUANT_HIGH = 2.0**-500, 2.0**500
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,30 +119,95 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def eig_sym_tridiag(m: SymTridiagMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric tridiagonal matrix (LAPACK ``dstevd``)."""
-    if m.size == 1:
-        return SpectralDecomposition(m.diag.copy(), np.ones((1, 1)))
-    w, v, info = lapack.dstevd(m.diag, m.offdiag)
+def _dstevd(diag: np.ndarray, offdiag: np.ndarray, size: int, vectors: bool):
+    """LAPACK ``dstevd`` on one tridiagonal (block); failures name ``size``."""
+    w, v, info = lapack.dstevd(diag, offdiag, compute_v=int(vectors))
     if info != 0:
-        raise NumericalFailureError(
-            f"tridiagonal eigensolver failed to converge on a {m.size}x{m.size} matrix"
-        )
-    return SpectralDecomposition(w, _fix_phases(v))
+        what = "eigensolver failed to converge" if vectors else "eigenvalue solver failed"
+        raise NumericalFailureError(f"tridiagonal {what} on a {size}x{size} matrix")
+    return w, v
+
+
+def _parity_blocks(m: SymTridiagMatrix) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(diag, offdiag) of the symmetric and the antisymmetric parity block of
+    a mirror-symmetric m, or () when m is below ``PARITY_MIN_SIZE`` or not
+    mirror-symmetric (compared exactly).
+
+    For N = 2h both blocks are m's leading h x h block with offdiag[h-1]
+    added to (symmetric) or subtracted from (antisymmetric) its last
+    diagonal entry. For N = 2h+1 the symmetric block is the leading
+    (h+1) x (h+1) block with its last bond scaled by sqrt(2), the
+    antisymmetric block the leading h x h block.
+    """
+    n, h = m.size, m.size // 2
+    d, e = m.diag, m.offdiag
+    if n < PARITY_MIN_SIZE or not (
+        np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
+    ):
+        return ()
+    if n % 2 == 0:
+        ds, da = d[:h].copy(), d[:h].copy()
+        ds[-1] += e[h - 1]
+        da[-1] -= e[h - 1]
+        return (ds, e[: h - 1]), (da, e[: h - 1])
+    es = e[:h].copy()
+    es[-1] *= math.sqrt(2.0)
+    return (d[: h + 1], es), (d[:h], e[: h - 1])
+
+
+def eig_sym_tridiag(m: SymTridiagMatrix) -> SpectralDecomposition:
+    """Full eigendecomposition of a symmetric tridiagonal matrix (LAPACK ``dstevd``).
+
+    A mirror-symmetric m of at least ``PARITY_MIN_SIZE`` sites is solved as
+    its two half-size parity blocks (``_parity_blocks``). With block
+    eigenvector v (sign-fixed over the rows it shares with the full vector),
+    a symmetric eigenvector is (v[:h]/sqrt2, [v[h]] for odd N, reversed
+    v[:h]/sqrt2) and an antisymmetric one (v/sqrt2, [0] for odd N, -reversed
+    v/sqrt2); the two sets merge by a stable sort of their eigenvalues.
+    """
+    n = m.size
+    if n == 1:
+        return SpectralDecomposition(m.diag.copy(), np.ones((1, 1)))
+    blocks = _parity_blocks(m)
+    if not blocks:
+        w, v = _dstevd(m.diag, m.offdiag, n, vectors=True)
+        return SpectralDecomposition(w, _fix_phases(v))
+    h = n // 2
+    (ws, vs), (wa, va) = (_dstevd(d, e, n, vectors=True) for d, e in blocks)
+    vs[:h] *= _SQRT_HALF
+    va *= _SQRT_HALF
+    _fix_phases(vs)
+    _fix_phases(va)
+    w = np.concatenate([ws, wa])
+    order = np.argsort(w, kind="stable")
+    slot = np.empty(n, dtype=np.intp)
+    slot[order] = np.arange(n)
+    sym, anti = slot[: ws.size], slot[ws.size :]
+    rows = np.empty((n, n))  # row i is eigenvector i
+    rows[sym, :h] = vs[:h].T
+    rows[sym, n - h :] = vs[h - 1 :: -1].T
+    rows[anti, :h] = va.T
+    rows[anti, n - h :] = -va[::-1].T
+    if n % 2:
+        rows[sym, h] = vs[h]
+        rows[anti, h] = 0.0
+    return SpectralDecomposition(w[order], rows.T)
 
 
 def eigvals_sym_tridiag(m: SymTridiagMatrix) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    LAPACK ``dstevd`` without eigenvectors: O(N^2), no N x N array.
+    LAPACK ``dstevd`` without eigenvectors: O(N^2), no N x N array; a
+    mirror-symmetric m of at least ``PARITY_MIN_SIZE`` sites as its two
+    parity blocks (see ``eig_sym_tridiag``).
     """
     if m.size == 1:
         return m.diag.copy()
-    w, _, info = lapack.dstevd(m.diag, m.offdiag, compute_v=0)
-    if info != 0:
-        raise NumericalFailureError(
-            f"tridiagonal eigenvalue solver failed on a {m.size}x{m.size} matrix"
-        )
+    blocks = _parity_blocks(m)
+    if not blocks:
+        return _dstevd(m.diag, m.offdiag, m.size, vectors=False)[0]
+    w = np.concatenate([_dstevd(d, e, m.size, vectors=False)[0] for d, e in blocks])
+    w.sort()
     return w
 
 
@@ -334,21 +406,42 @@ def evolve_grid(d: SpectralDecomposition, psi0: np.ndarray, times: np.ndarray) -
     return phase_sums(d.eigenvectors, d.eigenvalues, amps, times)
 
 
-def _continuants(m: SymTridiagMatrix) -> np.ndarray:
-    """Leading principal minors theta[0..N] with theta[0] = 1."""
-    n = m.size
-    a, b = m.diag, m.offdiag
-    theta = np.empty(n + 1)
-    theta[0] = 1.0
-    theta[1] = a[0]
-    for i in range(2, n + 1):
-        theta[i] = a[i - 1] * theta[i - 1] - b[i - 2] ** 2 * theta[i - 2]
-    return theta
-
-
 def det_tridiag(m: SymTridiagMatrix) -> float:
-    """Determinant via the three-term continuant recursion."""
-    return float(_continuants(m)[-1])
+    """Determinant via the three-term continuant recursion.
+
+    theta_i = a_i theta_(i-1) - b_(i-1)^2 theta_(i-2), run on m scaled by a
+    power of two to max|entry| < 1; the pair (theta_(i-1), theta_i) is scaled
+    back into [2^-500, 2^500] whenever it leaves that range, and the binary
+    exponent is carried separately. Scaling by powers of two is exact: an
+    exactly singular m still gives exactly 0.0, and wherever the plain
+    recursion neither overflows nor underflows the result is bit for bit
+    its own. NumericalFailureError, giving log10|det|, when the determinant
+    lies outside the normal double range.
+    """
+    n = m.size
+    shift = math.frexp(m.max_abs_entry())[1]
+    a = np.ldexp(m.diag, -shift).tolist()
+    b2 = (np.ldexp(m.offdiag, -shift) ** 2).tolist()
+    exp2 = n * shift
+    prev, cur = 1.0, a[0]
+    for ai, bi2 in zip(a[1:], b2):
+        prev, cur = cur, ai * cur - bi2 * prev
+        big = max(abs(prev), abs(cur))
+        if big and not _CONTINUANT_LOW <= big <= _CONTINUANT_HIGH:
+            e = math.frexp(big)[1]
+            prev, cur = math.ldexp(prev, -e), math.ldexp(cur, -e)
+            exp2 += e
+    if cur == 0.0:
+        return cur
+    mantissa, e = math.frexp(cur)  # |det| = |mantissa| 2^exp2, |mantissa| in [1/2, 1)
+    exp2 += e
+    if not sys.float_info.min_exp <= exp2 <= sys.float_info.max_exp:
+        log10_det = (math.log2(abs(mantissa)) + exp2) * math.log10(2.0)
+        raise NumericalFailureError(
+            f"determinant of the {n}x{n} tridiagonal matrix is outside the double "
+            f"range: log10|det| = {log10_det:.1f}"
+        )
+    return math.ldexp(mantissa, exp2)
 
 
 def inverse_corner_tridiag(m: SymTridiagMatrix) -> float:

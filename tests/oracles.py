@@ -229,3 +229,49 @@ def eigenvector_sum_effective(
     c = v.T @ hv0
     block1 = lam * c.T @ (c / -eta[:, None])
     return v0 @ v0.T, v0 @ (v0.T @ hv0) @ v0.T, v0 @ block1 @ v0.T, float(np.min(np.abs(eta)))
+
+
+def dense_scenario(
+    h_watch: np.ndarray,
+    h_weak: np.ndarray,
+    h_total: np.ndarray,
+    lam: float,
+    times: np.ndarray,
+    rtol: float = 1e-8,
+) -> tuple[str, int, float, float]:
+    """Order, d0, default window and delta of |1> from dense eighs.
+
+    The zero level and both effective Hamiltonians come from
+    ``eigenvector_sum_effective``. The order is zeroth when the order-0 term
+    fails to commute with |1><1| by more than rtol ||H_weak||, first when
+    the order-0 term is rtol-proportional to P0 and the order-1 term fails
+    to commute by more than rtol times its scale; other chains are not
+    handled. The window is 2 pi over the smallest gap above rtol max|e|
+    among the eigenvalues e of that order's d0 x d0 block. delta is the
+    largest 1 - <psi(t)|P0|psi(t)> over ``times``, with psi(t) from a dense
+    eigh of H_total and one exponential per eigenvalue and time.
+    """
+    p0, m0, m1, min_eta = eigenvector_sum_effective(h_watch, h_weak, lam, rtol)
+    d0 = round(float(np.trace(p0)))
+    rho = np.zeros_like(p0)
+    rho[0, 0] = 1.0
+    h_norm = float(np.linalg.norm(h_weak))
+    comm0 = np.linalg.norm(m0 @ rho - rho @ m0)
+    comm1 = np.linalg.norm(m1 @ rho - rho @ m1)
+    proportional = np.linalg.norm(m0 - np.trace(m0) / d0 * p0) <= rtol * h_norm
+    if comm0 > rtol * h_norm:
+        order, matrix = "zeroth", m0
+    elif proportional and comm1 > rtol * lam * h_norm**2 / min_eta:
+        order, matrix = "first", m1
+    else:
+        raise ValueError("dense_scenario handles zeroth and first order chains only")
+
+    v0 = np.linalg.eigh(p0)[1][:, -d0:]
+    e = np.linalg.eigvalsh(v0.T @ matrix @ v0)
+    gaps = np.diff(e)
+    window = 2.0 * np.pi / float(np.min(gaps[gaps > rtol * np.max(np.abs(e))]))
+
+    w, u = np.linalg.eigh(h_total)
+    amps = ((v0.T @ u) * u[0]) @ np.exp(-1j * np.outer(w, times))
+    delta = float(np.max(1.0 - np.sum(np.abs(amps) ** 2, axis=0)))
+    return order, d0, window, delta

@@ -25,8 +25,10 @@ from zenochain.harness import (
     run_scenario,
     run_sweep,
 )
-from zenochain.linalg import eig_sym_tridiag
+from zenochain.linalg import PARITY_MIN_SIZE, eig_sym_tridiag
 from zenochain.qzd import QzdOrder
+
+from .oracles import dense_scenario
 
 
 class TestSlopeFit:
@@ -197,6 +199,29 @@ class TestScenario:
         result = run_scenario(spec)
         assert measure_leakage(result.trace) == result.leakage
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChainSpec(PARITY_MIN_SIZE, 20.0),
+            ChainSpec(PARITY_MIN_SIZE + 1, 7.0, k=1e-3),
+            ChainSpec(100, 7.0, k=1e3),
+            ChainSpec(101, 20.0),
+        ],
+        ids=["even-floor", "odd-floor", "even100", "odd101"],
+    )
+    def test_parity_split_matches_dense_referee(self, spec):
+        # mirror-symmetric chains at or above the floor take the parity split
+        result = run_scenario(spec)
+        hams = result.hams
+        order, d0, window, delta = dense_scenario(
+            hams.h_watch.to_dense(), hams.h_weak.to_dense(), hams.h_total.to_dense(),
+            spec.lam, result.grid.times,
+        )
+        assert result.classification.order.value == order
+        assert result.classification.zero_level_dimension == d0
+        assert result.grid.t_max == pytest.approx(window, rel=1e-12)
+        assert result.leakage.delta == pytest.approx(delta, rel=1e-12)
+
     def test_shift_inside_tolerance_runs_on_its_zeroth_window(self):
         # the shift lam * delta_omega = 5e-9 lies inside the grouping
         # tolerance, so the chain is zeroth order with d0 = 3, and its window
@@ -222,15 +247,21 @@ class TestScenario:
 class TestOneWatchAnalysis:
     @pytest.mark.parametrize(
         "spec",
-        [ChainSpec(6, 5.0), ChainSpec(7, 5.0), ChainSpec(7, 20.0, delta_omega=20.0)],
-        ids=["even", "odd", "modified"],
+        [
+            ChainSpec(6, 5.0),
+            ChainSpec(7, 5.0),
+            ChainSpec(7, 20.0, delta_omega=20.0),
+            ChainSpec(PARITY_MIN_SIZE, 5.0),
+            ChainSpec(PARITY_MIN_SIZE + 1, 5.0),
+        ],
+        ids=["even", "odd", "modified", "even-split", "odd-split"],
     )
     def test_scenario_solves_and_groups_the_watch_once(self, spec, monkeypatch):
         # one eigendecomposition, of H_total; H_watch gets one eigenvalue
         # solve, one grouping and its zero-level eigenvectors only, whichever
         # module binding a caller goes through; the N x (steps+1) states are
         # evolved only on the first read of .trace, from the H_total spectrum
-        # the run already holds
+        # the run already holds, around the leakage series the run computed
         calls = Counter()
 
         def counting(name, fn):
@@ -247,6 +278,7 @@ class TestOneWatchAnalysis:
             "group_eigenvalues",
             "group_levels",
             "evolve_grid",
+            "leakage_series",
         )
         for mod in (linalg, perturbation, qzd, dynamics, harness, cli):
             for name in names:
@@ -258,6 +290,7 @@ class TestOneWatchAnalysis:
             "eigvals_sym_tridiag": 1,
             "group_eigenvalues": 1,
             "eigvecs_sym_tridiag": 1,
+            "leakage_series": 1,
         }
         assert calls == once
         trace = result.trace

@@ -11,9 +11,11 @@ from numpy.testing import assert_allclose
 
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
 from zenochain.dynamics import default_time_grid
-from zenochain.errors import SingularMatrixError, ValidationError
+from zenochain.errors import NumericalFailureError, SingularMatrixError, ValidationError
 from zenochain.qzd import analyze_watch
+from zenochain import linalg
 from zenochain.linalg import (
+    PARITY_MIN_SIZE,
     PHASE_EPS,
     SymTridiagMatrix,
     _fix_phases,
@@ -167,6 +169,96 @@ class TestPhases:
         want = scan_fix_phases(q, PHASE_EPS)
         got = _fix_phases(q.copy())
         assert np.array_equal(got, want)
+
+
+@st.composite
+def mirror_tridiag(draw):
+    """Random mirror-symmetric tridiagonal matrices, below the parity floor
+    up to N = 300, at scales 1e-9 to 1e9: generic, with zero end bonds (as
+    H_watch), with a zero middle bond (equal parity blocks, so exactly
+    degenerate pairs) or with a zero diagonal (as an unshifted chain)."""
+    n = draw(st.integers(PARITY_MIN_SIZE - 8, 300))
+    kind = draw(st.sampled_from(["generic", "zero_ends", "zero_middle", "zero_diag"]))
+    scale = 10.0 ** draw(st.integers(-9, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = n // 2
+    half_d = rng.uniform(-1.0, 1.0, n - h)
+    half_e = rng.uniform(-1.0, 1.0, h)
+    if kind == "zero_diag":
+        half_d[:] = 0.0
+    elif kind == "zero_ends":
+        half_e[0] = 0.0
+    elif kind == "zero_middle":
+        half_e[-1] = 0.0
+    diag = np.concatenate([half_d, half_d[:h][::-1]])
+    off = np.concatenate([half_e, half_e[: n - 1 - h][::-1]])
+    return tridiag(scale * diag, scale * off)
+
+
+class TestParitySplit:
+    @given(mirror_tridiag())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_solve(self, m):
+        d = eig_sym_tridiag(m)
+        w, v, n = d.eigenvalues, d.eigenvectors, m.size
+        scale = m.max_abs_entry()
+        assert np.all(np.diff(w) >= 0)
+        want = scipy.linalg.eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True)
+        assert np.max(np.abs(w - want)) <= 1e-13 * scale
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+        assert np.max(np.abs((v * w) @ v.T - m.to_dense())) <= 1e-12 * scale
+        assert np.array_equal(v, scan_fix_phases(v, PHASE_EPS))
+        assert np.max(np.abs(eigvals_sym_tridiag(m) - w)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [PARITY_MIN_SIZE, PARITY_MIN_SIZE + 1, 212, 293])
+    def test_mirror_chains_get_parity_eigenvectors(self, n):
+        # each eigenvector is exactly even or odd under the mirror: the
+        # split was taken, for H_total and for H_watch
+        hams = build_chain(ChainSpec(n, 20.0))
+        for h in (hams.h_total, hams.h_watch):
+            v = eig_sym_tridiag(h).eigenvectors
+            even = np.all(v == v[::-1], axis=0)
+            odd = np.all(v == -v[::-1], axis=0)
+            assert np.all(even | odd)
+            assert np.sum(even) == n - n // 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChainSpec(PARITY_MIN_SIZE - 1, 20.0),
+            ChainSpec(PARITY_MIN_SIZE - 2, 20.0),
+            ChainSpec(101, 20.0, delta_omega=20.0),
+            ChainSpec(100, 20.0, fluctuation=CouplingFluctuation(0.1, 3)),
+        ],
+        ids=["odd-below-floor", "even-below-floor", "shifted", "fluctuating"],
+    )
+    def test_other_inputs_keep_one_full_solve(self, spec):
+        hams = build_chain(spec)
+        for h in (hams.h_total, hams.h_watch):
+            w, v, info = scipy.linalg.lapack.dstevd(h.diag, h.offdiag)
+            assert info == 0
+            d = eig_sym_tridiag(h)
+            assert np.array_equal(d.eigenvalues, w)
+            assert np.array_equal(d.eigenvectors, _fix_phases(v))
+            w0, _, _ = scipy.linalg.lapack.dstevd(h.diag, h.offdiag, compute_v=0)
+            assert np.array_equal(eigvals_sym_tridiag(h), w0)
+
+    @pytest.mark.parametrize("n", [PARITY_MIN_SIZE, PARITY_MIN_SIZE + 1])
+    def test_block_failure_names_the_full_size(self, n, monkeypatch):
+        real = linalg.lapack.dstevd
+
+        def fail_second(*args, **kwargs):
+            calls.append(len(args[0]))
+            w, v, info = real(*args, **kwargs)
+            return w, v, (1 if len(calls) == 2 else info)
+
+        h = build_chain(ChainSpec(n, 20.0)).h_total
+        monkeypatch.setattr(linalg.lapack, "dstevd", fail_second)
+        for solve in (eig_sym_tridiag, eigvals_sym_tridiag):
+            calls = []
+            with pytest.raises(NumericalFailureError, match=f"on a {n}x{n} matrix"):
+                solve(h)
+            assert calls == [n - n // 2, n // 2]
 
 
 class TestPartialEig:
@@ -427,6 +519,45 @@ class TestDet:
     @settings(max_examples=40, deadline=None)
     def test_matches_cofactor_expansion(self, m):
         assert_allclose(det_tridiag(m), cofactor_det(m.to_dense()), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("k, log10_det", [(1e3, "594.0"), (1e-3, "-594.0")])
+    def test_out_of_range_raises_with_its_log(self, k, log10_det):
+        # the 198x198 interior block: |det| = k^198 over- or underflows
+        block = interior_block(build_chain(ChainSpec(200, 20.0, k=k)).h_watch)
+        with pytest.raises(NumericalFailureError, match=f"log10\\|det\\| = {log10_det}"):
+            det_tridiag(block)
+
+    def test_chain_blocks_match_slogdet(self):
+        # even, shifted-odd and noisy interior blocks at k = 1e-3..1e3, N <= 60
+        for n in range(4, 61):
+            for k in (1e-3, 1.0, 1e3):
+                for spec in (
+                    ChainSpec(n, 20.0, k=k),
+                    ChainSpec(n | 1, 20.0, k=k, delta_omega=7.0),
+                    ChainSpec(n + n % 2, 20.0, k=k, fluctuation=CouplingFluctuation(0.2, n)),
+                ):
+                    block = interior_block(build_chain(spec).h_watch)
+                    sign, logdet = np.linalg.slogdet(block.to_dense())
+                    det = det_tridiag(block)
+                    if sign == 0.0:
+                        assert det == 0.0
+                        continue
+                    assert np.sign(det) == sign
+                    assert abs(np.log(abs(det)) - logdet) <= 1e-12
+
+    @given(well_conditioned_tridiag(max_size=60), st.integers(-300, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_matches_slogdet(self, m, e):
+        # m times 2^e: |det| from about 1e-5400 to 1e5400
+        m = tridiag(np.ldexp(m.diag, e), np.ldexp(m.offdiag, e))
+        sign, logdet = np.linalg.slogdet(m.to_dense())
+        try:
+            det = det_tridiag(m)
+        except NumericalFailureError:
+            assert not -707.0 < logdet < 709.0
+            return
+        assert np.sign(det) == sign
+        assert abs(np.log(abs(det)) - logdet) <= 1e-12
 
 
 class TestValidation:
