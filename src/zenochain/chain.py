@@ -15,7 +15,7 @@ perturbation module diagonalizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,6 +75,19 @@ class ChainSpec:
     def is_modified(self) -> bool:
         return self.delta_omega is not None
 
+    def in_units_of_k(self) -> ChainSpec:
+        """This chain in units of k: k = 1 and the shift delta_omega / k."""
+        if self.k == 1.0:
+            return self
+        shift = self.delta_omega
+        if shift is not None:
+            shift /= self.k
+            if shift == 0.0 or not math.isfinite(shift):
+                raise ValidationError(
+                    f"delta_omega: delta_omega / k = {shift:g} leaves the double range"
+                )
+        return replace(self, k=1.0, delta_omega=shift)
+
 
 @dataclass(frozen=True, eq=False)
 class ChainHamiltonians:
@@ -89,6 +102,11 @@ class ChainHamiltonians:
     h_watch: SymTridiagMatrix
     h_weak: SymTridiagMatrix
 
+    def in_units_of_k(self) -> ChainHamiltonians:
+        """This chain over k, built from ``spec.in_units_of_k()``; itself at k = 1."""
+        unit = self.spec.in_units_of_k()
+        return self if unit is self.spec else build_chain(unit)
+
 
 def build_chain(spec: ChainSpec) -> ChainHamiltonians:
     """Build the Hamiltonian triple for a chain specification.
@@ -102,6 +120,8 @@ def build_chain(spec: ChainSpec) -> ChainHamiltonians:
     watch_diag = np.zeros(n)
     if spec.delta_omega is not None:
         watch_diag[1] = spec.lam * spec.delta_omega  # site 2
+        if watch_diag[1] == 0.0:
+            raise ValidationError("delta_omega: lam * delta_omega underflows to 0")
 
     watch_off = np.zeros(n - 1)
     interior = np.full(n - 3, k)

@@ -125,7 +125,7 @@ FLAGS: dict[str, dict] = {
     "config": dict(help="config file of key=value lines"),
     "out": dict(help="output path prefix (default: subcommand name)"),
     "n": dict(type=int, help="chain length N >= 4 (even for bound and fluctuate)"),
-    "k": dict(type=float, default=1.0, help="weak coupling k (default %(default)s)"),
+    "k": dict(type=float, default=1.0, help="energy unit: weak coupling k (default %(default)s)"),
     "lambda_inv": dict(type=float, default=20.0, help="coupling ratio (default %(default)s)"),
     "delta_omega": dict(type=float, help="on-site energy shift at site 2 (modified chains)"),
     "t_max": dict(type=float, help="window length (default: one effective cycle)"),
@@ -289,7 +289,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         columns.append(trace.mid_overlap)
     _write_table(csv_path, header, columns)
 
-    cut = 1e-12 * result.hams.h_weak.max_abs_entry()  # relative to the weak coupling k
+    cut = 1e-12 * spec.k  # relative to the weak coupling k
     summary = {
         "delta": result.leakage.delta,
         "attained_at": result.leakage.attained_at,
@@ -315,7 +315,7 @@ def cmd_effective(args: argparse.Namespace) -> int:
 
     analysis = effective_reports(build_chain(spec))
     rep0, rep1 = analysis.order0, analysis.order1
-    cut = 1e-10 * analysis.h_weak.max_abs_entry()  # relative to the weak coupling k
+    cut = 1e-10 * spec.k  # relative to the weak coupling k
     payload = {
         "order0": {
             "nonzeros": _matrix_nonzeros(rep0.matrix, cut),
@@ -335,7 +335,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    result = run_sweep(args.g_list, args.n_list, k=args.k, n_steps=args.steps)
+    result = run_sweep(args.g_list, args.n_list, n_steps=args.steps)
 
     csv_path, json_path = _out_paths(args, "sweep")
     _write_table(
@@ -365,11 +365,15 @@ def cmd_fluctuate(args: argparse.Namespace) -> int:
     offsets, corners, deltas = np.array(
         [(r.seed_offset, r.corner_element, r.delta) for r in rows]
     ).T
+    with np.errstate(over="ignore"):
+        mean_corner = float(np.mean(corners))
+    if not math.isfinite(mean_corner):
+        raise ValidationError(f"k: the mean corner element over k = {args.k:g} overflows")
     _write_table(csv_path, ["seed_offset", "corner_element", "delta"], [offsets, corners, deltas])
 
     payload = {
         "trials": len(rows),
-        "mean_corner_element": float(np.mean(corners)),
+        "mean_corner_element": mean_corner,
         "mean_delta": float(np.mean(deltas)),
     }
     _emit_json(json_path, payload)
@@ -388,7 +392,7 @@ COMMANDS = {
     "bound": (cmd_bound, "coupling-ratio bound keeping leakage under delta0", ("n", "delta0")),
     "sweep": (
         cmd_sweep, "G-sweep measuring delta and the quadratic fit",
-        ("g_list", "n_list", "k", "steps"),
+        ("g_list", "n_list", "steps"),
     ),
     "fluctuate": (
         cmd_fluctuate, "Monte Carlo over fluctuating couplings",

@@ -6,17 +6,18 @@ leakage at time t is the population outside the watched zero-level subspace,
 maximum over the observation window is delta. ``leakage_series`` computes it
 from the d0 watched amplitudes alone; the full N-site states, and with them
 every site's population, are built only for a trace (``simulate``,
-``evolve_trace``, ``leakage_trace``).
+``leakage_trace``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainHamiltonians
-from .errors import UnsupportedConfigurationError, ValidationError
+from .errors import NumericalFailureError, UnsupportedConfigurationError, ValidationError
 from .linalg import (
     SpectralDecomposition,
     SymTridiagMatrix,
@@ -30,7 +31,7 @@ from .linalg import (
     phase_sums,
 )
 from .perturbation import FirstOrderCorrections
-from .qzd import analyze_watch
+from .qzd import QzdOrder, WatchAnalysis, analyze_watch, from_units_of_k
 
 DEFAULT_N_STEPS = 4000
 
@@ -102,23 +103,7 @@ def simulate(
         d = eig_sym_tridiag(h)
     else:
         d = eig_sym_dense(np.asarray(h))
-    return evolve_trace(d, psi0, grid, basis, mid_state)
-
-
-def evolve_trace(
-    d: SpectralDecomposition,
-    psi0: np.ndarray,
-    grid: TimeGrid,
-    basis: np.ndarray,
-    mid_state: np.ndarray | None = None,
-) -> EvolutionTrace:
-    """``simulate`` for a Hamiltonian already decomposed into ``d``.
-
-    The leakage is ``leakage_series`` of the same arguments, so its peak is
-    the ``delta`` that ``run_scenario`` reports, bit for bit.
-    """
-    leakage = leakage_series(d, psi0, basis, grid)
-    return leakage_trace(d, psi0, grid, leakage, mid_state)
+    return leakage_trace(d, psi0, grid, leakage_series(d, psi0, basis, grid), mid_state)
 
 
 def leakage_trace(
@@ -184,15 +169,52 @@ def measure_leakage(trace: EvolutionTrace) -> LeakageReport:
     return peak_report(trace.leakage, trace.grid)
 
 
+def analyze_unit_chain(unit: ChainHamiltonians, k: float) -> WatchAnalysis:
+    """The watch analysis of a chain in units of k (``in_units_of_k``), read at k."""
+    try:
+        analysis = analyze_watch(unit.h_watch, unit.h_weak, unit.spec.lam, k)
+    except NumericalFailureError as exc:
+        if not unit.spec.is_modified:
+            raise
+        # the shift lam delta_omega / k is what the solves could not take
+        raise ValidationError(
+            f"delta_omega: the watch analysis fails at lam * delta_omega / k = "
+            f"{unit.h_watch.diag[1]:g} ({exc})"
+        ) from exc
+    if not analysis.levels.has_zero_level:
+        raise ValidationError("chain watch matrix has no zero level")
+    return analysis
+
+
+def unit_grid(unit: ChainHamiltonians, t_max: float, n_steps: int, name: str) -> TimeGrid:
+    """The grid over [0, t_max] in units of 1/k for a chain in units of k."""
+    # its largest phase max|eta| t_max is at most 3 max|H_total| t_max
+    if not math.isfinite(3.0 * unit.h_total.max_abs_entry() * t_max):
+        raise ValidationError(
+            f"{name}: the window's largest phase max|eta| t_max is not finite "
+            f"(t_max = {t_max:g} in units of 1/k)"
+        )
+    return TimeGrid(t_max, n_steps)
+
+
+def default_grids(
+    unit: ChainHamiltonians, analysis: WatchAnalysis, order: QzdOrder, n_steps: int
+) -> tuple[TimeGrid, TimeGrid]:
+    """One cycle of ``order`` on a chain in units of k, as read over k (second)."""
+    grid = unit_grid(unit, analysis.cycle(order), n_steps, "lambda_inv")
+    return grid, TimeGrid(from_units_of_k(grid.t_max, analysis.k, -1), n_steps)
+
+
 def default_time_grid(hams: ChainHamiltonians, n_steps: int = DEFAULT_N_STEPS) -> TimeGrid:
     """One cycle of the dynamics that moves |1>: ``WatchAnalysis.cycle`` of its order.
 
     That is pi / (lam k) on unshifted even chains, pi sqrt(N-1) / k on
     unshifted odd ones and pi |delta_omega| / k^2 on shifted odd ones.
     """
-    analysis = analyze_watch(hams.h_watch, hams.h_weak, hams.spec.lam)
+    unit = hams.in_units_of_k()
+    analysis = analyze_unit_chain(unit, hams.spec.k)
     order = analysis.classify(site_one(hams.spec.n_sites)).order
-    return TimeGrid(analysis.cycle(order), n_steps)
+    return default_grids(unit, analysis, order, n_steps)[1]
 
 
 def u1_correction_trace(

@@ -19,16 +19,19 @@ from .dynamics import (
     EvolutionTrace,
     LeakageReport,
     TimeGrid,
+    analyze_unit_chain,
+    default_grids,
     default_time_grid,
     leakage_series,
     leakage_trace,
     peak_report,
     site_one,
+    unit_grid,
 )
 from .errors import ValidationError
 from .linalg import SpectralDecomposition, eig_sym_tridiag, inverse_corner_tridiag
 from .perturbation import EffectiveHamiltonianReport
-from .qzd import QzdClassification, QzdOrder, WatchAnalysis, analyze_watch
+from .qzd import QzdClassification, QzdOrder, WatchAnalysis, analyze_watch, from_units_of_k
 
 # Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
 from .dynamics import measure_leakage, simulate  # noqa: F401
@@ -38,7 +41,7 @@ from .qzd import classify  # noqa: F401
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """Everything a single-chain run produces.
+    """Everything a single-chain run produces, read from units of k.
 
     ``spectrum`` is the eigendecomposition of h_total and
     ``leakage_series`` the leakage at every grid time, whose peak is
@@ -68,11 +71,8 @@ class ScenarioResult:
 
 
 def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
-    """The chain's watch analysis: effective Hamiltonians and zero basis."""
-    analysis = analyze_watch(hams.h_watch, hams.h_weak, hams.spec.lam)
-    if not analysis.levels.has_zero_level:
-        raise ValidationError("chain watch matrix has no zero level")
-    return analysis
+    """The chain's watch analysis, solved in units of k and read at k."""
+    return analyze_unit_chain(hams.in_units_of_k(), hams.spec.k)
 
 
 def run_scenario(
@@ -87,19 +87,22 @@ def run_scenario(
     no cycle raises UnsupportedConfigurationError and needs an explicit grid.
     """
     hams = build_chain(spec)
+    unit = hams.in_units_of_k()
     psi0 = site_one(spec.n_sites)
 
-    analysis = effective_reports(hams)
+    analysis = analyze_unit_chain(unit, spec.k)
     classification = analysis.classify(psi0)
     if grid is None:
-        grid = TimeGrid(analysis.cycle(classification.order), n_steps)
+        unit_window, grid = default_grids(unit, analysis, classification.order, n_steps)
+    else:
+        unit_window = unit_grid(unit, grid.t_max * spec.k, grid.n_steps, "t_max")
 
-    spectrum = eig_sym_tridiag(hams.h_total)
-    series = leakage_series(spectrum, psi0, analysis.zero_basis, grid)
+    d = eig_sym_tridiag(unit.h_total)
+    series = leakage_series(d, psi0, analysis.zero_basis, unit_window)
     return ScenarioResult(
         hams=hams,
         grid=grid,
-        spectrum=spectrum,
+        spectrum=SpectralDecomposition(from_units_of_k(d.eigenvalues, spec.k), d.eigenvectors),
         leakage=peak_report(series, grid),
         leakage_series=series,
         classification=classification,
@@ -158,13 +161,13 @@ def _end_leakage(hams: ChainHamiltonians, grid: TimeGrid) -> float:
 def run_sweep(
     g_list: list[float],
     n_list: list[int],
-    k: float = 1.0,
     n_steps: int = DEFAULT_N_STEPS,
 ) -> SweepResult:
     """Measure delta over a (G, N) grid with lam = G / f(N) per cell.
 
-    The slope of mean delta against G^2 is fitted through the origin over
-    the G values whose mean delta stays below the fit's validity limit.
+    An unshifted watch holds no lam, so it is analysed once per N. The slope
+    of mean delta against G^2 is fitted through the origin over the G values
+    whose mean delta stays below the fit's validity limit.
     """
     if not g_list or not n_list:
         raise ValidationError("sweep: g_list and n_list must be non-empty")
@@ -185,10 +188,14 @@ def run_sweep(
                 )
             cells.append((g, n, lam_inv))
 
+    watches = {n: build_chain(ChainSpec(n_sites=n, lambda_inv=1.0)) for n in n_list}
+    analyses = {n: analyze_watch(h.h_watch, h.h_weak) for n, h in watches.items()}
     rows = []
     for g, n, lam_inv in cells:
-        hams = build_chain(ChainSpec(n_sites=n, lambda_inv=lam_inv, k=k))
-        grid = default_time_grid(hams, n_steps)
+        hams = build_chain(ChainSpec(n_sites=n, lambda_inv=lam_inv))
+        analysis = replace(analyses[n], lam=hams.spec.lam)
+        t_max = analysis.cycle(analysis.classify(site_one(n)).order)
+        grid = unit_grid(hams, t_max, n_steps, f"sweep: G={g:g}")
         rows.append(SweepCell(g, n, lam_inv, _end_leakage(hams, grid)))
 
     g_values, means, flats = [], [], []
@@ -238,19 +245,22 @@ def run_fluctuation_trials(
     Trial j seeds its generator with seed + j; each records the reduced
     resolvent's corner element <2|Qtilde|N-1> (the corner of the
     interior-block inverse) and the measured delta of the full dynamics,
-    over the default window of the same chain without coupling noise.
+    over the default window of the same chain without coupling noise, all
+    in units of k; the corner, an inverse energy, is read over k.
     """
     if trials < 1:
         raise ValidationError("trials: must be >= 1")
     if n_sites % 2 != 0:
         raise ValidationError("n_sites: fluctuation trials are defined for even chains")
-    noise_free = ChainSpec(n_sites=n_sites, lambda_inv=lambda_inv, k=k)
+    noise_free = ChainSpec(n_sites=n_sites, lambda_inv=lambda_inv, k=k).in_units_of_k()
+    # the window's phase check covers every trial: 20% bond noise keeps
+    # max|eta| below 2.4 max|H_total| of the noise-free chain, inside its bound
     grid = default_time_grid(build_chain(noise_free), n_steps)
 
     def one_trial(offset: int) -> FluctuationTrial:
         noise = CouplingFluctuation(amplitude, seed + offset)
         hams = build_chain(replace(noise_free, fluctuation=noise))
-        corner = -inverse_corner_tridiag(interior_block(hams.h_watch))
+        corner = from_units_of_k(-inverse_corner_tridiag(interior_block(hams.h_watch)), k, -1)
         return FluctuationTrial(offset, corner, _end_leakage(hams, grid))
 
     return [one_trial(offset) for offset in range(trials)]

@@ -272,7 +272,10 @@ def solve_bordered_tridiag(m: SymTridiagMatrix, v: np.ndarray, b: np.ndarray) ->
         *_, zy, info = lapack.dgesv(cap, -g[:, :c])
     if info != 0:
         raise NumericalFailureError(f"bordered {n}x{n} tridiagonal solve is singular")
-    return sol[:, :c] + sol[:, c:] @ (scale[:, None] * zy)
+    x = sol[:, :c] + sol[:, c:] @ (scale[:, None] * zy)
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailureError(f"bordered {n}x{n} tridiagonal solve is not finite")
+    return x
 
 
 def eig_sym_dense(a: np.ndarray) -> SpectralDecomposition:

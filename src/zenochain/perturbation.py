@@ -6,7 +6,7 @@ forms the reduced resolvent, and assembles the order-0 and order-1
 effective Hamiltonians
 
     H_eff0 = P0 H P0,
-    lam * H_eff1 = lam * P0 H Qtilde H P0,
+    H_eff1 = P0 H Qtilde H P0 (per unit lam),
     Qtilde = sum_{n != 0} P_n / (-eta_n),
 
 each formed as a d0 x d0 block in an orthonormal basis V0 (N x d0) of the
@@ -228,9 +228,9 @@ def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
 
 
 def hqzd_order1(
-    coupling: ZeroLevelCoupling, h_watch: SymTridiagMatrix, lam: float
+    coupling: ZeroLevelCoupling, h_watch: SymTridiagMatrix, lam: float = 1.0
 ) -> EffectiveHamiltonianReport:
-    """Order-1 effective Hamiltonian lam * P0 H Qtilde H P0.
+    """Order-1 effective Hamiltonian lam * P0 H Qtilde H P0 (per unit lam by default).
 
     With b = (1 - V0 V0^T) H V0, Qtilde H V0 = -x for x = sum_{eta != 0}
     u u^T b / eta, the solution of the bordered system [[H_watch, V0],

@@ -9,8 +9,10 @@ effective Hamiltonian actually moves the initial state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,6 +36,22 @@ from .perturbation import group_levels, reduced_resolvent  # noqa: F401
 
 if TYPE_CHECKING:
     from .dynamics import LeakageReport
+
+
+def from_units_of_k(value, k: float, power: int = 1):
+    """A float or array in units of k read back: times k (``power`` 1, an
+    energy) or over k (-1, a time)."""
+    if k == 1.0:
+        return value
+    with np.errstate(over="ignore", under="ignore"):
+        out = value * k if power == 1 else value / k
+    # the read must not overflow, nor take a normal value below the normal range
+    v, o, tiny = np.abs(value), np.abs(out), sys.float_info.min
+    if not np.all((o <= sys.float_info.max) & ((o >= tiny) | (v < tiny))):
+        raise ValidationError(
+            f"k: k = {k:g} takes a reported energy or time out of the double range"
+        )
+    return out
 
 
 class QzdOrder(str, Enum):
@@ -70,21 +88,42 @@ class PrerequisiteIIResult:
 class WatchAnalysis:
     """Everything the watch spectrum fixes for one chain, computed once.
 
-    ``levels`` groups the eigenvalues of H_watch (no eigenvectors are
-    kept); ``zero_basis`` (N x d0) spans its zero level (N x 0 without
-    one); ``order0`` and ``order1`` are the effective Hamiltonians of H_weak
-    there and ``scales`` their scales, ||H_weak|| and
-    lam ||H_weak||^2 / min |eta != 0| (Frobenius norms), all None without a
-    zero level.
+    The solves see H_watch and H_weak in units of k. ``levels`` groups
+    the eigenvalues of H_watch (no eigenvectors are kept); ``zero_basis``
+    (N x d0) spans its zero level (N x 0 without one); ``blocks`` are the
+    effective Hamiltonians of H_weak there, order 1 per unit lam, and
+    ``scales`` their scales, ||H_weak|| and ||H_weak||^2 / min |eta != 0|
+    (Frobenius norms), all None without a zero level. ``order0``,
+    ``order1`` and the commutator norms of ``classify`` read order n times
+    k lam^n; ``cycle`` reads a time over lam^n, in units of 1/k.
     """
 
     h_watch: SymTridiagMatrix
     h_weak: SymTridiagMatrix
     levels: LevelGrouping
     zero_basis: np.ndarray
-    order0: EffectiveHamiltonianReport | None
-    order1: EffectiveHamiltonianReport | None
+    blocks: tuple[EffectiveHamiltonianReport, EffectiveHamiltonianReport] | None
     scales: tuple[float, float] | None
+    lam: float = 1.0
+    k: float = 1.0
+
+    def _energy(self, value, order: int):
+        return from_units_of_k(self.lam**order * value, self.k)
+
+    def _read(self, order: int) -> EffectiveHamiltonianReport | None:
+        if self.blocks is None:
+            return None
+        rep = self.blocks[order]
+        common = None if rep.eta1_common is None else self._energy(rep.eta1_common, order)
+        return replace(rep, block=self._energy(rep.block, order), eta1_common=common)
+
+    @cached_property
+    def order0(self) -> EffectiveHamiltonianReport | None:
+        return self._read(0)
+
+    @cached_property
+    def order1(self) -> EffectiveHamiltonianReport | None:
+        return self._read(1)
 
     def classify(self, psi0: np.ndarray) -> QzdClassification:
         """The order decision of ``classify`` for this watch and psi0."""
@@ -118,12 +157,11 @@ class WatchAnalysis:
         # their commutators with |a><a|, a = V0^T psi0, equal the N x N ones
         a = self.zero_basis.T @ psi0
         rho0 = np.outer(a, a.conj())
-        reps = (self.order0, self.order1)
-        comms = [float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in reps]
+        comms = [float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in self.blocks]
         # each order's scale bounds its block; a commutator at or below
         # GROUPING_RTOL times its scale is round-off, reported as 0.0
         comm0, comm1 = (c if c > GROUPING_RTOL * s else 0.0 for c, s in zip(comms, self.scales))
-        proportional = self.order0.eta1_common is not None
+        proportional = self.blocks[0].eta1_common is not None
         prerequisite_i = proportional and comm1 > 0.0
 
         if comm0 > 0.0:
@@ -153,20 +191,21 @@ class WatchAnalysis:
             zero_level_dimension=dim0,
             order=order,
             prerequisite_i=prerequisite_i,
-            commutator_norm_order0=comm0,
-            commutator_norm_order1=comm1,
+            commutator_norm_order0=self._energy(comm0, 0),
+            commutator_norm_order1=self._energy(comm1, 1),
             notes=notes,
         )
 
     def cycle(self, order: QzdOrder) -> float:
-        """2 pi over the smallest nonzero level gap of ``order``'s block.
+        """2 pi over the smallest nonzero level gap of ``order``'s block, in units of 1/k.
 
         The block is ``order0``'s (zeroth) or ``order1``'s (first); levels at
         most GROUPING_RTOL times its largest |level| apart count as one.
         Other orders, and a block of one level, raise
         UnsupportedConfigurationError.
         """
-        rep = {QzdOrder.ZEROTH: self.order0, QzdOrder.FIRST: self.order1}.get(order)
+        n = {QzdOrder.ZEROTH: 0, QzdOrder.FIRST: 1}.get(order)
+        rep = None if n is None or self.blocks is None else self.blocks[n]
         e = np.linalg.eigvalsh(rep.block) if rep is not None else np.zeros(1)
         gaps = np.diff(e)
         gaps = gaps[gaps > GROUPING_RTOL * np.max(np.abs(e))]
@@ -175,34 +214,43 @@ class WatchAnalysis:
                 f"{order.value} order has no effective cycle to set the default "
                 "window; give an explicit t_max (--t-max)"
             )
-        return float(2.0 * np.pi / np.min(gaps))
+        return float(2.0 * np.pi / np.min(gaps)) / self.lam**n
 
 
 def analyze_watch(
     h_watch: SymTridiagMatrix,
     h_weak: SymTridiagMatrix,
     lam: float = 1.0,
+    k: float = 1.0,
 ) -> WatchAnalysis:
     """The watch's levels, zero basis and both effective Hamiltonians.
 
-    One eigenvalue solve of H_watch and its grouping; eigenvectors of the
-    zero level only, H_weak V0 once for both blocks, and one bordered solve
-    for the order-1 block. No N x N array is formed.
+    ``k`` is the energy unit of the matrices; ones whose weak coupling
+    max|H_weak| is not 1 are solved over it, with k times it. One eigenvalue
+    solve of H_watch and its grouping; eigenvectors of the zero level only,
+    H_weak V0 once for both blocks, and one bordered solve for the order-1
+    block. No N x N array is formed.
     """
+    unit = h_weak.max_abs_entry()
+    if unit not in (0.0, 1.0):
+        h_watch, h_weak = (
+            SymTridiagMatrix(h.diag / unit, h.offdiag / unit) for h in (h_watch, h_weak)
+        )
+        k *= unit
     w = eigvals_sym_tridiag(h_watch)
     levels = group_eigenvalues(w, default_grouping_tolerance(w))
     zero = levels.zero_level_index
     if zero is None:
         return WatchAnalysis(
-            h_watch, h_weak, levels, np.zeros((h_watch.size, 0)), None, None, None
+            h_watch, h_weak, levels, np.zeros((h_watch.size, 0)), None, None, lam, k
         )
     lo, hi = levels.bounds[zero : zero + 2]
     coupling = couple_zero_level(eigvecs_sym_tridiag(h_watch, lo, hi), h_weak)
-    rep0, rep1 = hqzd_order0(coupling), hqzd_order1(coupling, h_watch, lam)
+    blocks = hqzd_order0(coupling), hqzd_order1(coupling, h_watch)
     eta = np.abs(levels.eigenvalues)
     eta[zero] = np.inf
-    scales = (coupling.h_norm, lam * coupling.h_norm**2 / np.min(eta))
-    return WatchAnalysis(h_watch, h_weak, levels, coupling.basis, rep0, rep1, scales)
+    scales = (coupling.h_norm, coupling.h_norm**2 / np.min(eta))
+    return WatchAnalysis(h_watch, h_weak, levels, coupling.basis, blocks, scales, lam, k)
 
 
 def classify(
@@ -223,9 +271,10 @@ def classify(
     tests only: eigenvalues group at GROUPING_RTOL times the largest
     |eigenvalue| of H_watch, and a commutator counts as nonvanishing when
     its Frobenius norm exceeds GROUPING_RTOL times its order's scale,
-    ||H_weak|| for order 0 and lam ||H_weak||^2 / min |eta != 0| for order
-    1; one that does not is reported as 0.0. Proportionality to P0 is the
-    one test of ``hqzd_order0``, relative to the norm of H_weak.
+    ||H_weak|| for order 0 and ||H_weak||^2 / min |eta != 0| for order 1
+    (per unit lam), both in units of k; one that does not is reported as
+    0.0. Proportionality to P0 is the one test of ``hqzd_order0``, relative
+    to the norm of H_weak.
     """
     return analyze_watch(h_watch, h_weak, lam).classify(psi0)
 

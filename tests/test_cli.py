@@ -271,6 +271,99 @@ class TestSmallEnergyScale:
         )
 
 
+class TestEnergyUnitEdges:
+    """Every chain is solved in units of k, so k only scales what is read;
+    inputs the unit chain cannot take exit 1 naming the input."""
+
+    @staticmethod
+    def _json(capsys, *argv: str) -> dict:
+        assert run_cli(*argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("n, k", [(4, 1e154), (4, 1e155), (4, 1e-155), (5, 1e155), (5, 1e-155)])
+    def test_classify_answers_as_at_k_1(self, capsys, n, k):
+        # n=4 at 1e154 printed higher_or_none; 1e155 and 1e-155 exited 2
+        ref = self._json(capsys, "classify", "--n", str(n))
+        got = self._json(capsys, "classify", "--n", str(n), "--k", repr(k))
+        for key in ("order", "zero_level_dimension", "prerequisite_i", "notes"):
+            assert got[key] == ref[key]
+        for key in ("commutator_norm_order0", "commutator_norm_order1"):
+            assert got[key] == pytest.approx(k * ref[key], rel=1e-15)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("k", [1e155, 1e-155])
+    def test_simulate_answers_as_at_k_1(self, tmp_path, n, k):
+        summaries = []
+        for name, extra in (("ref", []), ("k", ["--k", repr(k)])):
+            out = tmp_path / name
+            argv = ["simulate", "--n", str(n), "--steps", "200", "--out", str(out), *extra]
+            assert run_cli(*argv) == 0
+            summaries.append(json.loads(out.with_name(name + ".json").read_text()))
+        ref, got = summaries
+        assert got["delta"] == ref["delta"]
+        assert got["classification_order"] == ref["classification_order"]
+        assert got["attained_at"] == pytest.approx(ref["attained_at"] / k, rel=1e-14)
+        assert [e[:2] for e in got["effective_matrix_nonzeros"]] == [
+            e[:2] for e in ref["effective_matrix_nonzeros"]
+        ]
+
+    @pytest.mark.parametrize("k", [1e155, 1e-155])
+    def test_fluctuate_answers_as_at_k_1(self, tmp_path, k):
+        payloads = []
+        for name, extra in (("ref", []), ("k", ["--k", repr(k)])):
+            out = tmp_path / name
+            argv = ["fluctuate", "--n", "10", "--trials", "3", "--steps", "200", "--out", str(out)]
+            assert run_cli(*argv, *extra) == 0
+            payloads.append(json.loads(out.with_name(name + ".json").read_text()))
+        ref, got = payloads
+        assert got["mean_delta"] == ref["mean_delta"]
+        assert got["mean_corner_element"] == pytest.approx(ref["mean_corner_element"] / k, rel=1e-14)
+
+    def test_effective_at_a_tiny_energy_unit(self, capsys):
+        # exited 2: the bordered solve of the k = 1e-200 matrices was singular
+        ref = self._json(capsys, "effective", "--n", "7")
+        got = self._json(capsys, "effective", "--n", "7", "--k", "1e-200")
+        assert ref["order0"]["nonzeros"]
+        assert got["order0"]["eta1_common"] is ref["order0"]["eta1_common"] is None
+        for key in ("order0", "order1_times_lambda"):
+            assert [e[:2] for e in got[key]["nonzeros"]] == [e[:2] for e in ref[key]["nonzeros"]]
+            assert [e[2] for e in got[key]["nonzeros"]] == pytest.approx(
+                [1e-200 * e[2] for e in ref[key]["nonzeros"]], rel=1e-15
+            )
+
+    @pytest.mark.parametrize("delta_omega, k", [
+        ("1e300", "1"),  # exited 2: "bordered 5x5 tridiagonal solve is singular"
+        ("1e300", "1e-10"),  # delta_omega / k overflows
+        ("1e-300", "1e100"),  # delta_omega / k underflows to 0, the unshifted chain
+    ])
+    def test_shift_out_of_reach_names_delta_omega(self, tmp_path, capsys, delta_omega, k):
+        out = tmp_path / "s"
+        argv = ["simulate", "--n", "5", "--delta-omega", delta_omega, "--k", k, "--out", str(out)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("error: delta_omega: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, name", [
+        (["fluctuate", "--n", "10", "--lambda-inv", "1e300"], "lambda_inv"),  # printed NaN
+        (["simulate", "--n", "4", "--lambda-inv", "1e300"], "lambda_inv"),
+        (["sweep", "--g-list", "1e-200", "--n-list", "4"], "sweep: G=1e-200"),  # asked for --t-max
+    ])
+    def test_window_beyond_the_double_range_names_its_input(self, tmp_path, capsys, argv, name):
+        assert run_cli(*argv, "--out", str(tmp_path / "w")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: the window's largest phase")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "5", "--k", "1e-306"],  # an order-1 block entry underflows
+        ["fluctuate", "--n", "10", "--k", "1e-307"],  # the mean corner element overflows
+    ])
+    def test_k_beyond_the_double_range_names_k(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", str(tmp_path / "k")) == 1
+        assert capsys.readouterr().err.startswith("error: k: ")
+        assert not list(tmp_path.iterdir())
+
+
 class TestOutputBytes:
     """Every CLI output, byte for byte, against referees in tests/oracles.py."""
 
@@ -636,7 +729,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, options", [
         ("simulate", {"n": "5", "lambda-inv": "20", "delta-omega": "20", "k": "1.5",
                       "t-max": "2.5", "steps": "37"}),
-        ("sweep", {"g-list": "0.05,0.1", "n-list": "4,6", "k": "2", "steps": "200"}),
+        ("sweep", {"g-list": "0.05,0.1", "n-list": "4,6", "steps": "200"}),
         ("fluctuate", {"n": "6", "amplitude": "0.04", "trials": "3", "seed": "5",
                        "lambda-inv": "15", "k": "0.5", "steps": "200"}),
         ("classify", {"n": "5", "lambda-inv": "20", "delta-omega": "20", "k": "2"}),

@@ -7,10 +7,13 @@ import importlib.util
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenochain import cli, dynamics, harness, linalg, perturbation, qzd
 from zenochain.analytic import f_of_n, qtilde_fluctuating_corner
@@ -242,6 +245,84 @@ class TestScenario:
         analysis = effective_reports(build_chain(ChainSpec(6, 20.0)))
         with pytest.raises(UnsupportedConfigurationError, match="--t-max"):
             analysis.cycle(QzdOrder.ZEROTH)
+
+
+def _leaves_double_range(values, k: float, power: int) -> bool:
+    """Whether reading ``values`` times k (power 1) or over k (-1) overflows,
+    or takes a normal value to a subnormal or zero."""
+    v = np.abs(np.asarray(values, dtype=float))
+    with np.errstate(over="ignore", under="ignore"):
+        out = v * k if power == 1 else v / k
+    tiny = np.finfo(float).tiny
+    return bool(np.any(np.isinf(out) | ((v >= tiny) & (out < tiny))))
+
+
+@st.composite
+def unit_scaled_chains(draw):
+    """(spec, k = 2^e, e integral): even, odd, shifted-odd and fluctuating
+    chains in units of k, with log2 k anywhere in [-1000, 1000]."""
+    family = draw(st.sampled_from(["even", "odd", "shifted", "fluctuating"]))
+    half = draw(st.integers(2, 30))
+    n = 2 * half + (family in ("odd", "shifted"))
+    integral = draw(st.booleans())
+    e = draw(st.integers(-1000, 1000)) if integral else draw(st.floats(-1000.0, 1000.0))
+    shift = draw(st.floats(5.0, 50.0)) if family == "shifted" else None
+    noise = None
+    if family == "fluctuating":
+        noise = CouplingFluctuation(draw(st.floats(0.0, 0.2)), draw(st.integers(0, 2**16)))
+    spec = ChainSpec(n, draw(st.floats(7.0, 40.0)), delta_omega=shift, fluctuation=noise)
+    return spec, 2.0**e, integral
+
+
+class TestEnergyUnit:
+    """Every run is solved in units of k: k only scales what is read."""
+
+    @given(unit_scaled_chains())
+    @settings(max_examples=150, deadline=None)
+    def test_results_are_free_of_k(self, drawn):
+        unit_spec, k, power_of_two = drawn
+        shift = None if unit_spec.delta_omega is None else unit_spec.delta_omega * k
+        spec = replace(unit_spec, k=k, delta_omega=shift)
+        unit_spec = replace(unit_spec, delta_omega=None if shift is None else shift / k)
+        base = run_scenario(unit_spec, n_steps=200)
+        c0 = base.classification
+        energies = [
+            base.order0.block.ravel(), base.order1.block.ravel(), base.spectrum.eigenvalues,
+            [c0.commutator_norm_order0, c0.commutator_norm_order1, base.order0.eta1_common or 0.0],
+        ]
+        if any(_leaves_double_range(v, k, 1) for v in energies) or _leaves_double_range(
+            base.grid.t_max, k, -1
+        ):
+            with pytest.raises(ValidationError, match="^k: "):
+                run_scenario(spec, n_steps=200)
+            return
+
+        got = run_scenario(spec, n_steps=200)
+        c = got.classification
+        assert (c.order, c.zero_level_dimension, c.prerequisite_i, c.notes) == (
+            c0.order, c0.zero_level_dimension, c0.prerequisite_i, c0.notes
+        )
+        assert got.leakage.delta == base.leakage.delta
+        assert got.grid.t_max == default_time_grid(build_chain(spec), 200).t_max
+        pairs = [(got.grid.t_max * k, base.grid.t_max)]
+        pairs += [(r.block / k, b.block) for r, b in ((got.order0, base.order0), (got.order1, base.order1))]
+        for read, want in pairs:
+            if power_of_two:
+                assert np.array_equal(read, want)
+            else:
+                assert np.all(np.abs(read - want) <= np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ChainSpec(6, 20.0), ChainSpec(7, 20.0), ChainSpec(7, 20.0, delta_omega=20.0)],
+        ids=["even", "odd", "modified"],
+    )
+    def test_default_grid_is_the_scenario_grid(self, spec):
+        # the benchmark's referee samples default_time_grid where the run did
+        for k in (1.0, 3.0, 1e-200):
+            scaled = replace(spec, k=k, delta_omega=spec.delta_omega and spec.delta_omega * k)
+            want = default_time_grid(build_chain(scaled)).t_max
+            assert run_scenario(scaled, n_steps=50).grid.t_max == want
 
 
 class TestOneWatchAnalysis:
