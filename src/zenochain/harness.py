@@ -90,7 +90,7 @@ def run_scenario(
     unit = hams.in_units_of_k()
     psi0 = site_one(spec.n_sites)
 
-    analysis = analyze_unit_chain(unit, spec.k)
+    analysis = effective_reports(hams)
     classification = analysis.classify(psi0)
     if grid is None:
         unit_window, grid = default_grids(unit, analysis, classification.order, n_steps)
