@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,8 @@ class ChainSpec:
             raise ValidationError("k: must be positive")
         if not self.lambda_inv >= 1.0:
             raise ValidationError("lambda_inv: must be >= 1")
+        if not math.isfinite(1.2 * self.lambda_inv * self.k):  # 20% bond noise at most
+            raise ValidationError(f"k: the strong bonds lambda_inv * k overflow at k = {self.k:g}")
         if self.delta_omega == 0.0:
             # a zero shift builds the unshifted chain; store it as no shift
             object.__setattr__(self, "delta_omega", None)
@@ -77,8 +80,6 @@ class ChainSpec:
 
     def in_units_of_k(self) -> ChainSpec:
         """This chain in units of k: k = 1 and the shift delta_omega / k."""
-        if self.k == 1.0:
-            return self
         shift = self.delta_omega
         if shift is not None:
             shift /= self.k
@@ -102,10 +103,10 @@ class ChainHamiltonians:
     h_watch: SymTridiagMatrix
     h_weak: SymTridiagMatrix
 
-    def in_units_of_k(self) -> ChainHamiltonians:
-        """This chain over k, built from ``spec.in_units_of_k()``; itself at k = 1."""
-        unit = self.spec.in_units_of_k()
-        return self if unit is self.spec else build_chain(unit)
+    @cached_property
+    def unit(self) -> ChainHamiltonians:
+        """This chain over k, built once from ``spec.in_units_of_k()``; itself at k = 1."""
+        return self if self.spec.k == 1.0 else build_chain(self.spec.in_units_of_k())
 
 
 def build_chain(spec: ChainSpec) -> ChainHamiltonians:

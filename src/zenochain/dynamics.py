@@ -31,7 +31,7 @@ from .linalg import (
     phase_sums,
 )
 from .perturbation import FirstOrderCorrections
-from .qzd import QzdOrder, WatchAnalysis, analyze_watch, from_units_of_k
+from .qzd import WatchAnalysis, analyze_watch, from_units_of_k
 
 DEFAULT_N_STEPS = 4000
 
@@ -169,10 +169,11 @@ def measure_leakage(trace: EvolutionTrace) -> LeakageReport:
     return peak_report(trace.leakage, trace.grid)
 
 
-def analyze_unit_chain(unit: ChainHamiltonians, k: float) -> WatchAnalysis:
-    """The watch analysis of a chain in units of k (``in_units_of_k``), read at k."""
+def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
+    """The chain's watch analysis, solved in units of k (``hams.unit``) and read at k."""
+    unit = hams.unit
     try:
-        analysis = analyze_watch(unit.h_watch, unit.h_weak, unit.spec.lam, k)
+        analysis = analyze_watch(unit.h_watch, unit.h_weak, unit.spec.lam, hams.spec.k)
     except NumericalFailureError as exc:
         if not unit.spec.is_modified:
             raise
@@ -186,8 +187,17 @@ def analyze_unit_chain(unit: ChainHamiltonians, k: float) -> WatchAnalysis:
     return analysis
 
 
-def unit_grid(unit: ChainHamiltonians, t_max: float, n_steps: int, name: str) -> TimeGrid:
-    """The grid over [0, t_max] in units of 1/k for a chain in units of k."""
+def unit_window(
+    unit: ChainHamiltonians,
+    analysis: WatchAnalysis,
+    n_steps: int,
+    t_max: float | None = None,
+    name: str = "lambda_inv",
+) -> TimeGrid:
+    """The grid over [0, t_max] in units of 1/k of a chain in units of k; by
+    default t_max is one cycle of the order that moves |1>."""
+    if t_max is None:
+        t_max = analysis.cycle(analysis.classify(site_one(unit.spec.n_sites)).order)
     # its largest phase max|eta| t_max is at most 3 max|H_total| t_max
     if not math.isfinite(3.0 * unit.h_total.max_abs_entry() * t_max):
         raise ValidationError(
@@ -197,24 +207,14 @@ def unit_grid(unit: ChainHamiltonians, t_max: float, n_steps: int, name: str) ->
     return TimeGrid(t_max, n_steps)
 
 
-def default_grids(
-    unit: ChainHamiltonians, analysis: WatchAnalysis, order: QzdOrder, n_steps: int
-) -> tuple[TimeGrid, TimeGrid]:
-    """One cycle of ``order`` on a chain in units of k, as read over k (second)."""
-    grid = unit_grid(unit, analysis.cycle(order), n_steps, "lambda_inv")
-    return grid, TimeGrid(from_units_of_k(grid.t_max, analysis.k, -1), n_steps)
-
-
 def default_time_grid(hams: ChainHamiltonians, n_steps: int = DEFAULT_N_STEPS) -> TimeGrid:
     """One cycle of the dynamics that moves |1>: ``WatchAnalysis.cycle`` of its order.
 
     That is pi / (lam k) on unshifted even chains, pi sqrt(N-1) / k on
     unshifted odd ones and pi |delta_omega| / k^2 on shifted odd ones.
     """
-    unit = hams.in_units_of_k()
-    analysis = analyze_unit_chain(unit, hams.spec.k)
-    order = analysis.classify(site_one(hams.spec.n_sites)).order
-    return default_grids(unit, analysis, order, n_steps)[1]
+    window = unit_window(hams.unit, effective_reports(hams), n_steps)
+    return TimeGrid(from_units_of_k(window.t_max, hams.spec.k, -1), n_steps)
 
 
 def u1_correction_trace(

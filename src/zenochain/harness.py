@@ -19,19 +19,18 @@ from .dynamics import (
     EvolutionTrace,
     LeakageReport,
     TimeGrid,
-    analyze_unit_chain,
-    default_grids,
     default_time_grid,
+    effective_reports,
     leakage_series,
     leakage_trace,
     peak_report,
     site_one,
-    unit_grid,
+    unit_window,
 )
 from .errors import ValidationError
 from .linalg import SpectralDecomposition, eig_sym_tridiag, inverse_corner_tridiag
-from .perturbation import EffectiveHamiltonianReport
-from .qzd import QzdClassification, QzdOrder, WatchAnalysis, analyze_watch, from_units_of_k
+from .perturbation import EffectiveHamiltonianReport, default_grouping_tolerance
+from .qzd import QzdClassification, QzdOrder, from_units_of_k
 
 # Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
 from .dynamics import measure_leakage, simulate  # noqa: F401
@@ -70,11 +69,6 @@ class ScenarioResult:
         return leakage_trace(self.spectrum, psi0, self.grid, self.leakage_series, mid_state=mid)
 
 
-def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
-    """The chain's watch analysis, solved in units of k and read at k."""
-    return analyze_unit_chain(hams.in_units_of_k(), hams.spec.k)
-
-
 def run_scenario(
     spec: ChainSpec,
     grid: TimeGrid | None = None,
@@ -87,25 +81,25 @@ def run_scenario(
     no cycle raises UnsupportedConfigurationError and needs an explicit grid.
     """
     hams = build_chain(spec)
-    unit = hams.in_units_of_k()
     psi0 = site_one(spec.n_sites)
 
     analysis = effective_reports(hams)
-    classification = analysis.classify(psi0)
     if grid is None:
-        unit_window, grid = default_grids(unit, analysis, classification.order, n_steps)
+        window = unit_window(hams.unit, analysis, n_steps)
+        grid = TimeGrid(from_units_of_k(window.t_max, spec.k, -1), n_steps)
     else:
-        unit_window = unit_grid(unit, grid.t_max * spec.k, grid.n_steps, "t_max")
+        window = unit_window(hams.unit, analysis, grid.n_steps, grid.t_max * spec.k, "t_max")
 
-    d = eig_sym_tridiag(unit.h_total)
-    series = leakage_series(d, psi0, analysis.zero_basis, unit_window)
+    d = eig_sym_tridiag(hams.unit.h_total)
+    series = leakage_series(d, psi0, analysis.zero_basis, window)
+    w = from_units_of_k(d.eigenvalues, spec.k, 1, default_grouping_tolerance(d.eigenvalues))
     return ScenarioResult(
         hams=hams,
         grid=grid,
-        spectrum=SpectralDecomposition(from_units_of_k(d.eigenvalues, spec.k), d.eigenvectors),
+        spectrum=SpectralDecomposition(w, d.eigenvectors),
         leakage=peak_report(series, grid),
         leakage_series=series,
-        classification=classification,
+        classification=analysis.classify(psi0),
         order0=analysis.order0,
         order1=analysis.order1,
         zero_basis=analysis.zero_basis,
@@ -188,14 +182,12 @@ def run_sweep(
                 )
             cells.append((g, n, lam_inv))
 
-    watches = {n: build_chain(ChainSpec(n_sites=n, lambda_inv=1.0)) for n in n_list}
-    analyses = {n: analyze_watch(h.h_watch, h.h_weak) for n, h in watches.items()}
+    analyses = {n: effective_reports(build_chain(ChainSpec(n, 1.0))) for n in n_list}
     rows = []
     for g, n, lam_inv in cells:
         hams = build_chain(ChainSpec(n_sites=n, lambda_inv=lam_inv))
         analysis = replace(analyses[n], lam=hams.spec.lam)
-        t_max = analysis.cycle(analysis.classify(site_one(n)).order)
-        grid = unit_grid(hams, t_max, n_steps, f"sweep: G={g:g}")
+        grid = unit_window(hams, analysis, n_steps, name=f"sweep: G={g:g}")
         rows.append(SweepCell(g, n, lam_inv, _end_leakage(hams, grid)))
 
     g_values, means, flats = [], [], []

@@ -228,20 +228,20 @@ def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
 
 
 def hqzd_order1(
-    coupling: ZeroLevelCoupling, h_watch: SymTridiagMatrix, lam: float = 1.0
+    coupling: ZeroLevelCoupling, h_watch: SymTridiagMatrix
 ) -> EffectiveHamiltonianReport:
-    """Order-1 effective Hamiltonian lam * P0 H Qtilde H P0 (per unit lam by default).
+    """Order-1 effective Hamiltonian P0 H Qtilde H P0, per unit lam.
 
     With b = (1 - V0 V0^T) H V0, Qtilde H V0 = -x for x = sum_{eta != 0}
     u u^T b / eta, the solution of the bordered system [[H_watch, V0],
     [V0^T, 0]] [x; y] = [b; 0] (``solve_bordered_tridiag``). The block is
-    -lam b^T x: O(N d0^2) once the zero level is known, and no eigenvector
+    -b^T x: O(N d0^2) once the zero level is known, and no eigenvector
     of a nonzero level is needed. V0 must span H_watch's zero level.
     """
     v0 = coupling.basis
     b = coupling.h_basis - v0 @ coupling.block
     x = solve_bordered_tridiag(h_watch, v0, b)
-    return EffectiveHamiltonianReport(1, _symmetric(-lam * (b.T @ x)), v0)
+    return EffectiveHamiltonianReport(1, _symmetric(-(b.T @ x)), v0)
 
 
 @dataclass(frozen=True, eq=False)

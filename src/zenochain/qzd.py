@@ -9,7 +9,6 @@ effective Hamiltonian actually moves the initial state.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -38,19 +37,16 @@ if TYPE_CHECKING:
     from .dynamics import LeakageReport
 
 
-def from_units_of_k(value, k: float, power: int = 1):
+def from_units_of_k(value, k: float, power: int = 1, floor: float = 0.0):
     """A float or array in units of k read back: times k (``power`` 1, an
-    energy) or over k (-1, a time)."""
-    if k == 1.0:
-        return value
+    energy) or over k (-1, a time). Values at or below ``floor`` are round-off."""
     with np.errstate(over="ignore", under="ignore"):
         out = value * k if power == 1 else value / k
-    # the read must not overflow, nor take a normal value below the normal range
-    v, o, tiny = np.abs(value), np.abs(out), sys.float_info.min
-    if not np.all((o <= sys.float_info.max) & ((o >= tiny) | (v < tiny))):
-        raise ValidationError(
-            f"k: k = {k:g} takes a reported energy or time out of the double range"
-        )
+    # the read must not overflow, nor take a normal value above its round-off
+    # floor below the normal range
+    v, o, f = np.abs(value), np.abs(out), np.finfo(float)
+    if not np.all((o <= f.max) & ((o >= f.tiny) | (v < f.tiny) | (v <= floor))):
+        raise ValidationError(f"k: k = {k:g} reads an energy or time out of the double range")
     return out
 
 
@@ -95,7 +91,8 @@ class WatchAnalysis:
     ``scales`` their scales, ||H_weak|| and ||H_weak||^2 / min |eta != 0|
     (Frobenius norms), all None without a zero level. ``order0``,
     ``order1`` and the commutator norms of ``classify`` read order n times
-    k lam^n; ``cycle`` reads a time over lam^n, in units of 1/k.
+    k lam^n, where values at or below GROUPING_RTOL times the scale are
+    round-off; ``cycle`` reads a time over lam^n, in units of 1/k.
     """
 
     h_watch: SymTridiagMatrix
@@ -108,7 +105,8 @@ class WatchAnalysis:
     k: float = 1.0
 
     def _energy(self, value, order: int):
-        return from_units_of_k(self.lam**order * value, self.k)
+        s = self.lam**order
+        return from_units_of_k(s * value, self.k, 1, s * GROUPING_RTOL * self.scales[order])
 
     def _read(self, order: int) -> EffectiveHamiltonianReport | None:
         if self.blocks is None:
@@ -225,18 +223,11 @@ def analyze_watch(
 ) -> WatchAnalysis:
     """The watch's levels, zero basis and both effective Hamiltonians.
 
-    ``k`` is the energy unit of the matrices; ones whose weak coupling
-    max|H_weak| is not 1 are solved over it, with k times it. One eigenvalue
-    solve of H_watch and its grouping; eigenvectors of the zero level only,
-    H_weak V0 once for both blocks, and one bordered solve for the order-1
-    block. No N x N array is formed.
+    The matrices are in units of k, the energy unit the analysis reads at.
+    One eigenvalue solve of H_watch and its grouping; eigenvectors of the
+    zero level only, H_weak V0 once for both blocks, and one bordered solve
+    for the order-1 block. No N x N array is formed.
     """
-    unit = h_weak.max_abs_entry()
-    if unit not in (0.0, 1.0):
-        h_watch, h_weak = (
-            SymTridiagMatrix(h.diag / unit, h.offdiag / unit) for h in (h_watch, h_weak)
-        )
-        k *= unit
     w = eigvals_sym_tridiag(h_watch)
     levels = group_eigenvalues(w, default_grouping_tolerance(w))
     zero = levels.zero_level_index
@@ -272,11 +263,14 @@ def classify(
     |eigenvalue| of H_watch, and a commutator counts as nonvanishing when
     its Frobenius norm exceeds GROUPING_RTOL times its order's scale,
     ||H_weak|| for order 0 and ||H_weak||^2 / min |eta != 0| for order 1
-    (per unit lam), both in units of k; one that does not is reported as
-    0.0. Proportionality to P0 is the one test of ``hqzd_order0``, relative
-    to the norm of H_weak.
+    (per unit lam), both in units of k = max|H_weak|, over which the
+    matrices are solved; one that does not is reported as 0.0.
+    Proportionality to P0 is the one test of ``hqzd_order0``, relative to
+    the norm of H_weak.
     """
-    return analyze_watch(h_watch, h_weak, lam).classify(psi0)
+    k = h_weak.max_abs_entry() or 1.0
+    h_watch, h_weak = (SymTridiagMatrix(h.diag / k, h.offdiag / k) for h in (h_watch, h_weak))
+    return analyze_watch(h_watch, h_weak, lam, k).classify(psi0)
 
 
 def check_prerequisite_ii(report: LeakageReport, delta0: float) -> PrerequisiteIIResult:

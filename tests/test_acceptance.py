@@ -257,9 +257,9 @@ def test_criterion_07_oracle_equivalence():
         ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
         qtilde = reduced_resolvent(ps)
         coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep = hqzd_order1(coupling, hams.h_watch, lam)
+        rep = hqzd_order1(coupling, hams.h_watch)
         worst_even = max(
-            worst_even, float(np.max(np.abs(rep.matrix - hqzd1_even(n, K, lam))))
+            worst_even, float(np.max(np.abs(lam * rep.matrix - hqzd1_even(n, K, lam))))
         )
         inv = gaussian_elimination_inverse(interior_block(hams.h_watch).to_dense())
         embedded = np.zeros((n, n))
@@ -276,11 +276,10 @@ def test_criterion_07_oracle_equivalence():
             rep = hqzd_order1(
                 couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()),
                 hams.h_watch,
-                1.0 / lam_inv,
             )
             worst_odd = max(
                 worst_odd,
-                float(np.max(np.abs(rep.matrix - hqzd1_odd_modified(n, K, dw)))),
+                float(np.max(np.abs(rep.matrix / lam_inv - hqzd1_odd_modified(n, K, dw)))),
             )
 
     ok = worst_even < 1e-10 and worst_odd < 1e-8 and worst_resolvent < 1e-10

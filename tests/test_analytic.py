@@ -44,7 +44,7 @@ def projector_route_order1(spec: ChainSpec) -> np.ndarray:
     d = eig_sym_tridiag(hams.h_watch)
     ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
     coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-    return hqzd_order1(coupling, hams.h_watch, spec.lam).matrix
+    return spec.lam * hqzd_order1(coupling, hams.h_watch).matrix
 
 
 class TestToeplitzEigenpairs:

@@ -354,8 +354,19 @@ class TestEnergyUnitEdges:
         assert err.startswith(f"error: {name}: the window's largest phase")
         assert not list(tmp_path.iterdir())
 
+    def test_round_off_may_read_below_the_normal_range(self, tmp_path, capsys):
+        # the odd chain's order-1 block and the zero eigenvalue of H_total
+        # are round-off: at k = 1e-306 they read as subnormals, not as an error
+        assert run_cli("simulate", "--n", "5", "--k", "1e-306", "--out", str(tmp_path / "s")) == 0
+        capsys.readouterr()
+        got = self._json(capsys, "classify", "--n", "5", "--k", "1e-306")
+        assert got["commutator_norm_order1"] == 0.0
+        assert got["commutator_norm_order0"] == pytest.approx(1e-306, rel=1e-15)
+
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--n", "5", "--k", "1e-306"],  # an order-1 block entry underflows
+        ["simulate", "--n", "4", "--k", "1e307"],  # the strong bonds lambda_inv k overflow
+        ["simulate", "--n", "40", "--k", "5e306", "--steps", "10"],  # H_total eigenvalues overflow
+        ["classify", "--n", "5", "--k", "1e-310"],  # the order-0 commutator is subnormal
         ["fluctuate", "--n", "10", "--k", "1e-307"],  # the mean corner element overflows
     ])
     def test_k_beyond_the_double_range_names_k(self, tmp_path, capsys, argv):

@@ -276,18 +276,18 @@ class TestOrder1:
     def test_four_site_end_to_end(self):
         hams, _, ps = watch_levels(ChainSpec(4, 5.0))
         coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep = hqzd_order1(coupling, hams.h_watch, lam=0.2)
+        rep = hqzd_order1(coupling, hams.h_watch)
         expect = np.zeros((4, 4))
         expect[0, 3] = expect[3, 0] = -0.2 * K
-        assert_allclose(rep.matrix, expect, atol=1e-12)
+        assert_allclose(0.2 * rep.matrix, expect, atol=1e-12)
 
     @pytest.mark.parametrize("n_sites", range(4, 21, 2))
     def test_even_matches_closed_form(self, n_sites):
         lam = 1.0 / 7.0
         hams, _, ps = watch_levels(ChainSpec(n_sites, 7.0))
         coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep = hqzd_order1(coupling, hams.h_watch, lam)
-        assert np.max(np.abs(rep.matrix - hqzd1_even(n_sites, K, lam))) < 1e-10
+        rep = hqzd_order1(coupling, hams.h_watch)
+        assert np.max(np.abs(lam * rep.matrix - hqzd1_even(n_sites, K, lam))) < 1e-10
 
     @pytest.mark.parametrize("n_sites", (5, 7, 9))
     @pytest.mark.parametrize("lambda_inv", (20.0, 50.0))
@@ -296,8 +296,8 @@ class TestOrder1:
         hams, _, ps = watch_levels(ChainSpec(n_sites, lambda_inv, delta_omega=dw))
         assert ps.zero_level.multiplicity == 2
         coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep = hqzd_order1(coupling, hams.h_watch, 1.0 / lambda_inv)
-        assert np.max(np.abs(rep.matrix - hqzd1_odd_modified(n_sites, K, dw))) < 1e-8
+        rep = hqzd_order1(coupling, hams.h_watch)
+        assert np.max(np.abs(rep.matrix / lambda_inv - hqzd1_odd_modified(n_sites, K, dw))) < 1e-8
 
     @pytest.mark.parametrize(
         "spec",
@@ -316,8 +316,8 @@ class TestOrder1:
         hams, _, ps = watch_levels(spec)
         v0, h = ps.zero_level.vectors, hams.h_weak.to_dense()
         ref = spec.lam * (h @ v0).T @ reduced_resolvent(ps) @ (h @ v0)
-        rep = hqzd_order1(couple_zero_level(v0, h), hams.h_watch, spec.lam)
-        assert np.max(np.abs(rep.block - ref)) <= 1e-13 * spec.lam * K
+        rep = hqzd_order1(couple_zero_level(v0, h), hams.h_watch)
+        assert np.max(np.abs(spec.lam * rep.block - ref)) <= 1e-13 * spec.lam * K
 
     @pytest.mark.parametrize("k", [1e-9, 1e-3, 1.0, 1e3, 1e9])
     @pytest.mark.parametrize(
@@ -335,9 +335,9 @@ class TestOrder1:
         ref0 = v0.T @ hv0
         ref1 = spec.lam * hv0.T @ reduced_resolvent(ps) @ hv0
         coupling = couple_zero_level(v0, hams.h_weak)
-        rep0, rep1 = hqzd_order0(coupling), hqzd_order1(coupling, hams.h_watch, spec.lam)
+        rep0, rep1 = hqzd_order0(coupling), hqzd_order1(coupling, hams.h_watch)
         assert np.max(np.abs(rep0.block - ref0)) <= 1e-12 * k
-        assert np.max(np.abs(rep1.block - ref1)) <= 1e-12 * spec.lam * k
+        assert np.max(np.abs(spec.lam * rep1.block - ref1)) <= 1e-12 * spec.lam * k
         assert rep0.eta1_common == hqzd_order0(couple_zero_level(v0, h)).eta1_common
 
     def test_block_product_matches_dense(self):
@@ -356,7 +356,7 @@ class TestOrder1:
         hams, _, ps = watch_levels(ChainSpec(8, 5.0))
         p0 = ps.zero_level.projector
         coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep = hqzd_order1(coupling, hams.h_watch, 0.3)
+        rep = hqzd_order1(coupling, hams.h_watch)
         outside = (np.eye(8) - p0) @ rep.matrix
         assert np.max(np.abs(outside)) < 1e-10
         assert np.max(np.abs(rep.matrix - rep.matrix.T)) < 1e-12
@@ -374,7 +374,7 @@ class TestPerturbationSumRule:
         hams, _, ps = watch_levels(spec)
         n = spec.n_sites
         coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep1 = hqzd_order1(coupling, hams.h_watch, 1.0)
+        rep1 = hqzd_order1(coupling, hams.h_watch)
         basis = end_basis(n)
         eta2 = np.sort(np.linalg.eigvalsh(basis.T @ rep1.matrix @ basis))
 
