@@ -84,8 +84,9 @@ def run_scenario(
     psi0 = site_one(spec.n_sites)
 
     analysis = effective_reports(hams)
+    classification = analysis.classify(psi0)
     if grid is None:
-        window = unit_window(hams.unit, analysis, n_steps)
+        window = unit_window(hams.unit, analysis, n_steps, analysis.cycle(classification.order))
         grid = TimeGrid(from_units_of_k(window.t_max, spec.k, -1), n_steps)
     else:
         window = unit_window(hams.unit, analysis, grid.n_steps, grid.t_max * spec.k, "t_max")
@@ -99,7 +100,7 @@ def run_scenario(
         spectrum=SpectralDecomposition(w, d.eigenvectors),
         leakage=peak_report(series, grid),
         leakage_series=series,
-        classification=analysis.classify(psi0),
+        classification=classification,
         order0=analysis.order0,
         order1=analysis.order1,
         zero_basis=analysis.zero_basis,
