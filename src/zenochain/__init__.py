@@ -66,7 +66,6 @@ from .linalg import (
     eig_sym_tridiag,
     eigvals_sym_tridiag,
     eigvecs_sym_tridiag,
-    evolve,
     evolve_grid,
     inverse_corner_tridiag,
     solve_bordered_tridiag,

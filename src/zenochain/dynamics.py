@@ -21,6 +21,7 @@ from .errors import NumericalFailureError, UnsupportedConfigurationError, Valida
 from .linalg import (
     SpectralDecomposition,
     SymTridiagMatrix,
+    TimeGrid,
     check_state,
     eig_sym_dense,
     eig_sym_tridiag,
@@ -34,24 +35,6 @@ from .perturbation import FirstOrderCorrections
 from .qzd import WatchAnalysis, analyze_watch, from_units_of_k
 
 DEFAULT_N_STEPS = 4000
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid of n_steps intervals covering [0, t_max]."""
-
-    t_max: float
-    n_steps: int
-
-    def __post_init__(self) -> None:
-        if not (self.t_max > 0.0 and np.isfinite(self.t_max)):
-            raise ValidationError("t_max: must be finite and positive")
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
-            raise ValidationError("n_steps: must be a positive integer")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_steps + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +98,7 @@ def leakage_trace(
 ) -> EvolutionTrace:
     """The trace of psi0 under ``d`` around a leakage series already computed
     for it (``leakage_series`` of the same state and grid)."""
-    states = evolve_grid(d, psi0, grid.times)
+    states = evolve_grid(d, psi0, grid)
     populations = np.abs(states.T) ** 2
 
     mid_overlap = None
@@ -145,10 +128,9 @@ def leakage_series(
     u, eta = d.eigenvectors, d.eigenvalues
     w = (basis.T @ u) * overlaps(u, psi0)  # d0 x N
 
-    times = grid.times
-    coarse, fine = grid_phase_factors(eta, times)  # ceil(T/B) x N, N x B
+    coarse, fine = grid_phase_factors(eta, grid)  # ceil(T/B) x N, N x B
     amps = (w[:, None, :] * coarse).reshape(-1, d.size) @ fine
-    amps = amps.reshape(basis.shape[1], -1)[:, : times.size]
+    amps = amps.reshape(basis.shape[1], -1)[:, : grid.n_steps + 1]
     # strip float dust so leakage stays a population in [0, 1]
     return np.clip(1.0 - np.sum(np.abs(amps) ** 2, axis=0), 0.0, 1.0)
 
@@ -184,6 +166,15 @@ def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
         ) from exc
     if not analysis.levels.has_zero_level:
         raise ValidationError("chain watch matrix has no zero level")
+    # the two ends and at most one zero mode of the interior block, whose
+    # eigenvalues are simple: more means the grouping tolerance took in
+    # interior levels next to a large shift
+    d0 = analysis.zero_basis.shape[1]
+    if unit.spec.is_modified and d0 > 3:
+        raise ValidationError(
+            f"delta_omega: the zero level has {d0} > 3 dimensions at "
+            f"lam * delta_omega / k = {unit.h_watch.diag[1]:g}"
+        )
     return analysis
 
 
@@ -251,8 +242,7 @@ def u1_correction_trace(
 
     c = overlaps(base, psi0)   # <s0|psi0>
     dcoef = overlaps(corr, psi0)   # <s1|psi0>
-    times = tau_grid.times
-    series = lam * (phase_sums(corr, eta, c, times) + phase_sums(base, eta, dcoef, times))
+    series = lam * (phase_sums(corr, eta, c, tau_grid) + phase_sums(base, eta, dcoef, tau_grid))
     return np.sum(np.abs(series) ** 2, axis=0)
 
 

@@ -1,10 +1,11 @@
 """Real-symmetric tridiagonal linear algebra.
 
 Eigendecomposition (full, eigenvalues only, or a few eigenvectors), a
-bordered tridiagonal solve, spectral time evolution, the corner element of
-a tridiagonal inverse and the continuant determinant. Every Hamiltonian in
-this package is real symmetric, so eigenvectors are kept real and time
-evolution only multiplies them by complex phases.
+bordered tridiagonal solve, spectral time evolution over a uniform
+``TimeGrid``, the corner element of a tridiagonal inverse and the
+continuant determinant. Every Hamiltonian in this package is real
+symmetric, so eigenvectors are kept real and time evolution only multiplies
+them by complex phases.
 """
 
 from __future__ import annotations
@@ -83,6 +84,24 @@ class SymTridiagMatrix:
 
     def frobenius_norm(self) -> float:
         return math.sqrt(float(self.diag @ self.diag + 2.0 * self.offdiag @ self.offdiag))
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform grid of n_steps intervals covering [0, t_max]."""
+
+    t_max: float
+    n_steps: int
+
+    def __post_init__(self) -> None:
+        if not (self.t_max > 0.0 and np.isfinite(self.t_max)):
+            raise ValidationError("t_max: must be finite and positive")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise ValidationError("n_steps: must be a positive integer")
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_max, self.n_steps + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,9 +222,7 @@ def eigvals_sym_tridiag(m: SymTridiagMatrix) -> np.ndarray:
     """
     if m.size == 1:
         return m.diag.copy()
-    blocks = _parity_blocks(m)
-    if not blocks:
-        return _dstevd(m.diag, m.offdiag, m.size, vectors=False)[0]
+    blocks = _parity_blocks(m) or ((m.diag, m.offdiag),)
     w = np.concatenate([_dstevd(d, e, m.size, vectors=False)[0] for d, e in blocks])
     w.sort()
     return w
@@ -267,7 +284,8 @@ def solve_bordered_tridiag(m: SymTridiagMatrix, v: np.ndarray, b: np.ndarray) ->
         scale = np.full(2 * d, -1.0)
         scale[:d] = sigma
         g = np.vstack([sol[rows], v.T @ sol])
-        cap = g[:, c:] * scale
+        with np.errstate(over="ignore"):  # an overflow fails the finiteness check below
+            cap = g[:, c:] * scale
         cap[:d, :d] -= np.eye(d)
         *_, zy, info = lapack.dgesv(cap, -g[:, :c])
     if info != 0:
@@ -329,15 +347,6 @@ def overlaps(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve(d: SpectralDecomposition, psi0: np.ndarray, t: float) -> np.ndarray:
-    """psi(t) = sum_n exp(-i eta_n t) (v_n . psi0) v_n."""
-    psi0 = check_state(psi0, d.size, "psi0")
-    if t == 0.0:
-        return psi0.copy()
-    amps = overlaps(d.eigenvectors, psi0)
-    return d.eigenvectors @ (np.exp(-1j * d.eigenvalues * t) * amps)
-
-
 def _phase_powers(eigenvalues: np.ndarray, step: float, count: int) -> np.ndarray:
     """exp(-i eta_n m step) for m = 0..count-1 (count x N), by doubling.
 
@@ -357,56 +366,45 @@ def _phase_powers(eigenvalues: np.ndarray, step: float, count: int) -> np.ndarra
 
 
 def grid_phase_factors(
-    eigenvalues: np.ndarray, times: np.ndarray
+    eigenvalues: np.ndarray, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i eta_n t_j) on a uniform grid from 0, as coarse and fine factors.
+    """exp(-i eta_n t_j) on the grid's n_steps + 1 times, as coarse and fine factors.
 
     Writing time index j = c*B + r with B = ceil(sqrt(T)) for T times,
     exp(-i eta_n t_j) = coarse[c, n] * fine[n, r] up to rounding, with
     coarse = exp(-i t_cB eta_n) (ceil(T/B) x N) and fine = exp(-i eta_n t_r)
     (N x B). Each table is built by doubling (``_phase_powers``), so both
     take about N * 2 log2(B) exponentials where the full table takes N * T.
-
-    ``times`` must be a uniform grid from 0 (as ``TimeGrid.times`` makes it)
-    to 1e-12 relative; anything else raises ValidationError.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ValidationError("times: expected a non-empty 1-d array")
-    dt = times[-1] / max(times.size - 1, 1)
-    if not np.max(np.abs(times - dt * np.arange(times.size))) <= 1e-12 * abs(times[-1]):
-        raise ValidationError("times: expected a uniform grid starting at 0")
-    b = math.ceil(math.sqrt(times.size))
-    coarse = _phase_powers(eigenvalues, b * dt, -(-times.size // b))
+    dt, count = grid.t_max / grid.n_steps, grid.n_steps + 1
+    b = math.ceil(math.sqrt(count))
+    coarse = _phase_powers(eigenvalues, b * dt, -(-count // b))
     fine = np.ascontiguousarray(_phase_powers(eigenvalues, dt, b).T)
     return coarse, fine
 
 
 def phase_sums(
-    vectors: np.ndarray, eigenvalues: np.ndarray, weights: np.ndarray, times: np.ndarray
+    vectors: np.ndarray, eigenvalues: np.ndarray, weights: np.ndarray, grid: TimeGrid
 ) -> np.ndarray:
-    """Column j is sum_n vectors[:, n] weights[n] exp(-i eta_n t_j).
+    """Column j is sum_n vectors[:, n] weights[n] exp(-i eta_n t_j) over the grid.
 
-    ``vectors`` is real; ``times`` a uniform grid from 0. The weighted N x T
-    phase table is formed from ``grid_phase_factors``, and the real
-    ``vectors`` multiply its (re, im) pairs in one real matrix product.
+    ``vectors`` is real. The weighted N x T phase table is formed from
+    ``grid_phase_factors``, and the real ``vectors`` multiply its (re, im)
+    pairs in one real matrix product.
     """
     if np.iscomplexobj(vectors):
         raise ValidationError("vectors: must be real")
-    coarse, fine = grid_phase_factors(eigenvalues, times)
+    coarse, fine = grid_phase_factors(eigenvalues, grid)
     n = fine.shape[0]
     table = ((coarse.T * weights[:, None])[:, :, None] * fine[:, None, :]).reshape(n, -1)
-    return (vectors @ table.view(float)).view(complex)[:, : len(times)]
+    return (vectors @ table.view(float)).view(complex)[:, : grid.n_steps + 1]
 
 
-def evolve_grid(d: SpectralDecomposition, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """States at many times at once; column j is psi(times[j]).
-
-    ``times`` must be a uniform grid from 0 (see ``grid_phase_factors``).
-    """
+def evolve_grid(d: SpectralDecomposition, psi0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """States at every grid time at once; column j is psi(grid.times[j])."""
     psi0 = check_state(psi0, d.size, "psi0")
     amps = overlaps(d.eigenvectors, psi0)
-    return phase_sums(d.eigenvectors, d.eigenvalues, amps, times)
+    return phase_sums(d.eigenvectors, d.eigenvalues, amps, grid)
 
 
 def det_tridiag(m: SymTridiagMatrix) -> float:

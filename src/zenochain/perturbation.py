@@ -141,7 +141,7 @@ def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
 
 @dataclass(frozen=True, eq=False)
 class EffectiveHamiltonianReport:
-    """An effective Hamiltonian of a given perturbative order.
+    """An effective Hamiltonian of one perturbative order (``hqzd_order0`` or ``hqzd_order1``).
 
     ``block`` is the d0 x d0 matrix in the zero-level basis ``basis`` (N x d0).
     ``eta1_common`` is set (order 0 only) when the block is a multiple c * 1
@@ -149,7 +149,6 @@ class EffectiveHamiltonianReport:
     first-order shift.
     """
 
-    order: int
     block: np.ndarray
     basis: np.ndarray
     eta1_common: float | None = None
@@ -211,7 +210,7 @@ def hqzd_order0(coupling: ZeroLevelCoupling) -> EffectiveHamiltonianReport:
         c = float(np.trace(block)) / dim0
         if np.linalg.norm(block - c * np.eye(dim0)) <= PROPORTIONALITY_RTOL * coupling.h_norm:
             eta1_common = c
-    return EffectiveHamiltonianReport(0, block, coupling.basis, eta1_common)
+    return EffectiveHamiltonianReport(block, coupling.basis, eta1_common)
 
 
 def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
@@ -241,7 +240,7 @@ def hqzd_order1(
     v0 = coupling.basis
     b = coupling.h_basis - v0 @ coupling.block
     x = solve_bordered_tridiag(h_watch, v0, b)
-    return EffectiveHamiltonianReport(1, _symmetric(-(b.T @ x)), v0)
+    return EffectiveHamiltonianReport(_symmetric(-(b.T @ x)), v0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -98,7 +98,6 @@ class WatchAnalysis:
     """
 
     h_watch: SymTridiagMatrix
-    h_weak: SymTridiagMatrix
     levels: LevelGrouping
     zero_basis: np.ndarray
     blocks: tuple[EffectiveHamiltonianReport, EffectiveHamiltonianReport] | None
@@ -234,16 +233,14 @@ def analyze_watch(
     levels = group_eigenvalues(w, default_grouping_tolerance(w))
     zero = levels.zero_level_index
     if zero is None:
-        return WatchAnalysis(
-            h_watch, h_weak, levels, np.zeros((h_watch.size, 0)), None, None, lam, k
-        )
+        return WatchAnalysis(h_watch, levels, np.zeros((h_watch.size, 0)), None, None, lam, k)
     lo, hi = levels.bounds[zero : zero + 2]
     coupling = couple_zero_level(eigvecs_sym_tridiag(h_watch, lo, hi), h_weak)
     blocks = hqzd_order0(coupling), hqzd_order1(coupling, h_watch)
     eta = np.abs(levels.eigenvalues)
     eta[zero] = np.inf
     scales = (coupling.h_norm, coupling.h_norm**2 / np.min(eta))
-    return WatchAnalysis(h_watch, h_weak, levels, coupling.basis, blocks, scales, lam, k)
+    return WatchAnalysis(h_watch, levels, coupling.basis, blocks, scales, lam, k)
 
 
 def classify(

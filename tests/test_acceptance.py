@@ -328,7 +328,7 @@ def test_criterion_09_property_suites():
         d = eig_sym_tridiag(result.hams.h_total)
         psi0 = np.zeros(spec.n_sites, dtype=complex)
         psi0[0] = 1.0
-        states = evolve_grid(d, psi0, result.trace.grid.times)
+        states = evolve_grid(d, psi0, result.trace.grid)
         norm_drift = max(
             norm_drift, float(np.max(np.abs(np.linalg.norm(states, axis=0) - 1.0)))
         )

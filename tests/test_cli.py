@@ -343,6 +343,28 @@ class TestEnergyUnitEdges:
         assert capsys.readouterr().err.startswith("error: delta_omega: ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n, delta_omega, d0", [
+        (9, "1e10", 8), (5, "1e10", 4), (6, "1e10", 5), (31, "1e12", 30),
+    ])
+    def test_shift_merging_interior_levels_names_delta_omega(
+        self, tmp_path, capsys, n, delta_omega, d0
+    ):
+        # printed higher_or_none with a zero level of d0 dimensions, exit 0:
+        # the grouping tolerance next to the shift took in interior levels
+        out = tmp_path / "c"
+        argv = ["classify", "--n", str(n), "--delta-omega", delta_omega, "--out", str(out)]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta_omega: ")
+        assert f"zero level has {d0} > 3 dimensions" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_near_zero_interior_level_of_a_shifted_chain_still_classifies(self, capsys):
+        # N = 4's interior level near -1/shift genuinely lies within the tolerance
+        got = self._json(capsys, "classify", "--n", "4", "--delta-omega", "1e12")
+        assert got["zero_level_dimension"] == 3
+        assert got["order"] == "higher_or_none"
+
     @pytest.mark.parametrize("argv, name", [
         (["fluctuate", "--n", "10", "--lambda-inv", "1e300"], "lambda_inv"),  # printed NaN
         (["simulate", "--n", "4", "--lambda-inv", "1e300"], "lambda_inv"),

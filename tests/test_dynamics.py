@@ -280,7 +280,7 @@ class TestDynamicsProperties:
         d = eig_sym_tridiag(hams.h_total)
         psi0 = np.zeros(6, dtype=complex)
         psi0[0] = 1.0
-        states = evolve_grid(d, psi0, grid.times)
+        states = evolve_grid(d, psi0, grid)
         norms = np.linalg.norm(states, axis=0)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
         h = hams.h_total.to_dense()

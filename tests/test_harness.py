@@ -336,6 +336,33 @@ class TestEnergyUnit:
             assert run_scenario(scaled, n_steps=50).grid.t_max == want
 
 
+@st.composite
+def shifted_chains(draw):
+    """Even, odd and fluctuating chains of 4-101 sites with a shift of either
+    sign whose log10 lies anywhere in [-300, 300]."""
+    family = draw(st.sampled_from(["even", "odd", "fluctuating"]))
+    odd = family == "odd" or (family == "fluctuating" and draw(st.booleans()))
+    n = 2 * draw(st.integers(2, 50)) + odd
+    noise = CouplingFluctuation(0.1, n) if family == "fluctuating" else None
+    shift = 10.0 ** draw(st.floats(-300.0, 300.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return ChainSpec(n, 20.0, delta_omega=shift, fluctuation=noise)
+
+
+class TestZeroLevelDimension:
+    """A chain's zero level holds its two ends and at most one zero mode of
+    the interior block, an irreducible tridiagonal with simple eigenvalues."""
+
+    @given(shifted_chains())
+    @settings(max_examples=200, deadline=None)
+    def test_at_most_three_or_delta_omega_is_named(self, spec):
+        try:
+            analysis = effective_reports(build_chain(spec))
+        except ValidationError as exc:
+            assert str(exc).startswith("delta_omega: ")
+        else:
+            assert analysis.zero_basis.shape[1] <= 3
+
+
 class TestOneWatchAnalysis:
     @pytest.mark.parametrize(
         "spec",

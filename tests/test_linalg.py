@@ -18,13 +18,13 @@ from zenochain.linalg import (
     PARITY_MIN_SIZE,
     PHASE_EPS,
     SymTridiagMatrix,
+    TimeGrid,
     _fix_phases,
     det_tridiag,
     eig_sym_dense,
     eig_sym_tridiag,
     eigvals_sym_tridiag,
     eigvecs_sym_tridiag,
-    evolve,
     evolve_grid,
     inverse_corner_tridiag,
     phase_sums,
@@ -332,32 +332,26 @@ class TestBorderedSolve:
 
 
 class TestEvolve:
-    def test_t_zero_is_identity(self):
-        d = eig_sym_tridiag(tridiag([0.0, 0.0, 0.0], [1.0, 1.0]))
-        psi0 = np.array([0.6, 0.8j, 0.0], dtype=complex)
-        out = evolve(d, psi0, 0.0)
-        assert np.array_equal(out, psi0)
-
     def test_two_level_rabi_transfer(self):
         d = eig_sym_tridiag(tridiag([0.0, 0.0], [K]))
-        psi = evolve(d, np.array([1.0, 0.0]), np.pi / (2 * K))
+        psi = evolve_grid(d, np.array([1.0, 0.0]), TimeGrid(np.pi / (2 * K), 1))[:, -1]
         assert_allclose(np.abs(psi) ** 2, [0.0, 1.0], atol=1e-12)
 
     def test_norm_mismatch_rejected(self):
         d = eig_sym_tridiag(tridiag([0.0, 0.0], [K]))
         with pytest.raises(ValidationError):
-            evolve(d, np.array([1.0, 1.0]), 0.5)
+            evolve_grid(d, np.array([1.0, 1.0]), TimeGrid(0.5, 1))
         with pytest.raises(ValidationError):
-            evolve(d, np.array([1.0, 0.0, 0.0]), 0.5)
+            evolve_grid(d, np.array([1.0, 0.0, 0.0]), TimeGrid(0.5, 1))
 
     def test_matches_rk4_on_four_site_chain(self):
         hams = build_chain(ChainSpec(n_sites=4, lambda_inv=20.0))
         d = eig_sym_tridiag(hams.h_total)
         psi0 = np.zeros(4)
         psi0[0] = 1.0
-        samples = np.linspace(0.0, 8.0, 21)
-        spectral = evolve_grid(d, psi0, samples)
-        reference = rk4_evolve(hams.h_total.to_dense(), psi0, samples, dt=1e-3)
+        grid = TimeGrid(8.0, 20)
+        spectral = evolve_grid(d, psi0, grid)
+        reference = rk4_evolve(hams.h_total.to_dense(), psi0, grid.times, dt=1e-3)
         # global phase is shared (both integrate the same equation exactly)
         assert np.max(np.abs(spectral - reference)) < 1e-6
 
@@ -368,10 +362,11 @@ class TestEvolve:
     def test_grid_matches_direct_exp(self, spec, n_steps):
         hams = build_chain(spec)
         d = eig_sym_tridiag(hams.h_total)
-        times = default_time_grid(hams, n_steps).times
+        grid = default_time_grid(hams, n_steps)
+        times = grid.times
         site_one = np.eye(spec.n_sites)[0]
         want = direct_exp_evolve(d.eigenvectors, d.eigenvalues, site_one, times)
-        assert np.max(np.abs(evolve_grid(d, site_one, times) - want)) <= 1e-13
+        assert np.max(np.abs(evolve_grid(d, site_one, grid) - want)) <= 1e-13
 
         # a random complex state weights the fast modes as much as the slow
         # ones; both sides then round phase arguments as large as
@@ -381,55 +376,38 @@ class TestEvolve:
         psi0 /= np.linalg.norm(psi0)
         want = direct_exp_evolve(d.eigenvectors, d.eigenvalues, psi0, times)
         tol = 4.0 * np.finfo(float).eps * np.max(np.abs(d.eigenvalues)) * times[-1]
-        assert np.max(np.abs(evolve_grid(d, psi0, times) - want)) <= tol
+        assert np.max(np.abs(evolve_grid(d, psi0, grid) - want)) <= tol
 
     @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
     def test_grid_populations_match_direct_exp(self, spec):
         # the README's accuracy statement for every site's population
         hams = build_chain(spec)
         d = eig_sym_tridiag(hams.h_total)
-        times = default_time_grid(hams).times
+        grid = default_time_grid(hams)
         site_one = np.eye(spec.n_sites)[0]
-        want = np.abs(direct_exp_evolve(d.eigenvectors, d.eigenvalues, site_one, times)) ** 2
-        assert np.max(np.abs(np.abs(evolve_grid(d, site_one, times)) ** 2 - want)) <= 3e-15
-
-    @pytest.mark.parametrize(
-        "times",
-        [
-            np.linspace(0.5, 2.0, 11),
-            np.array([1.0]),
-            np.array([0.0, 0.1, 0.3, 0.6]),
-            np.linspace(0.0, 2.0, 11) + np.eye(11)[5] * 1e-9,
-        ],
-        ids=["offset", "single_nonzero", "growing_steps", "one_sample_off"],
-    )
-    def test_grid_must_be_uniform_from_zero(self, times):
-        d = eig_sym_tridiag(tridiag([0.0, 0.0], [K]))
-        with pytest.raises(ValidationError, match="uniform grid starting at 0"):
-            evolve_grid(d, np.array([1.0, 0.0]), times)
+        want = np.abs(direct_exp_evolve(d.eigenvectors, d.eigenvalues, site_one, grid.times)) ** 2
+        assert np.max(np.abs(np.abs(evolve_grid(d, site_one, grid)) ** 2 - want)) <= 3e-15
 
     def test_phase_sums_need_real_vectors(self):
         # the real product over (re, im) pairs would mix complex vectors' parts
         with pytest.raises(ValidationError, match="real"):
-            phase_sums(np.eye(2) * 1j, np.zeros(2), np.ones(2), np.linspace(0.0, 1.0, 5))
+            phase_sums(np.eye(2) * 1j, np.zeros(2), np.ones(2), TimeGrid(1.0, 4))
 
-    def test_grid_check_allows_rounding(self):
-        d = eig_sym_tridiag(tridiag([0.0, 0.0], [K]))
-        times = np.linspace(0.0, 2.0, 11)
-        psi0 = np.array([1.0, 0.0])
-        nudged = evolve_grid(d, psi0, times + np.eye(11)[5] * 1e-13)
-        assert_allclose(nudged, evolve_grid(d, psi0, times), rtol=0.0, atol=1e-12)
-
-    @given(well_conditioned_tridiag(max_size=20), st.floats(0.0, 50.0))
+    @given(
+        well_conditioned_tridiag(max_size=20),
+        st.floats(1e-3, 50.0),
+        st.integers(1, 40),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_conservation_laws(self, m, t):
+    def test_conservation_laws(self, m, t, n_steps):
+        # every column, t = 0 included
         d = eig_sym_tridiag(m)
         psi0 = np.full(m.size, 1.0 / np.sqrt(m.size), dtype=complex)
-        psi = evolve(d, psi0, t)
-        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        states = evolve_grid(d, psi0, TimeGrid(t, n_steps))
+        assert np.max(np.abs(np.linalg.norm(states, axis=0) - 1.0)) <= 1e-12
         e0 = (psi0.conj() @ m.matvec(psi0)).real
-        et = (psi.conj() @ m.matvec(psi)).real
-        assert abs(et - e0) <= 1e-10 * max(1.0, abs(e0))
+        et = np.einsum("ij,ij->j", states.conj(), m.matvec(states)).real
+        assert np.max(np.abs(et - e0)) <= 1e-10 * max(1.0, abs(e0))
 
 
 class TestInvert:
