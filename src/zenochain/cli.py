@@ -28,6 +28,7 @@ from .harness import (
     run_sweep,
     effective_reports,
 )
+from .qzd import QzdOrder
 
 FLOAT_FORMAT = "%.12g"
 # rows per formatted write: one whole-table string would add its own size
@@ -123,7 +124,8 @@ def read_config_file(path: str, known: frozenset[str]) -> dict[str, str]:
 # flag destination -> add_argument keywords; the keys are also the config keys
 FLAGS: dict[str, dict] = {
     "config": dict(help="config file of key=value lines"),
-    "out": dict(help="output path prefix (default: subcommand name)"),
+    "out": dict(help="simulate, sweep, fluctuate: path prefix of PREFIX.csv and PREFIX.json "
+                "(default: subcommand name); classify, effective: the JSON file (none without it)"),
     "n": dict(type=int, help="chain length N >= 4 (even for bound and fluctuate)"),
     "k": dict(type=float, default=1.0, help="energy unit: weak coupling k (default %(default)s)"),
     "lambda_inv": dict(type=float, default=20.0, help="coupling ratio (default %(default)s)"),
@@ -289,11 +291,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         columns.append(trace.mid_overlap)
     _write_table(csv_path, header, columns)
 
-    cut = 1e-12 * spec.k  # relative to the weak coupling k
+    order = result.classification.order
+    # relative to the weak coupling k, times lam for the order-1 matrix
+    cut = 1e-12 * spec.k * (spec.lam if order is QzdOrder.FIRST else 1.0)
     summary = {
         "delta": result.leakage.delta,
         "attained_at": result.leakage.attained_at,
-        "classification_order": result.classification.order.value,
+        "classification_order": order.value,
         "effective_matrix_nonzeros": _matrix_nonzeros(dominant_effective_matrix(result), cut),
     }
     _emit_json(json_path, summary)
@@ -315,14 +319,14 @@ def cmd_effective(args: argparse.Namespace) -> int:
 
     analysis = effective_reports(build_chain(spec))
     rep0, rep1 = analysis.order0, analysis.order1
-    cut = 1e-10 * spec.k  # relative to the weak coupling k
+    cut = 1e-10 * spec.k  # relative to the weak coupling k, times lam at order 1
     payload = {
         "order0": {
             "nonzeros": _matrix_nonzeros(rep0.matrix, cut),
             "eta1_common": rep0.eta1_common,
         },
         "order1_times_lambda": {
-            "nonzeros": _matrix_nonzeros(rep1.matrix, cut),
+            "nonzeros": _matrix_nonzeros(rep1.matrix, cut * spec.lam),
         },
     }
     _emit_json(args.out, payload)

@@ -58,8 +58,6 @@ class LeakageReport:
 
     delta: float
     attained_at: float
-    t_max: float
-    n_steps: int
 
 
 def site_one(n_sites: int) -> np.ndarray:
@@ -138,12 +136,7 @@ def leakage_series(
 def peak_report(leakage: np.ndarray, grid: TimeGrid) -> LeakageReport:
     """delta = max of a leakage series; attained_at is its first sample."""
     i = int(np.argmax(leakage))
-    return LeakageReport(
-        delta=float(leakage[i]),
-        attained_at=float(grid.times[i]),
-        t_max=grid.t_max,
-        n_steps=grid.n_steps,
-    )
+    return LeakageReport(delta=float(leakage[i]), attained_at=float(grid.times[i]))
 
 
 def measure_leakage(trace: EvolutionTrace) -> LeakageReport:
@@ -209,7 +202,6 @@ def default_time_grid(hams: ChainHamiltonians, n_steps: int = DEFAULT_N_STEPS) -
 
 
 def u1_correction_trace(
-    d_watch: SpectralDecomposition,
     corrections: FirstOrderCorrections,
     lam: float,
     tau_grid: TimeGrid,
@@ -220,25 +212,17 @@ def u1_correction_trace(
     The correction operator at rescaled time tau is
     lam * sum_s exp(-i eta_s tau) (|s1><s0| + |s0><s1|) over all eigenstates
     s with unperturbed vector |s0> and first-order correction |s1>; its peak
-    on psi0 estimates the leakage delta. Zero-level phases carry their
-    second-order eigenvalue shifts, the only surviving ones.
+    on psi0 estimates the leakage delta. The phases are eta0 + lam eta1, and
+    the two zero states' also carry their second-order shifts, the only
+    surviving ones.
     """
+    base, corr = corrections.states, corrections.corrections
     if psi0 is None:
-        psi0 = site_one(d_watch.size)
-    psi0 = check_state(psi0, d_watch.size, "psi0")
+        psi0 = site_one(base.shape[0])
+    psi0 = check_state(psi0, base.shape[0], "psi0")
 
-    base = np.concatenate(
-        [corrections.outer_states, corrections.zero_basis], axis=1
-    )
-    corr = np.concatenate(
-        [corrections.outer_corrections, corrections.zero_corrections], axis=1
-    )
-    eta = np.concatenate(
-        [
-            corrections.outer_eta0 + lam * corrections.outer_eta1,
-            lam * corrections.zero_eta1 + lam**2 * corrections.zero_eta2,
-        ]
-    )
+    eta = corrections.eta0 + lam * corrections.eta1
+    eta[-2:] += lam**2 * corrections.zero_eta2
 
     c = overlaps(base, psi0)   # <s0|psi0>
     dcoef = overlaps(corr, psi0)   # <s1|psi0>

@@ -247,33 +247,29 @@ def hqzd_order1(
 class FirstOrderCorrections:
     """First-order eigenstate corrections of (H_watch + lam * H).
 
-    The zero level must be exactly two-dimensional and ``zero_basis`` must
-    diagonalize the order-1 effective Hamiltonian inside it. ``outer_*``
-    arrays cover the nondegenerate nonzero levels in ascending order.
-    Corrections are stored as columns aligned with their unperturbed states.
+    ``states`` holds the nondegenerate nonzero levels in ascending order,
+    then the two ``zero_basis`` columns, which must diagonalize the order-1
+    effective Hamiltonian inside the two-fold zero level. Column s of
+    ``corrections`` is the correction of state s; ``eta0`` (0 for the two
+    zero states) and ``eta1`` are their unperturbed energies and first-order
+    shifts, and ``zero_eta2`` the second-order shifts of the two zero states.
     """
 
-    zero_basis: np.ndarray
-    zero_corrections: np.ndarray
-    zero_eta1: np.ndarray
+    states: np.ndarray
+    corrections: np.ndarray
+    eta0: np.ndarray
+    eta1: np.ndarray
     zero_eta2: np.ndarray
-    outer_states: np.ndarray
-    outer_eta0: np.ndarray
-    outer_eta1: np.ndarray
-    outer_corrections: np.ndarray
 
 
 def first_order_corrections(
-    d: SpectralDecomposition,
-    ps: ProjectorSet,
-    h: np.ndarray,
-    zero_basis: np.ndarray,
+    ps: ProjectorSet, h: np.ndarray, zero_basis: np.ndarray
 ) -> FirstOrderCorrections:
     """First-order corrections |phi_s^(1)> for every eigenstate.
 
-    For a nonzero state n:   sum_{m != n} |m> <m|H|n> / (eta_n - eta_m),
-    for a zero-basis state:  sum_{n != 0} |n> <n|H|b> / (0 - eta_n),
-    so every correction is orthogonal to its own unperturbed state.
+    For a state s: sum_m |m> <m|H|s> / (eta_s - eta_m) over the states m of
+    the other levels (the two zero states are one level), so every
+    correction is orthogonal to its own unperturbed state.
     """
     if not ps.has_zero_level or ps.zero_level.multiplicity != 2:
         raise UnsupportedConfigurationError(
@@ -284,33 +280,27 @@ def first_order_corrections(
             "nonzero levels must be nondegenerate for eigenstate corrections"
         )
 
-    basis = orthonormal_columns(zero_basis, d.size, "zero_basis")
+    n_sites = ps.vectors.shape[0]
+    basis = orthonormal_columns(zero_basis, n_sites, "zero_basis")
     if basis.shape[1] != 2:
-        raise ValidationError(f"zero_basis: expected shape {(d.size, 2)}")
+        raise ValidationError(f"zero_basis: expected shape {(n_sites, 2)}")
     v0 = ps.zero_level.vectors
     if np.linalg.norm(v0 @ (v0.T @ basis) - basis) > 1e-10:
         raise ValidationError("zero_basis: columns must span the zero level")
 
-    states, eta0 = ps.nonzero_spectrum()
+    outer, outer_eta0 = ps.nonzero_spectrum()
+    states = np.column_stack([outer, basis])
+    eta0 = np.append(outer_eta0, [0.0, 0.0])
 
-    h_outer_zero = states.T @ h @ basis      # <n|H|b_a>, shape (n_outer, 2)
-    h_outer_outer = states.T @ h @ states    # <m|H|n>
-
-    zero_corr = states @ (h_outer_zero / (-eta0[:, None]))
-    zero_eta1 = np.einsum("ia,ij,ja->a", basis, h, basis)
-    zero_eta2 = np.einsum("na,n,na->a", h_outer_zero, -1.0 / eta0, h_outer_zero)
-
-    gaps = eta0[None, :] - eta0[:, None]    # eta_n - eta_m at [m, n]
-    np.fill_diagonal(gaps, np.inf)          # no m = n term
-    outer_corr = states @ (h_outer_outer / gaps) + basis @ (h_outer_zero / eta0[:, None]).T
+    h_ss = states.T @ h @ states            # <m|H|s>
+    gaps = eta0[None, :] - eta0[:, None]    # eta_s - eta_m at [m, s]
+    gaps[-2:, -2:] = np.inf                 # no term within the zero level
+    np.fill_diagonal(gaps, np.inf)          # nor from the state itself
 
     return FirstOrderCorrections(
-        zero_basis=basis,
-        zero_corrections=zero_corr,
-        zero_eta1=zero_eta1,
-        zero_eta2=zero_eta2,
-        outer_states=states,
-        outer_eta0=eta0,
-        outer_eta1=np.diag(h_outer_outer).copy(),
-        outer_corrections=outer_corr,
+        states=states,
+        corrections=states @ (h_ss / gaps),
+        eta0=eta0,
+        eta1=np.diag(h_ss).copy(),
+        zero_eta2=(-1.0 / outer_eta0) @ h_ss[:-2, -2:] ** 2,
     )

@@ -54,6 +54,17 @@ class TestSimulate:
         assert len(rows) == 4002
         assert float(rows[1][1]) == 1.0
 
+    def test_order1_listing_at_a_weak_coupling(self, tmp_path):
+        # the order-1 matrix scales as lam k, and so does the listing's cut
+        out = tmp_path / "weak"
+        argv = ("--n", "4", "--lambda-inv", "1e13", "--steps", "10", "--out", str(out))
+        assert run_cli("simulate", *argv) == 0
+        summary = json.loads((tmp_path / "weak.json").read_text())
+        assert summary["classification_order"] == "first"
+        assert summary["effective_matrix_nonzeros"] == [
+            [1, 4, pytest.approx(-1e-13, rel=1e-12)]
+        ]
+
     def test_modified_five_site_summary(self, tmp_path):
         out = tmp_path / "mod"
         code = run_cli(
@@ -207,6 +218,16 @@ class TestEffective:
         [[i, j, value]] = payload["order1_times_lambda"]["nonzeros"]
         assert (i, j) == (1, 4)
         assert value == pytest.approx(-0.05, abs=1e-12)
+
+    @pytest.mark.parametrize("lambda_inv", [1e5, 1e11, 1e100])
+    @pytest.mark.parametrize("n_sites", [4, 6])
+    def test_order1_listing_at_any_lambda(self, capsys, n_sites, lambda_inv):
+        # the order-1 block scales as lam k, and so does the listing's cut
+        assert run_cli("effective", "--n", str(n_sites), "--lambda-inv", repr(lambda_inv)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        entries = {(i, j): v for i, j, v in payload["order1_times_lambda"]["nonzeros"]}
+        want = (-1) ** (n_sites // 2 - 1) / lambda_inv
+        assert entries[(1, n_sites)] == pytest.approx(want, rel=1e-12)
 
     def test_odd_chain_order0_couples_ends_to_middle(self, capsys):
         assert run_cli("effective", "--n", "5", "--lambda-inv", "20") == 0

@@ -342,16 +342,13 @@ class TestU1Correction:
         hams = build_chain(ChainSpec(n_sites, lambda_inv))
         d = eig_sym_tridiag(hams.h_watch)
         ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
-        fc = first_order_corrections(
-            d, ps, hams.h_weak.to_dense(), end_basis(n_sites)
-        )
-        return hams, d, fc
+        return first_order_corrections(ps, hams.h_weak.to_dense(), end_basis(n_sites))
 
     def test_peak_tracks_measured_delta(self):
         lam = 0.05
-        _, d, fc = self.setup_corrections(4, 20.0)
+        fc = self.setup_corrections(4, 20.0)
         tau_grid = TimeGrid(np.pi / (lam**2 * K), 4000)
-        series = u1_correction_trace(d, fc, lam, tau_grid)
+        series = u1_correction_trace(fc, lam, tau_grid)
         delta = run_scenario(ChainSpec(4, 20.0)).leakage.delta
         assert 0.5 <= float(np.max(series)) / delta <= 2.0
 
@@ -359,13 +356,10 @@ class TestU1Correction:
     @pytest.mark.parametrize("n_sites", [4, 40])
     def test_matches_direct_exp(self, n_sites, n_steps):
         lam = 0.05
-        _, d, fc = self.setup_corrections(n_sites, 1.0 / lam)
+        fc = self.setup_corrections(n_sites, 1.0 / lam)
         tau_grid = TimeGrid(np.pi / (lam**2 * K), n_steps)
-        base = np.concatenate([fc.outer_states, fc.zero_basis], axis=1)
-        corr = np.concatenate([fc.outer_corrections, fc.zero_corrections], axis=1)
-        eta = np.concatenate(
-            [fc.outer_eta0 + lam * fc.outer_eta1, lam * fc.zero_eta1 + lam**2 * fc.zero_eta2]
-        )
+        base, corr = fc.states, fc.corrections
+        eta = fc.eta0 + lam * fc.eta1 + lam**2 * np.append(np.zeros(n_sites - 2), fc.zero_eta2)
         rng = np.random.default_rng(n_sites)
         random_state = rng.normal(size=n_sites) + 1j * rng.normal(size=n_sites)
         for psi0 in (np.eye(n_sites)[0], random_state / np.linalg.norm(random_state)):
@@ -375,14 +369,14 @@ class TestU1Correction:
                 + direct_exp_evolve(base, eta, psi0, tau_grid.times, right=corr)
             )
             want = np.sum(np.abs(series) ** 2, axis=0)
-            got = u1_correction_trace(d, fc, lam, tau_grid, psi0)
+            got = u1_correction_trace(fc, lam, tau_grid, psi0)
             assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_vanishes_with_lambda(self):
-        _, d, fc = self.setup_corrections(6, 20.0)
+        fc = self.setup_corrections(6, 20.0)
         tau_grid = TimeGrid(100.0, 200)
-        big = u1_correction_trace(d, fc, 1e-4, tau_grid)
-        small = u1_correction_trace(d, fc, 1e-6, tau_grid)
+        big = u1_correction_trace(fc, 1e-4, tau_grid)
+        small = u1_correction_trace(fc, 1e-6, tau_grid)
         assert np.max(big) < 1e-6
         # amplitude scales as lam^2
         assert np.max(small) == pytest.approx(np.max(big) * 1e-4, rel=1e-3)
@@ -391,12 +385,12 @@ class TestU1Correction:
         # the time-independent weight of each interior mode in the
         # correction of the symmetric/antisymmetric zero states is -g_n/lam
         lam = 1.0 / 12.0
-        _, _, fc = self.setup_corrections(8, 12.0)
+        fc = self.setup_corrections(8, 12.0)
         from zenochain.analytic import toeplitz_eigenpair
 
         for n in range(1, 7):
             _, vec = toeplitz_eigenpair(8, K, n)
-            target = fc.zero_corrections[:, 0] if n % 2 == 1 else fc.zero_corrections[:, 1]
+            target = fc.corrections[:, -2] if n % 2 == 1 else fc.corrections[:, -1]
             assert abs(lam * float(vec @ target) + g_n(8, lam, n)) < 1e-10
 
     def test_odd_unmodified_chain_rejected(self):
@@ -404,7 +398,7 @@ class TestU1Correction:
         d = eig_sym_tridiag(hams.h_watch)
         ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
         with pytest.raises(UnsupportedConfigurationError):
-            first_order_corrections(d, ps, hams.h_weak.to_dense(), end_basis(5))
+            first_order_corrections(ps, hams.h_weak.to_dense(), end_basis(5))
 
 
 class TestLeakageFrequency:

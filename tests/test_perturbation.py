@@ -424,15 +424,13 @@ class TestFirstOrderCorrections:
         for n_sites in (4, 6, 10, 12):
             lam = 1.0 / 15.0
             hams, d, ps = watch_levels(ChainSpec(n_sites, 15.0))
-            fc = first_order_corrections(
-                d, ps, hams.h_weak.to_dense(), end_basis(n_sites)
-            )
+            fc = first_order_corrections(ps, hams.h_weak.to_dense(), end_basis(n_sites))
             from zenochain.analytic import toeplitz_eigenpair
 
             for n in range(1, n_sites - 1):
                 _, vec = toeplitz_eigenpair(n_sites, K, n)
-                w_sym = lam * float(vec @ fc.zero_corrections[:, 0])
-                w_asym = lam * float(vec @ fc.zero_corrections[:, 1])
+                w_sym = lam * float(vec @ fc.corrections[:, -2])
+                w_asym = lam * float(vec @ fc.corrections[:, -1])
                 coeff = g_n(n_sites, lam, n)
                 if n % 2 == 1:
                     assert abs(w_sym + coeff) < 1e-10
@@ -443,28 +441,51 @@ class TestFirstOrderCorrections:
 
     def test_corrections_orthogonal_to_own_state(self):
         hams, d, ps = watch_levels(ChainSpec(8, 9.0))
-        fc = first_order_corrections(d, ps, hams.h_weak.to_dense(), end_basis(8))
-        for j in range(2):
-            assert abs(fc.zero_basis[:, j] @ fc.zero_corrections[:, j]) < 1e-10
-        for j in range(fc.outer_states.shape[1]):
-            assert abs(fc.outer_states[:, j] @ fc.outer_corrections[:, j]) < 1e-10
+        fc = first_order_corrections(ps, hams.h_weak.to_dense(), end_basis(8))
+        for j in range(fc.states.shape[1]):
+            assert abs(fc.states[:, j] @ fc.corrections[:, j]) < 1e-10
 
     def test_vanishing_perturbation_gives_zero(self):
         hams, d, ps = watch_levels(ChainSpec(6, 5.0))
-        fc = first_order_corrections(d, ps, np.zeros((6, 6)), end_basis(6))
-        assert np.max(np.abs(fc.zero_corrections)) == 0.0
-        assert np.max(np.abs(fc.outer_corrections)) == 0.0
+        fc = first_order_corrections(ps, np.zeros((6, 6)), end_basis(6))
+        assert np.max(np.abs(fc.corrections[:, -2:])) == 0.0
+        assert np.max(np.abs(fc.corrections[:, :-2])) == 0.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(ChainSpec(n, 10.0) for n in (6, 12, 30)),
+            ChainSpec(10, 10.0, fluctuation=CouplingFluctuation(0.1, 3)),
+            *(ChainSpec(n, 10.0, delta_omega=10.0) for n in (7, 11)),
+        ],
+        ids=["even6", "even12", "even30", "fluctuating10", "shifted7", "shifted11"],
+    )
+    def test_nonzero_corrections_match_eigenvector_derivative(self, spec):
+        # referee: the central difference in eps of the eigenvectors of
+        # H_watch + eps H (dense eigh), each matched to its state and sign
+        hams, _, ps = watch_levels(spec)
+        h = hams.h_weak.to_dense()
+        fc = first_order_corrections(ps, h, end_basis(spec.n_sites))
+        outer = fc.states[:, :-2]
+        eps = 1e-5
+        moved = []
+        for sign in (1.0, -1.0):
+            _, v = np.linalg.eigh(hams.h_watch.to_dense() + sign * eps * h)
+            match = v[:, np.argmax(np.abs(outer.T @ v), axis=1)]
+            moved.append(match * np.sign(np.sum(outer * match, axis=0)))
+        derivative = (moved[0] - moved[1]) / (2.0 * eps)
+        assert np.max(np.abs(derivative - fc.corrections[:, :-2])) <= 1e-6
 
     def test_threefold_zero_level_rejected(self):
         hams, d, ps = watch_levels(ChainSpec(5, 5.0))
         with pytest.raises(UnsupportedConfigurationError):
-            first_order_corrections(d, ps, hams.h_weak.to_dense(), end_basis(5))
+            first_order_corrections(ps, hams.h_weak.to_dense(), end_basis(5))
 
     def test_zero_level_splitting_scale(self):
         # the zero pair of (H_watch + lam H) splits to -+lam^2 k at leading
         # order; check the quadratic coefficient by Richardson in lam
         hams, d, ps = watch_levels(ChainSpec(4, 5.0))
-        fc = first_order_corrections(d, ps, hams.h_weak.to_dense(), end_basis(4))
+        fc = first_order_corrections(ps, hams.h_weak.to_dense(), end_basis(4))
         assert_allclose(np.sort(fc.zero_eta2), [-K, K], atol=1e-12)
         coeffs = []
         for lam in (1e-3, 1e-4):

@@ -235,7 +235,7 @@ class TestAgainstEigenvectorSums:
 
 class TestPrerequisiteII:
     def report(self, delta: float) -> LeakageReport:
-        return LeakageReport(delta=delta, attained_at=1.5, t_max=10.0, n_steps=100)
+        return LeakageReport(delta=delta, attained_at=1.5)
 
     def test_large_leakage_fails(self):
         out = check_prerequisite_ii(self.report(0.138), 0.1)
