@@ -74,12 +74,10 @@ from .perturbation import (
     DegenerateLevel,
     EffectiveHamiltonianReport,
     FirstOrderCorrections,
-    LevelGrouping,
     ProjectorSet,
     ZeroLevelCoupling,
     couple_zero_level,
     first_order_corrections,
-    group_eigenvalues,
     group_levels,
     hqzd_order0,
     hqzd_order1,

@@ -386,21 +386,22 @@ def cmd_fluctuate(args: argparse.Namespace) -> int:
 
 _CHAIN = ("n", "k", "lambda_inv", "delta_omega")
 
-# subcommand -> (function, help, flags besides --config and --out)
+# subcommand -> (function, help, flags besides --config)
 COMMANDS = {
     "simulate": (
-        cmd_simulate, "evolve |1> and write the population trace", (*_CHAIN, "t_max", "steps")
+        cmd_simulate, "evolve |1> and write the population trace",
+        ("out", *_CHAIN, "t_max", "steps"),
     ),
-    "classify": (cmd_classify, "classify the constrained-dynamics order", _CHAIN),
-    "effective": (cmd_effective, "print the order-0/1 effective Hamiltonians", _CHAIN),
+    "classify": (cmd_classify, "classify the constrained-dynamics order", ("out", *_CHAIN)),
+    "effective": (cmd_effective, "print the order-0/1 effective Hamiltonians", ("out", *_CHAIN)),
     "bound": (cmd_bound, "coupling-ratio bound keeping leakage under delta0", ("n", "delta0")),
     "sweep": (
         cmd_sweep, "G-sweep measuring delta and the quadratic fit",
-        ("g_list", "n_list", "steps"),
+        ("out", "g_list", "n_list", "steps"),
     ),
     "fluctuate": (
         cmd_fluctuate, "Monte Carlo over fluctuating couplings",
-        ("n", "amplitude", "trials", "seed", "lambda_inv", "k", "steps"),
+        ("out", "n", "amplitude", "trials", "seed", "lambda_inv", "k", "steps"),
     ),
 }
 
@@ -416,7 +417,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, help_text, names) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for name in ("config", "out", *names):
+        for name in ("config", *names):
             p.add_argument("--" + name.replace("_", "-"), **FLAGS[name])
         p.set_defaults(func=func)
     parser.commands = sub.choices

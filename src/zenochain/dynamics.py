@@ -157,12 +157,12 @@ def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
             f"delta_omega: the watch analysis fails at lam * delta_omega / k = "
             f"{unit.h_watch.diag[1]:g} ({exc})"
         ) from exc
-    if not analysis.levels.has_zero_level:
+    d0 = analysis.zero_basis.shape[1]
+    if not d0:
         raise ValidationError("chain watch matrix has no zero level")
     # the two ends and at most one zero mode of the interior block, whose
-    # eigenvalues are simple: more means the grouping tolerance took in
+    # eigenvalues are simple: more means the zero-level tolerance took in
     # interior levels next to a large shift
-    d0 = analysis.zero_basis.shape[1]
     if unit.spec.is_modified and d0 > 3:
         raise ValidationError(
             f"delta_omega: the zero level has {d0} > 3 dimensions at "

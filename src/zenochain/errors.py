@@ -33,8 +33,8 @@ class SingularMatrixError(NumericalFailureError):
 class ClusteringError(NumericalFailureError):
     """Eigenvalue clustering was ambiguous at the requested tolerance.
 
-    The message lists the gap spectrum so the caller can pick a better
-    tolerance.
+    The message lists the gaps that make it ambiguous, so the caller can
+    pick a better tolerance.
     """
 
 

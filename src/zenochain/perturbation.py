@@ -1,19 +1,19 @@
 """Degenerate perturbation machinery for the watched chains.
 
-Groups the watch Hamiltonian's spectrum into degenerate levels, kept as
-arrays (level objects and dense eigenprojectors are built only on request),
-forms the reduced resolvent, and assembles the order-0 and order-1
-effective Hamiltonians
+Assembles the order-0 and order-1 effective Hamiltonians of the watch
+Hamiltonian's zero level
 
     H_eff0 = P0 H P0,
     H_eff1 = P0 H Qtilde H P0 (per unit lam),
     Qtilde = sum_{n != 0} P_n / (-eta_n),
 
 each formed as a d0 x d0 block in an orthonormal basis V0 (N x d0) of the
-zero level and expanded to the N x N site basis only on request, so the
-dynamics module can evolve under it directly. The order-1 block needs
-Qtilde only on the d0 columns of H V0, which one bordered tridiagonal solve
-gives without any eigenvector of a nonzero level.
+zero level and expanded to the N x N site basis only on request. The order-1
+block needs Qtilde only on the d0 columns of H V0, which one bordered
+tridiagonal solve gives without any eigenvector of a nonzero level. Only
+what needs every level groups a full eigendecomposition (``group_levels``):
+the dense reduced resolvent and the first-order eigenstate corrections; the
+watch analysis (``qzd.analyze_watch``) reads just its zero level.
 """
 
 from __future__ import annotations
@@ -53,33 +53,25 @@ class DegenerateLevel:
 
 
 @dataclass(frozen=True, eq=False)
-class LevelGrouping:
-    """Degenerate levels of an ascending spectrum, sorted by eigenvalue.
+class ProjectorSet:
+    """Degenerate levels of an ascending spectrum with their eigenvector columns.
 
-    Level i has the mean eigenvalue ``eigenvalues[i]`` and the members
-    ``bounds[i]:bounds[i + 1]`` of the spectrum; ``zero_level_index`` is the
-    level within the grouping tolerance of zero, if any.
+    Level i has the mean eigenvalue ``eigenvalues[i]``, the members
+    ``bounds[i]:bounds[i + 1]`` of the spectrum and the eigenvector columns
+    ``vectors[:, bounds[i]:bounds[i + 1]]``; ``zero_level_index`` is the
+    level within the grouping tolerance of zero, if any. Level objects are
+    built on request.
     """
 
     eigenvalues: np.ndarray
     bounds: np.ndarray
     grouping_tolerance: float
     zero_level_index: int | None
+    vectors: np.ndarray
 
     @property
     def has_zero_level(self) -> bool:
         return self.zero_level_index is not None
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectorSet(LevelGrouping):
-    """A ``LevelGrouping`` with the eigenvector columns of every level.
-
-    Level i has the eigenvector columns ``vectors[:, bounds[i]:bounds[i + 1]]``;
-    level objects are built on request.
-    """
-
-    vectors: np.ndarray
 
     def _level(self, i: int) -> DegenerateLevel:
         lo, hi = int(self.bounds[i]), int(self.bounds[i + 1])
@@ -113,8 +105,8 @@ def default_grouping_tolerance(eigenvalues: np.ndarray) -> float:
     return GROUPING_RTOL * scale if scale > 0.0 else GROUPING_RTOL
 
 
-def group_eigenvalues(w: np.ndarray, tol: float) -> LevelGrouping:
-    """Cluster numerically equal ascending eigenvalues into degenerate levels.
+def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
+    """Cluster d's numerically equal ascending eigenvalues into degenerate levels.
 
     Adjacent eigenvalues closer than ``tol`` join the same level. Raises
     ClusteringError when chained merging produces a cluster wider than
@@ -122,6 +114,7 @@ def group_eigenvalues(w: np.ndarray, tol: float) -> LevelGrouping:
     """
     if tol <= 0.0:
         raise ValidationError("tol: must be positive")
+    w = d.eigenvalues
     bounds = np.concatenate(([0], np.nonzero(np.diff(w) > tol)[0] + 1, [w.size]))
     if np.any(w[bounds[1:] - 1] - w[bounds[:-1]] > tol):
         gaps = ", ".join(f"{g:.3e}" for g in np.diff(w))
@@ -131,12 +124,7 @@ def group_eigenvalues(w: np.ndarray, tol: float) -> LevelGrouping:
     means = np.add.reduceat(w, bounds[:-1]) / np.diff(bounds)
     nearest = int(np.argmin(np.abs(means)))
     zero_index = nearest if abs(means[nearest]) < tol else None
-    return LevelGrouping(means, bounds, tol, zero_index)
-
-
-def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:
-    """``group_eigenvalues`` of d's spectrum, with d's eigenvectors attached."""
-    return ProjectorSet(**vars(group_eigenvalues(d.eigenvalues, tol)), vectors=d.eigenvectors)
+    return ProjectorSet(means, bounds, tol, zero_index, d.eigenvectors)
 
 
 @dataclass(frozen=True, eq=False)

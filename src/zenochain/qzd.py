@@ -16,15 +16,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import AssumptionViolationError, UnsupportedConfigurationError, ValidationError
+from .errors import (
+    AssumptionViolationError, ClusteringError, UnsupportedConfigurationError, ValidationError
+)
 from .linalg import SymTridiagMatrix, check_state, eigvals_sym_tridiag, eigvecs_sym_tridiag
 from .perturbation import (
     GROUPING_RTOL,
     EffectiveHamiltonianReport,
-    LevelGrouping,
     couple_zero_level,
     default_grouping_tolerance,
-    group_eigenvalues,
     hqzd_order0,
     hqzd_order1,
 )
@@ -86,9 +86,8 @@ class PrerequisiteIIResult:
 class WatchAnalysis:
     """Everything the watch spectrum fixes for one chain, computed once.
 
-    The solves see H_watch and H_weak in units of k. ``levels`` groups
-    the eigenvalues of H_watch (no eigenvectors are kept); ``zero_basis``
-    (N x d0) spans its zero level (N x 0 without one); ``blocks`` are the
+    The solves see H_watch and H_weak in units of k. ``zero_basis``
+    (N x d0) spans the zero level of H_watch (N x 0 without one); ``blocks`` are the
     effective Hamiltonians of H_weak there, order 1 per unit lam, and
     ``scales`` their scales, ||H_weak|| and ||H_weak||^2 / min |eta != 0|
     (Frobenius norms), all None without a zero level. ``order0``,
@@ -98,7 +97,6 @@ class WatchAnalysis:
     """
 
     h_watch: SymTridiagMatrix
-    levels: LevelGrouping
     zero_basis: np.ndarray
     blocks: tuple[EffectiveHamiltonianReport, EffectiveHamiltonianReport] | None
     scales: tuple[float, float] | None
@@ -222,25 +220,32 @@ def analyze_watch(
     lam: float = 1.0,
     k: float = 1.0,
 ) -> WatchAnalysis:
-    """The watch's levels, zero basis and both effective Hamiltonians.
+    """The watch's zero basis and both effective Hamiltonians.
 
     The matrices are in units of k, the energy unit the analysis reads at.
-    One eigenvalue solve of H_watch and its grouping; eigenvectors of the
-    zero level only, H_weak V0 once for both blocks, and one bordered solve
-    for the order-1 block. No N x N array is formed.
+    One eigenvalue solve of H_watch, whose zero level is the eigenvalues
+    within tol of zero (a ClusteringError when it is wider than tol or a
+    neighbour lies within tol of it; nothing else is grouped); eigenvectors
+    of the zero level only, H_weak V0 once for both blocks, and one bordered
+    solve for the order-1 block. No N x N array is formed.
     """
     w = eigvals_sym_tridiag(h_watch)
-    levels = group_eigenvalues(w, default_grouping_tolerance(w))
-    zero = levels.zero_level_index
-    if zero is None:
-        return WatchAnalysis(h_watch, levels, np.zeros((h_watch.size, 0)), None, None, lam, k)
-    lo, hi = levels.bounds[zero : zero + 2]
+    tol = default_grouping_tolerance(w)
+    lo, hi = np.searchsorted(w, -tol, "right"), np.searchsorted(w, tol, "left")
+    if lo == hi:
+        return WatchAnalysis(h_watch, np.zeros((h_watch.size, 0)), None, None, lam, k)
+    below = w[lo - 1] if lo else -np.inf
+    above = w[hi] if hi < w.size else np.inf
+    gaps = w[lo] - below, w[hi - 1] - w[lo], above - w[hi - 1]
+    if gaps[1] > tol or min(gaps[0], gaps[2]) <= tol:
+        listed = ", ".join(f"{g:.3e}" for g in gaps)
+        raise ClusteringError(
+            f"ambiguous zero level at tol={tol:.3e}; gap below, width, gap above: [{listed}]"
+        )
     coupling = couple_zero_level(eigvecs_sym_tridiag(h_watch, lo, hi), h_weak)
     blocks = hqzd_order0(coupling), hqzd_order1(coupling, h_watch)
-    eta = np.abs(levels.eigenvalues)
-    eta[zero] = np.inf
-    scales = (coupling.h_norm, coupling.h_norm**2 / np.min(eta))
-    return WatchAnalysis(h_watch, levels, coupling.basis, blocks, scales, lam, k)
+    scales = (coupling.h_norm, coupling.h_norm**2 / min(-below, above))
+    return WatchAnalysis(h_watch, coupling.basis, blocks, scales, lam, k)
 
 
 def classify(
@@ -257,13 +262,14 @@ def classify(
     the order-1 effective Hamiltonian fails to commute -> first; otherwise
     higher_or_none.
 
-    ``GROUPING_RTOL`` (1e-8) governs the grouping and the two commutator
-    tests only: eigenvalues group at GROUPING_RTOL times the largest
-    |eigenvalue| of H_watch, and a commutator counts as nonvanishing when
-    its Frobenius norm exceeds GROUPING_RTOL times its order's scale,
-    ||H_weak|| for order 0 and ||H_weak||^2 / min |eta != 0| for order 1
-    (per unit lam), both in units of k = max|H_weak|, over which the
-    matrices are solved; one that does not is reported as 0.0.
+    ``GROUPING_RTOL`` (1e-8) governs the zero level and the two commutator
+    tests only: the zero level is the eigenvalues of H_watch within tol =
+    GROUPING_RTOL times its largest |eigenvalue| of zero (``analyze_watch``),
+    and a commutator counts as nonvanishing when its Frobenius norm exceeds
+    GROUPING_RTOL times its order's scale, ||H_weak|| for order 0 and
+    ||H_weak||^2 / min |eta != 0| for order 1 (per unit lam), both in units
+    of k = max|H_weak|, over which the matrices are solved; one that does
+    not is reported as 0.0.
     Proportionality to P0 is the one test of ``hqzd_order0``, relative to
     the norm of H_weak.
     """

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -198,6 +199,14 @@ class TestClassify:
         assert payload["order"] == "zeroth"
         assert payload["commutator_norm_order1"] == 0.0
         assert payload["commutator_norm_order0"] == pytest.approx(float(k), rel=1e-12)
+
+    def test_far_cluster_does_not_stop_a_shifted_chain(self, capsys):
+        # exited 1: levels far from zero chained into one cluster wider than
+        # the tolerance, though the zero level itself is clear
+        argv = ["--n", "61", "--lambda-inv", "7", "--delta-omega", "1e7"]
+        assert run_cli("classify", *argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["order"], payload["zero_level_dimension"]) == ("first", 2)
 
     def test_runs_no_dynamics(self, monkeypatch, capsys):
         def forbidden(*args, **kwargs):
@@ -649,6 +658,20 @@ class TestBound:
         assert run_cli("bound", "--n", "10", "--delta0", "0.25") == 1
         assert "delta0" in capsys.readouterr().err
 
+    def test_out_is_not_a_flag(self, tmp_path, monkeypatch, capsys):
+        # printed the bound and wrote nothing, silently
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("bound", "--n", "4", "--out", "x") == 1
+        assert "unrecognized arguments: --out x" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_out_in_a_config_file_is_ignored(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("n=4\nout=x\n")
+        assert run_cli("bound", "--config", "run.cfg") == 0
+        assert float(capsys.readouterr().out) == pytest.approx(np.sqrt(43.0), abs=1e-9)
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
 
 class TestSweep:
     def test_single_cell(self, tmp_path, capsys):
@@ -822,6 +845,19 @@ class TestConfigFile:
         assert read_config_file(str(cfg), frozenset({"a", "b"})) == {"a": "1", "b": "x y"}
         with pytest.raises(ValidationError, match=r"c\.cfg:1: unknown key 'a'"):
             read_config_file(str(cfg), frozenset({"b"}))
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_lists_exactly_the_subcommand_flags(self, capsys, command):
+        # renders every FLAGS help text the subcommand takes
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        listed = re.findall(r"^  (--?[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+        names = ("config", *cli.COMMANDS[command][2])
+        assert sorted(listed) == sorted(["-h", *("--" + n.replace("_", "-") for n in names)])
+        assert ("--out" in listed) == (command != "bound")
 
 
 class TestExitCodes:

@@ -9,17 +9,23 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenochain import cli, dynamics, harness, linalg, perturbation, qzd
 from zenochain.analytic import f_of_n, qtilde_fluctuating_corner
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
 from zenochain.dynamics import default_time_grid, leakage_series, measure_leakage
-from zenochain.errors import UnsupportedConfigurationError, ValidationError
+from zenochain.errors import (
+    ClusteringError,
+    NumericalFailureError,
+    UnsupportedConfigurationError,
+    ValidationError,
+)
 from zenochain.harness import (
     dominant_effective_matrix,
     effective_reports,
@@ -28,11 +34,16 @@ from zenochain.harness import (
     run_scenario,
     run_sweep,
 )
-from zenochain.linalg import PARITY_MIN_SIZE, eig_sym_tridiag
+from zenochain.linalg import (
+    PARITY_MIN_SIZE,
+    eig_sym_tridiag,
+    eigvals_sym_tridiag,
+    eigvecs_sym_tridiag,
+)
 from zenochain.perturbation import GROUPING_RTOL, default_grouping_tolerance
-from zenochain.qzd import QzdOrder
+from zenochain.qzd import QzdOrder, analyze_watch
 
-from .oracles import dense_scenario
+from .oracles import dense_scenario, group_levels_by_loop
 
 
 class TestSlopeFit:
@@ -363,6 +374,71 @@ class TestZeroLevelDimension:
             assert analysis.zero_basis.shape[1] <= 3
 
 
+@st.composite
+def zero_level_chains(draw):
+    """``shifted_chains``, or unshifted and fluctuating chains of 4-101 sites
+    with lambda_inv anywhere in [2.5, 1e4]."""
+    family = draw(st.sampled_from(["shifted", "unshifted", "fluctuating"]))
+    if family == "shifted":
+        return draw(shifted_chains())
+    noise = None
+    if family == "fluctuating":
+        noise = CouplingFluctuation(draw(st.floats(0.0, 0.2)), draw(st.integers(0, 2**16)))
+    lambda_inv = 10.0 ** draw(st.floats(np.log10(2.5), 4.0))
+    return ChainSpec(draw(st.integers(4, 101)), lambda_inv, fluctuation=noise)
+
+
+class TestZeroLevelRule:
+    """The analysis reads its zero level off the sorted spectrum; the loop
+    referee groups the spectrum level by level."""
+
+    @given(zero_level_chains())
+    @example(ChainSpec(61, 7.0, delta_omega=1e7))  # a far cluster raised before
+    @example(ChainSpec(11, 2.5, delta_omega=1e8))  # a neighbour within tol
+    @example(ChainSpec(38, 2.5, delta_omega=1e7))  # a near-zero interior level joins
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop_referee(self, spec):
+        hams = build_chain(spec)
+        w = eigvals_sym_tridiag(hams.h_watch)
+        tol = default_grouping_tolerance(w)
+        read = []  # the eigenvalue index ranges whose eigenvectors the analysis asks for
+
+        def recording(m, lo, hi):
+            read.append((lo, hi))
+            return eigvecs_sym_tridiag(m, lo, hi)
+
+        with mock.patch.object(qzd, "eigvecs_sym_tridiag", recording):
+            try:
+                analysis = analyze_watch(hams.h_watch, hams.h_weak, spec.lam)
+            except ClusteringError:
+                # ambiguous only when the eigenvalues within tol of zero span
+                # more than tol or a neighbour lies within tol of them
+                inside, outside = w[np.abs(w) < tol], w[np.abs(w) >= tol]
+                assert inside.size and not read
+                gaps = np.maximum(inside.min() - outside, outside - inside.max())
+                assert np.ptp(inside) > tol or np.min(gaps, initial=np.inf) <= tol
+                return
+            except NumericalFailureError:
+                # the order-1 solve of an extreme shift fails after the zero
+                # level was read (the CLI names delta_omega)
+                assert read and spec.is_modified
+                analysis = None
+        # a zero level (mean within tol, at most tol wide) and every level
+        # within tol of it lie inside 2 tol of zero: the referee groups
+        # that window, so a cluster far from zero cannot stop it
+        near = np.flatnonzero(np.abs(w) < 2.0 * tol)
+        levels, zero = group_levels_by_loop(w[near], tol) if near.size else ([], None)
+        if zero is None:
+            assert not read and analysis.zero_basis.shape[1] == 0
+            return
+        members = near[list(levels[zero][1])]
+        lo, hi = members[0], members[-1] + 1
+        assert read == [(lo, hi)]
+        if analysis is not None:
+            want = eigvecs_sym_tridiag(hams.h_watch, lo, hi)
+            assert np.array_equal(analysis.zero_basis, want)
+
+
 class TestOneWatchAnalysis:
     @pytest.mark.parametrize(
         "spec",
@@ -377,7 +453,7 @@ class TestOneWatchAnalysis:
     )
     def test_scenario_solves_and_groups_the_watch_once(self, spec, monkeypatch):
         # one eigendecomposition, of H_total; H_watch gets one eigenvalue
-        # solve, one grouping and its zero-level eigenvectors only, whichever
+        # solve and its zero-level eigenvectors only, no level grouping, whichever
         # module binding a caller goes through; the N x (steps+1) states are
         # evolved only on the first read of .trace, from the H_total spectrum
         # the run already holds, around the leakage series the run computed
@@ -394,7 +470,6 @@ class TestOneWatchAnalysis:
             "eig_sym_tridiag",
             "eigvals_sym_tridiag",
             "eigvecs_sym_tridiag",
-            "group_eigenvalues",
             "group_levels",
             "evolve_grid",
             "leakage_series",
@@ -407,11 +482,11 @@ class TestOneWatchAnalysis:
         once = {
             "eig_sym_tridiag": 1,
             "eigvals_sym_tridiag": 1,
-            "group_eigenvalues": 1,
             "eigvecs_sym_tridiag": 1,
             "leakage_series": 1,
         }
         assert calls == once
+        assert "group_levels" not in calls
         trace = result.trace
         assert result.trace is trace
         assert calls == {**once, "evolve_grid": 1}
