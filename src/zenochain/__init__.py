@@ -32,12 +32,9 @@ from .dynamics import (
     LeakageReport,
     TimeGrid,
     default_time_grid,
-    dominant_angular_frequency,
-    leakage_frequency_estimate,
     leakage_series,
     measure_leakage,
     simulate,
-    u1_correction_trace,
 )
 from .errors import (
     AssumptionViolationError,
@@ -61,7 +58,6 @@ from .harness import (
 from .linalg import (
     SpectralDecomposition,
     SymTridiagMatrix,
-    det_tridiag,
     eig_sym_dense,
     eig_sym_tridiag,
     eigvals_sym_tridiag,
@@ -73,11 +69,9 @@ from .linalg import (
 from .perturbation import (
     DegenerateLevel,
     EffectiveHamiltonianReport,
-    FirstOrderCorrections,
     ProjectorSet,
     ZeroLevelCoupling,
     couple_zero_level,
-    first_order_corrections,
     group_levels,
     hqzd_order0,
     hqzd_order1,

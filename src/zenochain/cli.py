@@ -424,8 +424,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_float_values(argv: list[str]) -> list[str]:
+    """argv with each float flag and the number after it joined as --flag=value;
+    argparse takes a negative number with an exponent, -1.5e3, for an option."""
+    float_flags = {"--" + n.replace("_", "-") for n, kw in FLAGS.items() if kw.get("type") is float}
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in float_flags:
+            try:
+                float(token)
+                out[-1] += "=" + token
+                continue
+            except ValueError:
+                pass
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = _join_float_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
         if args.config:

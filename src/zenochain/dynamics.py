@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainHamiltonians
-from .errors import NumericalFailureError, UnsupportedConfigurationError, ValidationError
+from .errors import NumericalFailureError, ValidationError
 from .linalg import (
     SpectralDecomposition,
     SymTridiagMatrix,
@@ -29,9 +29,7 @@ from .linalg import (
     grid_phase_factors,
     orthonormal_columns,
     overlaps,
-    phase_sums,
 )
-from .perturbation import FirstOrderCorrections
 from .qzd import WatchAnalysis, analyze_watch, from_units_of_k
 
 DEFAULT_N_STEPS = 4000
@@ -199,71 +197,3 @@ def default_time_grid(hams: ChainHamiltonians, n_steps: int = DEFAULT_N_STEPS) -
     """
     window = unit_window(hams.unit, effective_reports(hams), n_steps)
     return TimeGrid(from_units_of_k(window.t_max, hams.spec.k, -1), n_steps)
-
-
-def u1_correction_trace(
-    corrections: FirstOrderCorrections,
-    lam: float,
-    tau_grid: TimeGrid,
-    psi0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Squared norm of the first-order propagator correction on psi0.
-
-    The correction operator at rescaled time tau is
-    lam * sum_s exp(-i eta_s tau) (|s1><s0| + |s0><s1|) over all eigenstates
-    s with unperturbed vector |s0> and first-order correction |s1>; its peak
-    on psi0 estimates the leakage delta. The phases are eta0 + lam eta1, and
-    the two zero states' also carry their second-order shifts, the only
-    surviving ones.
-    """
-    base, corr = corrections.states, corrections.corrections
-    if psi0 is None:
-        psi0 = site_one(base.shape[0])
-    psi0 = check_state(psi0, base.shape[0], "psi0")
-
-    eta = corrections.eta0 + lam * corrections.eta1
-    eta[-2:] += lam**2 * corrections.zero_eta2
-
-    c = overlaps(base, psi0)   # <s0|psi0>
-    dcoef = overlaps(corr, psi0)   # <s1|psi0>
-    series = lam * (phase_sums(corr, eta, c, tau_grid) + phase_sums(base, eta, dcoef, tau_grid))
-    return np.sum(np.abs(series) ** 2, axis=0)
-
-
-def leakage_frequency_estimate(d_tot: SpectralDecomposition, n_sites: int) -> float:
-    """Dominant angular frequency of the leakage oscillation, even chains.
-
-    Taken from the exact spectrum of the full Hamiltonian: the gap between
-    the lowest positive interior eigenvalue and the zero-level eigenvalue it
-    beats against (the symmetric end combination when N/2 - 1 is odd, the
-    antisymmetric one otherwise).
-    """
-    if n_sites % 2 != 0 or n_sites < 4:
-        raise UnsupportedConfigurationError(
-            "leakage frequency estimate is defined for even chains"
-        )
-    if d_tot.size != n_sites:
-        raise ValidationError("decomposition size does not match n_sites")
-
-    w, v = d_tot.eigenvalues, d_tot.eigenvectors
-    # ascending spectrum: (N-2)/2 negatives, the split zero pair, positives
-    pair = [n_sites // 2 - 1, n_sites // 2]
-    sym = np.zeros(n_sites)
-    sym[0] = sym[-1] = 1.0 / np.sqrt(2.0)
-    sym_weights = [abs(sym @ v[:, i]) for i in pair]
-    alpha = pair[int(np.argmax(sym_weights))]
-    beta = pair[1 - int(np.argmax(sym_weights))]
-
-    interior_plus = w[n_sites // 2 + 1]
-    partner = alpha if (n_sites // 2 - 1) % 2 == 1 else beta
-    return float(abs(interior_plus - w[partner]))
-
-
-def dominant_angular_frequency(values: np.ndarray, dt: float) -> float:
-    """Angular frequency of the strongest nonzero Fourier mode of a series."""
-    values = np.asarray(values, dtype=float) - float(np.mean(values))
-    spectrum = np.abs(np.fft.rfft(values))
-    if spectrum.size < 2:
-        raise ValidationError("series too short for a frequency estimate")
-    k = 1 + int(np.argmax(spectrum[1:]))
-    return 2.0 * np.pi * k / (dt * values.size)

@@ -2,16 +2,14 @@
 
 Eigendecomposition (full, eigenvalues only, or a few eigenvectors), a
 bordered tridiagonal solve, spectral time evolution over a uniform
-``TimeGrid``, the corner element of a tridiagonal inverse and the
-continuant determinant. Every Hamiltonian in this package is real
-symmetric, so eigenvectors are kept real and time evolution only multiplies
-them by complex phases.
+``TimeGrid`` and the corner element of a tridiagonal inverse. Every
+Hamiltonian in this package is real symmetric, so eigenvectors are kept
+real and time evolution only multiplies them by complex phases.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +23,6 @@ PHASE_EPS = 1e-12
 # parity blocks; below it one full solve costs less than the split's overhead.
 PARITY_MIN_SIZE = 64
 _SQRT_HALF = math.sqrt(0.5)
-# det_tridiag rescales its continuants when they leave this range.
-_CONTINUANT_LOW, _CONTINUANT_HIGH = 2.0**-500, 2.0**500
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,66 +379,21 @@ def grid_phase_factors(
     return coarse, fine
 
 
-def phase_sums(
-    vectors: np.ndarray, eigenvalues: np.ndarray, weights: np.ndarray, grid: TimeGrid
-) -> np.ndarray:
-    """Column j is sum_n vectors[:, n] weights[n] exp(-i eta_n t_j) over the grid.
-
-    ``vectors`` is real. The weighted N x T phase table is formed from
-    ``grid_phase_factors``, and the real ``vectors`` multiply its (re, im)
-    pairs in one real matrix product.
-    """
-    if np.iscomplexobj(vectors):
-        raise ValidationError("vectors: must be real")
-    coarse, fine = grid_phase_factors(eigenvalues, grid)
-    n = fine.shape[0]
-    table = ((coarse.T * weights[:, None])[:, :, None] * fine[:, None, :]).reshape(n, -1)
-    return (vectors @ table.view(float)).view(complex)[:, : grid.n_steps + 1]
-
-
 def evolve_grid(d: SpectralDecomposition, psi0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """States at every grid time at once; column j is psi(grid.times[j])."""
-    psi0 = check_state(psi0, d.size, "psi0")
-    amps = overlaps(d.eigenvectors, psi0)
-    return phase_sums(d.eigenvectors, d.eigenvalues, amps, grid)
+    """States at every grid time at once; column j is psi(grid.times[j]).
 
-
-def det_tridiag(m: SymTridiagMatrix) -> float:
-    """Determinant via the three-term continuant recursion.
-
-    theta_i = a_i theta_(i-1) - b_(i-1)^2 theta_(i-2), run on m scaled by a
-    power of two to max|entry| < 1; the pair (theta_(i-1), theta_i) is scaled
-    back into [2^-500, 2^500] whenever it leaves that range, and the binary
-    exponent is carried separately. Scaling by powers of two is exact: an
-    exactly singular m still gives exactly 0.0, and wherever the plain
-    recursion neither overflows nor underflows the result is bit for bit
-    its own. NumericalFailureError, giving log10|det|, when the determinant
-    lies outside the normal double range.
+    Column j is sum_n u_n <u_n|psi0> exp(-i eta_n t_j). The weighted N x T
+    phase table is formed from ``grid_phase_factors``, and the real
+    eigenvectors multiply its (re, im) pairs in one real matrix product.
     """
-    n = m.size
-    shift = math.frexp(m.max_abs_entry())[1]
-    a = np.ldexp(m.diag, -shift).tolist()
-    b2 = (np.ldexp(m.offdiag, -shift) ** 2).tolist()
-    exp2 = n * shift
-    prev, cur = 1.0, a[0]
-    for ai, bi2 in zip(a[1:], b2):
-        prev, cur = cur, ai * cur - bi2 * prev
-        big = max(abs(prev), abs(cur))
-        if big and not _CONTINUANT_LOW <= big <= _CONTINUANT_HIGH:
-            e = math.frexp(big)[1]
-            prev, cur = math.ldexp(prev, -e), math.ldexp(cur, -e)
-            exp2 += e
-    if cur == 0.0:
-        return cur
-    mantissa, e = math.frexp(cur)  # |det| = |mantissa| 2^exp2, |mantissa| in [1/2, 1)
-    exp2 += e
-    if not sys.float_info.min_exp <= exp2 <= sys.float_info.max_exp:
-        log10_det = (math.log2(abs(mantissa)) + exp2) * math.log10(2.0)
-        raise NumericalFailureError(
-            f"determinant of the {n}x{n} tridiagonal matrix is outside the double "
-            f"range: log10|det| = {log10_det:.1f}"
-        )
-    return math.ldexp(mantissa, exp2)
+    u = d.eigenvectors
+    if np.iscomplexobj(u):
+        raise ValidationError("eigenvectors: must be real")
+    psi0 = check_state(psi0, d.size, "psi0")
+    coarse, fine = grid_phase_factors(d.eigenvalues, grid)
+    weights = overlaps(u, psi0)
+    table = ((coarse.T * weights[:, None])[:, :, None] * fine[:, None, :]).reshape(d.size, -1)
+    return (u @ table.view(float)).view(complex)[:, : grid.n_steps + 1]
 
 
 def inverse_corner_tridiag(m: SymTridiagMatrix) -> float:

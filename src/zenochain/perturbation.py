@@ -11,9 +11,9 @@ each formed as a d0 x d0 block in an orthonormal basis V0 (N x d0) of the
 zero level and expanded to the N x N site basis only on request. The order-1
 block needs Qtilde only on the d0 columns of H V0, which one bordered
 tridiagonal solve gives without any eigenvector of a nonzero level. Only
-what needs every level groups a full eigendecomposition (``group_levels``):
-the dense reduced resolvent and the first-order eigenstate corrections; the
-watch analysis (``qzd.analyze_watch``) reads just its zero level.
+the dense reduced resolvent needs every level, through a grouped full
+eigendecomposition (``group_levels``); the watch analysis
+(``qzd.analyze_watch``) reads just its zero level.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteringError, UnsupportedConfigurationError, ValidationError
+from .errors import ClusteringError, ValidationError
 from .linalg import (
     SpectralDecomposition,
     SymTridiagMatrix,
@@ -229,66 +229,3 @@ def hqzd_order1(
     b = coupling.h_basis - v0 @ coupling.block
     x = solve_bordered_tridiag(h_watch, v0, b)
     return EffectiveHamiltonianReport(_symmetric(-(b.T @ x)), v0)
-
-
-@dataclass(frozen=True, eq=False)
-class FirstOrderCorrections:
-    """First-order eigenstate corrections of (H_watch + lam * H).
-
-    ``states`` holds the nondegenerate nonzero levels in ascending order,
-    then the two ``zero_basis`` columns, which must diagonalize the order-1
-    effective Hamiltonian inside the two-fold zero level. Column s of
-    ``corrections`` is the correction of state s; ``eta0`` (0 for the two
-    zero states) and ``eta1`` are their unperturbed energies and first-order
-    shifts, and ``zero_eta2`` the second-order shifts of the two zero states.
-    """
-
-    states: np.ndarray
-    corrections: np.ndarray
-    eta0: np.ndarray
-    eta1: np.ndarray
-    zero_eta2: np.ndarray
-
-
-def first_order_corrections(
-    ps: ProjectorSet, h: np.ndarray, zero_basis: np.ndarray
-) -> FirstOrderCorrections:
-    """First-order corrections |phi_s^(1)> for every eigenstate.
-
-    For a state s: sum_m |m> <m|H|s> / (eta_s - eta_m) over the states m of
-    the other levels (the two zero states are one level), so every
-    correction is orthogonal to its own unperturbed state.
-    """
-    if not ps.has_zero_level or ps.zero_level.multiplicity != 2:
-        raise UnsupportedConfigurationError(
-            "first-order corrections require a two-fold degenerate zero level"
-        )
-    if np.any(np.delete(np.diff(ps.bounds), ps.zero_level_index) != 1):
-        raise UnsupportedConfigurationError(
-            "nonzero levels must be nondegenerate for eigenstate corrections"
-        )
-
-    n_sites = ps.vectors.shape[0]
-    basis = orthonormal_columns(zero_basis, n_sites, "zero_basis")
-    if basis.shape[1] != 2:
-        raise ValidationError(f"zero_basis: expected shape {(n_sites, 2)}")
-    v0 = ps.zero_level.vectors
-    if np.linalg.norm(v0 @ (v0.T @ basis) - basis) > 1e-10:
-        raise ValidationError("zero_basis: columns must span the zero level")
-
-    outer, outer_eta0 = ps.nonzero_spectrum()
-    states = np.column_stack([outer, basis])
-    eta0 = np.append(outer_eta0, [0.0, 0.0])
-
-    h_ss = states.T @ h @ states            # <m|H|s>
-    gaps = eta0[None, :] - eta0[:, None]    # eta_s - eta_m at [m, s]
-    gaps[-2:, -2:] = np.inf                 # no term within the zero level
-    np.fill_diagonal(gaps, np.inf)          # nor from the state itself
-
-    return FirstOrderCorrections(
-        states=states,
-        corrections=states @ (h_ss / gaps),
-        eta0=eta0,
-        eta1=np.diag(h_ss).copy(),
-        zero_eta2=(-1.0 / outer_eta0) @ h_ss[:-2, -2:] ** 2,
-    )

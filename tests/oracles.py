@@ -3,23 +3,48 @@
 These deliberately avoid the code paths they check: time evolution via a
 fixed-step Runge-Kutta integrator, a fixed-step matrix-exponential
 propagator or one exponential per sample time, inversion via Gaussian
-elimination with partial pivoting, determinants via cofactor expansion,
-CSV text one formatted cell at a time, matrix listings by a double loop over
-the entries, eigenvalue grouping one Python level at a time, effective
-Hamiltonians as eigenvector sums over a dense eigendecomposition, and
-eigenvector signs by a scan of every entry.
+elimination with partial pivoting, determinants via cofactor expansion or
+the continuant recursion, CSV text one formatted cell at a time, matrix
+listings by a double loop over the entries, eigenvalue grouping one Python
+level at a time, effective Hamiltonians as eigenvector sums over a dense
+eigendecomposition, and eigenvector signs by a scan of every entry.
+
+The perturbative picture of the leakage is a referee for the exact delta:
+first-order eigenstate corrections (``first_order_corrections``), the
+first-order propagator correction they give (``u1_correction_trace``),
+whose peak tracks the measured delta, and the leakage oscillation frequency
+read off the exact spectrum (``leakage_frequency_estimate``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from zenochain.errors import ClusteringError
+from zenochain.errors import (
+    ClusteringError,
+    NumericalFailureError,
+    UnsupportedConfigurationError,
+    ValidationError,
+)
+from zenochain.linalg import (
+    SpectralDecomposition,
+    SymTridiagMatrix,
+    TimeGrid,
+    check_state,
+    orthonormal_columns,
+)
+from zenochain.perturbation import ProjectorSet
+
+# det_tridiag rescales its continuants when they leave this range.
+_CONTINUANT_LOW, _CONTINUANT_HIGH = 2.0**-500, 2.0**500
 
 
 def rk4_evolve(h_dense: np.ndarray, psi0: np.ndarray, t_samples: np.ndarray, dt: float) -> np.ndarray:
@@ -157,20 +182,15 @@ def expm_leakage_peak(
 
 
 def direct_exp_evolve(
-    vectors: np.ndarray,
-    eigenvalues: np.ndarray,
-    psi0: np.ndarray,
-    times,
-    right: np.ndarray | None = None,
+    vectors: np.ndarray, eigenvalues: np.ndarray, psi0: np.ndarray, times
 ) -> np.ndarray:
-    """Columns vectors @ (exp(-i eta t) * (right^T psi0)), one time at a time.
+    """Columns vectors @ (exp(-i eta t) * (vectors^T psi0)), one time at a time.
 
-    ``right`` defaults to ``vectors``; with orthonormal eigenvectors U this is
-    psi(t) = U exp(-i Lambda t) U^T psi0. Each time takes its own exp of
-    eta * t, so the times may be any values in any order.
+    With orthonormal eigenvectors U this is psi(t) = U exp(-i Lambda t) U^T
+    psi0. Each time takes its own exp of eta * t, so the times may be any
+    values in any order.
     """
-    right = vectors if right is None else right
-    coef = np.asarray(right).T @ np.asarray(psi0, dtype=complex)
+    coef = np.asarray(vectors).T @ np.asarray(psi0, dtype=complex)
     out = np.empty((vectors.shape[0], len(times)), dtype=complex)
     for j, t in enumerate(times):
         out[:, j] = vectors @ (np.exp(-1j * eigenvalues * t) * coef)
@@ -275,3 +295,174 @@ def dense_scenario(
     amps = ((v0.T @ u) * u[0]) @ np.exp(-1j * np.outer(w, times))
     delta = float(np.max(1.0 - np.sum(np.abs(amps) ** 2, axis=0)))
     return order, d0, window, delta
+
+
+def det_tridiag(m: SymTridiagMatrix) -> float:
+    """Determinant via the three-term continuant recursion.
+
+    theta_i = a_i theta_(i-1) - b_(i-1)^2 theta_(i-2), run on m scaled by a
+    power of two to max|entry| < 1; the pair (theta_(i-1), theta_i) is scaled
+    back into [2^-500, 2^500] whenever it leaves that range, and the binary
+    exponent is carried separately. Scaling by powers of two is exact: an
+    exactly singular m still gives exactly 0.0, and wherever the plain
+    recursion neither overflows nor underflows the result is bit for bit
+    its own. NumericalFailureError, giving log10|det|, when the determinant
+    lies outside the normal double range.
+    """
+    n = m.size
+    shift = math.frexp(m.max_abs_entry())[1]
+    a = np.ldexp(m.diag, -shift).tolist()
+    b2 = (np.ldexp(m.offdiag, -shift) ** 2).tolist()
+    exp2 = n * shift
+    prev, cur = 1.0, a[0]
+    for ai, bi2 in zip(a[1:], b2):
+        prev, cur = cur, ai * cur - bi2 * prev
+        big = max(abs(prev), abs(cur))
+        if big and not _CONTINUANT_LOW <= big <= _CONTINUANT_HIGH:
+            e = math.frexp(big)[1]
+            prev, cur = math.ldexp(prev, -e), math.ldexp(cur, -e)
+            exp2 += e
+    if cur == 0.0:
+        return cur
+    mantissa, e = math.frexp(cur)  # |det| = |mantissa| 2^exp2, |mantissa| in [1/2, 1)
+    exp2 += e
+    if not sys.float_info.min_exp <= exp2 <= sys.float_info.max_exp:
+        log10_det = (math.log2(abs(mantissa)) + exp2) * math.log10(2.0)
+        raise NumericalFailureError(
+            f"determinant of the {n}x{n} tridiagonal matrix is outside the double "
+            f"range: log10|det| = {log10_det:.1f}"
+        )
+    return math.ldexp(mantissa, exp2)
+
+
+@dataclass(frozen=True, eq=False)
+class FirstOrderCorrections:
+    """First-order eigenstate corrections of (H_watch + lam * H).
+
+    ``states`` holds the nondegenerate nonzero levels in ascending order,
+    then the two ``zero_basis`` columns, which must diagonalize the order-1
+    effective Hamiltonian inside the two-fold zero level. Column s of
+    ``corrections`` is the correction of state s; ``eta0`` (0 for the two
+    zero states) and ``eta1`` are their unperturbed energies and first-order
+    shifts, and ``zero_eta2`` the second-order shifts of the two zero states.
+    """
+
+    states: np.ndarray
+    corrections: np.ndarray
+    eta0: np.ndarray
+    eta1: np.ndarray
+    zero_eta2: np.ndarray
+
+
+def first_order_corrections(
+    ps: ProjectorSet, h: np.ndarray, zero_basis: np.ndarray
+) -> FirstOrderCorrections:
+    """First-order corrections |phi_s^(1)> for every eigenstate.
+
+    For a state s: sum_m |m> <m|H|s> / (eta_s - eta_m) over the states m of
+    the other levels (the two zero states are one level), so every
+    correction is orthogonal to its own unperturbed state.
+    """
+    if not ps.has_zero_level or ps.zero_level.multiplicity != 2:
+        raise UnsupportedConfigurationError(
+            "first-order corrections require a two-fold degenerate zero level"
+        )
+    if np.any(np.delete(np.diff(ps.bounds), ps.zero_level_index) != 1):
+        raise UnsupportedConfigurationError(
+            "nonzero levels must be nondegenerate for eigenstate corrections"
+        )
+
+    n_sites = ps.vectors.shape[0]
+    basis = orthonormal_columns(zero_basis, n_sites, "zero_basis")
+    if basis.shape[1] != 2:
+        raise ValidationError(f"zero_basis: expected shape {(n_sites, 2)}")
+    v0 = ps.zero_level.vectors
+    if np.linalg.norm(v0 @ (v0.T @ basis) - basis) > 1e-10:
+        raise ValidationError("zero_basis: columns must span the zero level")
+
+    outer, outer_eta0 = ps.nonzero_spectrum()
+    states = np.column_stack([outer, basis])
+    eta0 = np.append(outer_eta0, [0.0, 0.0])
+
+    h_ss = states.T @ h @ states            # <m|H|s>
+    gaps = eta0[None, :] - eta0[:, None]    # eta_s - eta_m at [m, s]
+    gaps[-2:, -2:] = np.inf                 # no term within the zero level
+    np.fill_diagonal(gaps, np.inf)          # nor from the state itself
+
+    return FirstOrderCorrections(
+        states=states,
+        corrections=states @ (h_ss / gaps),
+        eta0=eta0,
+        eta1=np.diag(h_ss).copy(),
+        zero_eta2=(-1.0 / outer_eta0) @ h_ss[:-2, -2:] ** 2,
+    )
+
+
+def u1_correction_trace(
+    corrections: FirstOrderCorrections,
+    lam: float,
+    tau_grid: TimeGrid,
+    psi0: np.ndarray | None = None,
+) -> np.ndarray:
+    """Squared norm of the first-order propagator correction on psi0.
+
+    The correction operator at rescaled time tau is
+    lam * sum_s exp(-i eta_s tau) (|s1><s0| + |s0><s1|) over all eigenstates
+    s with unperturbed vector |s0> and first-order correction |s1>; its peak
+    on psi0 (default |1>) estimates the leakage delta. The phases are
+    eta0 + lam eta1, and the two zero states' also carry their second-order
+    shifts, the only surviving ones. One exponential per state and sample
+    time.
+    """
+    base, corr = corrections.states, corrections.corrections
+    if psi0 is None:
+        psi0 = np.eye(base.shape[0])[0]
+    psi0 = check_state(psi0, base.shape[0], "psi0")
+
+    eta = corrections.eta0 + lam * corrections.eta1
+    eta[-2:] += lam**2 * corrections.zero_eta2
+
+    phases = np.exp(-1j * np.outer(eta, tau_grid.times))
+    c = base.T @ psi0   # <s0|psi0>
+    dcoef = corr.T @ psi0   # <s1|psi0>
+    series = lam * (corr @ (phases * c[:, None]) + base @ (phases * dcoef[:, None]))
+    return np.sum(np.abs(series) ** 2, axis=0)
+
+
+def leakage_frequency_estimate(d_tot: SpectralDecomposition, n_sites: int) -> float:
+    """Dominant angular frequency of the leakage oscillation, even chains.
+
+    Taken from the exact spectrum of the full Hamiltonian: the gap between
+    the lowest positive interior eigenvalue and the zero-level eigenvalue it
+    beats against (the symmetric end combination when N/2 - 1 is odd, the
+    antisymmetric one otherwise).
+    """
+    if n_sites % 2 != 0 or n_sites < 4:
+        raise UnsupportedConfigurationError(
+            "leakage frequency estimate is defined for even chains"
+        )
+    if d_tot.size != n_sites:
+        raise ValidationError("decomposition size does not match n_sites")
+
+    w, v = d_tot.eigenvalues, d_tot.eigenvectors
+    # ascending spectrum: (N-2)/2 negatives, the split zero pair, positives
+    pair = [n_sites // 2 - 1, n_sites // 2]
+    sym = np.zeros(n_sites)
+    sym[0] = sym[-1] = 1.0 / np.sqrt(2.0)
+    sym_weights = [abs(sym @ v[:, i]) for i in pair]
+    alpha = pair[int(np.argmax(sym_weights))]
+    beta = pair[1 - int(np.argmax(sym_weights))]
+
+    interior_plus = w[n_sites // 2 + 1]
+    partner = alpha if (n_sites // 2 - 1) % 2 == 1 else beta
+    return float(abs(interior_plus - w[partner]))
+
+
+def dominant_angular_frequency(values: np.ndarray, dt: float) -> float:
+    """Angular frequency of the strongest nonzero Fourier mode of a series."""
+    values = np.asarray(values, dtype=float) - float(np.mean(values))
+    spectrum = np.abs(np.fft.rfft(values))
+    if spectrum.size < 2:
+        raise ValidationError("series too short for a frequency estimate")
+    k = 1 + int(np.argmax(spectrum[1:]))
+    return 2.0 * np.pi * k / (dt * values.size)

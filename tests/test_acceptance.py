@@ -27,7 +27,6 @@ from zenochain.dynamics import simulate
 from zenochain.errors import SingularMatrixError
 from zenochain.harness import run_fluctuation_trials, run_scenario, run_sweep
 from zenochain.linalg import (
-    det_tridiag,
     eig_sym_tridiag,
     evolve_grid,
     inverse_corner_tridiag,
@@ -41,7 +40,7 @@ from zenochain.perturbation import (
 )
 from zenochain.qzd import QzdOrder, classify
 
-from .oracles import expm_leakage_peak, gaussian_elimination_inverse
+from .oracles import det_tridiag, expm_leakage_peak, gaussian_elimination_inverse
 
 K = 1.0
 

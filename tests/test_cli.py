@@ -200,6 +200,19 @@ class TestClassify:
         assert payload["commutator_norm_order1"] == 0.0
         assert payload["commutator_norm_order0"] == pytest.approx(float(k), rel=1e-12)
 
+    @pytest.mark.parametrize("value", ["-20", "-1.5", "-1.5e3", "-1e-3"])
+    def test_negative_shift_in_every_form(self, tmp_path, capsys, value):
+        # argparse took -1.5e3 and -1e-3 for options and exited 1; a separate
+        # value, the = form and a config line must classify alike
+        cfg = tmp_path / "shift.cfg"
+        cfg.write_text(f"delta_omega={value}\n")
+        outputs = []
+        for argv in (["--delta-omega", value], [f"--delta-omega={value}"], ["--config", str(cfg)]):
+            assert run_cli("classify", "--n", "9", *argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["order"] == "first"
+
     def test_far_cluster_does_not_stop_a_shifted_chain(self, capsys):
         # exited 1: levels far from zero chained into one cluster wider than
         # the tolerance, though the zero level itself is clear

@@ -1,4 +1,5 @@
-"""Eigendecomposition, spectral evolution, tridiagonal inverse/determinant."""
+"""Eigendecomposition, spectral evolution, tridiagonal inverse corner, the
+continuant determinant referee."""
 
 from __future__ import annotations
 
@@ -17,22 +18,22 @@ from zenochain import linalg
 from zenochain.linalg import (
     PARITY_MIN_SIZE,
     PHASE_EPS,
+    SpectralDecomposition,
     SymTridiagMatrix,
     TimeGrid,
     _fix_phases,
-    det_tridiag,
     eig_sym_dense,
     eig_sym_tridiag,
     eigvals_sym_tridiag,
     eigvecs_sym_tridiag,
     evolve_grid,
     inverse_corner_tridiag,
-    phase_sums,
     solve_bordered_tridiag,
 )
 
 from .oracles import (
     cofactor_det,
+    det_tridiag,
     direct_exp_evolve,
     gaussian_elimination_inverse,
     rk4_evolve,
@@ -390,8 +391,9 @@ class TestEvolve:
 
     def test_phase_sums_need_real_vectors(self):
         # the real product over (re, im) pairs would mix complex vectors' parts
+        d = SpectralDecomposition(np.zeros(2), np.eye(2) * 1j)
         with pytest.raises(ValidationError, match="real"):
-            phase_sums(np.eye(2) * 1j, np.zeros(2), np.ones(2), TimeGrid(1.0, 4))
+            evolve_grid(d, np.eye(2)[0], TimeGrid(1.0, 4))
 
     @given(
         well_conditioned_tridiag(max_size=20),

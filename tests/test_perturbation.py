@@ -29,14 +29,17 @@ from zenochain.linalg import (
 from zenochain.perturbation import (
     couple_zero_level,
     default_grouping_tolerance,
-    first_order_corrections,
     group_levels,
     hqzd_order0,
     hqzd_order1,
     reduced_resolvent,
 )
 
-from .oracles import gaussian_elimination_inverse, group_levels_by_loop
+from .oracles import (
+    first_order_corrections,
+    gaussian_elimination_inverse,
+    group_levels_by_loop,
+)
 
 K = 1.0
 
