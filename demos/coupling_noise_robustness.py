@@ -26,9 +26,7 @@ def main() -> None:
     base_delta = baseline.leakage.delta
     base_corner = baseline.order1.matrix[0, -1] / (baseline.hams.spec.lam * 1.0**2)
 
-    trials = run_fluctuation_trials(N_SITES, AMPLITUDE, TRIALS, seed=0)
-    corners = np.array([t.corner_element for t in trials])
-    deltas = np.array([t.delta for t in trials])
+    corners, deltas = run_fluctuation_trials(N_SITES, AMPLITUDE, TRIALS, seed=0)
 
     print(f"{N_SITES}-site chain, {TRIALS} trials, +-{AMPLITUDE:.0%} bond noise")
     print(f"\nnoiseless corner element: {base_corner:+.4f}")

@@ -46,9 +46,7 @@ from .errors import (
     ZenoChainError,
 )
 from .harness import (
-    FluctuationTrial,
     ScenarioResult,
-    SweepCell,
     SweepResult,
     fit_slope_through_origin,
     run_fluctuation_trials,

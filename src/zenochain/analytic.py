@@ -1,7 +1,10 @@
 """Closed-form expressions for chain spectra and effective Hamiltonians.
 
-Every function here has a numerical counterpart elsewhere in the package;
-the analytic forms double as fast paths and as oracles in the test suite.
+Most functions here have a numerical counterpart elsewhere in the package
+and are its oracles in the test suite; no program path takes one in place of
+a numerical route. ``phi_mid``, ``f_of_n`` and ``lambda_bound`` are
+definitions the program reads: the odd chain's mid state, the sweep's map
+from G to lambda, and the ``bound`` subcommand.
 Site indices in formulas are 1-based to match the ket labels |1>..|N>.
 """
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analytic
 from .chain import ChainSpec
-from .dynamics import DEFAULT_N_STEPS, TimeGrid, site_one
+from .dynamics import DEFAULT_N_STEPS, site_one
 from .errors import NumericalFailureError, ValidationError
 from .harness import (
     dominant_effective_matrix,
@@ -279,8 +279,7 @@ def _matrix_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
-    grid = TimeGrid(args.t_max, args.steps) if args.t_max is not None else None
-    result = run_scenario(spec, grid=grid, n_steps=args.steps)
+    result = run_scenario(spec, args.steps, args.t_max)
 
     csv_path, json_path = _out_paths(args, "simulate")
     trace = result.trace
@@ -342,10 +341,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     result = run_sweep(args.g_list, args.n_list, n_steps=args.steps)
 
     csv_path, json_path = _out_paths(args, "sweep")
-    _write_table(
-        csv_path, ["G", "N", "lambda_inv", "delta"],
-        [np.array([(r.g, r.n_sites, r.lambda_inv, r.delta) for r in result.rows])],
-    )
+    g, n = np.meshgrid(result.g_values, result.n_values, indexing="ij")
+    columns = [g.ravel(), n.ravel(), result.lambda_inv.ravel(), result.delta.ravel()]
+    _write_table(csv_path, ["G", "N", "lambda_inv", "delta"], columns)
 
     payload = {
         "slope": result.slope,
@@ -353,30 +351,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             {"g": g, "mean_delta": m, "flatness": f}
             for g, m, f in zip(result.g_values, result.mean_delta, result.flatness)
         ],
-        "rows": len(result.rows),
+        "rows": result.delta.size,
     }
     _emit_json(json_path, payload)
     return 0
 
 
 def cmd_fluctuate(args: argparse.Namespace) -> int:
-    rows = run_fluctuation_trials(
+    corners, deltas = run_fluctuation_trials(
         _n_sites(args), args.amplitude, args.trials, args.seed,
         lambda_inv=args.lambda_inv, k=args.k, n_steps=args.steps,
     )
 
     csv_path, json_path = _out_paths(args, "fluctuate")
-    offsets, corners, deltas = np.array(
-        [(r.seed_offset, r.corner_element, r.delta) for r in rows]
-    ).T
     with np.errstate(over="ignore"):
         mean_corner = float(np.mean(corners))
     if not math.isfinite(mean_corner):
         raise ValidationError(f"k: the mean corner element over k = {args.k:g} overflows")
+    offsets = np.arange(args.trials)
     _write_table(csv_path, ["seed_offset", "corner_element", "delta"], [offsets, corners, deltas])
 
     payload = {
-        "trials": len(rows),
+        "trials": args.trials,
         "mean_corner_element": mean_corner,
         "mean_delta": float(np.mean(deltas)),
     }
@@ -416,7 +412,9 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, help_text, names) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        # flags are spelled in full: a prefix such as --delta would escape
+        # the float-value join of _join_float_values
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for name in ("config", *names):
             p.add_argument("--" + name.replace("_", "-"), **FLAGS[name])
         p.set_defaults(func=func)

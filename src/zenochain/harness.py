@@ -71,15 +71,18 @@ class ScenarioResult:
 
 def run_scenario(
     spec: ChainSpec,
-    grid: TimeGrid | None = None,
     n_steps: int = DEFAULT_N_STEPS,
+    t_max: float | None = None,
 ) -> ScenarioResult:
-    """Build the chain, classify it, and measure the leakage of |1> over the window.
+    """Build the chain, classify it, and measure the leakage of |1> over [0, t_max].
 
-    Without ``grid`` the window is one cycle of the classified order's
-    effective dynamics (``WatchAnalysis.cycle``); a chain whose order has
-    no cycle raises UnsupportedConfigurationError and needs an explicit grid.
+    ``t_max`` is a time at k. Without it the window is one cycle of the
+    classified order's effective dynamics (``WatchAnalysis.cycle``); a chain
+    whose order has no cycle raises UnsupportedConfigurationError and needs
+    an explicit ``t_max``.
     """
+    # an explicit window is checked before any solve
+    grid = None if t_max is None else TimeGrid(t_max, n_steps)
     hams = build_chain(spec)
     psi0 = site_one(spec.n_sites)
 
@@ -89,7 +92,7 @@ def run_scenario(
         window = unit_window(hams.unit, analysis, n_steps, analysis.cycle(classification.order))
         grid = TimeGrid(from_units_of_k(window.t_max, spec.k, -1), n_steps)
     else:
-        window = unit_window(hams.unit, analysis, grid.n_steps, grid.t_max * spec.k, "t_max")
+        window = unit_window(hams.unit, analysis, n_steps, t_max * spec.k, "t_max")
 
     d = eig_sym_tridiag(hams.unit.h_total)
     series = leakage_series(d, psi0, analysis.zero_basis, window)
@@ -116,22 +119,21 @@ def dominant_effective_matrix(result: ScenarioResult) -> np.ndarray:
     return np.zeros_like(result.order0.matrix)
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    g: float
-    n_sites: int
-    lambda_inv: float
-    delta: float
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Per-cell leakage of the G-sweep plus the quadratic-law fit."""
+    """The G-sweep's leakage on its (G, N) grid plus the quadratic-law fit.
 
-    rows: tuple[SweepCell, ...]
-    g_values: tuple[float, ...]
-    mean_delta: tuple[float, ...]
-    flatness: tuple[float, ...]
+    ``lambda_inv`` and ``delta`` are G x N arrays, one row per G and one
+    column per N; ``mean_delta`` and ``flatness`` (max |delta - mean| / mean)
+    are per row.
+    """
+
+    g_values: np.ndarray
+    n_values: np.ndarray
+    lambda_inv: np.ndarray
+    delta: np.ndarray
+    mean_delta: np.ndarray
+    flatness: np.ndarray
     slope: float
 
 
@@ -169,59 +171,38 @@ def run_sweep(
     for g in g_list:
         if not (math.isfinite(g) and g > 0.0):
             raise ValidationError(f"sweep: G must be finite and positive, got {g:g}")
+    for n in n_list:
+        if n < 4 or n % 2 != 0:
+            raise ValidationError(f"sweep: N={n:g} must be an even integer >= 4")
     for name, values in (("G", g_list), ("N", n_list)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValidationError(f"sweep: {name}={repeated[0]:g} is repeated")
-    cells = []
-    for g in g_list:
-        for n in n_list:
-            lam_inv = analytic.f_of_n(n) / g
-            if lam_inv < 1.0:
-                raise ValidationError(
-                    f"sweep: G={g} at N={n} implies lambda_inv={lam_inv:.3f} < 1"
-                )
-            cells.append((g, n, lam_inv))
+    g_values, n_values = np.array(g_list, dtype=float), np.array(n_list)
+    lambda_inv = np.array([analytic.f_of_n(n) for n in n_list]) / g_values[:, None]
+    if np.any(lambda_inv < 1.0):
+        i, j = np.argwhere(lambda_inv < 1.0)[0]
+        raise ValidationError(
+            f"sweep: G={g_list[i]} at N={n_list[j]} implies lambda_inv={lambda_inv[i, j]:.3f} < 1"
+        )
 
     analyses = {n: effective_reports(build_chain(ChainSpec(n, 1.0))) for n in n_list}
-    rows = []
-    for g, n, lam_inv in cells:
-        hams = build_chain(ChainSpec(n_sites=n, lambda_inv=lam_inv))
-        analysis = replace(analyses[n], lam=hams.spec.lam)
-        grid = unit_window(hams, analysis, n_steps, name=f"sweep: G={g:g}")
-        rows.append(SweepCell(g, n, lam_inv, _end_leakage(hams, grid)))
+    delta = np.empty_like(lambda_inv)
+    for (i, j), lam_inv in np.ndenumerate(lambda_inv):
+        hams = build_chain(ChainSpec(n_sites=n_list[j], lambda_inv=float(lam_inv)))
+        analysis = replace(analyses[n_list[j]], lam=hams.spec.lam)
+        grid = unit_window(hams, analysis, n_steps, name=f"sweep: G={g_list[i]:g}")
+        delta[i, j] = _end_leakage(hams, grid)
 
-    g_values, means, flats = [], [], []
-    for g in g_list:
-        deltas = np.array([row.delta for row in rows if row.g == g])
-        mean = float(np.mean(deltas))
-        g_values.append(g)
-        means.append(mean)
-        flats.append(float(np.max(np.abs(deltas - mean)) / mean))
-
-    means_arr = np.array(means)
-    keep = means_arr < analytic.DELTA_FIT_LIMIT
+    mean_delta = delta.mean(axis=1)
+    flatness = np.max(np.abs(delta - mean_delta[:, None]), axis=1) / mean_delta
+    keep = mean_delta < analytic.DELTA_FIT_LIMIT
     if not np.any(keep):
         raise ValidationError(
             f"sweep: no mean delta below {analytic.DELTA_FIT_LIMIT}; nothing to fit"
         )
-    slope = fit_slope_through_origin(
-        np.array(g_values)[keep] ** 2, means_arr[keep]
-    )
-    return SweepResult(
-        rows=tuple(rows),
-        g_values=tuple(g_values),
-        mean_delta=tuple(means),
-        flatness=tuple(flats),
-        slope=slope,
-    )
-
-
-@dataclass(frozen=True)
-class FluctuationTrial:
-    seed_offset: int
-    corner_element: float
-    delta: float
+    slope = fit_slope_through_origin(g_values[keep] ** 2, mean_delta[keep])
+    return SweepResult(g_values, n_values, lambda_inv, delta, mean_delta, flatness, slope)
 
 
 def run_fluctuation_trials(
@@ -232,10 +213,11 @@ def run_fluctuation_trials(
     lambda_inv: float = 20.0,
     k: float = 1.0,
     n_steps: int = DEFAULT_N_STEPS,
-) -> list[FluctuationTrial]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo over chains with fluctuating interior couplings.
 
-    Trial j seeds its generator with seed + j; each records the reduced
+    Returns ``(corner_element, delta)``, two arrays of length ``trials``:
+    trial j seeds its generator with seed + j and gives the reduced
     resolvent's corner element <2|Qtilde|N-1> (the corner of the
     interior-block inverse) and the measured delta of the full dynamics,
     over the default window of the same chain without coupling noise, all
@@ -250,10 +232,11 @@ def run_fluctuation_trials(
     # max|eta| below 2.4 max|H_total| of the noise-free chain, inside its bound
     grid = default_time_grid(build_chain(noise_free), n_steps)
 
-    def one_trial(offset: int) -> FluctuationTrial:
-        noise = CouplingFluctuation(amplitude, seed + offset)
+    corner_element, delta = np.empty(trials), np.empty(trials)
+    for j in range(trials):
+        noise = CouplingFluctuation(amplitude, seed + j)
         hams = build_chain(replace(noise_free, fluctuation=noise))
-        corner = from_units_of_k(-inverse_corner_tridiag(interior_block(hams.h_watch)), k, -1)
-        return FluctuationTrial(offset, corner, _end_leakage(hams, grid))
-
-    return [one_trial(offset) for offset in range(trials)]
+        corner = -inverse_corner_tridiag(interior_block(hams.h_watch))
+        corner_element[j] = from_units_of_k(corner, k, -1)
+        delta[j] = _end_leakage(hams, grid)
+    return corner_element, delta

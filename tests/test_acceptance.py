@@ -206,12 +206,12 @@ def test_criterion_06_sweep_slope(stated_grid_sweep, stated_grid_referee):
     peaks = stated_grid_referee
     window = (_referee_slope(peaks, 0), _referee_slope(peaks, 1))
 
-    cells = [(row.g, row.n_sites) for row in result.rows]
+    cells = [(g, n) for g in result.g_values.tolist() for n in result.n_values.tolist()]
     stray = []
-    for row in result.rows:
-        sampled, exact = peaks[(row.g, row.n_sites)]
-        if not sampled - REFEREE_SLACK <= row.delta <= exact + REFEREE_SLACK:
-            stray.append(f"G={row.g} N={row.n_sites}: {row.delta!r}")
+    for (g, n), delta in zip(cells, result.delta.ravel().tolist(), strict=True):
+        sampled, exact = peaks[(g, n)]
+        if not sampled - REFEREE_SLACK <= delta <= exact + REFEREE_SLACK:
+            stray.append(f"G={g} N={n}: {delta!r}")
     in_window = (
         window[0] - REFEREE_SLACK <= result.slope <= window[1] + REFEREE_SLACK
     )
@@ -232,6 +232,17 @@ def test_criterion_06_sweep_slope(stated_grid_sweep, stated_grid_referee):
     assert cells == list(peaks)
     assert not stray
     assert in_window
+
+
+def test_sweep_cells_are_scenarios(stated_grid_sweep):
+    # a cell watches the two end sites over its own window; the unshifted
+    # even chain's zero basis is exactly those sites and run_scenario takes
+    # the same window, so each cell's delta is the scenario's, bit for bit
+    result, _ = stated_grid_sweep
+    assert result.delta.shape == (len(STATED_G), len(STATED_N))
+    for (i, j), delta in np.ndenumerate(result.delta):
+        spec = ChainSpec(int(result.n_values[j]), float(result.lambda_inv[i, j]))
+        assert delta == run_scenario(spec, n_steps=STATED_STEPS).leakage.delta, spec
 
 
 def test_criterion_06_sweep_flatness(stated_grid_sweep):
@@ -401,19 +412,15 @@ def test_criterion_09_property_suites():
 
 
 def test_criterion_10_fluctuation_robustness():
-    trials = run_fluctuation_trials(10, 0.05, 100, seed=0)
-    corners = np.array([t.corner_element for t in trials])
+    corners, _ = run_fluctuation_trials(10, 0.05, 100, seed=0)
     mean_gap = abs(float(np.mean(np.abs(corners))) - 1.0 / K)
 
     per_trial_gap = 0.0
-    for t in trials:
-        spec = ChainSpec(
-            10, 20.0, fluctuation=CouplingFluctuation(0.05, t.seed_offset)
-        )
+    for j, corner in enumerate(corners):
+        spec = ChainSpec(10, 20.0, fluctuation=CouplingFluctuation(0.05, j))
         couplings = build_chain(spec).h_watch.offdiag[1:-1]
         per_trial_gap = max(
-            per_trial_gap,
-            abs(t.corner_element - qtilde_fluctuating_corner(couplings)),
+            per_trial_gap, abs(corner - qtilde_fluctuating_corner(couplings))
         )
 
     ok = mean_gap < 0.1 / K and per_trial_gap <= 1e-10

@@ -16,7 +16,6 @@ from zenochain import cli, harness
 from zenochain.analytic import lambda_bound
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
 from zenochain.cli import main, read_config_file
-from zenochain.dynamics import TimeGrid
 from zenochain.errors import ValidationError
 from zenochain.harness import (
     dominant_effective_matrix,
@@ -212,6 +211,16 @@ class TestClassify:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
         assert json.loads(outputs[0])["order"] == "first"
+
+    @pytest.mark.parametrize("argv", [
+        ["--delta", "-1.5e3"],  # read "argument --delta-omega: expected one argument"
+        ["--delta", "-15"],  # parsed as --delta-omega
+        ["--lambda", "20"],
+    ])
+    def test_flag_prefixes_are_not_flags(self, capsys, argv):
+        # a prefix escaped the join of a float flag and its negative value
+        assert run_cli("classify", "--n", "9", *argv) == 1
+        assert f"error: unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
     def test_far_cluster_does_not_stop_a_shifted_chain(self, capsys):
         # exited 1: levels far from zero chained into one cluster wider than
@@ -444,19 +453,20 @@ class TestOutputBytes:
     """Every CLI output, byte for byte, against referees in tests/oracles.py."""
 
     @pytest.mark.parametrize(
-        "argv, spec, grid",
+        "argv, spec, window",
         [
-            (["--n", "4"], ChainSpec(4, 20.0), None),
-            (["--n", "5"], ChainSpec(5, 20.0), None),
-            (["--n", "5", "--delta-omega", "20"], ChainSpec(5, 20.0, delta_omega=20.0), None),
-            (["--n", "6", "--t-max", "2.5", "--steps", "37"], ChainSpec(6, 20.0), TimeGrid(2.5, 37)),
+            (["--n", "4"], ChainSpec(4, 20.0), {}),
+            (["--n", "5"], ChainSpec(5, 20.0), {}),
+            (["--n", "5", "--delta-omega", "20"], ChainSpec(5, 20.0, delta_omega=20.0), {}),
+            (["--n", "6", "--t-max", "2.5", "--steps", "37"], ChainSpec(6, 20.0),
+             dict(n_steps=37, t_max=2.5)),
         ],
         ids=["even4", "odd5", "modified5", "grid37"],
     )
-    def test_simulate(self, tmp_path, capsys, argv, spec, grid):
+    def test_simulate(self, tmp_path, capsys, argv, spec, window):
         out = tmp_path / "s"
         assert run_cli("simulate", *argv, "--lambda-inv", "20", "--out", str(out)) == 0
-        result = run_scenario(spec, grid=grid)
+        result = run_scenario(spec, **window)
         trace = result.trace
         header = ["t"] + [f"p_{i + 1}" for i in range(spec.n_sites)] + ["leakage"]
         rows = [
@@ -482,7 +492,11 @@ class TestOutputBytes:
             "--steps", "300", "--out", str(out),
         ) == 0
         result = run_sweep([0.05, 0.1], [4, 6, 8], n_steps=300)
-        rows = [[r.g, r.n_sites, r.lambda_inv, r.delta] for r in result.rows]
+        rows = [
+            [g, n, result.lambda_inv[i, j], result.delta[i, j]]
+            for i, g in enumerate(result.g_values)
+            for j, n in enumerate(result.n_values)
+        ]
         want = per_value_csv(["G", "N", "lambda_inv", "delta"], rows)
         assert (tmp_path / "sw.csv").read_bytes() == want.encode()
         assert capsys.readouterr().out == (tmp_path / "sw.json").read_text()
@@ -490,8 +504,8 @@ class TestOutputBytes:
     def test_fluctuate(self, tmp_path, capsys):
         out = tmp_path / "fl"
         assert run_cli("fluctuate", "--n", "10", "--trials", "20", "--out", str(out)) == 0
-        trials = run_fluctuation_trials(10, 0.05, 20, 0)
-        rows = [[t.seed_offset, t.corner_element, t.delta] for t in trials]
+        corners, deltas = run_fluctuation_trials(10, 0.05, 20, 0)
+        rows = [[j, c, d] for j, (c, d) in enumerate(zip(corners, deltas, strict=True))]
         want = per_value_csv(["seed_offset", "corner_element", "delta"], rows)
         assert (tmp_path / "fl.csv").read_bytes() == want.encode()
         payload_text = (tmp_path / "fl.json").read_text()
@@ -710,6 +724,14 @@ class TestSweep:
         ) == 0
         with open(tmp_path / "sw2.csv", newline="") as fh:
             assert len(list(csv.reader(fh))) == 7
+        assert json.loads((tmp_path / "sw2.json").read_text())["rows"] == 6
+
+    @pytest.mark.parametrize("n_list, n", [("5", 5), ("4,2", 2)])
+    def test_bad_length_names_the_sweep(self, tmp_path, capsys, n_list, n):
+        # read "n_sites: must be an even integer >= 4", a flag sweep does not have
+        assert run_cli("sweep", "--n-list", n_list, "--out", str(tmp_path / "sw")) == 1
+        assert capsys.readouterr().err == f"error: sweep: N={n} must be an even integer >= 4\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestFluctuate:
@@ -748,12 +770,12 @@ class TestFluctuate:
         assert np.isfinite(json.loads((tmp_path / "fl.json").read_text())["mean_corner_element"])
         with open(tmp_path / "fl.csv", newline="") as fh:
             written = [float(row[1]) for row in list(csv.reader(fh))[1:]]
-        trials = run_fluctuation_trials(200, amplitude, 3, 0, k=k)
-        for trial, cell in zip(trials, written, strict=True):
-            noise = CouplingFluctuation(amplitude, trial.seed_offset)
+        corners, _ = run_fluctuation_trials(200, amplitude, 3, 0, k=k)
+        for j, (corner, cell) in enumerate(zip(corners, written, strict=True)):
+            noise = CouplingFluctuation(amplitude, j)
             block = interior_block(build_chain(ChainSpec(200, 20.0, k=k, fluctuation=noise)).h_watch)
             want = -np.linalg.inv(block.to_dense())[0, -1]
-            assert abs(trial.corner_element - want) <= 1e-12 * abs(want)
+            assert abs(corner - want) <= 1e-12 * abs(want)
             assert abs(cell - want) <= 1e-11 * abs(want)  # the CSV keeps 12 digits
 
 

@@ -63,25 +63,28 @@ class TestSweep:
     def test_single_cell_slope_is_ratio(self):
         g = 0.1
         result = run_sweep([g], [4], n_steps=2000)
-        assert len(result.rows) == 1
-        row = result.rows[0]
-        assert row.lambda_inv == pytest.approx(f_of_n(4) / g)
-        assert result.slope == pytest.approx(row.delta / g**2)
+        assert result.delta.shape == result.lambda_inv.shape == (1, 1)
+        assert result.lambda_inv[0, 0] == pytest.approx(f_of_n(4) / g)
+        assert result.slope == pytest.approx(result.delta[0, 0] / g**2)
         assert result.flatness[0] == 0.0
 
     def test_row_grid_and_lambda_assignment(self):
+        # one row per G and one column per N
         result = run_sweep([0.05, 0.1], [4, 6, 8], n_steps=500)
-        assert len(result.rows) == 6
-        for row in result.rows:
-            assert row.lambda_inv == pytest.approx(f_of_n(row.n_sites) / row.g)
-            assert 0.0 < row.delta < 1.0
+        assert result.g_values.tolist() == [0.05, 0.1]
+        assert result.n_values.tolist() == [4, 6, 8]
+        assert result.delta.shape == result.lambda_inv.shape == (2, 3)
+        for i, g in enumerate(result.g_values):
+            for j, n in enumerate(result.n_values):
+                assert result.lambda_inv[i, j] == pytest.approx(f_of_n(n) / g)
+                assert 0.0 < result.delta[i, j] < 1.0
 
     def test_mean_flatness_definition(self):
-        result = run_sweep([0.1], [4, 6, 8, 10], n_steps=1000)
-        deltas = np.array([row.delta for row in result.rows])
-        assert result.mean_delta[0] == pytest.approx(float(np.mean(deltas)))
-        expect_flat = float(np.max(np.abs(deltas - deltas.mean())) / deltas.mean())
-        assert result.flatness[0] == pytest.approx(expect_flat)
+        result = run_sweep([0.1, 0.15], [4, 6, 8, 10], n_steps=1000)
+        for deltas, mean, flat in zip(result.delta, result.mean_delta, result.flatness):
+            assert mean == pytest.approx(float(np.mean(deltas)))
+            expect_flat = float(np.max(np.abs(deltas - deltas.mean())) / deltas.mean())
+            assert flat == pytest.approx(expect_flat)
 
     def test_lambda_inv_below_one_rejected(self):
         with pytest.raises(ValidationError):
@@ -92,7 +95,8 @@ class TestSweep:
             run_sweep([], [4])
 
     def test_odd_length_rejected(self):
-        with pytest.raises(ValidationError):
+        # read "n_sites: must be an even integer >= 4"; n_sites is no flag of the sweep
+        with pytest.raises(ValidationError, match="^sweep: N=5 must be an even integer >= 4$"):
             run_sweep([0.1], [5])
 
     @pytest.mark.parametrize("g", [0.0, -0.1, np.nan, np.inf])
@@ -147,38 +151,37 @@ class TestQuadraticLawRecovery:
 
 class TestFluctuationTrials:
     def test_zero_amplitude_matches_baseline(self):
-        rows = run_fluctuation_trials(6, 0.0, 3, seed=0, n_steps=500)
+        corners, deltas = run_fluctuation_trials(6, 0.0, 3, seed=0, n_steps=500)
         baseline = run_scenario(ChainSpec(6, 20.0), n_steps=500)
         base_corner = qtilde_fluctuating_corner(np.full(3, 1.0))
-        for row in rows:
-            assert row.corner_element == pytest.approx(base_corner, abs=1e-12)
-            assert row.delta == pytest.approx(baseline.leakage.delta, abs=1e-12)
+        assert corners.shape == deltas.shape == (3,)
+        assert corners == pytest.approx(np.full(3, base_corner), abs=1e-12)
+        assert deltas == pytest.approx(np.full(3, baseline.leakage.delta), abs=1e-12)
 
     def test_corner_matches_closed_form_per_trial(self):
-        rows = run_fluctuation_trials(10, 0.05, 5, seed=7, n_steps=200)
-        for row in rows:
-            spec = ChainSpec(
-                10, 20.0, fluctuation=CouplingFluctuation(0.05, 7 + row.seed_offset)
-            )
+        # trial j seeds seed + j
+        corners, _ = run_fluctuation_trials(10, 0.05, 5, seed=7, n_steps=200)
+        assert corners.shape == (5,)
+        for j, corner in enumerate(corners):
+            spec = ChainSpec(10, 20.0, fluctuation=CouplingFluctuation(0.05, 7 + j))
             couplings = build_chain(spec).h_watch.offdiag[1:-1]
-            assert row.corner_element == pytest.approx(
-                qtilde_fluctuating_corner(couplings), abs=1e-10
-            )
+            assert corner == pytest.approx(qtilde_fluctuating_corner(couplings), abs=1e-10)
 
     def test_every_trial_uses_the_noise_free_window(self):
         # the window is computed once, from the chain without coupling noise
-        rows = run_fluctuation_trials(10, 0.05, 5, seed=7, n_steps=200)
+        _, deltas = run_fluctuation_trials(10, 0.05, 5, seed=7, n_steps=200)
         grid = default_time_grid(build_chain(ChainSpec(10, 20.0)), 200)
         ends = np.eye(10)[:, [0, -1]]
-        for row in rows:
-            spec = ChainSpec(10, 20.0, fluctuation=CouplingFluctuation(0.05, 7 + row.seed_offset))
+        assert deltas.shape == (5,)
+        for j, delta in enumerate(deltas):
+            spec = ChainSpec(10, 20.0, fluctuation=CouplingFluctuation(0.05, 7 + j))
             d = eig_sym_tridiag(build_chain(spec).h_total)
-            assert row.delta == float(np.max(leakage_series(d, ends[:, 0], ends, grid)))
+            assert delta == float(np.max(leakage_series(d, ends[:, 0], ends, grid)))
 
     def test_deterministic_given_seed(self):
         a = run_fluctuation_trials(8, 0.05, 4, seed=3, n_steps=200)
         b = run_fluctuation_trials(8, 0.05, 4, seed=3, n_steps=200)
-        assert a == b
+        assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValidationError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
-from zenochain.dynamics import LeakageReport, TimeGrid, default_time_grid, simulate
+from zenochain.dynamics import LeakageReport, default_time_grid, simulate
 from zenochain.errors import AssumptionViolationError, ValidationError
 from zenochain.harness import run_scenario
 from zenochain.linalg import SymTridiagMatrix
@@ -187,8 +187,8 @@ class TestPhysicalInvariances:
         shift = None if spec.delta_omega is None else c * spec.delta_omega
         scaled = dataclasses.replace(spec, k=c * spec.k, delta_omega=shift)
         grid = default_time_grid(build_chain(spec), 200)
-        base = run_scenario(spec, grid)
-        got = run_scenario(scaled, TimeGrid(grid.t_max / c, grid.n_steps))
+        base = run_scenario(spec, grid.n_steps, grid.t_max)
+        got = run_scenario(scaled, grid.n_steps, grid.t_max / c)
         assert got.classification.order is base.classification.order
         assert got.leakage.delta == pytest.approx(base.leakage.delta, rel=1e-9)
 
