@@ -56,7 +56,6 @@ from .harness import (
 from .linalg import (
     SpectralDecomposition,
     SymTridiagMatrix,
-    eig_sym_dense,
     eig_sym_tridiag,
     eigvals_sym_tridiag,
     eigvecs_sym_tridiag,
@@ -68,8 +67,6 @@ from .perturbation import (
     DegenerateLevel,
     EffectiveHamiltonianReport,
     ProjectorSet,
-    ZeroLevelCoupling,
-    couple_zero_level,
     group_levels,
     hqzd_order0,
     hqzd_order1,

@@ -154,13 +154,19 @@ def lambda_bound(n_sites: int, delta0: float) -> float:
     """Smallest coupling ratio keeping the leakage below delta0.
 
     lambda_inv > f(N) * sqrt(DELTA_FIT_COEFF / delta0); only valid for
-    delta0 below DELTA_FIT_LIMIT, where the quadratic fit holds.
+    delta0 below DELTA_FIT_LIMIT, where the quadratic fit holds. A delta0
+    so small that the bound overflows raises ValidationError.
     """
     if not 0.0 < delta0 < DELTA_FIT_LIMIT:
         raise ValidationError(
             f"delta0: quadratic leakage fit is only valid for 0 < delta0 < {DELTA_FIT_LIMIT}"
         )
-    return f_of_n(n_sites) * float(np.sqrt(DELTA_FIT_COEFF / delta0))
+    bound = f_of_n(n_sites) * float(np.sqrt(DELTA_FIT_COEFF / delta0))
+    if not np.isfinite(bound):
+        raise ValidationError(
+            f"delta0: delta0 = {delta0:g} gives a bound beyond the double range"
+        )
+    return bound
 
 
 def qtilde_fluctuating_corner(couplings: np.ndarray) -> float:

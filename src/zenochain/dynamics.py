@@ -23,7 +23,6 @@ from .linalg import (
     SymTridiagMatrix,
     TimeGrid,
     check_state,
-    eig_sym_dense,
     eig_sym_tridiag,
     evolve_grid,
     grid_phase_factors,
@@ -66,22 +65,18 @@ def site_one(n_sites: int) -> np.ndarray:
 
 
 def simulate(
-    h: SymTridiagMatrix | np.ndarray,
+    h: SymTridiagMatrix,
     psi0: np.ndarray,
     grid: TimeGrid,
     basis: np.ndarray,
     mid_state: np.ndarray | None = None,
 ) -> EvolutionTrace:
-    """Evolve psi0 under h across the grid and record populations.
+    """Evolve psi0 under the tridiagonal h across the grid and record populations.
 
-    ``h`` may be tridiagonal (full chain) or dense (effective Hamiltonian);
     ``basis`` (N x d, orthonormal columns) spans the watched subspace whose
     population sets the leakage.
     """
-    if isinstance(h, SymTridiagMatrix):
-        d = eig_sym_tridiag(h)
-    else:
-        d = eig_sym_dense(np.asarray(h))
+    d = eig_sym_tridiag(h)
     return leakage_trace(d, psi0, grid, leakage_series(d, psi0, basis, grid), mid_state)
 
 

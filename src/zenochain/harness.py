@@ -37,6 +37,14 @@ from .dynamics import measure_leakage, simulate  # noqa: F401
 from .perturbation import group_levels, hqzd_order0, hqzd_order1, reduced_resolvent  # noqa: F401
 from .qzd import classify  # noqa: F401
 
+# A mean delta at or below this is round-off of ``leakage_series``, not
+# leakage. Where the true delta is below eps (G <= 1e-9), the computed one
+# is 1 minus a watched norm off by a few ulps: at most about 11 eps on
+# chains of 4 to 200 sites, at 200 and 4000 steps. G = 1e-7 already gives
+# 185 to 215 eps there. 64 eps lies between the two, so no G whose delta
+# is noise enters the fit.
+DELTA_FIT_FLOOR = 64 * np.finfo(float).eps
+
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
@@ -164,7 +172,8 @@ def run_sweep(
 
     An unshifted watch holds no lam, so it is analysed once per N. The slope
     of mean delta against G^2 is fitted through the origin over the G values
-    whose mean delta stays below the fit's validity limit.
+    whose mean delta lies above the round-off floor ``DELTA_FIT_FLOOR`` and
+    below the fit's validity limit.
     """
     if not g_list or not n_list:
         raise ValidationError("sweep: g_list and n_list must be non-empty")
@@ -196,10 +205,11 @@ def run_sweep(
 
     mean_delta = delta.mean(axis=1)
     flatness = np.max(np.abs(delta - mean_delta[:, None]), axis=1) / mean_delta
-    keep = mean_delta < analytic.DELTA_FIT_LIMIT
+    keep = (mean_delta > DELTA_FIT_FLOOR) & (mean_delta < analytic.DELTA_FIT_LIMIT)
     if not np.any(keep):
         raise ValidationError(
-            f"sweep: no mean delta below {analytic.DELTA_FIT_LIMIT}; nothing to fit"
+            f"sweep: no mean delta above the round-off floor {DELTA_FIT_FLOOR:.3g} "
+            f"and below {analytic.DELTA_FIT_LIMIT}; nothing to fit"
         )
     slope = fit_slope_through_origin(g_values[keep] ** 2, mean_delta[keep])
     return SweepResult(g_values, n_values, lambda_inv, delta, mean_delta, flatness, slope)

@@ -292,25 +292,6 @@ def solve_bordered_tridiag(m: SymTridiagMatrix, v: np.ndarray, b: np.ndarray) ->
     return x
 
 
-def eig_sym_dense(a: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a dense real symmetric matrix.
-
-    Used for projector-derived matrices such as effective Hamiltonians.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.T), initial=0.0) > 1e-12 * np.max(np.abs(a), initial=0.0):
-        raise ValidationError("matrix is not symmetric")
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"dense eigensolver failed to converge on a {a.shape[0]}x{a.shape[1]} matrix"
-        ) from exc
-    return SpectralDecomposition(w, _fix_phases(v))
-
-
 def orthonormal_columns(v: np.ndarray, rows: int, name: str) -> np.ndarray:
     """``v`` as a float array, checked to be rows x d with orthonormal columns."""
     v = np.asarray(v, dtype=float)

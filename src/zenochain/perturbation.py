@@ -8,7 +8,8 @@ Hamiltonian's zero level
     Qtilde = sum_{n != 0} P_n / (-eta_n),
 
 each formed as a d0 x d0 block in an orthonormal basis V0 (N x d0) of the
-zero level and expanded to the N x N site basis only on request. The order-1
+zero level and expanded to the N x N site basis only on request. Both take
+V0 and the tridiagonal perturbation H and form H V0 in O(N d0). The order-1
 block needs Qtilde only on the d0 columns of H V0, which one bordered
 tridiagonal solve gives without any eigenvector of a nonzero level. Only
 the dense reduced resolvent needs every level, through a grouped full
@@ -151,54 +152,29 @@ def _symmetric(block: np.ndarray) -> np.ndarray:
     """The block with its round-off asymmetry removed.
 
     An odd chain's order-1 block is pure round-off, asymmetric at its own
-    scale; symmetrised, every ``matrix`` passes ``eig_sym_dense`` exactly.
+    scale. The CLI lists only the upper triangle of ``matrix``, and
+    ``cycle`` takes ``eigvalsh`` of the block, which reads one triangle;
+    symmetrised, neither leaves part of the block unread.
     """
     return 0.5 * (block + block.T)
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroLevelCoupling:
-    """A perturbation H acting on a zero-level basis V0, formed once.
-
-    ``basis`` is V0 (N x d0, checked orthonormal), ``h_basis`` is H V0
-    (N x d0), ``block`` is V0^T H V0 (not symmetrised) and ``h_norm`` the
-    Frobenius norm of H.
-    """
-
-    basis: np.ndarray
-    h_basis: np.ndarray
-    block: np.ndarray
-    h_norm: float
-
-
-def couple_zero_level(v0: np.ndarray, h: np.ndarray | SymTridiagMatrix) -> ZeroLevelCoupling:
-    """Check V0 and form H V0, for both effective Hamiltonians.
-
-    A SymTridiagMatrix H is applied in O(N d0); no dense N x N H is formed.
-    """
-    if isinstance(h, SymTridiagMatrix):
-        v0 = orthonormal_columns(v0, h.size, "v0")
-        hv0, h_norm = h.matvec(v0), h.frobenius_norm()
-    else:
-        v0 = orthonormal_columns(v0, h.shape[0], "v0")
-        hv0, h_norm = h @ v0, float(np.linalg.norm(h))
-    return ZeroLevelCoupling(v0, hv0, v0.T @ hv0, h_norm)
-
-
-def hqzd_order0(coupling: ZeroLevelCoupling) -> EffectiveHamiltonianReport:
+def hqzd_order0(v0: np.ndarray, h: SymTridiagMatrix) -> EffectiveHamiltonianReport:
     """Order-0 effective Hamiltonian P0 H P0, as the block V0^T H V0.
 
-    It counts as c * P0 when ||V0^T H V0 - c 1|| <= PROPORTIONALITY_RTOL * ||H||
+    ``v0`` (N x d0) is an orthonormal basis of the zero level. The block
+    counts as c * P0 when ||V0^T H V0 - c 1|| <= PROPORTIONALITY_RTOL * ||H||
     (Frobenius norms), so the test is the same at every energy scale.
     """
-    block = _symmetric(coupling.block)
+    v0 = orthonormal_columns(v0, h.size, "v0")
+    block = _symmetric(v0.T @ h.matvec(v0))
     dim0 = block.shape[0]
     eta1_common: float | None = None
     if dim0:
         c = float(np.trace(block)) / dim0
-        if np.linalg.norm(block - c * np.eye(dim0)) <= PROPORTIONALITY_RTOL * coupling.h_norm:
+        if np.linalg.norm(block - c * np.eye(dim0)) <= PROPORTIONALITY_RTOL * h.frobenius_norm():
             eta1_common = c
-    return EffectiveHamiltonianReport(block, coupling.basis, eta1_common)
+    return EffectiveHamiltonianReport(block, v0, eta1_common)
 
 
 def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
@@ -215,7 +191,7 @@ def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
 
 
 def hqzd_order1(
-    coupling: ZeroLevelCoupling, h_watch: SymTridiagMatrix
+    v0: np.ndarray, h: SymTridiagMatrix, h_watch: SymTridiagMatrix
 ) -> EffectiveHamiltonianReport:
     """Order-1 effective Hamiltonian P0 H Qtilde H P0, per unit lam.
 
@@ -225,7 +201,8 @@ def hqzd_order1(
     -b^T x: O(N d0^2) once the zero level is known, and no eigenvector
     of a nonzero level is needed. V0 must span H_watch's zero level.
     """
-    v0 = coupling.basis
-    b = coupling.h_basis - v0 @ coupling.block
+    v0 = orthonormal_columns(v0, h.size, "v0")
+    hv0 = h.matvec(v0)
+    b = hv0 - v0 @ (v0.T @ hv0)
     x = solve_bordered_tridiag(h_watch, v0, b)
     return EffectiveHamiltonianReport(_symmetric(-(b.T @ x)), v0)

@@ -23,7 +23,6 @@ from .linalg import SymTridiagMatrix, check_state, eigvals_sym_tridiag, eigvecs_
 from .perturbation import (
     GROUPING_RTOL,
     EffectiveHamiltonianReport,
-    couple_zero_level,
     default_grouping_tolerance,
     hqzd_order0,
     hqzd_order1,
@@ -226,7 +225,7 @@ def analyze_watch(
     One eigenvalue solve of H_watch, whose zero level is the eigenvalues
     within tol of zero (a ClusteringError when it is wider than tol or a
     neighbour lies within tol of it; nothing else is grouped); eigenvectors
-    of the zero level only, H_weak V0 once for both blocks, and one bordered
+    of the zero level only, H_weak V0 for each block, and one bordered
     solve for the order-1 block. No N x N array is formed.
     """
     w = eigvals_sym_tridiag(h_watch)
@@ -242,10 +241,10 @@ def analyze_watch(
         raise ClusteringError(
             f"ambiguous zero level at tol={tol:.3e}; gap below, width, gap above: [{listed}]"
         )
-    coupling = couple_zero_level(eigvecs_sym_tridiag(h_watch, lo, hi), h_weak)
-    blocks = hqzd_order0(coupling), hqzd_order1(coupling, h_watch)
-    scales = (coupling.h_norm, coupling.h_norm**2 / min(-below, above))
-    return WatchAnalysis(h_watch, coupling.basis, blocks, scales, lam, k)
+    v0 = eigvecs_sym_tridiag(h_watch, lo, hi)
+    blocks = hqzd_order0(v0, h_weak), hqzd_order1(v0, h_weak, h_watch)
+    norm = h_weak.frobenius_norm()
+    return WatchAnalysis(h_watch, v0, blocks, (norm, norm**2 / min(-below, above)), lam, k)
 
 
 def classify(

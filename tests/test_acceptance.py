@@ -23,7 +23,6 @@ from zenochain.analytic import (
     toeplitz_eigenpair,
 )
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
-from zenochain.dynamics import simulate
 from zenochain.errors import SingularMatrixError
 from zenochain.harness import run_fluctuation_trials, run_scenario, run_sweep
 from zenochain.linalg import (
@@ -32,7 +31,6 @@ from zenochain.linalg import (
     inverse_corner_tridiag,
 )
 from zenochain.perturbation import (
-    couple_zero_level,
     default_grouping_tolerance,
     group_levels,
     hqzd_order1,
@@ -40,7 +38,12 @@ from zenochain.perturbation import (
 )
 from zenochain.qzd import QzdOrder, classify
 
-from .oracles import det_tridiag, expm_leakage_peak, gaussian_elimination_inverse
+from .oracles import (
+    det_tridiag,
+    direct_exp_evolve,
+    expm_leakage_peak,
+    gaussian_elimination_inverse,
+)
 
 K = 1.0
 
@@ -72,9 +75,11 @@ def test_criterion_02_four_site_strong_watching():
     result, elapsed = _timed_scenario(ChainSpec(4, 20.0))
     delta = result.leakage.delta
     effective = hqzd1_even(4, K, 1.0 / 20.0)
-    eff_trace = simulate(effective, np.eye(4)[0], result.trace.grid, result.zero_basis)
+    w, u = np.linalg.eigh(effective)
+    eff_states = direct_exp_evolve(u, w, np.eye(4)[0], result.trace.grid.times)
+    eff_populations = np.abs(eff_states.T) ** 2
     dev = max(
-        float(np.max(np.abs(result.trace.populations[:, s] - eff_trace.populations[:, s])))
+        float(np.max(np.abs(result.trace.populations[:, s] - eff_populations[:, s])))
         for s in (0, 3)
     )
     ok = abs(delta - 0.010) <= 0.003 and dev <= 0.05 and elapsed < 1.0
@@ -266,8 +271,7 @@ def test_criterion_07_oracle_equivalence():
         d = eig_sym_tridiag(hams.h_watch)
         ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
         qtilde = reduced_resolvent(ps)
-        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep = hqzd_order1(coupling, hams.h_watch)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak, hams.h_watch)
         worst_even = max(
             worst_even, float(np.max(np.abs(lam * rep.matrix - hqzd1_even(n, K, lam))))
         )
@@ -283,10 +287,7 @@ def test_criterion_07_oracle_equivalence():
             hams = build_chain(ChainSpec(n, lam_inv, delta_omega=dw))
             d = eig_sym_tridiag(hams.h_watch)
             ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
-            rep = hqzd_order1(
-                couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()),
-                hams.h_watch,
-            )
+            rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak, hams.h_watch)
             worst_odd = max(
                 worst_odd,
                 float(np.max(np.abs(rep.matrix / lam_inv - hqzd1_odd_modified(n, K, dw)))),

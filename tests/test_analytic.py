@@ -27,7 +27,6 @@ from zenochain.errors import ValidationError
 from zenochain.harness import run_scenario
 from zenochain.linalg import eig_sym_tridiag
 from zenochain.perturbation import (
-    couple_zero_level,
     default_grouping_tolerance,
     group_levels,
     hqzd_order0,
@@ -43,8 +42,7 @@ def projector_route_order1(spec: ChainSpec) -> np.ndarray:
     hams = build_chain(spec)
     d = eig_sym_tridiag(hams.h_watch)
     ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
-    coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-    return spec.lam * hqzd_order1(coupling, hams.h_watch).matrix
+    return spec.lam * hqzd_order1(ps.zero_level.vectors, hams.h_weak, hams.h_watch).matrix
 
 
 class TestToeplitzEigenpairs:
@@ -110,7 +108,7 @@ class TestOddOrder0ClosedForm:
         hams = build_chain(ChainSpec(n_sites, 5.0))
         d = eig_sym_tridiag(hams.h_watch)
         ps = group_levels(d, default_grouping_tolerance(d.eigenvalues))
-        rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
+        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak)
         assert np.max(np.abs(rep.matrix - hqzd0_odd(n_sites, K))) < 1e-10
 
     def test_nine_site_coupling_magnitude(self):
@@ -198,6 +196,10 @@ class TestMixingProfile:
             lambda_bound(10, 0.25)
         with pytest.raises(ValidationError):
             lambda_bound(10, 0.0)
+        # DELTA_FIT_COEFF / delta0 overflows to inf; the bound was inf
+        for delta0 in (1e-320, 5e-324):
+            with pytest.raises(ValidationError, match="^delta0: "):
+                lambda_bound(30, delta0)
 
     def test_fit_constant_value(self):
         assert DELTA_FIT_COEFF == 4.3

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,9 @@ from zenochain.harness import (
 )
 
 from .oracles import double_loop_nonzeros, per_value_csv
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv: str) -> int:
@@ -685,6 +692,14 @@ class TestBound:
         assert run_cli("bound", "--n", "10", "--delta0", "0.25") == 1
         assert "delta0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta0", ["1e-320", "5e-324"])
+    def test_bound_beyond_double_range_exits_1(self, capsys, delta0):
+        # printed inf and exited 0
+        assert run_cli("bound", "--n", "30", "--delta0", delta0) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: delta0: ")
+
     def test_out_is_not_a_flag(self, tmp_path, monkeypatch, capsys):
         # printed the bound and wrote nothing, silently
         monkeypatch.chdir(tmp_path)
@@ -698,6 +713,30 @@ class TestBound:
         assert run_cli("bound", "--config", "run.cfg") == 0
         assert float(capsys.readouterr().out) == pytest.approx(np.sqrt(43.0), abs=1e-9)
         assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+
+class TestEntryPoint:
+    """``python -m zenochain`` runs the same ``main`` as the installed script."""
+
+    def run_module(self, *argv: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "zenochain", *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_bound_prints_and_exits_0(self, capsys):
+        done = self.run_module("bound", "--n", "30")
+        assert run_cli("bound", "--n", "30") == 0
+        assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+        assert float(done.stdout) == pytest.approx(lambda_bound(30, 0.1), rel=1e-10)
+
+    def test_missing_n_exits_1(self):
+        done = self.run_module("classify")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: n: required")
 
 
 class TestSweep:

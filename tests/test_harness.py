@@ -86,6 +86,16 @@ class TestSweep:
             expect_flat = float(np.max(np.abs(deltas - deltas.mean())) / deltas.mean())
             assert flat == pytest.approx(expect_flat)
 
+    def test_round_off_delta_is_not_fitted(self):
+        # at G = 1e-12 every delta is round-off of the leakage series; the
+        # fit took it and reported a slope near 1e9
+        message = r"^sweep: no mean delta above the round-off floor .* and below 0\.2; "
+        with pytest.raises(ValidationError, match=message):
+            run_sweep([1e-12], [4, 6], n_steps=200)
+        mixed = run_sweep([1e-12, 0.1], [4, 6], n_steps=200)
+        assert mixed.mean_delta[0] <= harness.DELTA_FIT_FLOOR
+        assert mixed.slope == run_sweep([0.1], [4, 6], n_steps=200).slope
+
     def test_lambda_inv_below_one_rejected(self):
         with pytest.raises(ValidationError):
             run_sweep([2.0], [4], n_steps=100)

@@ -27,7 +27,6 @@ from zenochain.linalg import (
     eig_sym_tridiag,
 )
 from zenochain.perturbation import (
-    couple_zero_level,
     default_grouping_tolerance,
     group_levels,
     hqzd_order0,
@@ -160,13 +159,13 @@ class TestOrder0:
     def test_even_chain_vanishes_with_common_shift_zero(self):
         for n in (4, 8, 14):
             hams, _, ps = watch_levels(ChainSpec(n, 5.0))
-            rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
+            rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak)
             assert np.max(np.abs(rep.matrix)) < 1e-12
             assert rep.eta1_common == pytest.approx(0.0, abs=1e-12)
 
     def test_odd_five_site_matches_closed_form(self):
         hams, _, ps = watch_levels(ChainSpec(5, 5.0))
-        rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
+        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak)
         assert_allclose(rep.matrix, hqzd0_odd(5, K), atol=1e-12)
         # couples each end to the mid mode with strength k/sqrt(2)
         assert_allclose(rep.matrix[0, 1], K / 2, atol=1e-12)
@@ -175,10 +174,8 @@ class TestOrder0:
     def test_strong_bond_blocks_population_past_it(self):
         # 4-level ladder, strong bond on (3,4): watched dynamics reduces to
         # the bare coupling between 1 and 2
-        h = np.zeros((4, 4))
-        h[0, 1] = h[1, 0] = K
-        h[1, 2] = h[2, 1] = K
-        rep = hqzd_order0(couple_zero_level(np.eye(4)[:, :2], h))
+        h = SymTridiagMatrix(np.zeros(4), np.array([K, K, 0.0]))
+        rep = hqzd_order0(np.eye(4)[:, :2], h)
         expect = np.zeros((4, 4))
         expect[0, 1] = expect[1, 0] = K
         assert_allclose(rep.matrix, expect, atol=1e-14)
@@ -189,48 +186,52 @@ class TestOrder0:
         # form, so it is not a multiple of P0; the even N=4 one still is
         k = 1e-11
         hams, _, ps = watch_levels(ChainSpec(5, 20.0, k=k))
-        rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
+        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak)
         assert_allclose(rep.matrix, hqzd0_odd(5, k), rtol=0, atol=1e-12 * k)
         assert rep.eta1_common is None
 
         hams, _, ps = watch_levels(ChainSpec(4, 20.0, k=k))
-        rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
+        rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak)
         assert rep.eta1_common == pytest.approx(0.0, abs=1e-12 * k)
 
     def test_zero_perturbation_has_common_shift_zero(self):
-        zero = couple_zero_level(np.eye(3)[:, :2], np.zeros((3, 3)))
-        assert hqzd_order0(zero).eta1_common == 0.0
+        zero = SymTridiagMatrix(np.zeros(3), np.zeros(2))
+        assert hqzd_order0(np.eye(3)[:, :2], zero).eta1_common == 0.0
 
     def test_common_shift_divides_by_zero_level_dimension(self):
-        # a rotated d0 = 3 basis of R^5 whose block of h is c * 1; h also
-        # couples the level to the rest, which the block does not see
+        # a rotated d0 = 3 basis of sites 1-3 of R^5, whose block of h is
+        # c * 1; the bond (3,4) couples the level to the rest, which the
+        # block does not see
         c = 0.7
-        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 5)))
-        v0, rest = q[:, :3], q[:, 3:]
-        coupling = v0 @ np.array([[1.0, 0.0], [0.5, -0.2], [0.0, 2.0]]) @ rest.T
-        h = q @ np.diag([c, c, c, 2.0, -1.0]) @ q.T + coupling + coupling.T
-        rep = hqzd_order0(couple_zero_level(v0, h))
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        v0 = np.vstack([q, np.zeros((2, 3))])
+        h = SymTridiagMatrix(np.array([c, c, c, 2.0, -1.0]), np.array([0.0, 0.0, 1.5, 0.0]))
+        rep = hqzd_order0(v0, h)
         assert rep.block.shape == (3, 3)
         assert rep.eta1_common == pytest.approx(c, rel=1e-13)
         assert_allclose(rep.matrix, c * v0 @ v0.T, atol=1e-13)
 
     def test_rejects_projector_as_basis(self):
         # an N x N projector gives the right P0 H P0 but a trace over N, not
-        # d0, so it must not pass for V0
+        # d0, so it must not pass for V0; neither may a basis that is not
+        # orthonormal or has the wrong number of rows, at either order
         for spec in (ChainSpec(4, 5.0), ChainSpec(5, 5.0)):
             hams, _, ps = watch_levels(spec)
-            h = hams.h_weak.to_dense()
-            for weak in (h, hams.h_weak):
+            for v0 in (ps.zero_level.projector, 2.0 * ps.zero_level.vectors):
                 with pytest.raises(ValidationError, match="orthonormal"):
-                    couple_zero_level(ps.zero_level.projector, weak)
-        with pytest.raises(ValidationError, match="rows"):
-            couple_zero_level(np.eye(5)[:, :2], np.zeros((4, 4)))
+                    hqzd_order0(v0, hams.h_weak)
+                with pytest.raises(ValidationError, match="orthonormal"):
+                    hqzd_order1(v0, hams.h_weak, hams.h_watch)
+            with pytest.raises(ValidationError, match="rows"):
+                hqzd_order0(np.eye(spec.n_sites + 1)[:, :2], hams.h_weak)
+            with pytest.raises(ValidationError, match="rows"):
+                hqzd_order1(np.eye(spec.n_sites + 1)[:, :2], hams.h_weak, hams.h_watch)
 
     def test_commutes_with_projector(self):
         for spec in (ChainSpec(4, 5.0), ChainSpec(5, 5.0), ChainSpec(7, 9.0)):
             hams, _, ps = watch_levels(spec)
             p0 = ps.zero_level.projector
-            rep = hqzd_order0(couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense()))
+            rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak)
             comm = rep.matrix @ p0 - p0 @ rep.matrix
             assert np.max(np.abs(comm)) < 1e-10
 
@@ -278,8 +279,7 @@ class TestReducedResolvent:
 class TestOrder1:
     def test_four_site_end_to_end(self):
         hams, _, ps = watch_levels(ChainSpec(4, 5.0))
-        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep = hqzd_order1(coupling, hams.h_watch)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak, hams.h_watch)
         expect = np.zeros((4, 4))
         expect[0, 3] = expect[3, 0] = -0.2 * K
         assert_allclose(0.2 * rep.matrix, expect, atol=1e-12)
@@ -288,8 +288,7 @@ class TestOrder1:
     def test_even_matches_closed_form(self, n_sites):
         lam = 1.0 / 7.0
         hams, _, ps = watch_levels(ChainSpec(n_sites, 7.0))
-        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep = hqzd_order1(coupling, hams.h_watch)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak, hams.h_watch)
         assert np.max(np.abs(lam * rep.matrix - hqzd1_even(n_sites, K, lam))) < 1e-10
 
     @pytest.mark.parametrize("n_sites", (5, 7, 9))
@@ -298,8 +297,7 @@ class TestOrder1:
         dw = lambda_inv * K
         hams, _, ps = watch_levels(ChainSpec(n_sites, lambda_inv, delta_omega=dw))
         assert ps.zero_level.multiplicity == 2
-        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep = hqzd_order1(coupling, hams.h_watch)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak, hams.h_watch)
         assert np.max(np.abs(rep.matrix / lambda_inv - hqzd1_odd_modified(n_sites, K, dw))) < 1e-8
 
     @pytest.mark.parametrize(
@@ -319,7 +317,7 @@ class TestOrder1:
         hams, _, ps = watch_levels(spec)
         v0, h = ps.zero_level.vectors, hams.h_weak.to_dense()
         ref = spec.lam * (h @ v0).T @ reduced_resolvent(ps) @ (h @ v0)
-        rep = hqzd_order1(couple_zero_level(v0, h), hams.h_watch)
+        rep = hqzd_order1(v0, hams.h_weak, hams.h_watch)
         assert np.max(np.abs(spec.lam * rep.block - ref)) <= 1e-13 * spec.lam * K
 
     @pytest.mark.parametrize("k", [1e-9, 1e-3, 1.0, 1e3, 1e9])
@@ -329,7 +327,7 @@ class TestOrder1:
         + [(n, True) for n in (5, 7, 31, 201, 501)],
     )
     def test_end_bond_rows_match_dense_referee(self, n_sites, k, shifted):
-        # H_weak passed as tridiagonal: H V0 on the end-bond rows only; the
+        # H V0 from the tridiagonal H_weak, on the end-bond rows only; the
         # referee is the dense H_weak and the dense N x N Qtilde
         spec = ChainSpec(n_sites, 20.0, k=k, delta_omega=20.0 * k if shifted else None)
         hams, _, ps = watch_levels(spec)
@@ -337,11 +335,10 @@ class TestOrder1:
         hv0 = h @ v0
         ref0 = v0.T @ hv0
         ref1 = spec.lam * hv0.T @ reduced_resolvent(ps) @ hv0
-        coupling = couple_zero_level(v0, hams.h_weak)
-        rep0, rep1 = hqzd_order0(coupling), hqzd_order1(coupling, hams.h_watch)
+        rep0 = hqzd_order0(v0, hams.h_weak)
+        rep1 = hqzd_order1(v0, hams.h_weak, hams.h_watch)
         assert np.max(np.abs(rep0.block - ref0)) <= 1e-12 * k
         assert np.max(np.abs(spec.lam * rep1.block - ref1)) <= 1e-12 * spec.lam * k
-        assert rep0.eta1_common == hqzd_order0(couple_zero_level(v0, h)).eta1_common
 
     def test_block_product_matches_dense(self):
         # H V0 from the tridiagonal H_weak (two end bonds) and from a matrix
@@ -358,8 +355,7 @@ class TestOrder1:
     def test_supported_inside_zero_level(self):
         hams, _, ps = watch_levels(ChainSpec(8, 5.0))
         p0 = ps.zero_level.projector
-        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep = hqzd_order1(coupling, hams.h_watch)
+        rep = hqzd_order1(ps.zero_level.vectors, hams.h_weak, hams.h_watch)
         outside = (np.eye(8) - p0) @ rep.matrix
         assert np.max(np.abs(outside)) < 1e-10
         assert np.max(np.abs(rep.matrix - rep.matrix.T)) < 1e-12
@@ -376,8 +372,7 @@ class TestPerturbationSumRule:
     def test_quadratic_term_is_exact(self, spec):
         hams, _, ps = watch_levels(spec)
         n = spec.n_sites
-        coupling = couple_zero_level(ps.zero_level.vectors, hams.h_weak.to_dense())
-        rep1 = hqzd_order1(coupling, hams.h_watch)
+        rep1 = hqzd_order1(ps.zero_level.vectors, hams.h_weak, hams.h_watch)
         basis = end_basis(n)
         eta2 = np.sort(np.linalg.eigvalsh(basis.T @ rep1.matrix @ basis))
 
