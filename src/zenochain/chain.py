@@ -34,6 +34,8 @@ class CouplingFluctuation:
     def __post_init__(self) -> None:
         if not 0.0 <= self.relative_amplitude <= 0.2:
             raise ValidationError("fluctuation.relative_amplitude: must lie in [0, 0.2]")
+        # -0.0 passes the range check, but rng.uniform(0.0, -0.0) rejects it
+        object.__setattr__(self, "relative_amplitude", abs(self.relative_amplitude))
         if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
             raise ValidationError("fluctuation.rng_seed: must be a non-negative integer")
 

@@ -3,7 +3,7 @@
 Subcommands: simulate, classify, effective, bound, sweep, fluctuate; COMMANDS
 lists the flags of each, FLAGS declares each flag once. A config file of
 key=value lines (--config) sets defaults; command-line flags take precedence.
-Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 numerical failure or no memory, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .harness import (
 from .qzd import QzdOrder
 
 FLOAT_FORMAT = "%.12g"
+# the largest array size: numpy fails with a traceback on a count above it
+_INDEX_MAX = np.iinfo(np.intp).max
 # rows per formatted write: one whole-table string would add its own size
 # (about 18 MiB for a 94-site default simulate) to the peak memory
 WRITE_BLOCK_ROWS = 256
@@ -93,6 +95,8 @@ def _parse_int_list(raw: str) -> list[int]:
     for v in values:
         if not math.isfinite(v) or v != int(v):
             raise ValidationError(f"expected integers in list, got {v}")
+        if v > _INDEX_MAX:
+            raise ValidationError(f"n_list: N={v:g}: must be at most {_INDEX_MAX}")
     return [int(v) for v in values]
 
 
@@ -450,12 +454,18 @@ def main(argv: list[str] | None = None) -> int:
             config = read_config_file(args.config, frozenset(FLAGS) - {"config"})
             parser.commands[args.command].set_defaults(**config)
             args = parser.parse_args(argv)
+        for name in ("n", "steps", "trials"):
+            if name in COMMANDS[args.command][2] and (getattr(args, name) or 0) > _INDEX_MAX:
+                raise ValidationError(f"{name}: must be at most {_INDEX_MAX}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

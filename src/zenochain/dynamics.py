@@ -165,16 +165,9 @@ def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
 
 
 def unit_window(
-    unit: ChainHamiltonians,
-    analysis: WatchAnalysis,
-    n_steps: int,
-    t_max: float | None = None,
-    name: str = "lambda_inv",
+    unit: ChainHamiltonians, t_max: float, n_steps: int, name: str = "lambda_inv"
 ) -> TimeGrid:
-    """The grid over [0, t_max] in units of 1/k of a chain in units of k; by
-    default t_max is one cycle of the order that moves |1>."""
-    if t_max is None:
-        t_max = analysis.cycle(analysis.classify(site_one(unit.spec.n_sites)).order)
+    """The grid over [0, t_max] in units of 1/k of a chain in units of k."""
     # its largest phase max|eta| t_max is at most 3 max|H_total| t_max
     if not math.isfinite(3.0 * unit.h_total.max_abs_entry() * t_max):
         raise ValidationError(
@@ -190,5 +183,7 @@ def default_time_grid(hams: ChainHamiltonians, n_steps: int = DEFAULT_N_STEPS) -
     That is pi / (lam k) on unshifted even chains, pi sqrt(N-1) / k on
     unshifted odd ones and pi |delta_omega| / k^2 on shifted odd ones.
     """
-    window = unit_window(hams.unit, effective_reports(hams), n_steps)
+    analysis = effective_reports(hams)
+    order = analysis.classify(site_one(hams.spec.n_sites)).order
+    window = unit_window(hams.unit, analysis.cycle(order), n_steps)
     return TimeGrid(from_units_of_k(window.t_max, hams.spec.k, -1), n_steps)

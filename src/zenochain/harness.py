@@ -97,10 +97,10 @@ def run_scenario(
     analysis = effective_reports(hams)
     classification = analysis.classify(psi0)
     if grid is None:
-        window = unit_window(hams.unit, analysis, n_steps, analysis.cycle(classification.order))
+        window = unit_window(hams.unit, analysis.cycle(classification.order), n_steps)
         grid = TimeGrid(from_units_of_k(window.t_max, spec.k, -1), n_steps)
     else:
-        window = unit_window(hams.unit, analysis, n_steps, t_max * spec.k, "t_max")
+        window = unit_window(hams.unit, t_max * spec.k, n_steps, "t_max")
 
     d = eig_sym_tridiag(hams.unit.h_total)
     series = leakage_series(d, psi0, analysis.zero_basis, window)
@@ -132,8 +132,8 @@ class SweepResult:
     """The G-sweep's leakage on its (G, N) grid plus the quadratic-law fit.
 
     ``lambda_inv`` and ``delta`` are G x N arrays, one row per G and one
-    column per N; ``mean_delta`` and ``flatness`` (max |delta - mean| / mean)
-    are per row.
+    column per N; ``mean_delta`` and ``flatness`` (max |delta - mean| / mean,
+    0 for a row of zeros) are per row.
     """
 
     g_values: np.ndarray
@@ -170,10 +170,11 @@ def run_sweep(
 ) -> SweepResult:
     """Measure delta over a (G, N) grid with lam = G / f(N) per cell.
 
-    An unshifted watch holds no lam, so it is analysed once per N. The slope
-    of mean delta against G^2 is fitted through the origin over the G values
-    whose mean delta lies above the round-off floor ``DELTA_FIT_FLOOR`` and
-    below the fit's validity limit.
+    An unshifted watch holds no lam, nor does the order that moves |1>, so
+    each N is analysed and classified once and each cell reads that order's
+    cycle at its own lam. The slope of mean delta against G^2 is fitted
+    through the origin over the G values whose mean delta lies above the
+    round-off floor ``DELTA_FIT_FLOOR`` and below the fit's validity limit.
     """
     if not g_list or not n_list:
         raise ValidationError("sweep: g_list and n_list must be non-empty")
@@ -195,16 +196,19 @@ def run_sweep(
             f"sweep: G={g_list[i]} at N={n_list[j]} implies lambda_inv={lambda_inv[i, j]:.3f} < 1"
         )
 
-    analyses = {n: effective_reports(build_chain(ChainSpec(n, 1.0))) for n in n_list}
+    analyses = [effective_reports(build_chain(ChainSpec(n, 1.0))) for n in n_list]
+    orders = [a.classify(site_one(n)).order for a, n in zip(analyses, n_list)]
     delta = np.empty_like(lambda_inv)
     for (i, j), lam_inv in np.ndenumerate(lambda_inv):
         hams = build_chain(ChainSpec(n_sites=n_list[j], lambda_inv=float(lam_inv)))
-        analysis = replace(analyses[n_list[j]], lam=hams.spec.lam)
-        grid = unit_window(hams, analysis, n_steps, name=f"sweep: G={g_list[i]:g}")
+        t_max = replace(analyses[j], lam=hams.spec.lam).cycle(orders[j])
+        grid = unit_window(hams, t_max, n_steps, f"sweep: G={g_list[i]:g}")
         delta[i, j] = _end_leakage(hams, grid)
 
     mean_delta = delta.mean(axis=1)
-    flatness = np.max(np.abs(delta - mean_delta[:, None]), axis=1) / mean_delta
+    spread = np.max(np.abs(delta - mean_delta[:, None]), axis=1)
+    # a G whose every delta is 0 has no spread to scale
+    flatness = np.divide(spread, mean_delta, out=np.zeros_like(spread), where=mean_delta > 0.0)
     keep = (mean_delta > DELTA_FIT_FLOOR) & (mean_delta < analytic.DELTA_FIT_LIMIT)
     if not np.any(keep):
         raise ValidationError(

@@ -133,62 +133,53 @@ class WatchAnalysis:
             )
 
         dim0 = self.zero_basis.shape[1]
+        comm0, comm1, proportional = 0.0, 0.0, False
+        if dim0 >= 2:
+            # V0 is an isometry, so Frobenius norms of the d0 x d0 blocks and of
+            # their commutators with |a><a|, a = V0^T psi0, equal the N x N ones
+            a = self.zero_basis.T @ psi0
+            rho0 = np.outer(a, a.conj())
+            comms = [float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in self.blocks]
+            # each order's scale bounds its block; a commutator at or below
+            # GROUPING_RTOL times its scale is round-off, reported as 0.0
+            comm0, comm1 = (c if c > GROUPING_RTOL * s else 0.0 for c, s in zip(comms, self.scales))
+            proportional = self.blocks[0].eta1_common is not None
+        prerequisite_i = proportional and comm1 > 0.0
+
         if dim0 < 2:
+            order = QzdOrder.NO_DYNAMICS
             notes = (
                 "zero level is one-dimensional; no room for a transition"
                 if dim0
                 else "watch spectrum has no zero level at the grouping tolerance"
             )
-            return QzdClassification(
-                watch_annihilates_initial=True,
-                zero_level_dimension=dim0,
-                order=QzdOrder.NO_DYNAMICS,
-                prerequisite_i=False,
-                commutator_norm_order0=0.0,
-                commutator_norm_order1=0.0,
-                notes=notes,
-            )
-
-        # V0 is an isometry, so Frobenius norms of the d0 x d0 blocks and of
-        # their commutators with |a><a|, a = V0^T psi0, equal the N x N ones
-        a = self.zero_basis.T @ psi0
-        rho0 = np.outer(a, a.conj())
-        comms = [float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in self.blocks]
-        # each order's scale bounds its block; a commutator at or below
-        # GROUPING_RTOL times its scale is round-off, reported as 0.0
-        comm0, comm1 = (c if c > GROUPING_RTOL * s else 0.0 for c, s in zip(comms, self.scales))
-        proportional = self.blocks[0].eta1_common is not None
-        prerequisite_i = proportional and comm1 > 0.0
-
-        if comm0 > 0.0:
+        elif comm0 > 0.0:
             order = QzdOrder.ZEROTH
             notes = "order-0 effective Hamiltonian moves the initial state"
         elif prerequisite_i:
             order = QzdOrder.FIRST
             notes = "order-0 term is proportional to P0; order-1 moves the initial state"
         else:
+            # psi0 commuting with a non-trivial order-0 term sits in an
+            # eigenstate of it; every order then commutes as well.
             order = QzdOrder.HIGHER_OR_NONE
-            if not proportional:
-                # psi0 commutes with a non-trivial order-0 term, i.e. it sits in
-                # an eigenstate of it; every order then commutes as well.
-                notes = (
-                    "order-0 term is not proportional to P0 yet commutes with the "
-                    "initial state (initial state is one of its eigenstates); "
-                    "no dynamics at any order"
-                )
-            else:
-                notes = (
-                    "order-0 and order-1 terms both commute with the initial "
-                    "state; any dynamics is of second order or beyond"
-                )
+            notes = (
+                "order-0 and order-1 terms both commute with the initial "
+                "state; any dynamics is of second order or beyond"
+                if proportional
+                else "order-0 term is not proportional to P0 yet commutes with the "
+                "initial state (initial state is one of its eigenstates); "
+                "no dynamics at any order"
+            )
 
+        # a zero commutator reads as 0.0, also without a zero level to scale it
         return QzdClassification(
             watch_annihilates_initial=True,
             zero_level_dimension=dim0,
             order=order,
             prerequisite_i=prerequisite_i,
-            commutator_norm_order0=self._energy(comm0, 0),
-            commutator_norm_order1=self._energy(comm1, 1),
+            commutator_norm_order0=self._energy(comm0, 0) if comm0 else 0.0,
+            commutator_norm_order1=self._energy(comm1, 1) if comm1 else 0.0,
             notes=notes,
         )
 

@@ -765,6 +765,18 @@ class TestSweep:
             assert len(list(csv.reader(fh))) == 7
         assert json.loads((tmp_path / "sw2.json").read_text())["rows"] == 6
 
+    def test_zero_delta_row_writes_strict_json(self, tmp_path, capsys):
+        # every delta at G = 1e-20 is 0: its flatness was written as NaN
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        out = tmp_path / "sw"
+        argv = ["sweep", "--g-list", "1e-20,0.1", "--n-list", "4", "--steps", "50"]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads((tmp_path / "sw.json").read_text(), parse_constant=reject)
+        assert payload["per_g"][0]["flatness"] == 0.0
+
     @pytest.mark.parametrize("n_list, n", [("5", 5), ("4,2", 2)])
     def test_bad_length_names_the_sweep(self, tmp_path, capsys, n_list, n):
         # read "n_sites: must be an even integer >= 4", a flag sweep does not have
@@ -786,6 +798,15 @@ class TestFluctuate:
         assert rows[0] == ["seed_offset", "corner_element", "delta"]
         assert len(rows) == 4
         assert rows[1][1:] == rows[2][1:] == rows[3][1:]
+
+    def test_negative_zero_amplitude_is_zero(self, tmp_path):
+        # -0.0 passes the [0, 0.2] check; rng.uniform(0.0, -0.0) raised
+        for value, out in (("-0.0", tmp_path / "neg"), ("0", tmp_path / "pos")):
+            argv = ["fluctuate", "--n", "6", "--trials", "2", "--amplitude", value]
+            assert run_cli(*argv, "--steps", "50", "--out", str(out)) == 0
+        for suffix in (".csv", ".json"):
+            neg, pos = (tmp_path / (name + suffix) for name in ("neg", "pos"))
+            assert neg.read_bytes() == pos.read_bytes()
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "fa", tmp_path / "fb"
@@ -953,6 +974,35 @@ class TestExitCodes:
         assert run_cli(*argv) == 1
         assert "error: t_max" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists() and not (tmp_path / "w.json").exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--n", str(10**20)], "n"),
+        (["fluctuate", "--n", "6", "--trials", str(10**20)], "trials"),
+        (["simulate", "--n", "4", "--steps", str(10**20)], "steps"),
+        (["simulate", "--n", "4", "--steps", str(10**40)], "steps"),
+        (["simulate", "--n", "4", "--steps", str(np.iinfo(np.intp).max + 1)], "steps"),
+        (["sweep", "--n-list", f"4,{10**20}"], "n_list: N=1e+20"),
+    ])
+    def test_count_beyond_an_array_index_is_1(self, tmp_path, capsys, argv, name):
+        # numpy raised a traceback: "Maximum allowed dimension exceeded", an
+        # OverflowError, a MemoryError for 596 GiB, or a TypeError in f_of_n
+        assert run_cli(*argv, "--out", str(tmp_path / "c")) == 1
+        limit = np.iinfo(np.intp).max
+        assert capsys.readouterr().err == f"error: {name}: must be at most {limit}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 596. GiB", "out of memory: Unable to allocate 596. GiB"),
+        ("", "out of memory"),
+    ])
+    def test_out_of_memory_is_2(self, tmp_path, capsys, monkeypatch, message, line):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_scenario", exhausted)
+        assert run_cli("simulate", "--n", "4", "--out", str(tmp_path / "m")) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])
     def test_non_finite_chain_length_is_1(self, tmp_path, capsys, entry):

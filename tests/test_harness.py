@@ -96,6 +96,13 @@ class TestSweep:
         assert mixed.mean_delta[0] <= harness.DELTA_FIT_FLOOR
         assert mixed.slope == run_sweep([0.1], [4, 6], n_steps=200).slope
 
+    def test_row_of_zero_deltas_is_flat(self):
+        # every delta at G = 1e-20 is exactly 0; its flatness was 0 / 0, a
+        # RuntimeWarning (an error under this suite) and a NaN in the JSON
+        result = run_sweep([1e-20, 0.1], [4], n_steps=50)
+        assert result.delta[0].tolist() == [0.0]
+        assert result.flatness[0] == 0.0
+
     def test_lambda_inv_below_one_rejected(self):
         with pytest.raises(ValidationError):
             run_sweep([2.0], [4], n_steps=100)
@@ -542,6 +549,23 @@ class TestOneWatchAnalysis:
         result = run_scenario(spec, n_steps=50)
         assert result.classification.order is not None
         assert cli.main(["effective", "--n", str(spec.n_sites), "--lambda-inv", "20"]) == 0
+
+    def test_classifies_once_per_watch_analysis(self, monkeypatch):
+        # the sweep's order is fixed per N: its commutator tests read no lam
+        classify = qzd.WatchAnalysis.classify
+        sizes = []
+
+        def counting(self, psi0):
+            sizes.append(self.h_watch.size)
+            return classify(self, psi0)
+
+        monkeypatch.setattr(qzd.WatchAnalysis, "classify", counting)
+        run_scenario(ChainSpec(7, 20.0, delta_omega=20.0), n_steps=50)
+        assert sizes == [7]
+        run_fluctuation_trials(10, 0.05, 3, seed=0, n_steps=50)
+        assert sizes == [7, 10]
+        run_sweep([0.05, 0.1, 0.15], [4, 6, 8, 10], n_steps=200)
+        assert sizes == [7, 10, 4, 6, 8, 10]
 
 
 class TestBenchmarkBindings:
