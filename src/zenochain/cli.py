@@ -18,16 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic
-from .chain import ChainSpec
+from .chain import ChainSpec, build_chain
 from .dynamics import DEFAULT_N_STEPS, site_one
 from .errors import NumericalFailureError, ValidationError
-from .harness import (
-    dominant_effective_matrix,
-    run_fluctuation_trials,
-    run_scenario,
-    run_sweep,
-    effective_reports,
-)
+from .harness import effective_reports, run_fluctuation_trials, run_scenario, run_sweep
+from .perturbation import EffectiveHamiltonianReport
 from .qzd import QzdOrder
 
 FLOAT_FORMAT = "%.12g"
@@ -91,13 +86,17 @@ def _parse_float_list(raw: str) -> list[float]:
 
 
 def _parse_int_list(raw: str) -> list[int]:
-    values = _parse_float_list(raw)
-    for v in values:
+    values = []
+    tokens = [tok for tok in raw.split(",") if tok.strip()]
+    for tok, v in zip(tokens, _parse_float_list(raw)):
         if not math.isfinite(v) or v != int(v):
             raise ValidationError(f"expected integers in list, got {v}")
-        if v > _INDEX_MAX:
+        # an integer literal is read exactly: its float keeps only 53 bits
+        n = int(v) if "." in tok or "e" in tok.lower() else int(tok)
+        if n > _INDEX_MAX:
             raise ValidationError(f"n_list: N={v:g}: must be at most {_INDEX_MAX}")
-    return [int(v) for v in values]
+        values.append(n)
+    return values
 
 
 def read_config_file(path: str, known: frozenset[str]) -> dict[str, str]:
@@ -270,15 +269,22 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> No
             fh.write(_format_block(block))
 
 
-def _matrix_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:
-    """Entries [i, j, value] (1-based, upper triangle) with |value| > cut."""
-    i, j = np.triu_indices(matrix.shape[0])
-    values = matrix[i, j]
-    keep = np.abs(values) > cut
-    return [
-        [a, b, v]
-        for a, b, v in zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist(), values[keep].tolist())
-    ]
+def _matrix_nonzeros(rep: EffectiveHamiltonianReport | None, cut: float) -> list[list]:
+    """Entries [i, j, value] (1-based, upper triangle) with |value| > cut of the
+    report's site-basis matrix M = V0 B V0^T; none without a report. As
+    |M_ij| <= max|B| ||V0_i||_1 ||V0_j||_1 and ||V0_j||_1 <= d0, only the rows R
+    with d0 max|B| ||V0_i||_1 > cut / 2 (2 covers rounding) are formed, as
+    V0[R] B V0[R]^T; absolute sums, unlike squares, do not underflow at tiny k.
+    """
+    if rep is None:
+        return []
+    v0, block = rep.basis, rep.block
+    bound = block.shape[0] * np.max(np.abs(block), initial=0.0) * np.abs(v0).sum(axis=1)
+    rows = np.flatnonzero(bound > 0.5 * cut)
+    matrix = v0[rows] @ block @ v0[rows].T
+    i, j = np.nonzero(np.triu(np.abs(matrix) > cut))  # row-major
+    i, j, values = rows[i] + 1, rows[j] + 1, matrix[i, j]
+    return [[a, b, v] for a, b, v in zip(i.tolist(), j.tolist(), values.tolist())]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -295,13 +301,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_table(csv_path, header, columns)
 
     order = result.classification.order
+    # the report of the classified order; no other order lists an entry
+    rep = {QzdOrder.ZEROTH: result.order0, QzdOrder.FIRST: result.order1}.get(order)
     # relative to the weak coupling k, times lam for the order-1 matrix
     cut = 1e-12 * spec.k * (spec.lam if order is QzdOrder.FIRST else 1.0)
     summary = {
         "delta": result.leakage.delta,
         "attained_at": result.leakage.attained_at,
         "classification_order": order.value,
-        "effective_matrix_nonzeros": _matrix_nonzeros(dominant_effective_matrix(result), cut),
+        "effective_matrix_nonzeros": _matrix_nonzeros(rep, cut),
     }
     _emit_json(json_path, summary)
     return 0
@@ -309,8 +317,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
-    from .chain import build_chain
-
     c = effective_reports(build_chain(spec)).classify(site_one(spec.n_sites))
     _emit_json(args.out, dataclasses.asdict(c) | {"order": c.order.value})
     return 0
@@ -318,18 +324,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_effective(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
-    from .chain import build_chain
-
     analysis = effective_reports(build_chain(spec))
     rep0, rep1 = analysis.order0, analysis.order1
     cut = 1e-10 * spec.k  # relative to the weak coupling k, times lam at order 1
     payload = {
         "order0": {
-            "nonzeros": _matrix_nonzeros(rep0.matrix, cut),
+            "nonzeros": _matrix_nonzeros(rep0, cut),
             "eta1_common": rep0.eta1_common,
         },
         "order1_times_lambda": {
-            "nonzeros": _matrix_nonzeros(rep1.matrix, cut * spec.lam),
+            "nonzeros": _matrix_nonzeros(rep1, cut * spec.lam),
         },
     }
     _emit_json(args.out, payload)

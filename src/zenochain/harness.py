@@ -30,7 +30,7 @@ from .dynamics import (
 from .errors import ValidationError
 from .linalg import SpectralDecomposition, eig_sym_tridiag, inverse_corner_tridiag
 from .perturbation import EffectiveHamiltonianReport, default_grouping_tolerance
-from .qzd import QzdClassification, QzdOrder, from_units_of_k
+from .qzd import QzdClassification, from_units_of_k
 
 # Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
 from .dynamics import measure_leakage, simulate  # noqa: F401
@@ -116,15 +116,6 @@ def run_scenario(
         order1=analysis.order1,
         zero_basis=analysis.zero_basis,
     )
-
-
-def dominant_effective_matrix(result: ScenarioResult) -> np.ndarray:
-    """The effective Hamiltonian matching the classified order (or zeros)."""
-    if result.classification.order is QzdOrder.ZEROTH:
-        return result.order0.matrix
-    if result.classification.order is QzdOrder.FIRST:
-        return result.order1.matrix
-    return np.zeros_like(result.order0.matrix)
 
 
 @dataclass(frozen=True, eq=False)

@@ -152,9 +152,9 @@ def _symmetric(block: np.ndarray) -> np.ndarray:
     """The block with its round-off asymmetry removed.
 
     An odd chain's order-1 block is pure round-off, asymmetric at its own
-    scale. The CLI lists only the upper triangle of ``matrix``, and
-    ``cycle`` takes ``eigvalsh`` of the block, which reads one triangle;
-    symmetrised, neither leaves part of the block unread.
+    scale. The CLI lists the upper triangle of V0 B V0^T, on the rows of V0
+    that can carry an entry, and ``cycle`` takes ``eigvalsh`` of the block,
+    which reads one triangle; symmetrised, neither leaves part of it unread.
     """
     return 0.5 * (block + block.T)
 

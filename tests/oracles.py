@@ -5,7 +5,8 @@ fixed-step Runge-Kutta integrator, a fixed-step matrix-exponential
 propagator or one exponential per sample time, inversion via Gaussian
 elimination with partial pivoting, determinants via cofactor expansion or
 the continuant recursion, CSV text one formatted cell at a time, matrix
-listings by a double loop over the entries, eigenvalue grouping one Python
+listings by a double loop over the entries of the dense N x N effective
+Hamiltonian (``dominant_effective_matrix``), eigenvalue grouping one Python
 level at a time, effective Hamiltonians as eigenvector sums over a dense
 eigendecomposition, and eigenvector signs by a scan of every entry.
 
@@ -42,6 +43,7 @@ from zenochain.linalg import (
     orthonormal_columns,
 )
 from zenochain.perturbation import ProjectorSet
+from zenochain.qzd import QzdOrder
 
 # det_tridiag rescales its continuants when they leave this range.
 _CONTINUANT_LOW, _CONTINUANT_HIGH = 2.0**-500, 2.0**500
@@ -218,6 +220,16 @@ def double_loop_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:
             if abs(matrix[i, j]) > cut:
                 out.append([i + 1, j + 1, float(matrix[i, j])])
     return out
+
+
+def dominant_effective_matrix(result) -> np.ndarray:
+    """The dense N x N effective Hamiltonian of a ``ScenarioResult``'s
+    classified order (zeros for an order without one)."""
+    if result.classification.order is QzdOrder.ZEROTH:
+        return result.order0.matrix
+    if result.classification.order is QzdOrder.FIRST:
+        return result.order1.matrix
+    return np.zeros_like(result.order0.matrix)
 
 
 def scan_fix_phases(vectors: np.ndarray, eps: float) -> np.ndarray:

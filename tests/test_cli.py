@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,15 +22,10 @@ from zenochain.analytic import lambda_bound
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
 from zenochain.cli import main, read_config_file
 from zenochain.errors import ValidationError
-from zenochain.harness import (
-    dominant_effective_matrix,
-    effective_reports,
-    run_fluctuation_trials,
-    run_scenario,
-    run_sweep,
-)
+from zenochain.harness import effective_reports, run_fluctuation_trials, run_scenario, run_sweep
+from zenochain.perturbation import EffectiveHamiltonianReport
 
-from .oracles import double_loop_nonzeros, per_value_csv
+from .oracles import dominant_effective_matrix, double_loop_nonzeros, per_value_csv
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -553,8 +549,8 @@ class TestOutputBytes:
             rep1.matrix, 1e-10
         )
         # with no cut every round-off entry is listed, in the same order
-        for m in (rep0.matrix, rep1.matrix):
-            assert cli._matrix_nonzeros(m, 0.0) == double_loop_nonzeros(m, 0.0)
+        for rep in (rep0, rep1):
+            assert cli._matrix_nonzeros(rep, 0.0) == double_loop_nonzeros(rep.matrix, 0.0)
 
     @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513])
     def test_table_in_blocks(self, tmp_path, n_rows):
@@ -647,11 +643,62 @@ class TestOutputBytes:
         assert 0 < sum(served) < 0.1 * table.size
 
     def test_nonzeros_of_dense_matrix(self):
-        # a dense matrix pins the row-major order of the listing
-        m = np.random.default_rng(0).normal(size=(9, 9))
-        m = m + m.T
+        # a dense basis lists every entry: it pins the row-major order of the listing
+        rng = np.random.default_rng(0)
+        basis = np.linalg.qr(rng.normal(size=(9, 3)))[0]
+        block = rng.normal(size=(3, 3))
+        rep = EffectiveHamiltonianReport(3.0 * (block + block.T), basis)
         for cut in (0.0, 0.5, 2.0):
-            assert cli._matrix_nonzeros(m, cut) == double_loop_nonzeros(m, cut)
+            assert cli._matrix_nonzeros(rep, cut) == double_loop_nonzeros(rep.matrix, cut)
+
+
+class TestNonzeroListing:
+    """The listings form only the rows of V0 that can carry an entry above
+    the cut, and list what the dense N x N matrix lists."""
+
+    @pytest.mark.parametrize("cut", [0.0, 1e-12, 1e-10])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChainSpec(6, 20.0),
+            ChainSpec(130, 2.5),
+            ChainSpec(7, 20.0),
+            ChainSpec(131, 1e4),
+            ChainSpec(9, 20.0, delta_omega=20.0),
+            ChainSpec(30, 7.0, delta_omega=-1e3),
+            ChainSpec(31, 20.0, delta_omega=1e8),
+            ChainSpec(40, 20.0, fluctuation=CouplingFluctuation(0.1, 3)),
+            ChainSpec(41, 20.0, fluctuation=CouplingFluctuation(0.2, 4)),
+        ],
+        ids=["even6", "even130", "odd7", "odd131", "shift20", "shift-1e3", "shift1e8",
+             "noisy40", "noisy41"],
+    )
+    def test_rows_of_the_zero_basis_list_the_dense_matrix(self, spec, cut):
+        analysis = effective_reports(build_chain(spec))
+        for rep in (analysis.order0, analysis.order1):
+            assert cli._matrix_nonzeros(rep, cut) == double_loop_nonzeros(rep.matrix, cut)
+
+    def test_tiny_energy_unit_lists_every_entry(self, tmp_path):
+        # a row bound from squares underflows here and lists nothing
+        argv = ["--n", "5", "--k", "1e-300", "--steps", "20", "--out", str(tmp_path / "tiny")]
+        assert run_cli("simulate", *argv) == 0
+        summary = json.loads((tmp_path / "tiny.json").read_text())
+        result = run_scenario(ChainSpec(5, 20.0, k=1e-300), n_steps=20)
+        want = double_loop_nonzeros(dominant_effective_matrix(result), 1e-12 * 1e-300)
+        assert len(want) == 4
+        assert summary["effective_matrix_nonzeros"] == want
+
+    @pytest.mark.parametrize("shift", [[], ["--delta-omega", "20"]], ids=["even", "shifted"])
+    def test_effective_forms_no_n_by_n_array(self, capsys, shift):
+        # an N x N matrix of 2000 sites alone is 30.5 MiB
+        tracemalloc.start()
+        try:
+            assert run_cli("effective", "--n", "2000", *shift) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["order1_times_lambda"]["nonzeros"]
+        assert peak < 8 * 2**20
 
 
 class TestWriteTable:
@@ -982,6 +1029,7 @@ class TestExitCodes:
         (["simulate", "--n", "4", "--steps", str(10**40)], "steps"),
         (["simulate", "--n", "4", "--steps", str(np.iinfo(np.intp).max + 1)], "steps"),
         (["sweep", "--n-list", f"4,{10**20}"], "n_list: N=1e+20"),
+        (["sweep", "--n-list", f"4,{np.iinfo(np.intp).max + 1}"], "n_list: N=9.22337e+18"),
     ])
     def test_count_beyond_an_array_index_is_1(self, tmp_path, capsys, argv, name):
         # numpy raised a traceback: "Maximum allowed dimension exceeded", an
@@ -990,6 +1038,15 @@ class TestExitCodes:
         limit = np.iinfo(np.intp).max
         assert capsys.readouterr().err == f"error: {name}: must be at most {limit}\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("raw, want", [
+        ("9007199254740993", [9007199254740993]),  # 2**53 + 1: a float rounds it to 2**53
+        (str(np.iinfo(np.intp).max), [np.iinfo(np.intp).max]),
+        ("4.0,6", [4, 6]),
+    ])
+    def test_integer_list_entries_are_read_exactly(self, raw, want):
+        got = cli._parse_int_list(raw)
+        assert got == want and all(type(n) is int for n in got)
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 596. GiB", "out of memory: Unable to allocate 596. GiB"),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from zenochain import cli, dynamics, harness, linalg, perturbation, qzd
 from zenochain.analytic import f_of_n, qtilde_fluctuating_corner
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
-from zenochain.dynamics import default_time_grid, leakage_series, measure_leakage
+from zenochain.dynamics import default_time_grid, leakage_series, measure_leakage, site_one
 from zenochain.errors import (
     ClusteringError,
     NumericalFailureError,
@@ -27,7 +27,6 @@ from zenochain.errors import (
     ValidationError,
 )
 from zenochain.harness import (
-    dominant_effective_matrix,
     effective_reports,
     fit_slope_through_origin,
     run_fluctuation_trials,
@@ -36,6 +35,8 @@ from zenochain.harness import (
 )
 from zenochain.linalg import (
     PARITY_MIN_SIZE,
+    SymTridiagMatrix,
+    TimeGrid,
     eig_sym_tridiag,
     eigvals_sym_tridiag,
     eigvecs_sym_tridiag,
@@ -43,7 +44,7 @@ from zenochain.linalg import (
 from zenochain.perturbation import GROUPING_RTOL, default_grouping_tolerance
 from zenochain.qzd import QzdOrder, analyze_watch
 
-from .oracles import dense_scenario, group_levels_by_loop
+from .oracles import dense_scenario, dominant_effective_matrix, group_levels_by_loop
 
 
 class TestSlopeFit:
@@ -457,6 +458,48 @@ class TestZeroLevelRule:
         if analysis is not None:
             want = eigvecs_sym_tridiag(hams.h_watch, lo, hi)
             assert np.array_equal(analysis.zero_basis, want)
+
+
+@st.composite
+def gauged_chains(draw):
+    """(spec, bond signs): chains of 4-151 sites (unshifted ones of at least
+    PARITY_MIN_SIZE take the parity split), lambda_inv in [2.5, 1e4], no
+    shift or one with |delta_omega| <= 1e3, and a random sign per bond."""
+    n = draw(st.integers(4, 151))
+    lambda_inv = 10.0 ** draw(st.floats(np.log10(2.5), 4.0))
+    shift = None
+    if draw(st.booleans()):
+        shift = 10.0 ** draw(st.floats(-3.0, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n - 1, max_size=n - 1)))
+    return ChainSpec(n, lambda_inv, delta_omega=shift), signs
+
+
+class TestBondSignGauge:
+    """D H D with D = diag(+-1) and d_1 = 1 is H in another basis that keeps
+    |1>: it flips the sign of each bond whose two sites differ in sign. The
+    flips take a mirror chain off the parity-split eigensolver."""
+
+    @given(gauged_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_order_dimension_and_delta_are_gauge_free(self, drawn):
+        spec, signs = drawn
+        hams = build_chain(spec)
+        psi0 = site_one(spec.n_sites)
+
+        def flip(m):
+            return SymTridiagMatrix(m.diag, m.offdiag * signs)
+
+        plain = analyze_watch(hams.h_watch, hams.h_weak, spec.lam)
+        gauged = analyze_watch(flip(hams.h_watch), flip(hams.h_weak), spec.lam)
+        c, cg = plain.classify(psi0), gauged.classify(psi0)
+        assert (cg.order, cg.zero_level_dimension) == (c.order, c.zero_level_dimension)
+        # both leakages on the grid of the ungauged chain's cycle
+        grid = TimeGrid(plain.cycle(c.order), 400)
+        delta, delta_gauged = (
+            np.max(leakage_series(eig_sym_tridiag(h), psi0, a.zero_basis, grid))
+            for h, a in ((hams.h_total, plain), (flip(hams.h_total), gauged))
+        )
+        assert delta_gauged == pytest.approx(delta, rel=1e-7)
 
 
 class TestOneWatchAnalysis:
