@@ -26,8 +26,8 @@ from .perturbation import EffectiveHamiltonianReport
 from .qzd import QzdOrder
 
 FLOAT_FORMAT = "%.12g"
-# the largest array size: numpy fails with a traceback on a count above it
-_INDEX_MAX = np.iinfo(np.intp).max
+# the largest float64 array: numpy fails with a traceback on one whose byte size overflows intp
+_INDEX_MAX = np.iinfo(np.intp).max // 8
 # rows per formatted write: one whole-table string would add its own size
 # (about 18 MiB for a 94-site default simulate) to the peak memory
 WRITE_BLOCK_ROWS = 256
@@ -103,11 +103,15 @@ def read_config_file(path: str, known: frozenset[str]) -> dict[str, str]:
     """Parse a config file of key=value lines ('#' starts a comment).
 
     A key outside ``known``, or one given twice (``lambda-inv`` and
-    ``lambda_inv`` are one key), is an error naming the file and line.
+    ``lambda_inv`` are one key), is an error naming the file and line; a
+    file that is not UTF-8 is an error naming the file.
     """
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:

@@ -17,8 +17,6 @@ from scipy.linalg import lapack
 
 from .errors import NumericalFailureError, SingularMatrixError, ValidationError
 
-# Components below this magnitude do not fix an eigenvector's sign.
-PHASE_EPS = 1e-12
 # Mirror-symmetric matrices of at least this size are solved as two half-size
 # parity blocks; below it one full solve costs less than the split's overhead.
 PARITY_MIN_SIZE = 64
@@ -104,9 +102,7 @@ class TimeGrid:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal real eigenvectors.
 
-    ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``. Each column's sign
-    is fixed so that its first component with magnitude above ``PHASE_EPS``
-    is positive.
+    ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``.
     """
 
     eigenvalues: np.ndarray
@@ -115,23 +111,6 @@ class SpectralDecomposition:
     @property
     def size(self) -> int:
         return self.eigenvalues.size
-
-
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs to the canonical convention, in place.
-
-    Row 0 decides every column whose first entry exceeds ``PHASE_EPS`` in
-    magnitude; only the other columns are scanned for their first such entry.
-    """
-    signs = np.sign(vectors[0])
-    scan = np.flatnonzero(np.abs(vectors[0]) <= PHASE_EPS)
-    if scan.size:
-        rest = vectors[:, scan]
-        lead = np.argmax(np.abs(rest) > PHASE_EPS, axis=0)
-        signs[scan] = np.sign(rest[lead, np.arange(scan.size)])
-    signs[signs == 0.0] = 1.0
-    vectors *= signs
-    return vectors
 
 
 def _dstevd(diag: np.ndarray, offdiag: np.ndarray, size: int, vectors: bool):
@@ -175,10 +154,9 @@ def eig_sym_tridiag(m: SymTridiagMatrix) -> SpectralDecomposition:
 
     A mirror-symmetric m of at least ``PARITY_MIN_SIZE`` sites is solved as
     its two half-size parity blocks (``_parity_blocks``). With block
-    eigenvector v (sign-fixed over the rows it shares with the full vector),
-    a symmetric eigenvector is (v[:h]/sqrt2, [v[h]] for odd N, reversed
-    v[:h]/sqrt2) and an antisymmetric one (v/sqrt2, [0] for odd N, -reversed
-    v/sqrt2); the two sets merge by a stable sort of their eigenvalues.
+    eigenvector v, a symmetric eigenvector is (v[:h]/sqrt2, [v[h]] for odd N,
+    reversed v[:h]/sqrt2) and an antisymmetric one (v/sqrt2, [0] for odd N,
+    -reversed v/sqrt2); the two sets merge by a stable sort of their eigenvalues.
     """
     n = m.size
     if n == 1:
@@ -186,13 +164,11 @@ def eig_sym_tridiag(m: SymTridiagMatrix) -> SpectralDecomposition:
     blocks = _parity_blocks(m)
     if not blocks:
         w, v = _dstevd(m.diag, m.offdiag, n, vectors=True)
-        return SpectralDecomposition(w, _fix_phases(v))
+        return SpectralDecomposition(w, v)
     h = n // 2
     (ws, vs), (wa, va) = (_dstevd(d, e, n, vectors=True) for d, e in blocks)
     vs[:h] *= _SQRT_HALF
     va *= _SQRT_HALF
-    _fix_phases(vs)
-    _fix_phases(va)
     w = np.concatenate([ws, wa])
     order = np.argsort(w, kind="stable")
     slot = np.empty(n, dtype=np.intp)
@@ -228,7 +204,7 @@ def eigvecs_sym_tridiag(m: SymTridiagMatrix, lo: int, hi: int) -> np.ndarray:
     """Eigenvectors of eigenvalues lo..hi-1 (ascending order), N x (hi - lo).
 
     Bisection (``dstebz``) and inverse iteration (``dstein``) for those
-    eigenvalues only; columns are ascending, signs as in ``eig_sym_tridiag``.
+    eigenvalues only; columns are ascending.
     """
     if m.size == 1:
         return np.ones((1, hi - lo))
@@ -242,7 +218,7 @@ def eigvecs_sym_tridiag(m: SymTridiagMatrix, lo: int, hi: int) -> np.ndarray:
         raise NumericalFailureError(
             f"tridiagonal eigenvector solver failed on a {m.size}x{m.size} matrix"
         )
-    return _fix_phases(v[:, order])
+    return v[:, order]
 
 
 def solve_bordered_tridiag(m: SymTridiagMatrix, v: np.ndarray, b: np.ndarray) -> np.ndarray:

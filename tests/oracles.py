@@ -8,7 +8,7 @@ the continuant recursion, CSV text one formatted cell at a time, matrix
 listings by a double loop over the entries of the dense N x N effective
 Hamiltonian (``dominant_effective_matrix``), eigenvalue grouping one Python
 level at a time, effective Hamiltonians as eigenvector sums over a dense
-eigendecomposition, and eigenvector signs by a scan of every entry.
+eigendecomposition.
 
 The perturbative picture of the leakage is a referee for the exact delta:
 first-order eigenstate corrections (``first_order_corrections``), the
@@ -232,14 +232,11 @@ def dominant_effective_matrix(result) -> np.ndarray:
     return np.zeros_like(result.order0.matrix)
 
 
-def scan_fix_phases(vectors: np.ndarray, eps: float) -> np.ndarray:
-    """Signs flipped so each column's first entry above ``eps`` in magnitude is
-    positive; a column without one keeps the sign of its first entry (a zero
-    entry counts as positive). Scans every entry; returns a new array."""
-    lead = np.argmax(np.abs(vectors) > eps, axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0.0] = 1.0
-    return vectors * signs
+def align_signs(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """``vectors`` with each column negated where its overlap with the same
+    column of ``reference`` is negative (a 1-d array is one column).
+    Eigenvectors are defined up to sign; aligned, they compare entry by entry."""
+    return vectors * np.where(np.sum(vectors * reference, axis=0) < 0.0, -1.0, 1.0)
 
 
 def eigenvector_sum_effective(

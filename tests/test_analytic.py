@@ -33,7 +33,7 @@ from zenochain.perturbation import (
     hqzd_order1,
 )
 
-from .oracles import expm_leakage_peak, gaussian_elimination_inverse
+from .oracles import align_signs, expm_leakage_peak, gaussian_elimination_inverse
 
 K = 1.0
 
@@ -66,7 +66,8 @@ class TestToeplitzEigenpairs:
         pairs.sort(key=lambda p: p[0])
         for i, (eta, vec) in enumerate(pairs):
             assert abs(eta - d.eigenvalues[i]) < 1e-10
-            assert np.max(np.abs(vec[1:-1] - d.eigenvectors[:, i])) < 1e-10
+            col = align_signs(d.eigenvectors[:, i], vec[1:-1])
+            assert np.max(np.abs(vec[1:-1] - col)) < 1e-10
 
     def test_eigen_equation_on_full_watch_matrix(self):
         watch = build_chain(ChainSpec(12, 5.0)).h_watch

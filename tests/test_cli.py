@@ -981,6 +981,16 @@ class TestConfigFile:
         assert "argument --steps: invalid int value: 'x'" in capsys.readouterr().err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.cfg"]
 
+    def test_config_that_is_not_utf8_is_1(self, tmp_path, capsys):
+        # the decode error escaped as a UnicodeDecodeError traceback
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n=6\n\xff\xfe\n")
+        assert run_cli("classify", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: not UTF-8 text (byte 4: invalid start byte)\n"
+        cfg.write_bytes("n=6  # \u03b4\u03c9 unset\n".encode())
+        assert run_cli("classify", "--config", str(cfg)) == 0
+
     def test_reader(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("a=1\nb = x y  # trailing comment\n\n")
@@ -1030,18 +1040,22 @@ class TestExitCodes:
         (["simulate", "--n", "4", "--steps", str(np.iinfo(np.intp).max + 1)], "steps"),
         (["sweep", "--n-list", f"4,{10**20}"], "n_list: N=1e+20"),
         (["sweep", "--n-list", f"4,{np.iinfo(np.intp).max + 1}"], "n_list: N=9.22337e+18"),
+        (["classify", "--n", str(2**60)], "n"),
+        (["sweep", "--n-list", "4,9223372036854775806"], "n_list: N=9.22337e+18"),
+        (["fluctuate", "--n", "10", "--trials", str(2**62)], "trials"),
     ])
     def test_count_beyond_an_array_index_is_1(self, tmp_path, capsys, argv, name):
         # numpy raised a traceback: "Maximum allowed dimension exceeded", an
-        # OverflowError, a MemoryError for 596 GiB, or a TypeError in f_of_n
+        # OverflowError, a MemoryError for 596 GiB, a TypeError in f_of_n, or
+        # "array is too big" for a float64 array of 2**60 elements or more
         assert run_cli(*argv, "--out", str(tmp_path / "c")) == 1
-        limit = np.iinfo(np.intp).max
+        limit = np.iinfo(np.intp).max // 8
         assert capsys.readouterr().err == f"error: {name}: must be at most {limit}\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("raw, want", [
         ("9007199254740993", [9007199254740993]),  # 2**53 + 1: a float rounds it to 2**53
-        (str(np.iinfo(np.intp).max), [np.iinfo(np.intp).max]),
+        (str(np.iinfo(np.intp).max // 8), [np.iinfo(np.intp).max // 8]),
         ("4.0,6", [4, 6]),
     ])
     def test_integer_list_entries_are_read_exactly(self, raw, want):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import io
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -25,6 +28,7 @@ from zenochain.errors import (
     NumericalFailureError,
     UnsupportedConfigurationError,
     ValidationError,
+    ZenoChainError,
 )
 from zenochain.harness import (
     effective_reports,
@@ -35,6 +39,7 @@ from zenochain.harness import (
 )
 from zenochain.linalg import (
     PARITY_MIN_SIZE,
+    SpectralDecomposition,
     SymTridiagMatrix,
     TimeGrid,
     eig_sym_tridiag,
@@ -500,6 +505,83 @@ class TestBondSignGauge:
             for h, a in ((hams.h_total, plain), (flip(hams.h_total), gauged))
         )
         assert delta_gauged == pytest.approx(delta, rel=1e-7)
+
+
+@st.composite
+def sign_flip_chains(draw):
+    """(spec, seed): even, odd, shifted and fluctuating chains of 4-151 sites
+    (unshifted mirror chains of at least PARITY_MIN_SIZE take the parity
+    split) at lambda_inv in [2.5, 1e4], and a seed for the column signs."""
+    family = draw(st.sampled_from(["even", "odd", "shifted", "fluctuating"]))
+    half = draw(st.one_of(st.integers(2, 75), st.integers(PARITY_MIN_SIZE // 2, 75)))
+    n = 2 * half + (family == "odd" or (family != "even" and draw(st.booleans())))
+    shift = noise = None
+    if family == "shifted":
+        shift = 10.0 ** draw(st.floats(-3.0, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if family == "fluctuating":
+        noise = CouplingFluctuation(draw(st.floats(0.0, 0.2)), draw(st.integers(0, 2**16)))
+    lambda_inv = 10.0 ** draw(st.floats(np.log10(2.5), 4.0))
+    spec = ChainSpec(n, lambda_inv, delta_omega=shift, fluctuation=noise)
+    return spec, draw(st.integers(0, 2**32 - 1))
+
+
+class TestEigenvectorSigns:
+    """Every output is quadratic in each eigenvector, so no column's sign
+    reaches it: a run whose eigenvector columns are negated at random is
+    bit-identical to the plain run."""
+
+    @given(sign_flip_chains())
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_are_free_of_column_signs(self, drawn):
+        spec, seed = drawn
+        rng = np.random.default_rng(seed)
+        eig, eigvecs = harness.eig_sym_tridiag, qzd.eigvecs_sym_tridiag
+
+        def negate(v):
+            return v * rng.choice([-1.0, 1.0], v.shape[1])
+
+        def flipped_eig(m):
+            d = eig(m)
+            return SpectralDecomposition(d.eigenvalues, negate(d.eigenvectors))
+
+        def flipped_eigvecs(m, lo, hi):
+            return negate(eigvecs(m, lo, hi))
+
+        argv = ["--n", str(spec.n_sites), "--lambda-inv", repr(spec.lambda_inv)]
+        if spec.delta_omega is not None:
+            argv += ["--delta-omega", repr(spec.delta_omega)]
+
+        def outputs(directory):
+            try:
+                result = run_scenario(spec, n_steps=200)
+                trace = result.trace
+                run = [
+                    result.leakage.delta, result.leakage.attained_at, result.grid.t_max,
+                    result.classification, result.order0.matrix, result.order1.matrix,
+                    trace.populations, trace.leakage, trace.mid_overlap,
+                ]
+            except ZenoChainError as exc:
+                run = [type(exc), str(exc)]
+            if spec.fluctuation is None:  # no CLI flag builds a fluctuating chain
+                for command in (["simulate", "--steps", "200"], ["effective"]):
+                    out, err = io.StringIO(), io.StringIO()
+                    with redirect_stdout(out), redirect_stderr(err):
+                        code = cli.main([*command, *argv, "--out", str(Path(directory) / "o")])
+                    run += [code, out.getvalue(), err.getvalue()]
+                    for path in sorted(Path(directory).iterdir()):
+                        run += [path.name, path.read_bytes()]
+                        path.unlink()
+            return run
+
+        with tempfile.TemporaryDirectory() as directory:
+            plain = outputs(directory)
+            with mock.patch.object(harness, "eig_sym_tridiag", flipped_eig), mock.patch.object(
+                qzd, "eigvecs_sym_tridiag", flipped_eigvecs
+            ):
+                flipped = outputs(directory)
+        assert len(flipped) == len(plain)
+        for a, b in zip(plain, flipped):
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 class TestOneWatchAnalysis:
