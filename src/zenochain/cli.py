@@ -33,37 +33,55 @@ _INDEX_MAX = np.iinfo(np.intp).max // 8
 WRITE_BLOCK_ROWS = 256
 
 
-def _words(chars: np.ndarray) -> np.ndarray:
-    """Rows of 4 ASCII codes as uint32 words, then the same rows again with
-    their trailing "0" characters as NUL (written text drops every NUL)."""
+def _words(chars: np.ndarray, suffix: bytes = b"") -> np.ndarray:
+    """Rows of ASCII codes, each followed by ``suffix``, as uint32 words; then
+    the same rows again with their trailing "0" and "." characters as NUL
+    (written text drops every NUL)."""
     chars = chars.astype(np.uint8)
     trimmed = chars.copy()
     trailing = np.ones(len(chars), bool)
-    for j in (3, 2, 1, 0):
-        trailing &= chars[:, j] == ord("0")
+    for j in reversed(range(chars.shape[1])):
+        trailing &= (chars[:, j] == ord("0")) | (chars[:, j] == ord("."))
         trimmed[:, j] *= ~trailing
-    return np.concatenate([chars, trimmed]).view(np.uint32).ravel()
+    rows = np.concatenate([chars, trimmed])
+    tail = np.tile(np.frombuffer(suffix, np.uint8), (len(rows), 1))
+    return np.hstack([rows, tail]).view(np.uint32).ravel()
 
 
-# The words _format_block writes its text from, 4 characters each: _DIGITS[i]
-# is the digits of i (0000-9999), _HEAD[i] is "a.bc" and _TAIL[i] is "ae-b"
-# for the digits abc of i < 1000, _ONES[i] is the digit i; an index plus half
-# the table's size gives the trimmed word. _POW10[k] is 10**k from a correctly
-# rounded decimal literal (pow would add its own rounding); _INT_POW10[k] is
-# the integer 10**k for the fixed class's shifts.
+# _format_block writes each cell as a record of _RECORD bytes: the separator
+# that comes before the cell ("," or, for a row's first cell, "\n"), the
+# cell's text and NUL padding. The written rows are the records without their
+# NULs. The words the text is built from, each a table indexed by the value it
+# spells (X is the decimal exponent); an index plus half the size of _DIGITS,
+# _LEAD or _LAST gives the word with its trailing "0"s, and a point left bare,
+# as NUL:
+# - fixed class, "0.000dddddddddddd": the words _POINT and three _DIGITS,
+#   where _POINT[-X] is the 8 bytes ",0.", -X-1 zeros and NULs, and _DIGITS[i]
+#   is the 4 digits of i (0000-9999);
+# - scientific class, "d.ddddddddddde-XX": the words _LEAD, _DIGITS, _DIGITS,
+#   _LAST and _EXP, where _LEAD[i] is ",a.b" and _LAST[i] is "abe-" for the
+#   digits ab of i < 100, and _EXP[-X] is "XX" and two NULs.
+# Both exponent tables cover every X that _format_block computes (-101 to 0).
+# _POW10[k] is 10**k from a correctly rounded decimal literal (pow would add
+# its own rounding).
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _ASCII = np.column_stack([np.repeat(np.tile(_DIGIT, 10**j), 10 ** (3 - j)) for j in range(4)])
 _DIGITS = _words(_ASCII)
-_HEAD = _words(np.column_stack([_ASCII[:1000, 1], np.full(1000, ord(".")), _ASCII[:1000, 2:]]))
-_TAIL = _words(np.column_stack(
-    [_ASCII[:1000, 1], np.full((1000, 2), [ord("e"), ord("-")]), _ASCII[:1000, 2]]
+_LEAD = _words(np.column_stack(
+    [np.full(100, ord(",")), _ASCII[:100, 2], np.full(100, ord(".")), _ASCII[:100, 3]]
 ))
-_ONES = _words(np.column_stack([_DIGIT, np.zeros((10, 3), np.uint8)]))
+_LAST = _words(_ASCII[:100, 2:], b"e-")
 _POW10 = np.array([float(f"1e{k}") for k in range(113)])
-_INT_POW10 = 10 ** np.arange(5, dtype=np.int64)
-_RECORD = 20  # bytes per cell: the longest FLOAT_FORMAT text (19) and its separator
+_POINT = np.array([b",0." + b"0" * (j - 1) for j in range(_POW10.size)], "S8").view(np.uint64)
+_EXP = np.array([b"%02d" % j for j in range(_POW10.size)], "S4").view(np.uint32)
+_RECORD = 20  # bytes per cell: its separator and the longest FLOAT_FORMAT text (19)
 _CELL = np.dtype((np.void, _RECORD))  # one record as one item: row scatters are fast
-_FALLBACK = ("%-" + str(_RECORD) + FLOAT_FORMAT[1:]).encode()
+# the fixed class's words, stored for every cell at once
+_FIXED = np.dtype({
+    "names": ["point", "g1", "g2", "g3"], "offsets": [0, 8, 12, 16], "itemsize": _RECORD,
+    "formats": [np.uint64, np.uint32, np.uint32, np.uint32],
+})
+_FALLBACK = (",%-" + str(_RECORD - 1) + FLOAT_FORMAT[1:]).encode()
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 
@@ -179,23 +197,29 @@ def _emit_json(path: Path | str | None, payload: dict) -> None:
     print(text)
 
 
-def _digit_groups(q: np.ndarray, widths: tuple[int, ...]) -> list[np.ndarray]:
-    """Groups of ``widths`` decimal digits of q from the right, then the rest."""
-    groups = []
-    for w in widths:
-        rest = q // 10**w
-        groups.append(q - rest * 10**w)
-        q = rest
-    return groups + [q]
+def _mantissa_words(m: np.ndarray, places: tuple[int, ...], tables: tuple) -> list[np.ndarray]:
+    """The words of the digit groups of the integers m < 1e13, cut below each
+    10**p of ``places``: each group's word from its table, trimmed where only
+    zeros follow. Float division is exact here: a non-integer m / 10**p is at
+    least 10**-p from an integer, and its rounding error is below
+    1e13 * 2**-53 / 10**p, so its floor is exact, as are the products and
+    differences of integers below 2**53.
+    Indices are clipped: a cell outside the class may get any word."""
+    words = []
+    for p, table in zip(places, tables):
+        g = np.floor(m / _POW10[p])
+        m = m - g * _POW10[p]
+        i = g.astype(np.intp)
+        np.add(i, table.size // 2, out=i, where=m == 0)
+        words.append(table.take(i, mode="clip"))
+    last = tables[-1]
+    return words + [last[last.size // 2 :].take(m.astype(np.intp))]
 
 
-def _format_block(block: np.ndarray) -> bytes:
-    """The CSV rows of a 2-D block: exactly ``FLOAT_FORMAT % value`` per cell.
-
-    See ``_write_table`` for the classes of cells and the proof of rounding.
-    Each cell gets a record of _RECORD bytes: its text, NUL padding and its
-    separator in the last byte; the rows are the records without the NULs.
-    """
+def _format_block(block: np.ndarray) -> bytearray:
+    """The CSV rows of a 2-D block, each led by "\\n": exactly ``FLOAT_FORMAT %
+    value`` per cell. See ``_write_table`` for the records, the classes of
+    cells and the proof of rounding."""
     x = block.ravel()
     n = x.size
     cand = (x >= 1e-100) & (x < 1.0)  # both classes lie in this range
@@ -207,40 +231,24 @@ def _format_block(block: np.ndarray) -> bytes:
     m[carry] = 1e11
     exp10 = e0 + carry  # the decimal exponent of the rounded value
     proven = cand & (np.abs(s - np.floor(s) - 0.5) > 1e-3) & (s >= 1e11) & (m < 1e12)
-    fixed = np.flatnonzero(proven & (exp10 >= -4) & (exp10 < 0))
-    sci = np.flatnonzero(proven & (exp10 < -4) & (exp10 >= -99))
+    fixed = proven & (exp10 >= -4) & (exp10 < 0)
+    sci = proven & (exp10 < -4) & (exp10 >= -99)
+    rest = np.flatnonzero(~(fixed | sci))
+    sci = np.flatnonzero(sci)
 
-    records = np.empty(n, _CELL)
-    if fixed.size:
-        # "0." and the 15 digits of m * 10**(exp10 + 4), trailing zeros trimmed
-        q = m[fixed].astype(np.int64) * _INT_POW10.take(exp10[fixed] + 4)
-        f, *groups = _digit_groups(q, (1, 4, 4, 4))
-        words = [_DIGITS.take(f * 1000 + _DIGITS.size // 2)]
-        trim = f == 0  # only zeros follow the group
-        for g, table in zip(groups, (_DIGITS, _DIGITS, _DIGITS, _HEAD)):
-            words.append(table.take(g + trim * (table.size // 2)))
-            trim &= g == 0
-        records[fixed] = np.column_stack(words[::-1]).view(_CELL).ravel()
+    buf = bytearray(n * _RECORD)
+    cells = np.frombuffer(buf, _CELL)
+    fields = cells.view(_FIXED)  # every record starts as a fixed-class cell
+    fields["point"] = _POINT.take(-exp10)
+    fields["g1"], fields["g2"], fields["g3"] = _mantissa_words(m, (8, 4), (_DIGITS,) * 3)
     if sci.size:
-        # "d.ddddddddddde-XX"; a last digit 0 would be trimmed and falls back
-        last, g3, g2, g1 = _digit_groups(m[sci].astype(np.int64), (1, 4, 4))
-        e = -exp10[sci]
-        keep = last != 0
-        sci = sci[keep]
-        records[sci] = np.column_stack([
-            _HEAD.take(g1), _DIGITS.take(g2), _DIGITS.take(g3),
-            _TAIL.take(last * 100 + e), _ONES.take(e % 10),
-        ]).view(_CELL).ravel()[keep]
-    rest = np.ones(n, bool)
-    rest[fixed] = rest[sci] = False
-    rest = np.flatnonzero(rest)
+        words = _mantissa_words(m[sci], (10, 6, 2), (_LEAD, _DIGITS, _DIGITS, _LAST))
+        cells[sci] = np.column_stack(words + [_EXP.take(-exp10[sci])]).view(_CELL).ravel()
     if rest.size:
         text = (_FALLBACK * rest.size % tuple(x[rest].tolist())).translate(_SPACE_TO_NUL)
-        records[rest] = np.frombuffer(text, _CELL)
-    chars = records.view(np.uint8).reshape(n, _RECORD)
-    chars[:, -1] = ord(",")
-    chars.reshape(*block.shape, _RECORD)[:, -1, -1] = ord("\n")
-    return records.tobytes().translate(None, b"\0")
+        cells[rest] = np.frombuffer(text, _CELL)
+    cells.view(np.uint8).reshape(block.shape[0], -1)[:, 0] = ord("\n")
+    return buf.translate(None, b"\0")
 
 
 def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -248,29 +256,35 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> No
 
     ``columns`` are 1-D columns or 2-D blocks of columns, one row per sample.
     Rows are formatted WRITE_BLOCK_ROWS at a time by ``_format_block``, whose
-    bytes equal ``FLOAT_FORMAT % value`` cell for cell. With
-    e0 = floor(log10 x), the 12-digit mantissa m rounds s = x * 10**(11 - e0);
-    a carry to 1e12 bumps the exponent. The power is a correctly rounded
-    literal, so s has two roundings: |s - S| <= 2 * 2**-53 * S < 2.3e-4 for the
-    exact S < 1e12 + 1. Where |frac(s) - 1/2| > 1e-3, 1e11 <= s (log10 may
-    round up just below a power of ten) and the mantissa, carried, is below
-    1e12, s rounds as S does. Such cells are written from digit tables in
-    one of two classes:
+    bytes equal ``FLOAT_FORMAT % value`` cell for cell. Each cell is a record
+    of _RECORD bytes: the separator before it ("\\n" for a row's first cell,
+    else ","), its text, NUL padding; the block is its records without the
+    NULs. So the header is written without its newline and the table ends
+    with one.
 
-    - 1e-4 <= rounded value < 1: "0." and the 15 digits of m * 10**(X + 4)
-      (X the rounded exponent), trailing zeros trimmed;
-    - 1e-99 <= rounded value < 1e-4 with a nonzero last digit:
-      "d.ddddddddddde-XX".
+    With e0 = floor(log10 x), the 12-digit mantissa m rounds
+    s = x * 10**(11 - e0); a carry to 1e12 bumps the exponent to X. The power
+    is a correctly rounded literal, so s has two roundings:
+    |s - S| <= 2 * 2**-53 * S < 2.3e-4 for the exact S < 1e12 + 1. Where
+    |frac(s) - 1/2| > 1e-3, 1e11 <= s (log10 may round up just below a power
+    of ten) and the mantissa, carried, is below 1e12, s rounds as S does. Such
+    cells are written from digit tables in one of two classes:
 
-    Every other cell (zero, negative, >= 1, near a rounding tie, trimmed or
-    3-digit-exponent scientific, not finite) takes one batched Python
-    ``%-20.12g`` per block.
+    - fixed, 1e-4 <= rounded value < 1: "0.", -X-1 zeros and m, trailing zeros
+      trimmed. Its words are stored into every record, with no index;
+    - scientific, 1e-99 <= rounded value < 1e-4: "d.ddddddddddde-XX", trailing
+      zeros of m, and a point left bare, trimmed. Its records are patched over
+      the fixed words by index.
+
+    Every other cell (zero, negative, >= 1, near a rounding tie, 3-digit
+    exponent, not finite) takes one batched Python ``,%-19.12g`` per block.
     """
     with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + b"\n")
+        fh.write(",".join(header).encode())
         for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
             block = np.column_stack([c[start : start + WRITE_BLOCK_ROWS] for c in columns])
             fh.write(_format_block(block))
+        fh.write(b"\n")
 
 
 def _matrix_nonzeros(rep: EffectiveHamiltonianReport | None, cut: float) -> list[list]:

@@ -452,6 +452,19 @@ class TestEnergyUnitEdges:
         assert not list(tmp_path.iterdir())
 
 
+def _count_fallback(monkeypatch) -> list[int]:
+    """The number of cells of each batched Python format in cli, as it runs."""
+    served = []
+
+    class CountingFormat(bytes):
+        def __mul__(self, count):
+            served.append(count)
+            return bytes(self) * count
+
+    monkeypatch.setattr(cli, "_FALLBACK", CountingFormat(cli._FALLBACK))
+    return served
+
+
 class TestOutputBytes:
     """Every CLI output, byte for byte, against referees in tests/oracles.py."""
 
@@ -626,21 +639,40 @@ class TestOutputBytes:
         cli._write_table(tmp_path / "t.csv", header, [table])
         assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, table.tolist()).encode()
 
+    def test_trimmed_scientific(self, tmp_path, monkeypatch):
+        # m * 10**e whose mantissa m ends in 0-11 zeros (a bare digit loses its
+        # point too) and the neighbours of each, in every cell of 1- and
+        # 3-column tables of 1, 256 and 257 rows: a block's first cell and
+        # one-column rows meet each edge of the separator-led records
+        served = _count_fallback(monkeypatch)
+        mantissas = ["123456789123"[:k] for k in range(1, 13)]
+        mantissas += ["11", "15", "101", "99", "100000000001", "123456789"]
+        exponents = [-5, -6, -7, -8, -9, -10, -11, -50, -98, -99]
+        values = np.array([float(f"{d[0]}.{d[1:]}e{e}") for d in mantissas for e in exponents])
+        cells = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, 1)])
+        path = tmp_path / "t.csv"
+        for n_rows in (1, 256, 257):
+            for cols in (1, 3):
+                size = n_rows * cols
+                for start in range(0, cells.size, size):
+                    table = np.resize(np.roll(cells, -start), (n_rows, cols))
+                    header = [f"c{i}" for i in range(cols)]
+                    cli._write_table(path, header, [table])
+                    assert path.read_bytes() == per_value_csv(header, table.tolist()).encode()
+        # Python formats only the powers of ten and their neighbours, whose
+        # log10 may round up; every trimmed mantissa comes from the digit tables
+        served.clear()
+        cli._write_table(path, ["c"], [cells])
+        assert sum(served) <= 3 * len(exponents)
+
     def test_fallback_serves_few_trace_cells(self, tmp_path, monkeypatch):
         # the Python formatter takes the cells the digit tables cannot prove;
-        # on a trace that is a few percent, not every cell
-        served = []
-
-        class CountingFormat(bytes):
-            def __mul__(self, count):
-                served.append(count)
-                return bytes(self) * count
-
-        monkeypatch.setattr(cli, "_FALLBACK", CountingFormat(cli._FALLBACK))
+        # on a trace that is about 1%, not every cell
+        served = _count_fallback(monkeypatch)
         trace = run_scenario(ChainSpec(94, 20.0)).trace
         table = np.column_stack([trace.grid.times, trace.populations, trace.leakage])
         cli._write_table(tmp_path / "t.csv", ["c"] * table.shape[1], [table])
-        assert 0 < sum(served) < 0.1 * table.size
+        assert 0 < sum(served) < 0.02 * table.size
 
     def test_nonzeros_of_dense_matrix(self):
         # a dense basis lists every entry: it pins the row-major order of the listing
