@@ -151,8 +151,6 @@ def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
             f"{unit.h_watch.diag[1]:g} ({exc})"
         ) from exc
     d0 = analysis.zero_basis.shape[1]
-    if not d0:
-        raise ValidationError("chain watch matrix has no zero level")
     # the two ends and at most one zero mode of the interior block, whose
     # eigenvalues are simple: more means the zero-level tolerance took in
     # interior levels next to a large shift

@@ -150,7 +150,8 @@ def fit_slope_through_origin(x: np.ndarray, y: np.ndarray) -> float:
 
 def _end_leakage(hams: ChainHamiltonians, grid: TimeGrid) -> float:
     """delta of |1> over ``grid``, watched on the two end sites."""
-    ends = np.eye(hams.spec.n_sites)[:, [0, -1]]
+    ends = np.zeros((hams.spec.n_sites, 2))
+    ends[0, 0] = ends[-1, 1] = 1.0
     return float(np.max(leakage_series(eig_sym_tridiag(hams.h_total), ends[:, 0], ends, grid)))
 
 

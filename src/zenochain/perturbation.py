@@ -11,10 +11,12 @@ each formed as a d0 x d0 block in an orthonormal basis V0 (N x d0) of the
 zero level and expanded to the N x N site basis only on request. Both take
 V0 and the tridiagonal perturbation H and form H V0 in O(N d0). The order-1
 block needs Qtilde only on the d0 columns of H V0, which one bordered
-tridiagonal solve gives without any eigenvector of a nonzero level. Only
-the dense reduced resolvent needs every level, through a grouped full
-eigendecomposition (``group_levels``); the watch analysis
-(``qzd.analyze_watch``) reads just its zero level.
+tridiagonal solve gives without any eigenvector of a nonzero level, and
+the watch analysis (``qzd.analyze_watch``) reads just the zero level.
+
+Level grouping (``group_levels``, ``ProjectorSet``, ``DegenerateLevel``) and
+the dense ``reduced_resolvent`` are test referees: no program path calls
+them, and they stay for the benchmark's bindings (``perfbench/spans.py``).
 """
 
 from __future__ import annotations
