@@ -31,6 +31,13 @@ _INDEX_MAX = np.iinfo(np.intp).max // 8
 # rows per formatted write: one whole-table string would add its own size
 # (about 18 MiB for a 94-site default simulate) to the peak memory
 WRITE_BLOCK_ROWS = 256
+# library fields a ValidationError names -> the flag that sets them
+_FLAG_OF_FIELD = {
+    "n_sites": "n",
+    "n_steps": "steps",
+    "fluctuation.rng_seed": "seed",
+    "fluctuation.relative_amplitude": "amplitude",
+}
 
 
 def _words(chars: np.ndarray, suffix: bytes = b"") -> np.ndarray:
@@ -481,7 +488,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValidationError(f"{name}: must be at most {_INDEX_MAX}")
         return args.func(args)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        field, sep, rest = str(exc).partition(": ")
+        print(f"error: {_FLAG_OF_FIELD.get(field, field)}{sep}{rest}", file=sys.stderr)
         return 1
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

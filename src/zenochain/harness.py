@@ -19,7 +19,6 @@ from .dynamics import (
     EvolutionTrace,
     LeakageReport,
     TimeGrid,
-    default_time_grid,
     effective_reports,
     leakage_series,
     leakage_trace,
@@ -77,6 +76,13 @@ class ScenarioResult:
         return leakage_trace(self.spectrum, psi0, self.grid, self.leakage_series, mid_state=mid)
 
 
+def _observe(hams: ChainHamiltonians, basis: np.ndarray, window: TimeGrid, grid: TimeGrid):
+    """Eigenpairs of h_total over k, leakage of |1> out of ``basis`` over ``window``, peak at k."""
+    d = eig_sym_tridiag(hams.unit.h_total)
+    series = leakage_series(d, site_one(hams.spec.n_sites), basis, window)
+    return d, series, peak_report(series, grid)
+
+
 def run_scenario(
     spec: ChainSpec,
     n_steps: int = DEFAULT_N_STEPS,
@@ -92,24 +98,22 @@ def run_scenario(
     # an explicit window is checked before any solve
     grid = None if t_max is None else TimeGrid(t_max, n_steps)
     hams = build_chain(spec)
-    psi0 = site_one(spec.n_sites)
 
     analysis = effective_reports(hams)
-    classification = analysis.classify(psi0)
+    classification = analysis.classify(site_one(spec.n_sites))
     if grid is None:
         window = unit_window(hams.unit, analysis.cycle(classification.order), n_steps)
         grid = TimeGrid(from_units_of_k(window.t_max, spec.k, -1), n_steps)
     else:
         window = unit_window(hams.unit, t_max * spec.k, n_steps, "t_max")
 
-    d = eig_sym_tridiag(hams.unit.h_total)
-    series = leakage_series(d, psi0, analysis.zero_basis, window)
+    d, series, leakage = _observe(hams, analysis.zero_basis, window, grid)
     w = from_units_of_k(d.eigenvalues, spec.k, 1, default_grouping_tolerance(d.eigenvalues))
     return ScenarioResult(
         hams=hams,
         grid=grid,
         spectrum=SpectralDecomposition(w, d.eigenvectors),
-        leakage=peak_report(series, grid),
+        leakage=leakage,
         leakage_series=series,
         classification=classification,
         order0=analysis.order0,
@@ -148,13 +152,6 @@ def fit_slope_through_origin(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y) / denom)
 
 
-def _end_leakage(hams: ChainHamiltonians, grid: TimeGrid) -> float:
-    """delta of |1> over ``grid``, watched on the two end sites."""
-    ends = np.zeros((hams.spec.n_sites, 2))
-    ends[0, 0] = ends[-1, 1] = 1.0
-    return float(np.max(leakage_series(eig_sym_tridiag(hams.h_total), ends[:, 0], ends, grid)))
-
-
 def run_sweep(
     g_list: list[float],
     n_list: list[int],
@@ -162,11 +159,11 @@ def run_sweep(
 ) -> SweepResult:
     """Measure delta over a (G, N) grid with lam = G / f(N) per cell.
 
-    An unshifted watch holds no lam, nor does the order that moves |1>, so
-    each N is analysed and classified once and each cell reads that order's
-    cycle at its own lam. The slope of mean delta against G^2 is fitted
-    through the origin over the G values whose mean delta lies above the
-    round-off floor ``DELTA_FIT_FLOOR`` and below the fit's validity limit.
+    An unshifted watch holds no lam, nor does the order that moves |1>, so each
+    N is analysed and classified once; each cell watches that zero basis over
+    the order's cycle at its own lam. The slope of mean delta against G^2 is
+    fitted through the origin over the G values whose mean delta lies above
+    the round-off floor ``DELTA_FIT_FLOOR`` and below the fit's validity limit.
     """
     if not g_list or not n_list:
         raise ValidationError("sweep: g_list and n_list must be non-empty")
@@ -195,7 +192,7 @@ def run_sweep(
         hams = build_chain(ChainSpec(n_sites=n_list[j], lambda_inv=float(lam_inv)))
         t_max = replace(analyses[j], lam=hams.spec.lam).cycle(orders[j])
         grid = unit_window(hams, t_max, n_steps, f"sweep: G={g_list[i]:g}")
-        delta[i, j] = _end_leakage(hams, grid)
+        delta[i, j] = _observe(hams, analyses[j].zero_basis, grid, grid)[2].delta
 
     mean_delta = delta.mean(axis=1)
     spread = np.max(np.abs(delta - mean_delta[:, None]), axis=1)
@@ -225,24 +222,26 @@ def run_fluctuation_trials(
     Returns ``(corner_element, delta)``, two arrays of length ``trials``:
     trial j seeds its generator with seed + j and gives the reduced
     resolvent's corner element <2|Qtilde|N-1> (the corner of the
-    interior-block inverse) and the measured delta of the full dynamics,
-    over the default window of the same chain without coupling noise, all
-    in units of k; the corner, an inverse energy, is read over k.
+    interior-block inverse, read over k) and the delta of the full dynamics
+    in units of k, on the zero basis {|1>, |N>} and over the default window
+    of one watch analysis of the chain without coupling noise.
     """
     if trials < 1:
         raise ValidationError("trials: must be >= 1")
     if n_sites % 2 != 0:
         raise ValidationError("n_sites: fluctuation trials are defined for even chains")
-    noise_free = ChainSpec(n_sites=n_sites, lambda_inv=lambda_inv, k=k).in_units_of_k()
+    noise_free = build_chain(ChainSpec(n_sites, lambda_inv, k=k).in_units_of_k())
+    analysis = effective_reports(noise_free)
+    order = analysis.classify(site_one(n_sites)).order
     # the window's phase check covers every trial: 20% bond noise keeps
     # max|eta| below 2.4 max|H_total| of the noise-free chain, inside its bound
-    grid = default_time_grid(build_chain(noise_free), n_steps)
+    grid = unit_window(noise_free, analysis.cycle(order), n_steps)
 
     corner_element, delta = np.empty(trials), np.empty(trials)
     for j in range(trials):
         noise = CouplingFluctuation(amplitude, seed + j)
-        hams = build_chain(replace(noise_free, fluctuation=noise))
+        hams = build_chain(replace(noise_free.spec, fluctuation=noise))
         corner = -inverse_corner_tridiag(interior_block(hams.h_watch))
         corner_element[j] = from_units_of_k(corner, k, -1)
-        delta[j] = _end_leakage(hams, grid)
+        delta[j] = _observe(hams, analysis.zero_basis, grid, grid)[2].delta
     return corner_element, delta

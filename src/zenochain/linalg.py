@@ -4,7 +4,9 @@ Eigendecomposition (full, eigenvalues only, or a few eigenvectors), a
 bordered tridiagonal solve, spectral time evolution over a uniform
 ``TimeGrid`` and the corner element of a tridiagonal inverse. Every
 Hamiltonian in this package is real symmetric, so eigenvectors are kept
-real and time evolution only multiplies them by complex phases.
+real and time evolution only multiplies them by complex phases. f2py's
+LAPACK wrappers reject an empty off-diagonal, so a 1 x 1 matrix goes to
+every LAPACK call with one unread zero entry there (``_lapack_offdiag``).
 """
 
 from __future__ import annotations
@@ -71,10 +73,7 @@ class SymTridiagMatrix:
         return out
 
     def max_abs_entry(self) -> float:
-        m = float(np.max(np.abs(self.diag)))
-        if self.offdiag.size:
-            m = max(m, float(np.max(np.abs(self.offdiag))))
-        return m
+        return float(max(np.max(np.abs(self.diag)), np.max(np.abs(self.offdiag), initial=0.0)))
 
     def frobenius_norm(self) -> float:
         return math.sqrt(float(self.diag @ self.diag + 2.0 * self.offdiag @ self.offdiag))
@@ -111,6 +110,11 @@ class SpectralDecomposition:
     @property
     def size(self) -> int:
         return self.eigenvalues.size
+
+
+def _lapack_offdiag(m: SymTridiagMatrix) -> np.ndarray:
+    """m's off-diagonal, or one unread zero entry at N = 1."""
+    return m.offdiag if m.size > 1 else np.zeros(1)
 
 
 def _dstevd(diag: np.ndarray, offdiag: np.ndarray, size: int, vectors: bool):
@@ -159,11 +163,9 @@ def eig_sym_tridiag(m: SymTridiagMatrix) -> SpectralDecomposition:
     -reversed v/sqrt2); the two sets merge by a stable sort of their eigenvalues.
     """
     n = m.size
-    if n == 1:
-        return SpectralDecomposition(m.diag.copy(), np.ones((1, 1)))
     blocks = _parity_blocks(m)
     if not blocks:
-        w, v = _dstevd(m.diag, m.offdiag, n, vectors=True)
+        w, v = _dstevd(m.diag, _lapack_offdiag(m), n, vectors=True)
         return SpectralDecomposition(w, v)
     h = n // 2
     (ws, vs), (wa, va) = (_dstevd(d, e, n, vectors=True) for d, e in blocks)
@@ -192,9 +194,7 @@ def eigvals_sym_tridiag(m: SymTridiagMatrix) -> np.ndarray:
     mirror-symmetric m of at least ``PARITY_MIN_SIZE`` sites as its two
     parity blocks (see ``eig_sym_tridiag``).
     """
-    if m.size == 1:
-        return m.diag.copy()
-    blocks = _parity_blocks(m) or ((m.diag, m.offdiag),)
+    blocks = _parity_blocks(m) or ((m.diag, _lapack_offdiag(m)),)
     w = np.concatenate([_dstevd(d, e, m.size, vectors=False)[0] for d, e in blocks])
     w.sort()
     return w
@@ -206,14 +206,11 @@ def eigvecs_sym_tridiag(m: SymTridiagMatrix, lo: int, hi: int) -> np.ndarray:
     Bisection (``dstebz``) and inverse iteration (``dstein``) for those
     eigenvalues only; columns are ascending.
     """
-    if m.size == 1:
-        return np.ones((1, hi - lo))
-    count, w, block, split, info = lapack.dstebz(
-        m.diag, m.offdiag, 2, 0.0, 0.0, lo + 1, hi, 0.0, "B"
-    )
+    e = _lapack_offdiag(m)
+    count, w, block, split, info = lapack.dstebz(m.diag, e, 2, 0.0, 0.0, lo + 1, hi, 0.0, "B")
     if info == 0:
         order = np.argsort(w[:count], kind="stable")
-        v, info = lapack.dstein(m.diag, m.offdiag, w[:count], block, split)
+        v, info = lapack.dstein(m.diag, e, w[:count], block, split)
     if info != 0:
         raise NumericalFailureError(
             f"tridiagonal eigenvector solver failed on a {m.size}x{m.size} matrix"
@@ -365,7 +362,7 @@ def inverse_corner_tridiag(m: SymTridiagMatrix) -> float:
     n = m.size
     rhs = np.zeros((n, 1))
     rhs[-1] = 1.0
-    off = m.offdiag if n > 1 else np.zeros(1)  # f2py wants one unread entry at N = 1
+    off = _lapack_offdiag(m)
     *_, x, rcond, _, _, info = lapack.dgtsvx(off, m.diag, off, rhs)
     if info > 0:
         raise SingularMatrixError(

@@ -1047,7 +1047,27 @@ class TestHelp:
 class TestExitCodes:
     def test_validation_error_is_1(self, capsys):
         assert run_cli("simulate", "--n", "3", "--lambda-inv", "5") == 1
-        assert "n_sites" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: n: must be an integer >= 4\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--n", "3"], "n"),
+        (["classify", "--n", "3"], "n"),
+        (["bound", "--n", "5"], "n"),
+        (["fluctuate", "--n", "9"], "n"),
+        (["simulate", "--n", "10", "--steps", "0"], "steps"),
+        (["sweep", "--steps", "0"], "steps"),
+        (["fluctuate", "--n", "10", "--steps", "0"], "steps"),
+        (["fluctuate", "--n", "10", "--seed", "-1"], "seed"),
+        (["fluctuate", "--n", "10", "--amplitude", "0.3"], "amplitude"),
+    ])
+    def test_library_field_error_names_the_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # read n_sites, n_steps, fluctuation.rng_seed or
+        # fluctuation.relative_amplitude: fields of the library, no flags
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: "), lines
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_flag_is_1(self, capsys):
         assert run_cli("simulate", "--frequency", "3") == 1

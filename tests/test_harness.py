@@ -129,7 +129,7 @@ class TestSweep:
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(harness, "_end_leakage", no_cell)
+        monkeypatch.setattr(harness, "_observe", no_cell)
         message = f"^sweep: G must be finite and positive, got {g:g}$"
         with pytest.raises(ValidationError, match=message):
             run_sweep([0.1, g], [4])
@@ -144,7 +144,7 @@ class TestSweep:
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(harness, "_end_leakage", no_cell)
+        monkeypatch.setattr(harness, "_observe", no_cell)
         with pytest.raises(ValidationError, match=f"^sweep: {message}$"):
             run_sweep(g_list, n_list)
 
@@ -202,6 +202,22 @@ class TestFluctuationTrials:
             spec = ChainSpec(10, 20.0, fluctuation=CouplingFluctuation(0.05, 7 + j))
             d = eig_sym_tridiag(build_chain(spec).h_total)
             assert delta == float(np.max(leakage_series(d, ends[:, 0], ends, grid)))
+
+    @pytest.mark.parametrize("n_sites, amplitude, lambda_inv", [
+        (6, 0.05, 20.0), (10, 0.2, 2.5), (24, 0.1, 7.0), (70, 0.2, 20.0),
+    ])
+    def test_trials_are_scenarios(self, n_sites, amplitude, lambda_inv):
+        # each trial watches the noise-free chain's zero basis, which is
+        # {|1>, |N>} for every noisy even chain, over the noise-free default
+        # window; run_scenario on the noisy chain over that window gives the
+        # same delta, bit for bit (at k = 1, where the window needs no rescaling)
+        seed, n_steps = 11, 300
+        _, deltas = run_fluctuation_trials(n_sites, amplitude, 4, seed, lambda_inv, n_steps=n_steps)
+        t_max = default_time_grid(build_chain(ChainSpec(n_sites, lambda_inv)), n_steps).t_max
+        for j, delta in enumerate(deltas):
+            noise = CouplingFluctuation(amplitude, seed + j)
+            spec = ChainSpec(n_sites, lambda_inv, fluctuation=noise)
+            assert delta == run_scenario(spec, n_steps, t_max=t_max).leakage.delta, spec
 
     def test_deterministic_given_seed(self):
         a = run_fluctuation_trials(8, 0.05, 4, seed=3, n_steps=200)
