@@ -99,7 +99,6 @@ class _Parser(argparse.ArgumentParser):
     commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
         raise ValidationError(message)
 
 

@@ -18,25 +18,23 @@ from .dynamics import (
     DEFAULT_N_STEPS,
     EvolutionTrace,
     LeakageReport,
+    Observation,
     TimeGrid,
-    effective_reports,
-    leakage_series,
     leakage_trace,
-    peak_report,
+    observe,
     site_one,
-    unit_window,
 )
-from .errors import ValidationError
+from .errors import NumericalFailureError, ValidationError
 from .linalg import SpectralDecomposition, eig_sym_tridiag, inverse_corner_tridiag
 from .perturbation import EffectiveHamiltonianReport, default_grouping_tolerance
-from .qzd import QzdClassification, from_units_of_k
+from .qzd import QzdClassification, WatchAnalysis, analyze_watch, from_units_of_k
 
 # Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
 from .dynamics import measure_leakage, simulate  # noqa: F401
 from .perturbation import group_levels, hqzd_order0, hqzd_order1, reduced_resolvent  # noqa: F401
 from .qzd import classify  # noqa: F401
 
-# A mean delta at or below this is round-off of ``leakage_series``, not
+# A mean delta at or below this is round-off of ``observe``'s series, not
 # leakage. Where the true delta is below eps (G <= 1e-9), the computed one
 # is 1 minus a watched norm off by a few ulps: at most about 11 eps on
 # chains of 4 to 200 sites, at 200 and 4000 steps. G = 1e-7 already gives
@@ -49,18 +47,18 @@ DELTA_FIT_FLOOR = 64 * np.finfo(float).eps
 class ScenarioResult:
     """Everything a single-chain run produces, read from units of k.
 
-    ``spectrum`` is the eigendecomposition of h_total and
-    ``leakage_series`` the leakage at every grid time, whose peak is
-    ``leakage``. ``trace``, every site's population at every grid time, is
-    built from the spectrum on first read and then kept; its leakage is
-    ``leakage_series``.
+    ``spectrum`` is the eigendecomposition of h_total and ``observation``
+    the watch of |1> on ``zero_basis`` (its spectrum in units of k), whose
+    peak is ``leakage``. ``trace``, every site's population at every grid
+    time, is built from the spectrum on first read and then kept; its
+    leakage is ``observation.series``.
     """
 
     hams: ChainHamiltonians
     grid: TimeGrid
     spectrum: SpectralDecomposition
     leakage: LeakageReport
-    leakage_series: np.ndarray
+    observation: Observation
     classification: QzdClassification
     order0: EffectiveHamiltonianReport
     order1: EffectiveHamiltonianReport
@@ -73,14 +71,64 @@ class ScenarioResult:
         if spec.n_sites % 2 == 1 and not spec.is_modified:
             mid = analytic.phi_mid(spec.n_sites)
         psi0 = site_one(spec.n_sites)
-        return leakage_trace(self.spectrum, psi0, self.grid, self.leakage_series, mid_state=mid)
+        return leakage_trace(self.spectrum, psi0, self.grid, self.observation.series, mid)
+
+
+def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
+    """The chain's watch analysis, solved in units of k (``hams.unit``) and read at k."""
+    unit = hams.unit
+    try:
+        analysis = analyze_watch(unit.h_watch, unit.h_weak, unit.spec.lam, hams.spec.k)
+    except NumericalFailureError as exc:
+        if not unit.spec.is_modified:
+            raise
+        # the shift lam delta_omega / k is what the solves could not take
+        raise ValidationError(
+            f"delta_omega: the watch analysis fails at lam * delta_omega / k = "
+            f"{unit.h_watch.diag[1]:g} ({exc})"
+        ) from exc
+    d0 = analysis.zero_basis.shape[1]
+    # the two ends and at most one zero mode of the interior block, whose
+    # eigenvalues are simple: more means the zero-level tolerance took in
+    # interior levels next to a large shift
+    if unit.spec.is_modified and d0 > 3:
+        raise ValidationError(
+            f"delta_omega: the zero level has {d0} > 3 dimensions at "
+            f"lam * delta_omega / k = {unit.h_watch.diag[1]:g}"
+        )
+    return analysis
+
+
+def unit_window(
+    unit: ChainHamiltonians, t_max: float, n_steps: int, name: str = "lambda_inv"
+) -> TimeGrid:
+    """The grid over [0, t_max] in units of 1/k of a chain in units of k."""
+    # its largest phase max|eta| t_max is at most 3 max|H_total| t_max
+    if not math.isfinite(3.0 * unit.h_total.max_abs_entry() * t_max):
+        raise ValidationError(
+            f"{name}: the window's largest phase max|eta| t_max is not finite "
+            f"(t_max = {t_max:g} in units of 1/k)"
+        )
+    return TimeGrid(t_max, n_steps)
+
+
+def _window(hams: ChainHamiltonians, n_steps: int, grid: TimeGrid | None = None):
+    """The watch analysis, the class of |1>, and the window in units of 1/k and
+    at k: ``grid`` if given, else one cycle of the class's order (``WatchAnalysis.cycle``)."""
+    analysis = effective_reports(hams)
+    classification = analysis.classify(site_one(hams.spec.n_sites))
+    if grid is None:
+        window = unit_window(hams.unit, analysis.cycle(classification.order), n_steps)
+        grid = TimeGrid(from_units_of_k(window.t_max, hams.spec.k, -1), n_steps)
+    else:
+        window = unit_window(hams.unit, grid.t_max * hams.spec.k, n_steps, "t_max")
+    return analysis, classification, window, grid
 
 
 def _observe(hams: ChainHamiltonians, basis: np.ndarray, window: TimeGrid, grid: TimeGrid):
-    """Eigenpairs of h_total over k, leakage of |1> out of ``basis`` over ``window``, peak at k."""
+    """|1> under h_total over k, watched on ``basis`` over ``window``, its peak dated at k."""
     d = eig_sym_tridiag(hams.unit.h_total)
-    series = leakage_series(d, site_one(hams.spec.n_sites), basis, window)
-    return d, series, peak_report(series, grid)
+    return observe(d, site_one(hams.spec.n_sites), basis, window, grid)
 
 
 def run_scenario(
@@ -99,22 +147,16 @@ def run_scenario(
     grid = None if t_max is None else TimeGrid(t_max, n_steps)
     hams = build_chain(spec)
 
-    analysis = effective_reports(hams)
-    classification = analysis.classify(site_one(spec.n_sites))
-    if grid is None:
-        window = unit_window(hams.unit, analysis.cycle(classification.order), n_steps)
-        grid = TimeGrid(from_units_of_k(window.t_max, spec.k, -1), n_steps)
-    else:
-        window = unit_window(hams.unit, t_max * spec.k, n_steps, "t_max")
-
-    d, series, leakage = _observe(hams, analysis.zero_basis, window, grid)
-    w = from_units_of_k(d.eigenvalues, spec.k, 1, default_grouping_tolerance(d.eigenvalues))
+    analysis, classification, window, grid = _window(hams, n_steps, grid)
+    obs = _observe(hams, analysis.zero_basis, window, grid)
+    eta, u = obs.spectrum.eigenvalues, obs.spectrum.eigenvectors
+    eta_at_k = from_units_of_k(eta, spec.k, 1, default_grouping_tolerance(eta))
     return ScenarioResult(
         hams=hams,
         grid=grid,
-        spectrum=SpectralDecomposition(w, d.eigenvectors),
-        leakage=leakage,
-        leakage_series=series,
+        spectrum=SpectralDecomposition(eta_at_k, u),
+        leakage=obs.peak,
+        observation=obs,
         classification=classification,
         order0=analysis.order0,
         order1=analysis.order1,
@@ -192,7 +234,7 @@ def run_sweep(
         hams = build_chain(ChainSpec(n_sites=n_list[j], lambda_inv=float(lam_inv)))
         t_max = replace(analyses[j], lam=hams.spec.lam).cycle(orders[j])
         grid = unit_window(hams, t_max, n_steps, f"sweep: G={g_list[i]:g}")
-        delta[i, j] = _observe(hams, analyses[j].zero_basis, grid, grid)[2].delta
+        delta[i, j] = _observe(hams, analyses[j].zero_basis, grid, grid).peak.delta
 
     mean_delta = delta.mean(axis=1)
     spread = np.max(np.abs(delta - mean_delta[:, None]), axis=1)
@@ -231,11 +273,9 @@ def run_fluctuation_trials(
     if n_sites % 2 != 0:
         raise ValidationError("n_sites: fluctuation trials are defined for even chains")
     noise_free = build_chain(ChainSpec(n_sites, lambda_inv, k=k).in_units_of_k())
-    analysis = effective_reports(noise_free)
-    order = analysis.classify(site_one(n_sites)).order
     # the window's phase check covers every trial: 20% bond noise keeps
     # max|eta| below 2.4 max|H_total| of the noise-free chain, inside its bound
-    grid = unit_window(noise_free, analysis.cycle(order), n_steps)
+    analysis, _, grid, _ = _window(noise_free, n_steps)
 
     corner_element, delta = np.empty(trials), np.empty(trials)
     for j in range(trials):
@@ -243,5 +283,5 @@ def run_fluctuation_trials(
         hams = build_chain(replace(noise_free.spec, fluctuation=noise))
         corner = -inverse_corner_tridiag(interior_block(hams.h_watch))
         corner_element[j] = from_units_of_k(corner, k, -1)
-        delta[j] = _observe(hams, analysis.zero_basis, grid, grid)[2].delta
+        delta[j] = _observe(hams, analysis.zero_basis, grid, grid).peak.delta
     return corner_element, delta

@@ -22,7 +22,6 @@ from zenochain.analytic import (
     toeplitz_eigenpair,
 )
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
-from zenochain.dynamics import default_time_grid
 from zenochain.errors import ValidationError
 from zenochain.harness import run_scenario
 from zenochain.linalg import eig_sym_tridiag
@@ -213,7 +212,7 @@ class TestFourSiteExactPeak:
     @pytest.mark.parametrize("k, lambda_inv", FOUR_SITE_CASES)
     def test_matches_refined_expm_peak(self, k, lambda_inv):
         hams = build_chain(ChainSpec(4, lambda_inv, k=k))
-        grid = default_time_grid(hams)
+        grid = run_scenario(hams.spec).grid
         psi0 = np.eye(4)[0]
         _, refined = expm_leakage_peak(
             hams.h_total.to_dense(), psi0, [0, 3], grid.t_max, grid.n_steps

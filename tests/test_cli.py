@@ -222,8 +222,9 @@ class TestClassify:
     ])
     def test_flag_prefixes_are_not_flags(self, capsys, argv):
         # a prefix escaped the join of a float flag and its negative value
+        # one stderr line: the error, without argparse's usage line
         assert run_cli("classify", "--n", "9", *argv) == 1
-        assert f"error: unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(argv)}\n"
 
     def test_far_cluster_does_not_stop_a_shifted_chain(self, capsys):
         # exited 1: levels far from zero chained into one cluster wider than
@@ -783,7 +784,7 @@ class TestBound:
         # printed the bound and wrote nothing, silently
         monkeypatch.chdir(tmp_path)
         assert run_cli("bound", "--n", "4", "--out", "x") == 1
-        assert "unrecognized arguments: --out x" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unrecognized arguments: --out x\n"
         assert not list(tmp_path.iterdir())
 
     def test_out_in_a_config_file_is_ignored(self, tmp_path, monkeypatch, capsys):
@@ -1010,7 +1011,7 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n=4\nsteps=x\n")
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
-        assert "argument --steps: invalid int value: 'x'" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: argument --steps: invalid int value: 'x'\n"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.cfg"]
 
     def test_config_that_is_not_utf8_is_1(self, tmp_path, capsys):

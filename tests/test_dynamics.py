@@ -10,13 +10,7 @@ from numpy.testing import assert_allclose
 
 from zenochain.analytic import delta_estimate, g_n, phi_mid
 from zenochain.chain import ChainSpec, build_chain
-from zenochain.dynamics import (
-    TimeGrid,
-    default_time_grid,
-    leakage_series,
-    measure_leakage,
-    simulate,
-)
+from zenochain.dynamics import TimeGrid, measure_leakage, observe, simulate
 from zenochain.errors import UnsupportedConfigurationError, ValidationError
 from zenochain.harness import effective_reports, run_scenario
 from zenochain.linalg import SpectralDecomposition, SymTridiagMatrix, eig_sym_tridiag, evolve_grid
@@ -81,7 +75,7 @@ class TestSimulate:
         hams = build_chain(spec)
         ends = end_sites(7)
         basis = np.column_stack([ends[:, 0], ends[:, 1], phi_mid(7)])
-        grid = default_time_grid(hams, 400)
+        grid = run_scenario(spec, 400).grid
         trace = simulate(hams.h_total, np.eye(7)[0], grid, basis)
 
         d = eig_sym_tridiag(hams.h_total)
@@ -139,7 +133,7 @@ def kernel_cases(draw):
         psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi0 /= np.linalg.norm(psi0)
     basis = effective_reports(hams).zero_basis
-    return hams, psi0, basis, default_time_grid(hams, steps)
+    return hams, psi0, basis, run_scenario(hams.spec, steps).grid
 
 
 def states_leakage(d, psi0, basis, grid) -> np.ndarray:
@@ -154,7 +148,7 @@ class TestLeakageSeries:
     def test_matches_simulate(self, case):
         hams, psi0, basis, grid = case
         d = eig_sym_tridiag(hams.h_total)
-        got = leakage_series(d, psi0, basis, grid)
+        got = observe(d, psi0, basis, grid).series
         assert np.array_equal(simulate(hams.h_total, psi0, grid, basis).leakage, got)
         want = states_leakage(d, psi0, basis, grid)
         assert got.shape == want.shape
@@ -168,7 +162,7 @@ class TestLeakageSeries:
         d = SpectralDecomposition(*np.linalg.eigh(eff))
         for basis in (result.zero_basis, end_sites(8)[:, :1]):
             want = states_leakage(d, np.eye(8)[0], basis, grid)
-            got = leakage_series(d, np.eye(8)[0], basis, grid)
+            got = observe(d, np.eye(8)[0], basis, grid).series
             assert_allclose(got, want, rtol=0.0, atol=1e-13)
         assert np.max(got) == pytest.approx(1.0, abs=1e-6)
 
@@ -186,9 +180,70 @@ class TestLeakageSeries:
             with pytest.raises(ValidationError) as want:
                 simulate(hams.h_total, psi0, grid, basis)
             with pytest.raises(ValidationError) as got:
-                leakage_series(d, psi0, basis, grid)
+                observe(d, psi0, basis, grid)
             assert type(got.value) is type(want.value)
             assert str(got.value) == str(want.value)
+
+
+SLOW_SET_CASES = [
+    (family, lam_inv, delta_omega)
+    for family, delta_omegas in (("even", (None,)), ("odd", (None,)), ("shifted_odd", (20.0, 1e3)))
+    for lam_inv in (2.5, 20.0, 1e4)
+    for delta_omega in delta_omegas
+]
+
+
+class TestObservation:
+    @pytest.mark.parametrize("family, lam_inv, delta_omega", SLOW_SET_CASES)
+    def test_slow_set_and_margin_match_dense_eigh(self, family, lam_inv, delta_omega):
+        # the weights ||V0^T u_n||^2 from np.linalg.eigh of the dense h_total,
+        # on the ends (and the mid zero mode of an unshifted odd chain); the
+        # slow set must agree wherever the referee's margin sets it apart
+        sizes = range(4, 61, 2) if family == "even" else range(5, 60, 2)
+        for n in [*sizes, 150 if family == "even" else 151]:
+            spec = ChainSpec(n, lam_inv, delta_omega=delta_omega)
+            result = run_scenario(spec, 4, t_max=1.0)
+            basis = end_sites(n)
+            if family == "odd":
+                basis = np.column_stack([basis, phi_mid(n)])
+            assert_allclose(result.zero_basis @ result.zero_basis.T, basis @ basis.T, atol=1e-10)
+            u = np.linalg.eigh(build_chain(spec).h_total.to_dense())[1]
+            weight = np.sum((basis.T @ u) ** 2, axis=0)
+            rank = np.argsort(-weight, kind="stable")
+            d0 = basis.shape[1]
+            margin = weight[rank[d0 - 1]] - weight[rank[d0]]
+            obs = result.observation
+            assert abs(obs.weight_margin - margin) <= 1e-12, spec
+            if margin > 1e-10:
+                assert np.array_equal(obs.slow, np.sort(rank[:d0])), spec
+
+    def test_weights_are_the_watched_amplitudes(self):
+        # w = (V0^T U) * c with c = U^T psi0, the spectrum in units of k
+        spec = ChainSpec(9, 20.0, k=3.0)
+        result = run_scenario(spec, 50)
+        obs = result.observation
+        u = obs.spectrum.eigenvectors
+        unit = eig_sym_tridiag(build_chain(spec).unit.h_total)
+        assert np.array_equal(obs.spectrum.eigenvalues, unit.eigenvalues)
+        assert np.array_equal(obs.c, u[0] + 0j)
+        assert np.array_equal(obs.w, (result.zero_basis.T @ u) * obs.c)
+        assert np.array_equal(obs.series, result.trace.leakage)
+        assert obs.peak == result.leakage
+
+    def test_tie_goes_to_the_lower_index(self):
+        # one watched vector split evenly over eigenvectors 1 and 2
+        d = SpectralDecomposition(np.arange(4.0), np.eye(4))
+        basis = (np.eye(4)[:, [1]] + np.eye(4)[:, [2]]) / np.sqrt(2.0)
+        obs = observe(d, np.eye(4)[0], basis, TimeGrid(1.0, 4))
+        assert obs.slow.tolist() == [1]
+        assert obs.weight_margin == 0.0
+
+    def test_full_basis_has_no_leakage(self):
+        d = eig_sym_tridiag(build_chain(ChainSpec(6, 5.0)).h_total)
+        obs = observe(d, np.eye(6)[0], np.eye(6), TimeGrid(1.0, 10))
+        assert obs.slow.tolist() == list(range(6))
+        assert obs.weight_margin == pytest.approx(1.0, abs=1e-12)
+        assert np.max(obs.series) <= 1e-14
 
 
 class TestMeasureLeakage:
@@ -238,34 +293,31 @@ WINDOW_CASES = [
 
 class TestDefaultWindow:
     def test_even_window_is_one_effective_cycle(self):
-        hams = build_chain(ChainSpec(4, 20.0))
-        grid = default_time_grid(hams)
+        grid = run_scenario(ChainSpec(4, 20.0)).grid
         assert grid.t_max == pytest.approx(np.pi * 20.0 / K, rel=1e-12)
         assert grid.n_steps == 4000
 
     def test_modified_odd_window(self):
-        hams = build_chain(ChainSpec(5, 20.0, delta_omega=20.0))
-        assert default_time_grid(hams).t_max == pytest.approx(np.pi * 20.0 / K**2, rel=1e-12)
+        grid = run_scenario(ChainSpec(5, 20.0, delta_omega=20.0)).grid
+        assert grid.t_max == pytest.approx(np.pi * 20.0 / K**2, rel=1e-12)
 
     def test_unmodified_odd_window(self):
-        hams = build_chain(ChainSpec(5, 20.0))
-        assert default_time_grid(hams).t_max == pytest.approx(np.pi * 2.0 / K, rel=1e-12)
+        grid = run_scenario(ChainSpec(5, 20.0)).grid
+        assert grid.t_max == pytest.approx(np.pi * 2.0 / K, rel=1e-12)
 
     @pytest.mark.parametrize("family, n, k, lam_inv", WINDOW_CASES)
     def test_window_matches_closed_form(self, family, n, k, lam_inv):
         # pi lam_inv / k (even), pi sqrt(N-1) / k (unshifted odd) and
         # pi |delta_omega| / k^2 (shifted odd) referee the one cycle rule
         spec, closed_form = _closed_form_window(family, n, k, lam_inv)
-        assert default_time_grid(build_chain(spec), 10).t_max == pytest.approx(
-            closed_form, rel=1e-12
-        )
+        assert run_scenario(spec, 10).grid.t_max == pytest.approx(closed_form, rel=1e-12)
 
     def test_shifted_even_window_is_its_order1_cycle(self):
         # no closed form: the window is 2 pi over the order-1 block's level gap,
         # shorter than the unshifted pi lam_inv / k
-        hams = build_chain(ChainSpec(4, 20.0, delta_omega=5.0))
-        levels = np.linalg.eigvalsh(effective_reports(hams).order1.block)
-        t_max = default_time_grid(hams).t_max
+        spec = ChainSpec(4, 20.0, delta_omega=5.0)
+        levels = np.linalg.eigvalsh(effective_reports(build_chain(spec)).order1.block)
+        t_max = run_scenario(spec).grid.t_max
         assert t_max == pytest.approx(2.0 * np.pi / (levels[1] - levels[0]), rel=1e-12)
         assert t_max == pytest.approx(62.3467, abs=1e-4)
         assert t_max < np.pi * 20.0 / K
@@ -274,7 +326,7 @@ class TestDefaultWindow:
 class TestDynamicsProperties:
     def test_norm_and_energy_conservation(self):
         hams = build_chain(ChainSpec(6, 20.0))
-        grid = default_time_grid(hams, n_steps=800)
+        grid = run_scenario(hams.spec, n_steps=800).grid
         d = eig_sym_tridiag(hams.h_total)
         psi0 = np.zeros(6, dtype=complex)
         psi0[0] = 1.0

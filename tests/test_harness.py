@@ -24,7 +24,7 @@ import zenochain
 from zenochain import cli, dynamics, harness, linalg, perturbation, qzd
 from zenochain.analytic import f_of_n, qtilde_fluctuating_corner
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
-from zenochain.dynamics import default_time_grid, leakage_series, measure_leakage, site_one
+from zenochain.dynamics import default_time_grid, measure_leakage, observe, site_one
 from zenochain.errors import (
     ClusteringError,
     NumericalFailureError,
@@ -195,13 +195,13 @@ class TestFluctuationTrials:
     def test_every_trial_uses_the_noise_free_window(self):
         # the window is computed once, from the chain without coupling noise
         _, deltas = run_fluctuation_trials(10, 0.05, 5, seed=7, n_steps=200)
-        grid = default_time_grid(build_chain(ChainSpec(10, 20.0)), 200)
+        grid = run_scenario(ChainSpec(10, 20.0), 200).grid
         ends = np.eye(10)[:, [0, -1]]
         assert deltas.shape == (5,)
         for j, delta in enumerate(deltas):
             spec = ChainSpec(10, 20.0, fluctuation=CouplingFluctuation(0.05, 7 + j))
             d = eig_sym_tridiag(build_chain(spec).h_total)
-            assert delta == float(np.max(leakage_series(d, ends[:, 0], ends, grid)))
+            assert delta == float(np.max(observe(d, ends[:, 0], ends, grid).series))
 
     @pytest.mark.parametrize("n_sites, amplitude, lambda_inv", [
         (6, 0.05, 20.0), (10, 0.2, 2.5), (24, 0.1, 7.0), (70, 0.2, 20.0),
@@ -213,7 +213,7 @@ class TestFluctuationTrials:
         # same delta, bit for bit (at k = 1, where the window needs no rescaling)
         seed, n_steps = 11, 300
         _, deltas = run_fluctuation_trials(n_sites, amplitude, 4, seed, lambda_inv, n_steps=n_steps)
-        t_max = default_time_grid(build_chain(ChainSpec(n_sites, lambda_inv)), n_steps).t_max
+        t_max = run_scenario(ChainSpec(n_sites, lambda_inv), n_steps).grid.t_max
         for j, delta in enumerate(deltas):
             noise = CouplingFluctuation(amplitude, seed + j)
             spec = ChainSpec(n_sites, lambda_inv, fluctuation=noise)
@@ -519,7 +519,7 @@ class TestBondSignGauge:
         # both leakages on the grid of the ungauged chain's cycle
         grid = TimeGrid(plain.cycle(c.order), 400)
         delta, delta_gauged = (
-            np.max(leakage_series(eig_sym_tridiag(h), psi0, a.zero_basis, grid))
+            np.max(observe(eig_sym_tridiag(h), psi0, a.zero_basis, grid).series)
             for h, a in ((hams.h_total, plain), (flip(hams.h_total), gauged))
         )
         assert delta_gauged == pytest.approx(delta, rel=1e-7)
@@ -635,7 +635,7 @@ class TestOneWatchAnalysis:
             "eigvecs_sym_tridiag",
             "group_levels",
             "evolve_grid",
-            "leakage_series",
+            "observe",
         )
         for mod in (linalg, perturbation, qzd, dynamics, harness, cli):
             for name in names:
@@ -646,7 +646,7 @@ class TestOneWatchAnalysis:
             "eig_sym_tridiag": 1,
             "eigvals_sym_tridiag": 1,
             "eigvecs_sym_tridiag": 1,
-            "leakage_series": 1,
+            "observe": 1,
         }
         assert calls == once
         assert "group_levels" not in calls
@@ -757,8 +757,8 @@ class TestPublicSurface:
         ],
         "chain": ["ChainHamiltonians"],
         "dynamics": [
-            "EvolutionTrace", "LeakageReport", "default_time_grid", "leakage_series",
-            "measure_leakage", "simulate",
+            "EvolutionTrace", "LeakageReport", "Observation", "default_time_grid",
+            "measure_leakage", "observe", "simulate",
         ],
         "harness": ["fit_slope_through_origin"],
         "linalg": [
@@ -783,7 +783,7 @@ class TestPublicSurface:
         }
         assert public == self.SUPPORTED
         dropped = [(mod, name) for mod, names in self.FROM_MODULE.items() for name in names]
-        assert len(dropped) == 39
+        assert len(dropped) == 40
         for mod_name, name in dropped:
             mod = importlib.import_module(f"zenochain.{mod_name}")
             assert hasattr(mod, name), f"zenochain.{mod_name}.{name}"

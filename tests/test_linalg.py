@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
-from zenochain.dynamics import default_time_grid
 from zenochain.errors import NumericalFailureError, SingularMatrixError, ValidationError
+from zenochain.harness import run_scenario
 from zenochain.qzd import analyze_watch
 from zenochain import linalg
 from zenochain.linalg import (
@@ -328,7 +328,7 @@ class TestEvolve:
     def test_grid_matches_direct_exp(self, spec, n_steps):
         hams = build_chain(spec)
         d = eig_sym_tridiag(hams.h_total)
-        grid = default_time_grid(hams, n_steps)
+        grid = run_scenario(spec, n_steps).grid
         times = grid.times
         site_one = np.eye(spec.n_sites)[0]
         want = direct_exp_evolve(d.eigenvectors, d.eigenvalues, site_one, times)
@@ -349,7 +349,7 @@ class TestEvolve:
         # the README's accuracy statement for every site's population
         hams = build_chain(spec)
         d = eig_sym_tridiag(hams.h_total)
-        grid = default_time_grid(hams)
+        grid = run_scenario(spec).grid
         site_one = np.eye(spec.n_sites)[0]
         want = np.abs(direct_exp_evolve(d.eigenvectors, d.eigenvalues, site_one, grid.times)) ** 2
         assert np.max(np.abs(np.abs(evolve_grid(d, site_one, grid)) ** 2 - want)) <= 3e-15

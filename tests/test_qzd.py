@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
-from zenochain.dynamics import LeakageReport, default_time_grid, simulate
+from zenochain.dynamics import LeakageReport, simulate
 from zenochain.errors import AssumptionViolationError, ValidationError
 from zenochain.harness import run_scenario
 from zenochain.linalg import SymTridiagMatrix
@@ -173,7 +173,7 @@ class TestPhysicalInvariances:
         fwd = classify(hams.h_watch, hams.h_weak, e_k(n, 0), lam=spec.lam)
         rev = classify(flip(hams.h_watch), flip(hams.h_weak), e_k(n, n - 1), lam=spec.lam)
         assert (rev.order, rev.prerequisite_i) == (fwd.order, fwd.prerequisite_i)
-        grid = default_time_grid(hams, 200)
+        grid = run_scenario(spec, 200).grid
         ends = np.eye(n)[:, [0, -1]]
         series = simulate(hams.h_total, ends[:, 0], grid, ends).leakage
         mirrored = simulate(flip(hams.h_total), ends[:, 1], grid, ends).leakage
@@ -186,7 +186,7 @@ class TestPhysicalInvariances:
         c = 10.0**log_c
         shift = None if spec.delta_omega is None else c * spec.delta_omega
         scaled = dataclasses.replace(spec, k=c * spec.k, delta_omega=shift)
-        grid = default_time_grid(build_chain(spec), 200)
+        grid = run_scenario(spec, 200).grid
         base = run_scenario(spec, grid.n_steps, grid.t_max)
         got = run_scenario(scaled, grid.n_steps, grid.t_max / c)
         assert got.classification.order is base.classification.order
