@@ -128,7 +128,7 @@ def build_chain(spec: ChainSpec) -> ChainHamiltonians:
 
     watch_off = np.zeros(n - 1)
     interior = np.full(n - 3, k)
-    if spec.fluctuation is not None and n > 3:
+    if spec.fluctuation is not None:
         rng = np.random.default_rng(spec.fluctuation.rng_seed)
         amp = spec.fluctuation.relative_amplitude
         interior = k * (1.0 + rng.uniform(-amp, amp, n - 3))

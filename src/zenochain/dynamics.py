@@ -26,7 +26,6 @@ from .linalg import (
     evolve_grid,
     grid_phase_factors,
     orthonormal_columns,
-    overlaps,
 )
 
 DEFAULT_N_STEPS = 4000
@@ -61,7 +60,7 @@ class Observation:
     Eigenvector n weighs ||V0^T u_n||^2; the weight margin is a report, not a check."""
 
     spectrum: SpectralDecomposition  # eta and U, in units of k on every program path
-    c: np.ndarray  # U^T psi0
+    c: np.ndarray  # U^T psi0: float, with w, for a real psi0
     w: np.ndarray  # (V0^T U) * c, d0 x N: watched amplitude a is sum_n w[a, n] exp(-i eta_n t)
     slow: np.ndarray  # the d0 columns of largest weight, ascending; a tie goes to the lower index
     weight_margin: float  # the d0-th largest weight less the next one
@@ -128,7 +127,7 @@ def observe(
     """
     psi0 = check_state(psi0, d.size, "psi0")
     basis = orthonormal_columns(basis, d.size, "basis")
-    u, c, d0 = d.eigenvectors, overlaps(d.eigenvectors, psi0), basis.shape[1]
+    u, c, d0 = d.eigenvectors, d.eigenvectors.T @ psi0, basis.shape[1]
     on_basis = basis.T @ u
     w = on_basis * c  # d0 x N
     # a zero weight past the last column ranks after every column, so a basis

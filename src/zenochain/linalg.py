@@ -3,10 +3,11 @@
 Eigendecomposition (full, eigenvalues only, or a few eigenvectors), a
 bordered tridiagonal solve, spectral time evolution over a uniform
 ``TimeGrid`` and the corner element of a tridiagonal inverse. Every
-Hamiltonian in this package is real symmetric, so eigenvectors are kept
-real and time evolution only multiplies them by complex phases. f2py's
-LAPACK wrappers reject an empty off-diagonal, so a 1 x 1 matrix goes to
-every LAPACK call with one unread zero entry there (``_lapack_offdiag``).
+Hamiltonian in this package is real symmetric, so eigenvectors are real
+(``SpectralDecomposition`` rejects complex ones), a real state stays real,
+and time evolution only multiplies them by complex phases. f2py's LAPACK
+wrappers reject an empty off-diagonal, so a 1 x 1 matrix goes to every
+LAPACK call with one unread zero entry there (``_lapack_offdiag``).
 """
 
 from __future__ import annotations
@@ -99,13 +100,17 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal real eigenvectors.
-
-    ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``.
+    """Eigenvalues (ascending) and orthonormal real eigenvectors (complex
+    ones are rejected, so U^T is U^H); ``eigenvectors[:, i]`` belongs to
+    ``eigenvalues[i]``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.iscomplexobj(self.eigenvectors):
+            raise ValidationError("eigenvectors: must be real")
 
     @property
     def size(self) -> int:
@@ -266,7 +271,9 @@ def solve_bordered_tridiag(m: SymTridiagMatrix, v: np.ndarray, b: np.ndarray) ->
 
 
 def orthonormal_columns(v: np.ndarray, rows: int, name: str) -> np.ndarray:
-    """``v`` as a float array, checked to be rows x d with orthonormal columns."""
+    """``v`` as a float array, checked to be real and rows x d with orthonormal columns."""
+    if np.iscomplexobj(v):
+        raise ValidationError(f"{name}: must be real")
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] != rows:
         raise ValidationError(f"{name}: expected {rows} rows, got shape {v.shape}")
@@ -276,25 +283,13 @@ def orthonormal_columns(v: np.ndarray, rows: int, name: str) -> np.ndarray:
 
 
 def check_state(v: np.ndarray, size: int, name: str) -> np.ndarray:
-    """``v`` as a complex array, checked to be a unit vector of length size."""
-    v = np.asarray(v, dtype=complex)
+    """``v`` as a float array, or complex for complex input, of unit norm and length size."""
+    v = np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
     if v.shape != (size,):
         raise ValidationError(f"{name}: dimension {v.shape} does not match size {size}")
     if abs(np.linalg.norm(v) - 1.0) > 1e-12:
         raise ValidationError(f"{name}: must have unit norm within 1e-12")
     return v
-
-
-def overlaps(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """vectors^T psi for real ``vectors`` and complex ``psi``.
-
-    The real and imaginary parts of psi are multiplied separately (the
-    second only when psi has one), so no complex copy of ``vectors`` is made.
-    """
-    out = vectors.T @ psi.real + 0j
-    if np.any(psi.imag):
-        out += 1j * (vectors.T @ psi.imag)
-    return out
 
 
 def _phase_powers(eigenvalues: np.ndarray, step: float, count: int) -> np.ndarray:
@@ -341,11 +336,9 @@ def evolve_grid(d: SpectralDecomposition, psi0: np.ndarray, grid: TimeGrid) -> n
     eigenvectors multiply its (re, im) pairs in one real matrix product.
     """
     u = d.eigenvectors
-    if np.iscomplexobj(u):
-        raise ValidationError("eigenvectors: must be real")
     psi0 = check_state(psi0, d.size, "psi0")
     coarse, fine = grid_phase_factors(d.eigenvalues, grid)
-    weights = overlaps(u, psi0)
+    weights = u.T @ psi0
     table = ((coarse.T * weights[:, None])[:, :, None] * fine[:, None, :]).reshape(d.size, -1)
     return (u @ table.view(float)).view(complex)[:, : grid.n_steps + 1]
 

@@ -8,7 +8,8 @@ the continuant recursion, CSV text one formatted cell at a time, matrix
 listings by a double loop over the entries of the dense N x N effective
 Hamiltonian (``dominant_effective_matrix``), eigenvalue grouping one Python
 level at a time, effective Hamiltonians as eigenvector sums over a dense
-eigendecomposition.
+eigendecomposition, the leakage series and the watch levels in 50-digit
+``mpmath`` arithmetic.
 
 The perturbative picture of the leakage is a referee for the exact delta:
 first-order eigenstate corrections (``first_order_corrections``), the
@@ -25,6 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import scipy.linalg
 import scipy.optimize
@@ -197,6 +199,56 @@ def direct_exp_evolve(
     for j, t in enumerate(times):
         out[:, j] = vectors @ (np.exp(-1j * eigenvalues * t) * coef)
     return out
+
+
+def _mp_matrix(m: SymTridiagMatrix) -> mpmath.matrix:
+    """m as a dense mpmath matrix; every double entry is an mpf exactly."""
+    a = mpmath.zeros(m.size)
+    for i, x in enumerate(m.diag.tolist()):
+        a[i, i] = mpmath.mpf(x)
+    for i, x in enumerate(m.offdiag.tolist()):
+        a[i, i + 1] = a[i + 1, i] = mpmath.mpf(x)
+    return a
+
+
+def mp_watch_levels(h_watch: SymTridiagMatrix, dps: int = 50) -> list:
+    """The eigenvalues of the double matrix h_watch to ``dps`` digits, ascending
+    (``mpmath.eigsy``), as mpf."""
+    with mpmath.workdps(dps):
+        return sorted(mpmath.eigsy(_mp_matrix(h_watch), eigvals_only=True))
+
+
+def mp_leakage_series(
+    h_total: SymTridiagMatrix, zero_basis: np.ndarray, grid: TimeGrid, dps: int = 50
+) -> np.ndarray:
+    """L(t) = 1 - ||V0^T psi(t)||^2 for psi(0) = |1> at every grid time, to
+    ``dps`` digits, rounded to doubles.
+
+    It referees the exact dynamics of the program's own input: the double
+    entries of the unit-k h_total, of V0 and of the grid times enter exactly
+    as mpf. ``mpmath.eigsy`` gives eta and U; with w[a, n] = (V0^T u_n) u_n[0]
+    each watched amplitude is sum_n w[a, n] (cos eta_n t - i sin eta_n t),
+    and every sum is an ``fsum``.
+    """
+    n, d0 = zero_basis.shape
+    with mpmath.workdps(dps):
+        eta, u = mpmath.eigsy(_mp_matrix(h_total))
+        v = [[mpmath.mpf(x) for x in row] for row in zero_basis.T.tolist()]
+        w = [
+            [mpmath.fsum(v[a][i] * u[i, m] for i in range(n)) * u[0, m] for m in range(n)]
+            for a in range(d0)
+        ]
+        series = []
+        for t in grid.times.tolist():
+            cos = [mpmath.cos(e * t) for e in eta]
+            sin = [mpmath.sin(e * t) for e in eta]
+            watched = mpmath.fsum(
+                mpmath.fsum(wa[m] * cos[m] for m in range(n)) ** 2
+                + mpmath.fsum(wa[m] * sin[m] for m in range(n)) ** 2
+                for wa in w
+            )
+            series.append(float(1 - watched))
+    return np.array(series)
 
 
 def per_value_csv(header: list[str], rows) -> str:

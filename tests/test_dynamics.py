@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from zenochain.analytic import delta_estimate, g_n, phi_mid
 from zenochain.chain import ChainSpec, build_chain
-from zenochain.dynamics import TimeGrid, measure_leakage, observe, simulate
+from zenochain.dynamics import TimeGrid, leakage_trace, measure_leakage, observe, simulate
 from zenochain.errors import UnsupportedConfigurationError, ValidationError
 from zenochain.harness import effective_reports, run_scenario
 from zenochain.linalg import SpectralDecomposition, SymTridiagMatrix, eig_sym_tridiag, evolve_grid
@@ -21,6 +21,7 @@ from .oracles import (
     dominant_angular_frequency,
     first_order_corrections,
     leakage_frequency_estimate,
+    mp_leakage_series,
     u1_correction_trace,
 )
 from .test_linalg import ORACLE_CHAINS, ORACLE_IDS
@@ -225,10 +226,38 @@ class TestObservation:
         u = obs.spectrum.eigenvectors
         unit = eig_sym_tridiag(build_chain(spec).unit.h_total)
         assert np.array_equal(obs.spectrum.eigenvalues, unit.eigenvalues)
-        assert np.array_equal(obs.c, u[0] + 0j)
+        assert obs.c.dtype == obs.w.dtype == float
+        assert obs.c.tobytes() == u[0].tobytes()
         assert np.array_equal(obs.w, (result.zero_basis.T @ u) * obs.c)
         assert np.array_equal(obs.series, result.trace.leakage)
         assert obs.peak == result.leakage
+
+    @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
+    def test_site_one_real_or_complex(self, spec):
+        # U^T e1 is exact in both dtypes, and numpy multiplies a float operand
+        # as x + 0j: c, w, the series, the peak and the states agree to the
+        # bit (a complex c or w has zero imaginary parts of either sign)
+        result = run_scenario(spec, 37)
+        d, basis, grid = result.observation.spectrum, result.zero_basis, result.grid
+        n = spec.n_sites
+        e1, mid = np.eye(n)[0], np.full(n, n**-0.5)
+        real, cplx = observe(d, e1, basis, grid), observe(d, e1 + 0j, basis, grid)
+        for a, b in ((real.c, cplx.c), (real.w, cplx.w)):
+            assert a.dtype == float and a.tobytes() == b.real.tobytes() and not np.any(b.imag)
+        assert real.series.tobytes() == cplx.series.tobytes()
+        assert real.peak == cplx.peak
+        assert evolve_grid(d, e1, grid).tobytes() == evolve_grid(d, e1 + 0j, grid).tobytes()
+        want = leakage_trace(d, e1, grid, real.series, mid).mid_overlap
+        for psi0, mid_state in ((e1 + 0j, mid), (e1, mid + 0j)):
+            got = leakage_trace(d, psi0, grid, real.series, mid_state).mid_overlap
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_complex_basis(self):
+        # a complex basis is refused, not cast to its real part
+        d = eig_sym_tridiag(build_chain(ChainSpec(4, 5.0)).h_total)
+        for basis in (end_sites(4) + 0j, 1j * end_sites(4)):
+            with pytest.raises(ValidationError, match="^basis: must be real$"):
+                observe(d, np.eye(4)[0], basis, TimeGrid(1.0, 10))
 
     def test_tie_goes_to_the_lower_index(self):
         # one watched vector split evenly over eigenvectors 1 and 2
@@ -321,6 +350,26 @@ class TestDefaultWindow:
         assert t_max == pytest.approx(2.0 * np.pi / (levels[1] - levels[0]), rel=1e-12)
         assert t_max == pytest.approx(62.3467, abs=1e-4)
         assert t_max < np.pi * 20.0 / K
+
+
+class TestFiftyDigitReferee:
+    """The program's leakage of |1> against the exact dynamics of its own
+    double input (``mp_leakage_series``, 50 digits) on the 201-sample window."""
+
+    @pytest.mark.parametrize("lam_inv", [20.0, 1e4])
+    def test_series_and_delta(self, lam_inv):
+        # at most 17.9 eps (N = 12, lam_inv = 20) and 11.3 eps (N = 12,
+        # lam_inv = 1e4) when this bound was set, so the bound is 24 eps; delta
+        # is within 2.7e-13 relative at lam_inv = 20 (at 1e4 it is off by up
+        # to 3.3e-8 relative, the cancellation ROADMAP item 3 removes)
+        eps = np.finfo(float).eps
+        for n in range(4, 14):
+            result = run_scenario(ChainSpec(n, lam_inv), 200)  # k = 1: window = grid
+            want = mp_leakage_series(result.hams.unit.h_total, result.zero_basis, result.grid)
+            got = result.observation.series
+            assert np.max(np.abs(got - want)) <= 24.0 * eps, n
+            if lam_inv == 20.0:
+                assert result.leakage.delta == pytest.approx(np.max(want), rel=1e-12, abs=0.0), n
 
 
 class TestDynamicsProperties:

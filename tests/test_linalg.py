@@ -3,6 +3,7 @@ continuant determinant referee."""
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,11 +21,13 @@ from zenochain.linalg import (
     SpectralDecomposition,
     SymTridiagMatrix,
     TimeGrid,
+    check_state,
     eig_sym_tridiag,
     eigvals_sym_tridiag,
     eigvecs_sym_tridiag,
     evolve_grid,
     inverse_corner_tridiag,
+    orthonormal_columns,
     solve_bordered_tridiag,
 )
 
@@ -34,6 +37,7 @@ from .oracles import (
     det_tridiag,
     direct_exp_evolve,
     gaussian_elimination_inverse,
+    mp_watch_levels,
     rk4_evolve,
 )
 
@@ -93,6 +97,19 @@ class TestEig:
         roots = np.sort(np.roots([1.0, 0.0, -2.0 * K**2, 0.0]).real)
         assert_allclose(d.eigenvalues, roots, atol=1e-12)
         assert_allclose(d.eigenvalues, [-np.sqrt(2) * K, 0.0, np.sqrt(2) * K], atol=1e-12)
+
+    def test_watch_levels_match_fifty_digits(self):
+        # the watch levels of the double matrices the program solves, against
+        # 50 digits: at most 6.7 eps max|h_watch| over these chains when this
+        # bound was set, so the bound is 8 eps max|h_watch|
+        eps = np.finfo(float).eps
+        for n in range(4, 14):
+            shifts = [None] if n % 2 == 0 else [None, 20.0, -20.0, 1e3, -1e3, 1e7, -1e7]
+            for delta_omega in shifts:
+                h = build_chain(ChainSpec(n, 20.0, delta_omega=delta_omega)).unit.h_watch
+                got, want = eigvals_sym_tridiag(h).tolist(), mp_watch_levels(h)
+                err = max(abs(mpmath.mpf(g) - w) for g, w in zip(got, want))
+                assert err <= 8.0 * eps * h.max_abs_entry(), (n, delta_omega)
 
     def test_size_one(self):
         d = eig_sym_tridiag(tridiag([3.0], []))
@@ -355,10 +372,10 @@ class TestEvolve:
         assert np.max(np.abs(np.abs(evolve_grid(d, site_one, grid)) ** 2 - want)) <= 3e-15
 
     def test_phase_sums_need_real_vectors(self):
-        # the real product over (re, im) pairs would mix complex vectors' parts
-        d = SpectralDecomposition(np.zeros(2), np.eye(2) * 1j)
-        with pytest.raises(ValidationError, match="real"):
-            evolve_grid(d, np.eye(2)[0], TimeGrid(1.0, 4))
+        # the real product over (re, im) pairs would mix complex vectors'
+        # parts; the spectrum rejects them, so no evolution receives one
+        with pytest.raises(ValidationError, match="^eigenvectors: must be real$"):
+            SpectralDecomposition(np.zeros(2), np.eye(2) * 1j)
 
     @given(
         well_conditioned_tridiag(max_size=20),
@@ -506,6 +523,20 @@ class TestDet:
 
 
 class TestValidation:
+    def test_state_keeps_its_kind(self):
+        # a real state stays real; only a complex one is complex
+        for v, kind in (([1, 0], float), (np.eye(2, dtype=np.float32)[0], float),
+                        ([1j, 0], complex), (np.eye(2, dtype=np.complex64)[1], complex)):
+            assert check_state(v, 2, "psi0").dtype == kind
+
+    def test_complex_basis_rejected(self):
+        # casting would drop the imaginary part with only a ComplexWarning
+        v = np.eye(3)[:, :2]
+        assert orthonormal_columns(v, 3, "v0").dtype == float
+        for bad in (v + 0j, 1j * v, [[1, 0], [0, 1 + 0j], [0, 0]]):
+            with pytest.raises(ValidationError, match="^v0: must be real$"):
+                orthonormal_columns(bad, 3, "v0")
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             tridiag([0.0, 0.0], [1.0, 2.0])
