@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, classify, effective, bound, sweep, fluctuate; COMMANDS
-lists the flags of each, FLAGS declares each flag once. A config file of
-key=value lines (--config) sets defaults; command-line flags take precedence.
+lists the flags of each, FLAGS declares each flag once. A config file of key=value
+lines (--config) becomes leading flags of the subcommand; command-line flags win.
 Exit codes: 0 success, 1 validation error, 2 numerical failure or no memory, 3 I/O error.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -95,9 +96,6 @@ _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with code 1."""
 
-    # subcommand -> its parser, on the top-level parser (set by build_parser)
-    commands: dict[str, argparse.ArgumentParser]
-
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ValidationError(message)
 
@@ -176,6 +174,8 @@ FLAGS: dict[str, dict] = {
     "trials": dict(type=int, default=100, help="number of trials (default %(default)s)"),
     "seed": dict(type=int, default=0, help="base RNG seed (default %(default)s)"),
 }
+_CONFIG_KEYS = frozenset(FLAGS) - {"config"}
+_FLOAT_FLAGS = {"--" + n.replace("_", "-") for n, kw in FLAGS.items() if kw.get("type") is float}
 
 
 def _n_sites(args: argparse.Namespace) -> int:
@@ -450,17 +450,20 @@ def build_parser() -> _Parser:
         for name in ("config", *names):
             p.add_argument("--" + name.replace("_", "-"), **FLAGS[name])
         p.set_defaults(func=func)
-    parser.commands = sub.choices
     return parser
+
+
+# the one parser of the process: the first main call builds it (the import
+# does not), and nothing changes it afterwards
+_parser = functools.cache(build_parser)
 
 
 def _join_float_values(argv: list[str]) -> list[str]:
     """argv with each float flag and the number after it joined as --flag=value;
     argparse takes a negative number with an exponent, -1.5e3, for an option."""
-    float_flags = {"--" + n.replace("_", "-") for n, kw in FLAGS.items() if kw.get("type") is float}
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in float_flags:
+        if out and out[-1] in _FLOAT_FLAGS:
             try:
                 float(token)
                 out[-1] += "=" + token
@@ -472,18 +475,21 @@ def _join_float_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = _join_float_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.config:
-            # config values become the subcommand's defaults: argparse casts
-            # them and lets the command-line flags override them
-            config = read_config_file(args.config, frozenset(FLAGS) - {"config"})
-            parser.commands[args.command].set_defaults(**config)
-            args = parser.parse_args(argv)
+            # each line for a flag of the subcommand (an attribute of args)
+            # becomes one --flag=value word right after the subcommand word,
+            # argv[0]; argparse keeps the last value, so the command line's
+            # own flags override the file. Lines for other subcommands' flags
+            # are dropped. The words follow the flags' order, not the file's,
+            # so of two bad values the first flag's is reported.
+            config = read_config_file(args.config, _CONFIG_KEYS)
+            lead = [f"--{k.replace('_', '-')}={config[k]}" for k in vars(args) if k in config]
+            args = _parser().parse_args(argv[:1] + lead + argv[1:])
         for name in ("n", "steps", "trials"):
-            if name in COMMANDS[args.command][2] and (getattr(args, name) or 0) > _INDEX_MAX:
+            if (getattr(args, name, None) or 0) > _INDEX_MAX:
                 raise ValidationError(f"{name}: must be at most {_INDEX_MAX}")
         return args.func(args)
     except ValidationError as exc:

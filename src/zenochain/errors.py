@@ -31,10 +31,10 @@ class SingularMatrixError(NumericalFailureError):
 
 
 class ClusteringError(NumericalFailureError):
-    """Eigenvalue clustering was ambiguous at the requested tolerance.
+    """Eigenvalue clustering was ambiguous at the grouping tolerance.
 
-    The message lists the gaps that make it ambiguous, so the caller can
-    pick a better tolerance.
+    The message lists the tolerance and the gaps that make it ambiguous;
+    ``analyze_watch`` takes no tolerance, it uses GROUPING_RTOL times max|eta|.
     """
 
 

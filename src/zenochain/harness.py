@@ -1,7 +1,7 @@
 """Scenario runners: single simulations, the G-sweep, and fluctuation trials.
 
 Sweep and Monte Carlo cells are pure computations with their own seeded
-generators, run one after another in submission order.
+generators, run one after another.
 """
 
 from __future__ import annotations
@@ -268,6 +268,8 @@ def run_fluctuation_trials(
     in units of k, on the zero basis {|1>, |N>} and over the default window
     of one watch analysis of the chain without coupling noise.
     """
+    if not isinstance(trials, (int, np.integer)):
+        raise ValidationError("trials: must be an integer")
     if trials < 1:
         raise ValidationError("trials: must be >= 1")
     if n_sites % 2 != 0:

@@ -100,15 +100,19 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal real eigenvectors (complex
-    ones are rejected, so U^T is U^H); ``eigenvectors[:, i]`` belongs to
-    ``eigenvalues[i]``.
+    """Eigenvalues (ascending; complex or non-finite ones are rejected) and
+    orthonormal real eigenvectors (complex ones are rejected, so U^T is
+    U^H); ``eigenvectors[:, i]`` belongs to ``eigenvalues[i]``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.eigenvalues):
+            raise ValidationError("eigenvalues: must be real")
+        if not np.all(np.isfinite(self.eigenvalues)):
+            raise ValidationError("eigenvalues: must be finite")
         if np.iscomplexobj(self.eigenvectors):
             raise ValidationError("eigenvectors: must be real")
 
@@ -216,7 +220,7 @@ def eigvecs_sym_tridiag(m: SymTridiagMatrix, lo: int, hi: int) -> np.ndarray:
     if info == 0:
         order = np.argsort(w[:count], kind="stable")
         v, info = lapack.dstein(m.diag, e, w[:count], block, split)
-    if info != 0:
+    if info != 0 or not np.all(np.isfinite(v)):  # dstein can return NaN columns, info 0
         raise NumericalFailureError(
             f"tridiagonal eigenvector solver failed on a {m.size}x{m.size} matrix"
         )
@@ -277,7 +281,7 @@ def orthonormal_columns(v: np.ndarray, rows: int, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] != rows:
         raise ValidationError(f"{name}: expected {rows} rows, got shape {v.shape}")
-    if np.linalg.norm(v.T @ v - np.eye(v.shape[1])) > 1e-10:
+    if not np.linalg.norm(v.T @ v - np.eye(v.shape[1])) <= 1e-10:  # NaN fails
         raise ValidationError(f"{name}: columns must be orthonormal")
     return v
 
@@ -287,7 +291,7 @@ def check_state(v: np.ndarray, size: int, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
     if v.shape != (size,):
         raise ValidationError(f"{name}: dimension {v.shape} does not match size {size}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # NaN fails
         raise ValidationError(f"{name}: must have unit norm within 1e-12")
     return v
 

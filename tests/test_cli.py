@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -1013,6 +1014,58 @@ class TestConfigFile:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
         assert capsys.readouterr().err == "error: argument --steps: invalid int value: 'x'\n"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.cfg"]
+
+    def test_bad_config_value_is_1_under_a_flag(self, tmp_path, capsys):
+        # the file's value is a flag word that argparse casts before the
+        # command line's --n replaces it (as a default it was never cast: exit 0)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n = abc\n")
+        assert run_cli("bound", "--config", str(cfg), "--n", "6") == 1
+        assert capsys.readouterr() == ("", "error: argument --n: invalid int value: 'abc'\n")
+
+    def test_first_bad_value_in_flag_order(self, tmp_path, capsys):
+        # --n comes before --steps in simulate's flags, whatever the file's order
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("steps=x\nn=a\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err == "error: argument --n: invalid int value: 'a'\n"
+
+    def test_no_config_value_leaks_into_the_next_call(self, tmp_path, capsys):
+        # the calls share one parser, and a config file changes nothing in it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=6\nlambda-inv=5\n")
+        assert run_cli("classify", "--config", str(cfg)) == 0
+        with_config = json.loads(capsys.readouterr().out)
+        assert run_cli("classify") == 1
+        assert capsys.readouterr() == ("", "error: n: required (chain length)\n")
+        assert run_cli("classify", "--n", "6") == 0
+        assert json.loads(capsys.readouterr().out) != with_config  # lambda_inv is 20 again
+        assert run_cli("classify", "--n", "6", "--lambda-inv", "5") == 0
+        assert json.loads(capsys.readouterr().out) == with_config
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        # one top-level parser and one per subcommand, across every call
+        built = []
+
+        def counted_init(parser, *args, **kwargs):
+            built.append(parser)
+            argparse.ArgumentParser.__init__(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted_init)
+        cli._parser.cache_clear()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=6\n")
+        for argv in (["bound", "--n", "4"], ["classify", "--config", str(cfg)], ["classify"]):
+            run_cli(*argv)
+        assert len(built) == 1 + len(cli.COMMANDS)
+
+    def test_import_builds_no_parser(self):
+        # the benchmark's setup time includes the import; the first call builds
+        done = subprocess.run(
+            [sys.executable, "-c", "from zenochain import cli; print(cli._parser.cache_info())"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0 and "currsize=0" in done.stdout, done.stderr
 
     def test_config_that_is_not_utf8_is_1(self, tmp_path, capsys):
         # the decode error escaped as a UnicodeDecodeError traceback

@@ -259,6 +259,19 @@ class TestObservation:
             with pytest.raises(ValidationError, match="^basis: must be real$"):
                 observe(d, np.eye(4)[0], basis, TimeGrid(1.0, 10))
 
+    def test_rejects_nan_inputs(self):
+        # a NaN norm passed the unit-norm and orthonormality checks
+        d = eig_sym_tridiag(build_chain(ChainSpec(4, 5.0)).h_total)
+        grid, e1, basis = TimeGrid(1.0, 10), np.eye(4)[0], end_sites(4)
+        nan_state = np.array([np.nan, 0, 0, 0])
+        with pytest.raises(ValidationError, match="^psi0: must have unit norm within 1e-12$"):
+            observe(d, nan_state, basis, grid)
+        with pytest.raises(ValidationError, match="^basis: columns must be orthonormal$"):
+            observe(d, e1, np.where(basis == 1.0, np.nan, basis), grid)
+        series = observe(d, e1, basis, grid).series
+        with pytest.raises(ValidationError, match="^mid_state: must have unit norm within 1e-12$"):
+            leakage_trace(d, e1, grid, series, nan_state)
+
     def test_tie_goes_to_the_lower_index(self):
         # one watched vector split evenly over eigenvectors 1 and 2
         d = SpectralDecomposition(np.arange(4.0), np.eye(4))

@@ -232,6 +232,13 @@ class TestFluctuationTrials:
         with pytest.raises(ValidationError):
             run_fluctuation_trials(6, 0.05, 0, seed=0)
 
+    def test_trial_count_must_be_an_integer(self):
+        # 2.5 ended in a numpy TypeError traceback
+        with pytest.raises(ValidationError, match="^trials: must be an integer$"):
+            run_fluctuation_trials(6, 0.05, 2.5, seed=0)
+        corners, _ = run_fluctuation_trials(6, 0.05, np.int64(2), seed=0, n_steps=50)
+        assert corners.shape == (2,)
+
 
 class TestScenario:
     def test_dominant_matrix_follows_classification(self):

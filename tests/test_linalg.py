@@ -77,6 +77,13 @@ def well_conditioned_tridiag(draw, max_size: int = 50):
 
 
 class TestEig:
+    def test_non_finite_vectors_are_a_failure(self):
+        # next to a 5e298 diagonal entry dstein returns NaN columns with info 0;
+        # they passed on to the effective Hamiltonians
+        m = tridiag([0.0, 5e298, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0])
+        with pytest.raises(NumericalFailureError, match="^tridiagonal eigenvector solver failed"):
+            eigvecs_sym_tridiag(m, 0, 4)
+
     def test_two_site(self):
         d = eig_sym_tridiag(tridiag([0.0, 0.0], [K]))
         assert_allclose(d.eigenvalues, [-K, K], atol=1e-14)
@@ -377,6 +384,23 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="^eigenvectors: must be real$"):
             SpectralDecomposition(np.zeros(2), np.eye(2) * 1j)
 
+    def test_phases_need_real_finite_eigenvalues(self):
+        # a complex eigenvalue evolved states of norm 1, 2.26 and 5.94 with
+        # no error; a NaN one gave a NaN delta
+        swap = np.eye(2)[:, ::-1].copy()
+        for eigenvalues, what in (([0.5j, -1.0], "real"), ([np.nan, -1.0], "finite"),
+                                  ([0.5, np.inf], "finite"), ([0.5 + 0j, -1.0], "real")):
+            with pytest.raises(ValidationError, match=f"^eigenvalues: must be {what}$"):
+                d = SpectralDecomposition(np.array(eigenvalues), swap)
+                evolve_grid(d, np.array([0.6, 0.8]), TimeGrid(4.0, 2))
+
+    def test_nan_state_rejected(self):
+        # a NaN norm failed no comparison, so the state evolved to NaN
+        d = eig_sym_tridiag(build_chain(ChainSpec(4, 5.0)).h_total)
+        for psi0 in (np.array([np.nan, 0, 0, 0]), np.array([1, np.nan, 0, 0], complex)):
+            with pytest.raises(ValidationError, match="^psi0: must have unit norm within 1e-12$"):
+                evolve_grid(d, psi0, TimeGrid(1.0, 4))
+
     @given(
         well_conditioned_tridiag(max_size=20),
         st.floats(1e-3, 50.0),
@@ -536,6 +560,16 @@ class TestValidation:
         for bad in (v + 0j, 1j * v, [[1, 0], [0, 1 + 0j], [0, 0]]):
             with pytest.raises(ValidationError, match="^v0: must be real$"):
                 orthonormal_columns(bad, 3, "v0")
+
+    def test_nan_fails_the_norm_checks(self):
+        # NaN makes every comparison false: the checks must fail it, not pass it
+        with pytest.raises(ValidationError, match="^psi0: must have unit norm within 1e-12$"):
+            check_state([np.nan, 0, 0], 3, "psi0")
+        one_nan = np.eye(6)[:, :2]
+        one_nan[3, 1] = np.nan
+        for v in (np.full((6, 2), np.nan), one_nan):
+            with pytest.raises(ValidationError, match="^v0: columns must be orthonormal$"):
+                orthonormal_columns(v, 6, "v0")
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):

@@ -163,6 +163,15 @@ class TestOrder0:
             assert np.max(np.abs(rep.matrix)) < 1e-12
             assert rep.eta1_common == pytest.approx(0.0, abs=1e-12)
 
+    def test_nan_basis_rejected(self):
+        # a NaN basis passed the orthonormality check and gave NaN blocks
+        hams = build_chain(ChainSpec(6, 5.0))
+        v0 = np.full((6, 2), np.nan)
+        with pytest.raises(ValidationError, match="^v0: columns must be orthonormal$"):
+            hqzd_order0(v0, hams.h_weak)
+        with pytest.raises(ValidationError, match="^v0: columns must be orthonormal$"):
+            hqzd_order1(v0, hams.h_weak, hams.h_watch)
+
     def test_odd_five_site_matches_closed_form(self):
         hams, _, ps = watch_levels(ChainSpec(5, 5.0))
         rep = hqzd_order0(ps.zero_level.vectors, hams.h_weak)

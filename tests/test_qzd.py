@@ -47,6 +47,15 @@ class TestClassify:
         assert c.zero_level_dimension == 3
         assert not c.prerequisite_i
 
+    def test_nan_state_rejected(self):
+        # was higher_or_none with watch_annihilates_initial=True
+        hams = build_chain(ChainSpec(6, 5.0))
+        psi0 = np.array([np.nan, 0, 0, 0, 0, 0])
+        for run in (lambda: classify(hams.h_watch, hams.h_weak, psi0),
+                    lambda: analyze_watch(hams.h_watch, hams.h_weak).classify(psi0)):
+            with pytest.raises(ValidationError, match="^psi0: must have unit norm within 1e-12$"):
+                run()
+
     def test_modified_odd_chain_is_first_order(self):
         c = classify_chain(ChainSpec(5, 20.0, delta_omega=20.0))
         assert c.order is QzdOrder.FIRST
