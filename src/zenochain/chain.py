@@ -36,7 +36,8 @@ class CouplingFluctuation:
             raise ValidationError("fluctuation.relative_amplitude: must lie in [0, 0.2]")
         # -0.0 passes the range check, but rng.uniform(0.0, -0.0) rejects it
         object.__setattr__(self, "relative_amplitude", abs(self.relative_amplitude))
-        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+        # an int or a numpy integer; a bool is neither to numpy
+        if not np.issubdtype(type(self.rng_seed), np.integer) or self.rng_seed < 0:
             raise ValidationError("fluctuation.rng_seed: must be a non-negative integer")
 
 
@@ -56,7 +57,7 @@ class ChainSpec:
     fluctuation: CouplingFluctuation | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 4:
+        if not np.issubdtype(type(self.n_sites), np.integer) or self.n_sites < 4:
             raise ValidationError("n_sites: must be an integer >= 4")
         for name in ("k", "lambda_inv", "delta_omega"):
             value = getattr(self, name)

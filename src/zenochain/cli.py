@@ -100,19 +100,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _parse_float_list(raw: str) -> list[float]:
+def _parse_float_list(raw: str, name: str = "g_list") -> list[float]:
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValidationError(f"could not parse list {raw!r}") from exc
+        raise ValidationError(f"{name}: could not parse list {raw!r}") from exc
 
 
 def _parse_int_list(raw: str) -> list[int]:
     values = []
     tokens = [tok for tok in raw.split(",") if tok.strip()]
-    for tok, v in zip(tokens, _parse_float_list(raw)):
+    for tok, v in zip(tokens, _parse_float_list(raw, "n_list")):
         if not math.isfinite(v) or v != int(v):
-            raise ValidationError(f"expected integers in list, got {v}")
+            raise ValidationError(f"n_list: expected integers in list, got {v}")
         # an integer literal is read exactly: its float keeps only 53 bits
         n = int(v) if "." in tok or "e" in tok.lower() else int(tok)
         if n > _INDEX_MAX:

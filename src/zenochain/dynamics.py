@@ -6,8 +6,10 @@ leakage at time t is the population outside the watched zero-level subspace,
 maximum over the observation window is delta. ``observe`` computes it from
 the d0 watched amplitudes alone, in one ``Observation`` with their weights,
 the slow set and its margin; the N-site states are built only for a trace
-(``simulate``, ``leakage_trace``). The window is set by the one window step
-of ``harness``; ``default_time_grid`` returns it at k.
+(``simulate``, ``leakage_trace``), from the observation's own start state,
+spectrum and window, so a trace's populations and leakage share one spectrum
+and one grid. The window is set by the one window step of ``harness``, in
+units of 1/k; ``default_time_grid`` returns it at k.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class Observation:
     Eigenvector n weighs ||V0^T u_n||^2; the weight margin is a report, not a check."""
 
     spectrum: SpectralDecomposition  # eta and U, in units of k on every program path
+    psi0: np.ndarray  # the checked start state
+    window: TimeGrid  # the times of series, in units of 1/k on every program path
     c: np.ndarray  # U^T psi0: float, with w, for a real psi0
     w: np.ndarray  # (V0^T U) * c, d0 x N: watched amplitude a is sum_n w[a, n] exp(-i eta_n t)
     slow: np.ndarray  # the d0 columns of largest weight, ascending; a tie goes to the lower index
@@ -87,20 +91,14 @@ def simulate(
     ``basis`` (N x d, orthonormal columns) spans the watched subspace whose
     population sets the leakage.
     """
-    d = eig_sym_tridiag(h)
-    return leakage_trace(d, psi0, grid, observe(d, psi0, basis, grid).series, mid_state)
+    return leakage_trace(observe(eig_sym_tridiag(h), psi0, basis, grid), mid_state)
 
 
-def leakage_trace(
-    d: SpectralDecomposition,
-    psi0: np.ndarray,
-    grid: TimeGrid,
-    leakage: np.ndarray,
-    mid_state: np.ndarray | None = None,
-) -> EvolutionTrace:
-    """The trace of psi0 under ``d`` around a leakage series already computed
-    for it (``observe`` of the same state and grid)."""
-    states = evolve_grid(d, psi0, grid)
+def leakage_trace(obs: Observation, mid_state: np.ndarray | None = None) -> EvolutionTrace:
+    """The trace of ``obs.psi0`` under ``obs.spectrum`` over ``obs.window``;
+    its leakage is ``obs.series``."""
+    d = obs.spectrum
+    states = evolve_grid(d, obs.psi0, obs.window)
     populations = np.abs(states.T) ** 2
 
     mid_overlap = None
@@ -108,7 +106,7 @@ def leakage_trace(
         mid_state = check_state(mid_state, d.size, "mid_state")
         mid_overlap = np.abs(mid_state.conj() @ states) ** 2
 
-    return EvolutionTrace(grid, populations, leakage, mid_overlap)
+    return EvolutionTrace(obs.window, populations, obs.series, mid_overlap)
 
 
 def observe(
@@ -142,7 +140,7 @@ def observe(
     series = np.clip(1.0 - np.sum(np.abs(amps) ** 2, axis=0), 0.0, 1.0)
     margin = float(weight[rank[d0 - 1]] - weight[rank[d0]])
     peak = peak_report(series, grid or window)
-    return Observation(d, c, w, np.sort(rank[:d0]), margin, series, peak)
+    return Observation(d, psi0, window, c, w, np.sort(rank[:d0]), margin, series, peak)
 
 
 def peak_report(leakage: np.ndarray, grid: TimeGrid) -> LeakageReport:

@@ -25,8 +25,8 @@ from .dynamics import (
     site_one,
 )
 from .errors import NumericalFailureError, ValidationError
-from .linalg import SpectralDecomposition, eig_sym_tridiag, inverse_corner_tridiag
-from .perturbation import EffectiveHamiltonianReport, default_grouping_tolerance
+from .linalg import eig_sym_tridiag, inverse_corner_tridiag
+from .perturbation import EffectiveHamiltonianReport
 from .qzd import QzdClassification, WatchAnalysis, analyze_watch, from_units_of_k
 
 # Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
@@ -47,16 +47,15 @@ DELTA_FIT_FLOOR = 64 * np.finfo(float).eps
 class ScenarioResult:
     """Everything a single-chain run produces, read from units of k.
 
-    ``spectrum`` is the eigendecomposition of h_total and ``observation``
-    the watch of |1> on ``zero_basis`` (its spectrum in units of k), whose
-    peak is ``leakage``. ``trace``, every site's population at every grid
-    time, is built from the spectrum on first read and then kept; its
-    leakage is ``observation.series``.
+    ``observation`` is the watch of |1> on ``zero_basis`` under the one
+    h_total spectrum, in units of k; its peak is ``leakage``. ``trace``,
+    every site's population at every ``grid`` time, is the observation's
+    trace (``leakage_trace``) labelled with ``grid``, built on first read
+    and then kept; k enters none of its phases.
     """
 
     hams: ChainHamiltonians
     grid: TimeGrid
-    spectrum: SpectralDecomposition
     leakage: LeakageReport
     observation: Observation
     classification: QzdClassification
@@ -70,8 +69,7 @@ class ScenarioResult:
         mid = None
         if spec.n_sites % 2 == 1 and not spec.is_modified:
             mid = analytic.phi_mid(spec.n_sites)
-        psi0 = site_one(spec.n_sites)
-        return leakage_trace(self.spectrum, psi0, self.grid, self.observation.series, mid)
+        return replace(leakage_trace(self.observation, mid), grid=self.grid)
 
 
 def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
@@ -149,12 +147,9 @@ def run_scenario(
 
     analysis, classification, window, grid = _window(hams, n_steps, grid)
     obs = _observe(hams, analysis.zero_basis, window, grid)
-    eta, u = obs.spectrum.eigenvalues, obs.spectrum.eigenvectors
-    eta_at_k = from_units_of_k(eta, spec.k, 1, default_grouping_tolerance(eta))
     return ScenarioResult(
         hams=hams,
         grid=grid,
-        spectrum=SpectralDecomposition(eta_at_k, u),
         leakage=obs.peak,
         observation=obs,
         classification=classification,
@@ -268,7 +263,8 @@ def run_fluctuation_trials(
     in units of k, on the zero basis {|1>, |N>} and over the default window
     of one watch analysis of the chain without coupling noise.
     """
-    if not isinstance(trials, (int, np.integer)):
+    # an int or a numpy integer; a bool is neither to numpy
+    if not np.issubdtype(type(trials), np.integer):
         raise ValidationError("trials: must be an integer")
     if trials < 1:
         raise ValidationError("trials: must be >= 1")

@@ -90,7 +90,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (self.t_max > 0.0 and np.isfinite(self.t_max)):
             raise ValidationError("t_max: must be finite and positive")
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+        # an int or a numpy integer; a bool is neither to numpy
+        if not np.issubdtype(type(self.n_steps), np.integer) or self.n_steps < 1:
             raise ValidationError("n_steps: must be a positive integer")
 
     @property

@@ -145,3 +145,17 @@ class TestValidation:
             CouplingFluctuation(0.3, 0)
         with pytest.raises(ValidationError, match="rng_seed"):
             CouplingFluctuation(0.1, -1)
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_chain_length_is_not_a_bool(self, flag):
+        # a bool is an int subclass
+        with pytest.raises(ValidationError, match="^n_sites: must be an integer >= 4$"):
+            ChainSpec(flag, 20.0)
+        assert ChainSpec(np.int16(4), 20.0).n_sites == 4
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_seed_is_not_a_bool(self, flag):
+        # CouplingFluctuation(0.1, True) seeded with 1
+        with pytest.raises(ValidationError, match="^fluctuation.rng_seed: must be a non-negative"):
+            CouplingFluctuation(0.1, flag)
+        assert CouplingFluctuation(0.1, np.uint8(1)).rng_seed == 1

@@ -434,8 +434,8 @@ class TestEnergyUnitEdges:
         assert not list(tmp_path.iterdir())
 
     def test_round_off_may_read_below_the_normal_range(self, tmp_path, capsys):
-        # the odd chain's order-1 block and the zero eigenvalue of H_total
-        # are round-off: at k = 1e-306 they read as subnormals, not as an error
+        # the odd chain's order-1 block is round-off: at k = 1e-306 it
+        # reads as a subnormal, not as an error
         assert run_cli("simulate", "--n", "5", "--k", "1e-306", "--out", str(tmp_path / "s")) == 0
         capsys.readouterr()
         got = self._json(capsys, "classify", "--n", "5", "--k", "1e-306")
@@ -444,7 +444,7 @@ class TestEnergyUnitEdges:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n", "4", "--k", "1e307"],  # the strong bonds lambda_inv k overflow
-        ["simulate", "--n", "40", "--k", "5e306", "--steps", "10"],  # H_total eigenvalues overflow
+        ["simulate", "--n", "40", "--k", "1e-307", "--steps", "10"],  # the window at k overflows
         ["classify", "--n", "5", "--k", "1e-310"],  # the order-0 commutator is subnormal
         ["fluctuate", "--n", "10", "--k", "1e-307"],  # the mean corner element overflows
     ])
@@ -452,6 +452,22 @@ class TestEnergyUnitEdges:
         assert run_cli(*argv, "--out", str(tmp_path / "k")) == 1
         assert capsys.readouterr().err.startswith("error: k: ")
         assert not list(tmp_path.iterdir())
+
+    def test_spectrum_beyond_the_double_range_at_k_is_not_read(self, tmp_path, capsys):
+        # exited 1 naming k: the H_total eigenvalues at k overflowed, a spectrum
+        # no output reads now that the trace is evolved in units of k
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        out = tmp_path / "k"
+        argv = ["simulate", "--n", "40", "--k", "5e306", "--steps", "10", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "k.json").read_text(), parse_constant=reject)
+        assert np.isfinite(summary["attained_at"]) and 0.0 < summary["delta"] < 1.0
+        with open(tmp_path / "k.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 11 and np.all(np.isfinite(np.array(rows, dtype=float)))
 
 
 def _count_fallback(monkeypatch) -> list[int]:
@@ -1185,8 +1201,19 @@ class TestExitCodes:
     def test_non_finite_chain_length_is_1(self, tmp_path, capsys, entry):
         out = tmp_path / "sw"
         assert run_cli("sweep", "--n-list", f"4,{entry}", "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: expected integers in list, got {entry}\n"
+        assert capsys.readouterr().err == f"error: n_list: expected integers in list, got {entry}\n"
         assert not (tmp_path / "sw.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--g-list", "abc"], "g_list: could not parse list 'abc'"),
+        (["--n-list", "abc"], "n_list: could not parse list 'abc'"),
+        (["--n-list", "4.5"], "n_list: expected integers in list, got 4.5"),
+    ])
+    def test_bad_list_names_its_flag(self, tmp_path, capsys, argv, message):
+        # named no input: "error: could not parse list 'abc'"
+        assert run_cli("sweep", *argv, "--out", str(tmp_path / "sw")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("flag, field", [

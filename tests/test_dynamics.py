@@ -90,8 +90,9 @@ class TestSimulate:
     @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
     def test_scenario_trace_matches_direct_exp(self, spec, n_steps):
         result = run_scenario(spec, n_steps=n_steps)
-        trace, d, n = result.trace, result.spectrum, spec.n_sites
-        states = direct_exp_evolve(d.eigenvectors, d.eigenvalues, np.eye(n)[0], trace.grid.times)
+        trace, obs, n = result.trace, result.observation, spec.n_sites
+        d, times = obs.spectrum, obs.window.times
+        states = direct_exp_evolve(d.eigenvectors, d.eigenvalues, np.eye(n)[0], times)
         assert np.max(np.abs(trace.populations - np.abs(states.T) ** 2)) <= 1e-13
         watched = np.sum(np.abs(result.zero_basis.T @ states) ** 2, axis=0)
         assert np.max(np.abs(trace.leakage - (1.0 - watched))) <= 1e-13
@@ -247,9 +248,9 @@ class TestObservation:
         assert real.series.tobytes() == cplx.series.tobytes()
         assert real.peak == cplx.peak
         assert evolve_grid(d, e1, grid).tobytes() == evolve_grid(d, e1 + 0j, grid).tobytes()
-        want = leakage_trace(d, e1, grid, real.series, mid).mid_overlap
-        for psi0, mid_state in ((e1 + 0j, mid), (e1, mid + 0j)):
-            got = leakage_trace(d, psi0, grid, real.series, mid_state).mid_overlap
+        want = leakage_trace(real, mid).mid_overlap
+        for obs, mid_state in ((cplx, mid), (real, mid + 0j)):
+            got = leakage_trace(obs, mid_state).mid_overlap
             assert got.tobytes() == want.tobytes()
 
     def test_rejects_complex_basis(self):
@@ -268,9 +269,9 @@ class TestObservation:
             observe(d, nan_state, basis, grid)
         with pytest.raises(ValidationError, match="^basis: columns must be orthonormal$"):
             observe(d, e1, np.where(basis == 1.0, np.nan, basis), grid)
-        series = observe(d, e1, basis, grid).series
+        obs = observe(d, e1, basis, grid)
         with pytest.raises(ValidationError, match="^mid_state: must have unit norm within 1e-12$"):
-            leakage_trace(d, e1, grid, series, nan_state)
+            leakage_trace(obs, nan_state)
 
     def test_tie_goes_to_the_lower_index(self):
         # one watched vector split evenly over eigenvectors 1 and 2

@@ -239,6 +239,12 @@ class TestFluctuationTrials:
         corners, _ = run_fluctuation_trials(6, 0.05, np.int64(2), seed=0, n_steps=50)
         assert corners.shape == (2,)
 
+    @pytest.mark.parametrize("trials", [True, np.bool_(True)])
+    def test_trial_count_is_not_a_bool(self, trials):
+        # True ended in numpy's TypeError traceback: a bool is an int subclass
+        with pytest.raises(ValidationError, match="^trials: must be an integer$"):
+            run_fluctuation_trials(6, 0.05, trials, seed=0)
+
 
 class TestScenario:
     def test_dominant_matrix_follows_classification(self):
@@ -352,10 +358,9 @@ class TestEnergyUnit:
         # values at or below GROUPING_RTOL times their scale are round-off
         scales = effective_reports(build_chain(unit_spec)).scales
         floor0, floor1 = (GROUPING_RTOL * s for s in (scales[0], unit_spec.lam * scales[1]))
-        w = base.spectrum.eigenvalues
         energies = [
             (base.order0.block, floor0), (base.order1.block, floor1),
-            (w, default_grouping_tolerance(w)), (base.order0.eta1_common or 0.0, floor0),
+            (base.order0.eta1_common or 0.0, floor0),
             (c0.commutator_norm_order0, floor0), (c0.commutator_norm_order1, floor1),
         ]
         if any(_leaves_double_range(v, k, 1, f) for v, f in energies) or _leaves_double_range(
@@ -372,6 +377,12 @@ class TestEnergyUnit:
         )
         assert got.leakage.delta == base.leakage.delta
         assert got.grid.t_max == default_time_grid(build_chain(spec), 200).t_max
+        # the trace evolves the observation in units of k: no k enters a phase
+        trace, unit_trace = got.trace, base.trace
+        assert trace.grid is got.grid
+        for name in ("populations", "leakage", "mid_overlap"):
+            read, want = getattr(trace, name), getattr(unit_trace, name)
+            assert (read is None and want is None) or read.tobytes() == want.tobytes(), name
         pairs = [(got.grid.t_max * k, base.grid.t_max, 0.0)]
         pairs += [(got.order0.block / k, base.order0.block, floor0)]
         pairs += [(got.order1.block / k, base.order1.block, floor1)]

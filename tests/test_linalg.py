@@ -571,6 +571,13 @@ class TestValidation:
             with pytest.raises(ValidationError, match="^v0: columns must be orthonormal$"):
                 orthonormal_columns(v, 6, "v0")
 
+    @pytest.mark.parametrize("steps", [True, np.bool_(True), 2.0])
+    def test_step_count_is_an_integer(self, steps):
+        # TimeGrid(1.0, True) was a one-step grid: a bool is an int subclass
+        with pytest.raises(ValidationError, match="^n_steps: must be a positive integer$"):
+            TimeGrid(1.0, steps)
+        assert TimeGrid(1.0, np.int32(3)).times.size == 4
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             tridiag([0.0, 0.0], [1.0, 2.0])
