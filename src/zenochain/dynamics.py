@@ -5,11 +5,12 @@ leakage at time t is the population outside the watched zero-level subspace,
 1 - ||V^T psi(t)||^2 for an orthonormal basis V of that subspace; its
 maximum over the observation window is delta. ``observe`` computes it from
 the d0 watched amplitudes alone, in one ``Observation`` with their weights,
-the slow set and its margin; the N-site states are built only for a trace
-(``simulate``, ``leakage_trace``), from the observation's own start state,
-spectrum and window, so a trace's populations and leakage share one spectrum
-and one grid. The window is set by the one window step of ``harness``, in
-units of 1/k; ``default_time_grid`` returns it at k.
+the slow set and its margin, its peak dated on its own window; the N-site
+states are built only for a trace (``simulate``, ``leakage_trace``), from the
+observation's own start state, spectrum and window, so a trace's populations
+and leakage share one spectrum and one grid. No k enters this module: the
+window is set by the one window step of ``harness``, in units of 1/k, and
+only the benchmark referee's ``default_time_grid`` returns it at k.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class EvolutionTrace:
     grid: TimeGrid
     populations: np.ndarray
     leakage: np.ndarray
-    mid_overlap: np.ndarray | None = None
+    mid_overlap: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -97,16 +98,12 @@ def simulate(
 def leakage_trace(obs: Observation, mid_state: np.ndarray | None = None) -> EvolutionTrace:
     """The trace of ``obs.psi0`` under ``obs.spectrum`` over ``obs.window``;
     its leakage is ``obs.series``."""
-    d = obs.spectrum
-    states = evolve_grid(d, obs.psi0, obs.window)
-    populations = np.abs(states.T) ** 2
-
+    states = evolve_grid(obs.spectrum, obs.psi0, obs.window)
     mid_overlap = None
     if mid_state is not None:
-        mid_state = check_state(mid_state, d.size, "mid_state")
+        mid_state = check_state(mid_state, obs.spectrum.size, "mid_state")
         mid_overlap = np.abs(mid_state.conj() @ states) ** 2
-
-    return EvolutionTrace(obs.window, populations, obs.series, mid_overlap)
+    return EvolutionTrace(obs.window, np.abs(states.T) ** 2, obs.series, mid_overlap)
 
 
 def observe(
@@ -114,10 +111,8 @@ def observe(
     psi0: np.ndarray,
     basis: np.ndarray,
     window: TimeGrid,
-    grid: TimeGrid | None = None,
 ) -> Observation:
-    """psi0 under ``d``, watched on ``basis`` over ``window``, its peak dated on
-    ``grid`` (by default ``window``).
+    """psi0 under ``d``, watched on ``basis`` over ``window``, its peak dated on ``window``.
 
     With each phase factored into a coarse and a fine part
     (``grid_phase_factors``), every watched amplitude over the window is one
@@ -139,7 +134,7 @@ def observe(
     # strip float dust so leakage stays a population in [0, 1]
     series = np.clip(1.0 - np.sum(np.abs(amps) ** 2, axis=0), 0.0, 1.0)
     margin = float(weight[rank[d0 - 1]] - weight[rank[d0]])
-    peak = peak_report(series, grid or window)
+    peak = peak_report(series, window)
     return Observation(d, psi0, window, c, w, np.sort(rank[:d0]), margin, series, peak)
 
 

@@ -22,6 +22,7 @@ from .dynamics import (
     TimeGrid,
     leakage_trace,
     observe,
+    peak_report,
     site_one,
 )
 from .errors import NumericalFailureError, ValidationError
@@ -48,10 +49,11 @@ class ScenarioResult:
     """Everything a single-chain run produces, read from units of k.
 
     ``observation`` is the watch of |1> on ``zero_basis`` under the one
-    h_total spectrum, in units of k; its peak is ``leakage``. ``trace``,
-    every site's population at every ``grid`` time, is the observation's
-    trace (``leakage_trace``) labelled with ``grid``, built on first read
-    and then kept; k enters none of its phases.
+    h_total spectrum, in units of k, equal field for field to the unit
+    chain's; ``leakage`` is its peak sample dated on ``grid``, the window at
+    k. ``trace``, every site's population at every ``grid`` time, is the
+    observation's trace (``leakage_trace``) labelled with ``grid``, built on
+    first read and then kept; k enters none of its phases.
     """
 
     hams: ChainHamiltonians
@@ -97,9 +99,7 @@ def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
     return analysis
 
 
-def unit_window(
-    unit: ChainHamiltonians, t_max: float, n_steps: int, name: str = "lambda_inv"
-) -> TimeGrid:
+def unit_window(unit: ChainHamiltonians, t_max: float, n_steps: int, name: str) -> TimeGrid:
     """The grid over [0, t_max] in units of 1/k of a chain in units of k."""
     # its largest phase max|eta| t_max is at most 3 max|H_total| t_max
     if not math.isfinite(3.0 * unit.h_total.max_abs_entry() * t_max):
@@ -116,17 +116,16 @@ def _window(hams: ChainHamiltonians, n_steps: int, grid: TimeGrid | None = None)
     analysis = effective_reports(hams)
     classification = analysis.classify(site_one(hams.spec.n_sites))
     if grid is None:
-        window = unit_window(hams.unit, analysis.cycle(classification.order), n_steps)
+        window = unit_window(hams.unit, analysis.cycle(classification.order), n_steps, "lambda_inv")
         grid = TimeGrid(from_units_of_k(window.t_max, hams.spec.k, -1), n_steps)
     else:
         window = unit_window(hams.unit, grid.t_max * hams.spec.k, n_steps, "t_max")
     return analysis, classification, window, grid
 
 
-def _observe(hams: ChainHamiltonians, basis: np.ndarray, window: TimeGrid, grid: TimeGrid):
-    """|1> under h_total over k, watched on ``basis`` over ``window``, its peak dated at k."""
-    d = eig_sym_tridiag(hams.unit.h_total)
-    return observe(d, site_one(hams.spec.n_sites), basis, window, grid)
+def _observe(hams: ChainHamiltonians, basis: np.ndarray, window: TimeGrid) -> Observation:
+    """|1> under h_total over k, watched on ``basis`` over ``window`` (units of 1/k)."""
+    return observe(eig_sym_tridiag(hams.unit.h_total), site_one(hams.spec.n_sites), basis, window)
 
 
 def run_scenario(
@@ -146,11 +145,11 @@ def run_scenario(
     hams = build_chain(spec)
 
     analysis, classification, window, grid = _window(hams, n_steps, grid)
-    obs = _observe(hams, analysis.zero_basis, window, grid)
+    obs = _observe(hams, analysis.zero_basis, window)
     return ScenarioResult(
         hams=hams,
         grid=grid,
-        leakage=obs.peak,
+        leakage=peak_report(obs.series, grid),
         observation=obs,
         classification=classification,
         order0=analysis.order0,
@@ -208,28 +207,31 @@ def run_sweep(
         if not (math.isfinite(g) and g > 0.0):
             raise ValidationError(f"sweep: G must be finite and positive, got {g:g}")
     for n in n_list:
-        if n < 4 or n % 2 != 0:
+        if not np.issubdtype(type(n), np.integer) or n < 4 or n % 2 != 0:
             raise ValidationError(f"sweep: N={n:g} must be an even integer >= 4")
     for name, values in (("G", g_list), ("N", n_list)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValidationError(f"sweep: {name}={repeated[0]:g} is repeated")
     g_values, n_values = np.array(g_list, dtype=float), np.array(n_list)
-    lambda_inv = np.array([analytic.f_of_n(n) for n in n_list]) / g_values[:, None]
-    if np.any(lambda_inv < 1.0):
-        i, j = np.argwhere(lambda_inv < 1.0)[0]
-        raise ValidationError(
-            f"sweep: G={g_list[i]} at N={n_list[j]} implies lambda_inv={lambda_inv[i, j]:.3f} < 1"
-        )
+    # in Python floats, a subnormal G gives f(N) / G = inf without a warning
+    lambda_inv = np.array([[analytic.f_of_n(n) / float(g) for n in n_list] for g in g_list])
+    specs = {}
+    for (i, j), lam_inv in np.ndenumerate(lambda_inv):
+        try:
+            specs[i, j] = ChainSpec(n_list[j], float(lam_inv))
+        except ValidationError:
+            cell = f"G={g_list[i]:g} at N={n_list[j]:g} implies lambda_inv={lam_inv:g}"
+            raise ValidationError(f"sweep: {cell}, outside a chain's range") from None
 
     analyses = [effective_reports(build_chain(ChainSpec(n, 1.0))) for n in n_list]
     orders = [a.classify(site_one(n)).order for a, n in zip(analyses, n_list)]
     delta = np.empty_like(lambda_inv)
-    for (i, j), lam_inv in np.ndenumerate(lambda_inv):
-        hams = build_chain(ChainSpec(n_sites=n_list[j], lambda_inv=float(lam_inv)))
+    for (i, j), spec in specs.items():
+        hams = build_chain(spec)
         t_max = replace(analyses[j], lam=hams.spec.lam).cycle(orders[j])
         grid = unit_window(hams, t_max, n_steps, f"sweep: G={g_list[i]:g}")
-        delta[i, j] = _observe(hams, analyses[j].zero_basis, grid, grid).peak.delta
+        delta[i, j] = _observe(hams, analyses[j].zero_basis, grid).peak.delta
 
     mean_delta = delta.mean(axis=1)
     spread = np.max(np.abs(delta - mean_delta[:, None]), axis=1)
@@ -281,5 +283,5 @@ def run_fluctuation_trials(
         hams = build_chain(replace(noise_free.spec, fluctuation=noise))
         corner = -inverse_corner_tridiag(interior_block(hams.h_watch))
         corner_element[j] = from_units_of_k(corner, k, -1)
-        delta[j] = _observe(hams, analysis.zero_basis, grid, grid).peak.delta
+        delta[j] = _observe(hams, analysis.zero_basis, grid).peak.delta
     return corner_element, delta

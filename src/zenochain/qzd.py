@@ -39,8 +39,6 @@ if TYPE_CHECKING:
 def from_units_of_k(value, k: float, power: int = 1, floor: float = 0.0):
     """A float or array in units of k read back: times k (``power`` 1, an
     energy) or over k (-1, a time). Values at or below ``floor`` are round-off."""
-    if k == 1.0:
-        return value
     with np.errstate(over="ignore", under="ignore"):
         out = value * k if power == 1 else value / k
     # the read must not overflow, nor take a normal value above its round-off
@@ -99,8 +97,8 @@ class WatchAnalysis:
     zero_basis: np.ndarray
     blocks: tuple[EffectiveHamiltonianReport, EffectiveHamiltonianReport] | None
     scales: tuple[float, float] | None
-    lam: float = 1.0
-    k: float = 1.0
+    lam: float
+    k: float
 
     def _energy(self, value, order: int):
         s = self.lam**order

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1234,6 +1237,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: sweep: G must be finite and positive, got {g}\n"
         assert not (tmp_path / "sw.csv").exists()
 
+    @pytest.mark.parametrize("g, message", [
+        # an overflow warning, then "lambda_inv: must be finite, got inf"
+        ("3e-323", "G=2.96439e-323 at N=4 implies lambda_inv=inf"),
+        # "k: the strong bonds lambda_inv * k overflow at k = 1"
+        ("6e-309", "G=6e-309 at N=4 implies lambda_inv=1.66667e+308"),
+        # "G=1000000.0 at N=4 implies lambda_inv=0.000 < 1"
+        ("1e6", "G=1e+06 at N=4 implies lambda_inv=1e-06"),
+    ])
+    def test_cell_outside_a_chain_names_g_and_n(self, tmp_path, monkeypatch, capsys, g, message):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_observe", no_cell)
+        out = tmp_path / "sw"
+        assert run_cli("sweep", "--g-list", f"0.1,{g}", "--n-list", "4", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: sweep: {message}, outside a chain's range\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("g_list, n_list, message", [
         ("0.1,0.1", "4,6", "G=0.1 is repeated"),
         ("0.05,0.1", "4,6,4", "N=4 is repeated"),
@@ -1249,3 +1270,143 @@ class TestExitCodes:
         assert run_cli(
             "simulate", "--n", "4", "--lambda-inv", "5", "--out", str(out)
         ) == 3
+
+
+def _mostly(common, rare, odds: int = 4):
+    """``common`` ``odds`` draws in ``odds + 1``, else ``rare``."""
+    return st.integers(0, odds).flatmap(lambda i: rare if i == 0 else common)
+
+
+# every double: mostly a magnitude of 1e-3 to 1e3, else one of 1e-324 to
+# 1e308 or any double (subnormals, +-0, negatives, nan and inf)
+_DOUBLES = _mostly(
+    st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    st.one_of(st.floats(-324.0, 308.25).map(lambda e: 10.0**e), st.floats()),
+).map(repr)
+# counts that a check rejects: at most 0, or above the largest float64 array
+_REJECTED_COUNTS = st.one_of(st.integers(-(2**64), 0), st.integers(cli._INDEX_MAX + 1, 2**80))
+# chain lengths no machine can allocate (2**54 float64 values exceed any
+# address space): numpy fails at once. Lengths between 2001 and these would
+# allocate gigabytes, so they are not drawn.
+_UNALLOCATABLE = st.integers(2**54, np.iinfo(np.intp).max)
+_MALFORMED = st.one_of(
+    st.sampled_from(["", " ", "abc", "1e", "0x10", "4.5", "1,,2", "--", "-"]), st.text(max_size=6)
+)
+# unknown flags: another subcommand's, one of no subcommand, a bare word,
+# and a config file that is not there
+_STRAY = st.sampled_from(
+    ["--bogus", "--delta0", "--g-list", "--trials", "--t-max", "stray", "--config=missing.cfg"]
+)
+# the cells a run may form: N x steps, times the trials or the sweep's cells
+_CELL_BUDGET = 4 * 10**5
+
+
+@st.composite
+def cli_runs(draw):
+    """(subcommand, argv): each flag absent or drawn from its whole domain,
+    some values malformed, some runs with an unknown flag; N is capped so
+    that N x steps (x trials) stays within _CELL_BUDGET."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    names = cli.COMMANDS[command][2]
+    steps = draw(st.one_of(st.none(), _mostly(st.integers(1, 10**5), _REJECTED_COUNTS)))
+    trials = draw(st.one_of(st.none(), _mostly(st.integers(1, 20), _REJECTED_COUNTS)))
+    cells = 1
+    for name, value in (("steps", steps), ("trials", trials)):
+        if name in names:
+            cells *= cli.FLAGS[name]["default"] if value is None else max(value, 1)
+    longest = max(4, min(2001, _CELL_BUDGET // cells))
+    lengths = _mostly(st.integers(4, longest), st.one_of(_UNALLOCATABLE, _REJECTED_COUNTS))
+    drawn = {
+        "out": st.sampled_from([None, "run", "run.csv", "missing/run"]),
+        "steps": st.just(steps),
+        "trials": st.just(trials),
+        # bound is closed-form: any N
+        "n": st.integers() if command == "bound" else lengths,
+        "seed": st.integers(-(2**70), 2**70),
+        "g_list": st.lists(_DOUBLES, min_size=1, max_size=3).map(",".join),
+        "n_list": st.lists(
+            _mostly(st.integers(4, max(4, min(40, _CELL_BUDGET // (3 * cells)))), st.one_of(
+                _UNALLOCATABLE, st.integers(-(2**64), 3), _DOUBLES
+            )),
+            min_size=1, max_size=3,
+        ).map(lambda v: ",".join(map(str, v))),
+    }
+    argv = [command]
+    for name in names:
+        strategy = drawn.get(name, _DOUBLES)
+        if name not in ("steps", "trials"):  # drawn above, None when absent
+            # a chain length is mostly given: without it every chain command exits 1
+            strategy = _mostly(strategy, st.none(), 4 if name == "n" else 1)
+        value = draw(strategy)
+        if value is not None:
+            value = draw(_mostly(st.just(str(value)), _MALFORMED, 19))
+            argv += ["--" + name.replace("_", "-"), value]
+    return command, argv + draw(_mostly(st.just([]), st.lists(_STRAY, min_size=1, max_size=1), 9))
+
+
+class TestInputDomain:
+    """The exit-code half of the CLI property over every subcommand's inputs.
+
+    Exit 0 writes strict JSON and finite CSV cells, or exit 1, 2 or 3 prints
+    one stderr line, with no traceback, that names an input of the
+    subcommand (a flag, a G or N value of sweep) or the failed stage. The
+    other half, delta > 0 on unshifted chains, waits on an exact delta: the
+    computed one is round-off from lambda_inv ~ 1e8 on.
+    """
+
+    @staticmethod
+    def _strict(text: str):
+        def reject(constant):
+            raise AssertionError(f"{constant} is not strict JSON")
+
+        return json.loads(text, parse_constant=reject)
+
+    @staticmethod
+    def _names_an_input(command: str, line: str) -> bool:
+        flags = ("config", *cli.COMMANDS[command][2])
+        named = "|".join(f for name in flags for f in {name, name.replace("_", "-")})
+        rules = [
+            rf"error: ({named}|argument --({named})): ",
+            r"error: unrecognized arguments: ",
+            r"(numerical failure|out of memory|i/o error)(: |$)",
+        ]
+        if command == "sweep":
+            rules.append(r"error: sweep: ")  # a G or N value, or the fit
+        if "t_max" in flags:
+            rules.append(r"error: .*\(--t-max\)$")
+        return any(re.match(rule, line) for rule in rules)
+
+    @given(cli_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_and_output(self, drawn):
+        command, argv = drawn
+        out, err = io.StringIO(), io.StringIO()
+        here = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                texts = {p.name: p.read_text() for p in Path(work).iterdir() if p.is_file()}
+            finally:
+                os.chdir(here)
+        err = err.getvalue()
+        if code == 0:
+            assert err == "", argv
+            if command == "bound":
+                assert np.isfinite(float(out.getvalue())), argv
+            else:
+                self._strict(out.getvalue())
+            for name, text in texts.items():
+                # classify and effective write their JSON to the --out path as given
+                if name.endswith(".json") or command in ("classify", "effective"):
+                    self._strict(text)
+                else:
+                    rows = text.splitlines()[1:]
+                    cells = np.array([c for row in rows for c in row.split(",")], dtype=float)
+                    assert np.all(np.isfinite(cells)), argv
+        else:
+            assert code in (1, 2, 3), argv
+            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+            assert "Traceback" not in err, argv
+            assert self._names_an_input(command, err.rstrip("\n")), (argv, err)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,7 +233,10 @@ class TestObservation:
         assert obs.c.tobytes() == u[0].tobytes()
         assert np.array_equal(obs.w, (result.zero_basis.T @ u) * obs.c)
         assert np.array_equal(obs.series, result.trace.leakage)
-        assert obs.peak == result.leakage
+        # the observation's peak is dated in units of 1/k; the scenario reads
+        # the same sample at k
+        assert obs.peak == run_scenario(replace(spec, k=1.0), 50).observation.peak
+        assert obs.peak.delta == result.leakage.delta
 
     @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
     def test_site_one_real_or_complex(self, spec):

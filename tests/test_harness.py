@@ -11,7 +11,7 @@ import tempfile
 import types
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +24,9 @@ import zenochain
 from zenochain import cli, dynamics, harness, linalg, perturbation, qzd
 from zenochain.analytic import f_of_n, qtilde_fluctuating_corner
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
-from zenochain.dynamics import default_time_grid, measure_leakage, observe, site_one
+from zenochain.dynamics import (
+    Observation, default_time_grid, measure_leakage, observe, peak_report, site_one
+)
 from zenochain.errors import (
     ClusteringError,
     NumericalFailureError,
@@ -326,6 +328,19 @@ def _leaves_double_range(values, k: float, power: int, floor: float = 0.0) -> bo
     return bool(np.any(np.isinf(out) | ((v >= tiny) & (v > floor) & (out < tiny))))
 
 
+def _assert_same_observation(obs: Observation, want: Observation) -> None:
+    """Every field of ``obs`` equals ``want``'s, arrays to the bit."""
+    for field in fields(Observation):
+        read, expect = getattr(obs, field.name), getattr(want, field.name)
+        if isinstance(read, SpectralDecomposition):
+            pair = (read, expect)
+            read, expect = (np.hstack([x.eigenvalues, x.eigenvectors.ravel()]) for x in pair)
+        if isinstance(read, np.ndarray):
+            assert read.dtype == expect.dtype and read.tobytes() == expect.tobytes(), field.name
+        else:
+            assert read == expect, field.name
+
+
 @st.composite
 def unit_scaled_chains(draw):
     """(spec, k = 2^e, e integral): even, odd, shifted-odd and fluctuating
@@ -377,6 +392,11 @@ class TestEnergyUnit:
         )
         assert got.leakage.delta == base.leakage.delta
         assert got.grid.t_max == default_time_grid(build_chain(spec), 200).t_max
+        # the observation is in units of k, field for field the unit run's;
+        # the scenario dates its peak sample on the grid at k
+        _assert_same_observation(got.observation, base.observation)
+        assert got.leakage == peak_report(got.observation.series, got.grid)
+        assert measure_leakage(got.trace) == got.leakage
         # the trace evolves the observation in units of k: no k enters a phase
         trace, unit_trace = got.trace, base.trace
         assert trace.grid is got.grid

@@ -84,6 +84,22 @@ class TestEig:
         with pytest.raises(NumericalFailureError, match="^tridiagonal eigenvector solver failed"):
             eigvecs_sym_tridiag(m, 0, 4)
 
+    def test_vectors_off_orthonormal_are_a_failure(self, monkeypatch):
+        # dstein returned the 1754-column zero level of classify --n 1755 --k 10
+        # --lambda-inv 10 --delta-omega 1.2125e15 with info 0, 3e-10 from
+        # orthonormal: "error: v0: columns must be orthonormal", no input named
+        dstein = linalg.lapack.dstein
+
+        def skewed(*args):
+            v, info = dstein(*args)
+            v[:, 0] += 1e-9 * v[:, 1]
+            return v, info
+
+        monkeypatch.setattr(linalg.lapack, "dstein", skewed)
+        m = tridiag([0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+        with pytest.raises(NumericalFailureError, match="^tridiagonal eigenvector solver failed"):
+            eigvecs_sym_tridiag(m, 0, 2)
+
     def test_two_site(self):
         d = eig_sym_tridiag(tridiag([0.0, 0.0], [K]))
         assert_allclose(d.eigenvalues, [-K, K], atol=1e-14)
