@@ -13,7 +13,6 @@ from .errors import (
     AssumptionViolationError,
     ClusteringError,
     NumericalFailureError,
-    SingularMatrixError,
     UnsupportedConfigurationError,
     ValidationError,
     ZenoChainError,

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import analytic
 from .chain import ChainSpec, build_chain
-from .dynamics import DEFAULT_N_STEPS, site_one
+from .dynamics import DEFAULT_N_STEPS
 from .errors import NumericalFailureError, ValidationError
-from .harness import effective_reports, run_fluctuation_trials, run_scenario, run_sweep
+from .harness import _classified, effective_reports, run_fluctuation_trials, run_scenario, run_sweep
 from .perturbation import EffectiveHamiltonianReport
 from .qzd import QzdOrder
 
@@ -293,15 +293,13 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> No
         fh.write(b"\n")
 
 
-def _matrix_nonzeros(rep: EffectiveHamiltonianReport | None, cut: float) -> list[list]:
+def _matrix_nonzeros(rep: EffectiveHamiltonianReport, cut: float) -> list[list]:
     """Entries [i, j, value] (1-based, upper triangle) with |value| > cut of the
-    report's site-basis matrix M = V0 B V0^T; none without a report. As
+    report's site-basis matrix M = V0 B V0^T. As
     |M_ij| <= max|B| ||V0_i||_1 ||V0_j||_1 and ||V0_j||_1 <= d0, only the rows R
     with d0 max|B| ||V0_i||_1 > cut / 2 (2 covers rounding) are formed, as
     V0[R] B V0[R]^T; absolute sums, unlike squares, do not underflow at tiny k.
     """
-    if rep is None:
-        return []
     v0, block = rep.basis, rep.block
     bound = block.shape[0] * np.max(np.abs(block), initial=0.0) * np.abs(v0).sum(axis=1)
     rows = np.flatnonzero(bound > 0.5 * cut)
@@ -326,7 +324,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     order = result.classification.order
     # the report of the classified order; no other order lists an entry
-    rep = {QzdOrder.ZEROTH: result.order0, QzdOrder.FIRST: result.order1}.get(order)
+    rep = {QzdOrder.ZEROTH: result.order0, QzdOrder.FIRST: result.order1}[order]
     # relative to the weak coupling k, times lam for the order-1 matrix
     cut = 1e-12 * spec.k * (spec.lam if order is QzdOrder.FIRST else 1.0)
     summary = {
@@ -341,7 +339,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = _chain_spec(args)
-    c = effective_reports(build_chain(spec)).classify(site_one(spec.n_sites))
+    _, c = _classified(build_chain(spec))
     _emit_json(args.out, dataclasses.asdict(c) | {"order": c.order.value})
     return 0
 

@@ -22,20 +22,11 @@ class NumericalFailureError(ZenoChainError):
     """An iterative numerical routine failed to converge."""
 
 
-class SingularMatrixError(NumericalFailureError):
-    """A matrix inversion hit a (numerically) singular matrix.
-
-    Raised by the tridiagonal inverter; an unmodified odd chain's interior
-    block triggers this through its exact zero mode.
-    """
-
-
 class ClusteringError(NumericalFailureError):
-    """Eigenvalue clustering was ambiguous at the grouping tolerance.
-
-    The message lists the tolerance and the gaps that make it ambiguous;
-    ``analyze_watch`` takes no tolerance, it uses GROUPING_RTOL times max|eta|.
-    """
+    """Eigenvalue clustering was ambiguous at the tolerance it names: two
+    levels of one irreducible block of H_watch within the round-off bound
+    N eps ||H_watch|| of zero (``analyze_watch``), or a chained cluster wider
+    than ``group_levels``' tol."""
 
 
 class AssumptionViolationError(ValidationError):

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analytic
-from .chain import ChainHamiltonians, ChainSpec, CouplingFluctuation, build_chain, interior_block
+from .chain import ChainHamiltonians, ChainSpec, CouplingFluctuation, build_chain
 from .dynamics import (
     DEFAULT_N_STEPS,
     EvolutionTrace,
@@ -26,13 +26,13 @@ from .dynamics import (
     site_one,
 )
 from .errors import NumericalFailureError, ValidationError
-from .linalg import eig_sym_tridiag, inverse_corner_tridiag
-from .perturbation import EffectiveHamiltonianReport
-from .qzd import QzdClassification, WatchAnalysis, analyze_watch, from_units_of_k
+from .linalg import eig_sym_tridiag
+from .perturbation import EffectiveHamiltonianReport, hqzd_order1
+from .qzd import QzdClassification, QzdOrder, WatchAnalysis, analyze_watch, from_units_of_k
 
 # Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
 from .dynamics import measure_leakage, simulate  # noqa: F401
-from .perturbation import group_levels, hqzd_order0, hqzd_order1, reduced_resolvent  # noqa: F401
+from .perturbation import group_levels, hqzd_order0, reduced_resolvent  # noqa: F401
 from .qzd import classify  # noqa: F401
 
 # A mean delta at or below this is round-off of ``observe``'s series, not
@@ -78,7 +78,7 @@ def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
     """The chain's watch analysis, solved in units of k (``hams.unit``) and read at k."""
     unit = hams.unit
     try:
-        analysis = analyze_watch(unit.h_watch, unit.h_weak, unit.spec.lam, hams.spec.k)
+        return analyze_watch(unit.h_watch, unit.h_weak, unit.spec.lam, hams.spec.k)
     except NumericalFailureError as exc:
         if not unit.spec.is_modified:
             raise
@@ -87,16 +87,22 @@ def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:
             f"delta_omega: the watch analysis fails at lam * delta_omega / k = "
             f"{unit.h_watch.diag[1]:g} ({exc})"
         ) from exc
-    d0 = analysis.zero_basis.shape[1]
-    # the two ends and at most one zero mode of the interior block, whose
-    # eigenvalues are simple: more means the zero-level tolerance took in
-    # interior levels next to a large shift
-    if unit.spec.is_modified and d0 > 3:
+
+
+def _classified(hams: ChainHamiltonians) -> tuple[WatchAnalysis, QzdClassification]:
+    """The chain's watch analysis (``effective_reports``) and the class of |1>,
+    which the chain order theorem fixes by d0: first for 2, zeroth for 3. A
+    shifted chain whose deciding commutator the shift puts at round-off
+    raises a ValidationError naming delta_omega."""
+    analysis = effective_reports(hams)
+    c = analysis.classify(site_one(hams.spec.n_sites))
+    theorem = QzdOrder.FIRST if c.zero_level_dimension == 2 else QzdOrder.ZEROTH
+    if hams.spec.is_modified and c.order is not theorem:
         raise ValidationError(
-            f"delta_omega: the zero level has {d0} > 3 dimensions at "
-            f"lam * delta_omega / k = {unit.h_watch.diag[1]:g}"
+            f"delta_omega: at lam * delta_omega / k = {hams.unit.h_watch.diag[1]:g} the "
+            f"{theorem.value}-order commutator of |1> lies at round-off"
         )
-    return analysis
+    return analysis, c
 
 
 def unit_window(unit: ChainHamiltonians, t_max: float, n_steps: int, name: str) -> TimeGrid:
@@ -113,8 +119,7 @@ def unit_window(unit: ChainHamiltonians, t_max: float, n_steps: int, name: str) 
 def _window(hams: ChainHamiltonians, n_steps: int, grid: TimeGrid | None = None):
     """The watch analysis, the class of |1>, and the window in units of 1/k and
     at k: ``grid`` if given, else one cycle of the class's order (``WatchAnalysis.cycle``)."""
-    analysis = effective_reports(hams)
-    classification = analysis.classify(site_one(hams.spec.n_sites))
+    analysis, classification = _classified(hams)
     if grid is None:
         window = unit_window(hams.unit, analysis.cycle(classification.order), n_steps, "lambda_inv")
         grid = TimeGrid(from_units_of_k(window.t_max, hams.spec.k, -1), n_steps)
@@ -259,11 +264,11 @@ def run_fluctuation_trials(
     """Monte Carlo over chains with fluctuating interior couplings.
 
     Returns ``(corner_element, delta)``, two arrays of length ``trials``:
-    trial j seeds its generator with seed + j and gives the reduced
-    resolvent's corner element <2|Qtilde|N-1> (the corner of the
-    interior-block inverse, read over k) and the delta of the full dynamics
-    in units of k, on the zero basis {|1>, |N>} and over the default window
-    of one watch analysis of the chain without coupling noise.
+    trial j seeds its generator with seed + j and gives <2|Qtilde|N-1>, the
+    (1, N) entry per k^2 of its own watch's order-1 block (read over k), and
+    the delta of the full dynamics in units of k, on the zero basis {|1>, |N>}
+    and over the default window of one watch analysis of the chain without
+    coupling noise.
     """
     # an int or a numpy integer; a bool is neither to numpy
     if not np.issubdtype(type(trials), np.integer):
@@ -281,7 +286,8 @@ def run_fluctuation_trials(
     for j in range(trials):
         noise = CouplingFluctuation(amplitude, seed + j)
         hams = build_chain(replace(noise_free.spec, fluctuation=noise))
-        corner = -inverse_corner_tridiag(interior_block(hams.h_watch))
+        # every even chain's zero basis is {|1>, |N>}: its watch has zero rows there
+        corner = hqzd_order1(analysis.zero_basis, hams.h_weak, hams.h_watch).block[0, 1]
         corner_element[j] = from_units_of_k(corner, k, -1)
         delta[j] = _observe(hams, analysis.zero_basis, grid).peak.delta
     return corner_element, delta

@@ -1,8 +1,8 @@
 """Real-symmetric tridiagonal linear algebra.
 
-Eigendecomposition (full, eigenvalues only, or a few eigenvectors), a
-bordered tridiagonal solve, spectral time evolution over a uniform
-``TimeGrid`` and the corner element of a tridiagonal inverse. Every
+Eigendecomposition (full, or the eigenvalues next to zero and a few
+eigenvectors), a bordered tridiagonal solve and spectral time evolution over
+a uniform ``TimeGrid``. Every
 Hamiltonian in this package is real symmetric, so eigenvectors are real
 (``SpectralDecomposition`` rejects complex ones), a real state stays real,
 and time evolution only multiplies them by complex phases. f2py's LAPACK
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NumericalFailureError, SingularMatrixError, ValidationError
+from .errors import NumericalFailureError, ValidationError
 
 # Mirror-symmetric matrices of at least this size are solved as two half-size
 # parity blocks; below it one full solve costs less than the split's overhead.
@@ -77,7 +77,11 @@ class SymTridiagMatrix:
         return float(max(np.max(np.abs(self.diag)), np.max(np.abs(self.offdiag), initial=0.0)))
 
     def frobenius_norm(self) -> float:
-        return math.sqrt(float(self.diag @ self.diag + 2.0 * self.offdiag @ self.offdiag))
+        # over the power of two at or below max|entry|, exactly, so no square
+        # overflows; a norm past the double range reads inf
+        s = math.ldexp(1.0, math.frexp(self.max_abs_entry())[1] - 1)
+        d, e = self.diag / s, self.offdiag / s
+        return s * math.sqrt(float(d @ d + 2.0 * e @ e))
 
 
 @dataclass(frozen=True)
@@ -127,12 +131,13 @@ def _lapack_offdiag(m: SymTridiagMatrix) -> np.ndarray:
     return m.offdiag if m.size > 1 else np.zeros(1)
 
 
-def _dstevd(diag: np.ndarray, offdiag: np.ndarray, size: int, vectors: bool):
+def _dstevd(diag: np.ndarray, offdiag: np.ndarray, size: int):
     """LAPACK ``dstevd`` on one tridiagonal (block); failures name ``size``."""
-    w, v, info = lapack.dstevd(diag, offdiag, compute_v=int(vectors))
+    w, v, info = lapack.dstevd(diag, offdiag)
     if info != 0:
-        what = "eigensolver failed to converge" if vectors else "eigenvalue solver failed"
-        raise NumericalFailureError(f"tridiagonal {what} on a {size}x{size} matrix")
+        raise NumericalFailureError(
+            f"tridiagonal eigensolver failed to converge on a {size}x{size} matrix"
+        )
     return w, v
 
 
@@ -175,10 +180,10 @@ def eig_sym_tridiag(m: SymTridiagMatrix) -> SpectralDecomposition:
     n = m.size
     blocks = _parity_blocks(m)
     if not blocks:
-        w, v = _dstevd(m.diag, _lapack_offdiag(m), n, vectors=True)
+        w, v = _dstevd(m.diag, _lapack_offdiag(m), n)
         return SpectralDecomposition(w, v)
     h = n // 2
-    (ws, vs), (wa, va) = (_dstevd(d, e, n, vectors=True) for d, e in blocks)
+    (ws, vs), (wa, va) = (_dstevd(d, e, n) for d, e in blocks)
     vs[:h] *= _SQRT_HALF
     va *= _SQRT_HALF
     w = np.concatenate([ws, wa])
@@ -197,17 +202,26 @@ def eig_sym_tridiag(m: SymTridiagMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(w[order], rows.T)
 
 
-def eigvals_sym_tridiag(m: SymTridiagMatrix) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, ascending.
-
-    LAPACK ``dstevd`` without eigenvectors: O(N^2), no N x N array; a
-    mirror-symmetric m of at least ``PARITY_MIN_SIZE`` sites as its two
-    parity blocks (see ``eig_sym_tridiag``).
-    """
-    blocks = _parity_blocks(m) or ((m.diag, _lapack_offdiag(m)),)
-    w = np.concatenate([_dstevd(d, e, m.size, vectors=False)[0] for d, e in blocks])
-    w.sort()
-    return w
+def _eigvals_near_zero(m: SymTridiagMatrix) -> tuple[np.ndarray, int]:
+    """(w, first): m's eigenvalues first, first + 1, ... (ascending order), the
+    two below zero and the two at or above it where m has them. A Sturm count
+    at 0, the negative pivots of m's LDL^T (one below pivmin taken as -pivmin,
+    as in LAPACK's bisection), gives the index c of the first level >= 0, and
+    ``dstebz`` bisects levels c-2..c+1 only. O(N)."""
+    e2 = [b * b for b in m.offdiag.tolist()]
+    pivmin = np.finfo(float).tiny * max([1.0, *e2])
+    count, q = 0, 1.0
+    for a, b2 in zip(m.diag.tolist(), [0.0, *e2]):
+        q = a - b2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0.0
+    first, last = max(count - 2, 0), min(count + 2, m.size)
+    e = _lapack_offdiag(m)
+    found, w, *_, info = lapack.dstebz(m.diag, e, 2, 0.0, 0.0, first + 1, last, 0.0, "E")
+    if info != 0:
+        raise NumericalFailureError(f"tridiagonal bisection failed on a {m.size}x{m.size} matrix")
+    return w[:found], first
 
 
 def eigvecs_sym_tridiag(m: SymTridiagMatrix, lo: int, hi: int) -> np.ndarray:
@@ -348,24 +362,3 @@ def evolve_grid(d: SpectralDecomposition, psi0: np.ndarray, grid: TimeGrid) -> n
     weights = u.T @ psi0
     table = ((coarse.T * weights[:, None])[:, :, None] * fine[:, None, :]).reshape(d.size, -1)
     return (u @ table.view(float)).view(complex)[:, : grid.n_steps + 1]
-
-
-def inverse_corner_tridiag(m: SymTridiagMatrix) -> float:
-    """Element (0, N-1) of m's inverse: x[0] for the solution of m x = e_N.
-
-    One LAPACK ``dgtsvx`` call factors m (LU with partial pivoting),
-    estimates its reciprocal condition number and solves. SingularMatrixError
-    when m has an exact zero pivot or its reciprocal condition number is
-    below machine epsilon (``info > 0``); an unmodified odd chain's interior
-    block lands here through its exact zero mode.
-    """
-    n = m.size
-    rhs = np.zeros((n, 1))
-    rhs[-1] = 1.0
-    off = _lapack_offdiag(m)
-    *_, x, rcond, _, _, info = lapack.dgtsvx(off, m.diag, off, rhs)
-    if info > 0:
-        raise SingularMatrixError(
-            f"tridiagonal matrix of size {n}x{n} is singular (rcond={rcond:.3e})"
-        )
-    return float(x[0, 0])

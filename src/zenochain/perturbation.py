@@ -12,11 +12,13 @@ zero level and expanded to the N x N site basis only on request. Both take
 V0 and the tridiagonal perturbation H and form H V0 in O(N d0). The order-1
 block needs Qtilde only on the d0 columns of H V0, which one bordered
 tridiagonal solve gives without any eigenvector of a nonzero level, and
-the watch analysis (``qzd.analyze_watch``) reads just the zero level.
+the watch analysis (``qzd.analyze_watch``) finds the zero level from the
+watch's irreducible blocks, with no level grouping and no fitted tolerance.
 
 Level grouping (``group_levels``, ``ProjectorSet``, ``DegenerateLevel``) and
 the dense ``reduced_resolvent`` are test referees: no program path calls
 them, and they stay for the benchmark's bindings (``perfbench/spans.py``).
+The tests group at ``tests/oracles.py``'s ``default_grouping_tolerance``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .linalg import (
     solve_bordered_tridiag,
 )
 
-GROUPING_RTOL = 1e-8
 PROPORTIONALITY_RTOL = 1e-10
 
 
@@ -96,16 +97,6 @@ class ProjectorSet:
         counts = np.diff(self.bounds)
         keep = np.repeat(np.arange(counts.size) != self.zero_level_index, counts)
         return self.vectors[:, keep], np.repeat(self.eigenvalues, counts)[keep]
-
-
-def default_grouping_tolerance(eigenvalues: np.ndarray) -> float:
-    """GROUPING_RTOL times the spectrum's largest |eigenvalue|: the grouping rule.
-
-    An all-zero spectrum falls back to GROUPING_RTOL itself; any positive
-    tolerance groups it the same way.
-    """
-    scale = float(np.max(np.abs(eigenvalues), initial=0.0))
-    return GROUPING_RTOL * scale if scale > 0.0 else GROUPING_RTOL
 
 
 def group_levels(d: SpectralDecomposition, tol: float) -> ProjectorSet:

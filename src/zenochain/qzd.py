@@ -5,6 +5,10 @@ watch annihilates, the dynamics inside the zero-eigenvalue subspace of
 H_watch is generated, order by order, by the effective Hamiltonians of the
 perturbation module. The classification names the lowest order whose
 effective Hamiltonian actually moves the initial state.
+
+The zero level comes from the watch's irreducible blocks (``analyze_watch``),
+and every zero test reads a value at or below N eps times its own scale as
+round-off (N the watch's size; LAPACK Users' Guide section 4.7).
 """
 
 from __future__ import annotations
@@ -19,14 +23,8 @@ import numpy as np
 from .errors import (
     AssumptionViolationError, ClusteringError, UnsupportedConfigurationError, ValidationError
 )
-from .linalg import SymTridiagMatrix, check_state, eigvals_sym_tridiag, eigvecs_sym_tridiag
-from .perturbation import (
-    GROUPING_RTOL,
-    EffectiveHamiltonianReport,
-    default_grouping_tolerance,
-    hqzd_order0,
-    hqzd_order1,
-)
+from .linalg import SymTridiagMatrix, _eigvals_near_zero, check_state, eigvecs_sym_tridiag
+from .perturbation import EffectiveHamiltonianReport, hqzd_order0, hqzd_order1
 
 # Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
 from .linalg import eig_sym_tridiag  # noqa: F401
@@ -34,6 +32,8 @@ from .perturbation import group_levels, reduced_resolvent  # noqa: F401
 
 if TYPE_CHECKING:
     from .dynamics import LeakageReport
+
+_EPS = np.finfo(float).eps
 
 
 def from_units_of_k(value, k: float, power: int = 1, floor: float = 0.0):
@@ -84,39 +84,42 @@ class WatchAnalysis:
     """Everything the watch spectrum fixes for one chain, computed once.
 
     The solves see H_watch and H_weak in units of k. ``zero_basis``
-    (N x d0) spans the zero level of H_watch (N x 0 without one); ``blocks`` are the
+    (N x d0, d0 >= 1) spans the zero level of H_watch; ``blocks`` are the
     effective Hamiltonians of H_weak there, order 1 per unit lam, and
-    ``scales`` their scales, ||H_weak|| and ||H_weak||^2 / min |eta != 0|
-    (Frobenius norms), all None without a zero level. ``order0``,
+    ``scales`` their scales, ||H_weak|| and ||H_weak||^2 / Delta, with Delta
+    the smallest |eta| outside the zero level (Frobenius norms). ``order0``,
     ``order1`` and the commutator norms of ``classify`` read order n times
-    k lam^n, where values at or below GROUPING_RTOL times the scale are
-    round-off; ``cycle`` reads a time over lam^n, in units of 1/k.
+    k lam^n, where values at or below N eps times the scale are round-off;
+    ``cycle`` reads a time over lam^n, in units of 1/k.
     """
 
     h_watch: SymTridiagMatrix
     zero_basis: np.ndarray
-    blocks: tuple[EffectiveHamiltonianReport, EffectiveHamiltonianReport] | None
-    scales: tuple[float, float] | None
+    blocks: tuple[EffectiveHamiltonianReport, EffectiveHamiltonianReport]
+    scales: tuple[float, float]
     lam: float
     k: float
 
+    @property
+    def _round_off(self) -> float:
+        """N eps: a value at or below it times its own scale is round-off."""
+        return self.h_watch.size * _EPS
+
     def _energy(self, value, order: int):
         s = self.lam**order
-        return from_units_of_k(s * value, self.k, 1, s * GROUPING_RTOL * self.scales[order])
+        return from_units_of_k(s * value, self.k, 1, s * self._round_off * self.scales[order])
 
-    def _read(self, order: int) -> EffectiveHamiltonianReport | None:
-        if self.blocks is None:
-            return None
+    def _read(self, order: int) -> EffectiveHamiltonianReport:
         rep = self.blocks[order]
         common = None if rep.eta1_common is None else self._energy(rep.eta1_common, order)
         return replace(rep, block=self._energy(rep.block, order), eta1_common=common)
 
     @cached_property
-    def order0(self) -> EffectiveHamiltonianReport | None:
+    def order0(self) -> EffectiveHamiltonianReport:
         return self._read(0)
 
     @cached_property
-    def order1(self) -> EffectiveHamiltonianReport | None:
+    def order1(self) -> EffectiveHamiltonianReport:
         return self._read(1)
 
     def classify(self, psi0: np.ndarray) -> QzdClassification:
@@ -124,7 +127,7 @@ class WatchAnalysis:
         psi0 = check_state(psi0, self.h_watch.size, "psi0")
 
         residual = float(np.linalg.norm(self.h_watch.matvec(psi0)))
-        if residual > GROUPING_RTOL * self.h_watch.max_abs_entry():
+        if residual > self._round_off * self.h_watch.frobenius_norm():
             raise AssumptionViolationError(
                 f"H_watch does not annihilate psi0 (|H_w psi0| = {residual:.3e}); "
                 "the watched-subspace framework does not apply"
@@ -139,18 +142,15 @@ class WatchAnalysis:
             rho0 = np.outer(a, a.conj())
             comms = [float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in self.blocks]
             # each order's scale bounds its block; a commutator at or below
-            # GROUPING_RTOL times its scale is round-off, reported as 0.0
-            comm0, comm1 = (c if c > GROUPING_RTOL * s else 0.0 for c, s in zip(comms, self.scales))
+            # N eps times its scale is round-off, reported as 0.0
+            floors = (self._round_off * s for s in self.scales)
+            comm0, comm1 = (c if c > f else 0.0 for c, f in zip(comms, floors))
             proportional = self.blocks[0].eta1_common is not None
         prerequisite_i = proportional and comm1 > 0.0
 
         if dim0 < 2:
             order = QzdOrder.NO_DYNAMICS
-            notes = (
-                "zero level is one-dimensional; no room for a transition"
-                if dim0
-                else "watch spectrum has no zero level at the grouping tolerance"
-            )
+            notes = "zero level is one-dimensional; no room for a transition"
         elif comm0 > 0.0:
             order = QzdOrder.ZEROTH
             notes = "order-0 effective Hamiltonian moves the initial state"
@@ -170,7 +170,6 @@ class WatchAnalysis:
                 "no dynamics at any order"
             )
 
-        # a zero commutator reads as 0.0, also without a zero level to scale it
         return QzdClassification(
             watch_annihilates_initial=True,
             zero_level_dimension=dim0,
@@ -185,15 +184,13 @@ class WatchAnalysis:
         """2 pi over the smallest nonzero level gap of ``order``'s block, in units of 1/k.
 
         The block is ``order0``'s (zeroth) or ``order1``'s (first); levels at
-        most GROUPING_RTOL times its largest |level| apart count as one.
-        Other orders, and a block of one level, raise
-        UnsupportedConfigurationError.
+        most N eps times its largest |level| apart count as one. Other
+        orders, and a block of one level, raise UnsupportedConfigurationError.
         """
         n = {QzdOrder.ZEROTH: 0, QzdOrder.FIRST: 1}.get(order)
-        rep = None if n is None or self.blocks is None else self.blocks[n]
-        e = np.linalg.eigvalsh(rep.block) if rep is not None else np.zeros(1)
+        e = np.zeros(1) if n is None else np.linalg.eigvalsh(self.blocks[n].block)
         gaps = np.diff(e)
-        gaps = gaps[gaps > GROUPING_RTOL * np.max(np.abs(e))]
+        gaps = gaps[gaps > self._round_off * np.max(np.abs(e))]
         if not gaps.size:
             raise UnsupportedConfigurationError(
                 f"{order.value} order has no effective cycle to set the default "
@@ -211,29 +208,43 @@ def analyze_watch(
     """The watch's zero basis and both effective Hamiltonians.
 
     The matrices are in units of k, the energy unit the analysis reads at.
-    One eigenvalue solve of H_watch, whose zero level is the eigenvalues
-    within tol of zero (a ClusteringError when it is wider than tol or a
-    neighbour lies within tol of it; nothing else is grouped); eigenvectors
-    of the zero level only, H_weak V0 for each block, and one bordered
-    solve for the order-1 block. No N x N array is formed.
+    H_watch splits at its zero bonds into irreducible blocks, whose levels
+    are simple (Parlett, The Symmetric Eigenvalue Problem, ch. 7). Each
+    block's level nearest zero (``_eigvals_near_zero``) joins the zero level
+    when |eta| <= N eps ||H_watch||_F; two levels of one block raise
+    ClusteringError, none at all AssumptionViolationError. Delta, the
+    smallest |eta| outside it, comes from the same neighbours of zero. Then
+    ``eigvecs_sym_tridiag`` for the zero level only, H_weak V0 and one
+    bordered solve: O(N), no N x N array.
     """
-    w = eigvals_sym_tridiag(h_watch)
-    tol = default_grouping_tolerance(w)
-    lo, hi = np.searchsorted(w, -tol, "right"), np.searchsorted(w, tol, "left")
-    if lo == hi:
-        return WatchAnalysis(h_watch, np.zeros((h_watch.size, 0)), None, None, lam, k)
-    below = w[lo - 1] if lo else -np.inf
-    above = w[hi] if hi < w.size else np.inf
-    gaps = w[lo] - below, w[hi - 1] - w[lo], above - w[hi - 1]
-    if gaps[1] > tol or min(gaps[0], gaps[2]) <= tol:
-        listed = ", ".join(f"{g:.3e}" for g in gaps)
-        raise ClusteringError(
-            f"ambiguous zero level at tol={tol:.3e}; gap below, width, gap above: [{listed}]"
+    n = h_watch.size
+    tol = n * _EPS * h_watch.frobenius_norm()
+    cuts = (np.flatnonzero(h_watch.offdiag == 0.0) + 1).tolist()
+    below, dim0, delta = 0, 0, np.inf
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        w, first = h_watch.diag[lo:hi], 0
+        if hi - lo > 1:
+            w, first = _eigvals_near_zero(SymTridiagMatrix(w, h_watch.offdiag[lo : hi - 1]))
+        member = np.abs(w) <= tol
+        if np.count_nonzero(member) > 1:
+            raise ClusteringError(
+                f"ambiguous zero level: {np.count_nonzero(member)} of the levels next to zero "
+                f"of the irreducible block of sites {lo + 1}..{hi} lie within tol={tol:.3e}"
+            )
+        below += first + np.count_nonzero(w < -tol)
+        dim0 += np.count_nonzero(member)
+        delta = min(delta, np.min(np.abs(w[~member]), initial=np.inf))
+    if not dim0:
+        raise AssumptionViolationError(
+            f"H_watch has no zero level (no |eta| <= tol={tol:.3e}); "
+            "the watched-subspace framework does not apply"
         )
-    v0 = eigvecs_sym_tridiag(h_watch, lo, hi)
+    # no other level lies within tol of zero, so the zero level is H_watch's
+    # levels below..below + d0 - 1; a 1 x 1 block's vector is exactly a unit vector
+    v0 = eigvecs_sym_tridiag(h_watch, below, below + dim0)
     blocks = hqzd_order0(v0, h_weak), hqzd_order1(v0, h_weak, h_watch)
     norm = h_weak.frobenius_norm()
-    return WatchAnalysis(h_watch, v0, blocks, (norm, norm**2 / min(-below, above)), lam, k)
+    return WatchAnalysis(h_watch, v0, blocks, (norm, norm**2 / delta), lam, k)
 
 
 def classify(
@@ -244,20 +255,17 @@ def classify(
 ) -> QzdClassification:
     """Classify the order of the constrained dynamics.
 
-    Decision tree: no zero level or dim P0 < 2 -> no_dynamics; the order-0
+    Decision tree: dim P0 < 2 -> no_dynamics; the order-0
     effective Hamiltonian fails to commute with |psi0><psi0| -> zeroth;
     otherwise, if it is proportional to P0 (its ``eta1_common`` is set) and
     the order-1 effective Hamiltonian fails to commute -> first; otherwise
     higher_or_none.
 
-    ``GROUPING_RTOL`` (1e-8) governs the zero level and the two commutator
-    tests only: the zero level is the eigenvalues of H_watch within tol =
-    GROUPING_RTOL times its largest |eigenvalue| of zero (``analyze_watch``),
-    and a commutator counts as nonvanishing when its Frobenius norm exceeds
-    GROUPING_RTOL times its order's scale, ||H_weak|| for order 0 and
-    ||H_weak||^2 / min |eta != 0| for order 1 (per unit lam), both in units
-    of k = max|H_weak|, over which the matrices are solved; one that does
-    not is reported as 0.0.
+    The zero level is ``analyze_watch``'s, and a commutator counts as
+    nonvanishing when its Frobenius norm exceeds N eps times its order's
+    scale, ||H_weak|| for order 0 and ||H_weak||^2 / Delta for order 1 (per
+    unit lam), both in units of k = max|H_weak|, over which the matrices
+    are solved; one that does not is reported as 0.0.
     Proportionality to P0 is the one test of ``hqzd_order0``, relative to
     the norm of H_weak.
     """

@@ -47,6 +47,8 @@ from zenochain.linalg import (
 from zenochain.perturbation import ProjectorSet
 from zenochain.qzd import QzdOrder
 
+# the grouping referees' relative tolerance (``default_grouping_tolerance``)
+GROUPING_RTOL = 1e-8
 # det_tridiag rescales its continuants when they leave this range.
 _CONTINUANT_LOW, _CONTINUANT_HIGH = 2.0**-500, 2.0**500
 
@@ -79,6 +81,17 @@ def rk4_evolve(h_dense: np.ndarray, psi0: np.ndarray, t_samples: np.ndarray, dt:
     return out
 
 
+def default_grouping_tolerance(eigenvalues: np.ndarray) -> float:
+    """GROUPING_RTOL times the spectrum's largest |eigenvalue|: the tolerance at
+    which ``group_levels`` and ``group_levels_by_loop`` group a dense spectrum.
+
+    An all-zero spectrum falls back to GROUPING_RTOL itself; any positive
+    tolerance groups it the same way.
+    """
+    scale = float(np.max(np.abs(eigenvalues), initial=0.0))
+    return GROUPING_RTOL * scale if scale > 0.0 else GROUPING_RTOL
+
+
 def group_levels_by_loop(
     w: np.ndarray, tol: float
 ) -> tuple[list[tuple[float, tuple[int, ...]]], int | None]:
@@ -105,6 +118,19 @@ def group_levels_by_loop(
     candidates = [i for i, (mean, _) in enumerate(levels) if abs(mean) < tol]
     zero = min(candidates, key=lambda i: abs(levels[i][0])) if candidates else None
     return levels, zero
+
+
+def zero_level_by_loop(h_watch: SymTridiagMatrix) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The irreducible blocks of ``h_watch``, split one bond at a time where a
+    bond is exactly zero, as (first site, ascending levels, eigenvectors) from
+    a dense ``numpy.linalg.eigh`` of each block."""
+    blocks, lo = [], 0
+    for i in range(h_watch.size):
+        if i == h_watch.size - 1 or h_watch.offdiag[i] == 0.0:
+            dense = SymTridiagMatrix(h_watch.diag[lo : i + 1], h_watch.offdiag[lo:i]).to_dense()
+            blocks.append((lo, *np.linalg.eigh(dense)))
+            lo = i + 1
+    return blocks
 
 
 def gaussian_elimination_inverse(a: np.ndarray) -> np.ndarray:

@@ -23,23 +23,18 @@ from zenochain.analytic import (
     toeplitz_eigenpair,
 )
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
-from zenochain.errors import SingularMatrixError
 from zenochain.harness import run_fluctuation_trials, run_scenario, run_sweep
-from zenochain.linalg import (
-    eig_sym_tridiag,
-    evolve_grid,
-    inverse_corner_tridiag,
-)
+from zenochain.linalg import eig_sym_tridiag, evolve_grid
 from zenochain.perturbation import (
-    default_grouping_tolerance,
     group_levels,
     hqzd_order1,
     reduced_resolvent,
 )
-from zenochain.qzd import QzdOrder, classify
+from zenochain.qzd import QzdOrder, analyze_watch, classify
 
 from .oracles import (
     align_signs,
+    default_grouping_tolerance,
     det_tridiag,
     direct_exp_evolve,
     expm_leakage_peak,
@@ -437,7 +432,16 @@ def test_criterion_10_fluctuation_robustness():
 
 def test_odd_unmodified_interior_block_detected_singular():
     # companion to criterion 9: the unmodified odd chain's zero mode makes
-    # the interior block singular and the corner solve reports it
-    block = interior_block(build_chain(ChainSpec(7, 5.0)).h_watch)
-    with pytest.raises(SingularMatrixError):
-        inverse_corner_tridiag(block)
+    # the interior block singular, and the watch analysis takes that mode
+    # into the zero level, between |1> and |N>
+    hams = build_chain(ChainSpec(7, 5.0))
+    block = interior_block(hams.h_watch)
+    with pytest.raises(ZeroDivisionError):
+        gaussian_elimination_inverse(block.to_dense())
+    v0 = analyze_watch(hams.h_watch, hams.h_weak).zero_basis
+    assert v0.shape == (7, 3)
+    interior = np.linalg.norm(v0[1:-1], axis=0) > 0.5
+    assert np.count_nonzero(interior) == 1
+    mode = v0[1:-1, interior][:, 0]
+    assert np.linalg.norm(mode) == pytest.approx(1.0, abs=1e-14)
+    assert np.max(np.abs(block.matvec(mode))) <= 1e-14

@@ -26,13 +26,14 @@ from zenochain.errors import ValidationError
 from zenochain.harness import run_scenario
 from zenochain.linalg import eig_sym_tridiag
 from zenochain.perturbation import (
-    default_grouping_tolerance,
     group_levels,
     hqzd_order0,
     hqzd_order1,
 )
 
-from .oracles import align_signs, expm_leakage_peak, gaussian_elimination_inverse
+from .oracles import (
+    align_signs, default_grouping_tolerance, expm_leakage_peak, gaussian_elimination_inverse
+)
 
 K = 1.0
 
@@ -203,6 +204,23 @@ class TestMixingProfile:
 
     def test_fit_constant_value(self):
         assert DELTA_FIT_COEFF == 4.3
+
+    def test_fitted_bound_lets_delta_exceed_delta0(self):
+        # the paper's fitted f(N) sqrt(4.3 / delta0), which `bound` prints,
+        # is no guarantee: at delta0 = 0.01 (4000 steps) delta / delta0 is
+        # 1.008, 1.082 and 1.114 at N = 8, 30 and 100
+        for n, ratio in ((8, 1.008), (30, 1.082), (100, 1.114)):
+            delta = run_scenario(ChainSpec(n, lambda_bound(n, 0.01)), 4000).leakage.delta
+            assert delta / 0.01 == pytest.approx(ratio, abs=1e-3)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 30, 100, 250, 500])
+    def test_derived_ratio_keeps_delta_below_delta0(self, n):
+        # lambda_inv = sqrt(2 (N-2) / delta0), from the first-order leakage
+        # 2 (N-2) lam^2 of an even chain, keeps delta <= delta0 (16000 steps;
+        # the largest delta / delta0 was 0.9999, at N = 4, delta0 = 1e-4)
+        for delta0 in (1e-4, 1e-3, 1e-2, 0.1):
+            spec = ChainSpec(n, float(np.sqrt(2.0 * (n - 2) / delta0)))
+            assert run_scenario(spec, 16000).leakage.delta <= 0.99991 * delta0
 
 
 FOUR_SITE_CASES = [(1.0, 20.0), (2.0, 7.0), (0.3, 3.0), (5.0, 1.5)]

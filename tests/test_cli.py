@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenochain import cli, harness
+from zenochain import cli, harness, qzd
 from zenochain.analytic import lambda_bound
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
 from zenochain.cli import main, read_config_file
@@ -29,7 +29,9 @@ from zenochain.errors import ValidationError
 from zenochain.harness import effective_reports, run_fluctuation_trials, run_scenario, run_sweep
 from zenochain.perturbation import EffectiveHamiltonianReport
 
-from .oracles import dominant_effective_matrix, double_loop_nonzeros, per_value_csv
+from .oracles import (
+    dominant_effective_matrix, double_loop_nonzeros, mp_watch_levels, per_value_csv
+)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -127,9 +129,12 @@ class TestSimulate:
             assert (tmp_path / f"zero{suffix}").read_bytes() == plain
 
     def test_shift_inside_tolerance_runs_on_its_zeroth_window(self, tmp_path, capsys):
-        # lam * delta_omega = 5e-9 is inside the grouping tolerance: the chain
-        # is zeroth order with d0 = 3 and runs on its zeroth-order cycle, 2 pi
-        chain = ["--n", "5", "--lambda-inv", "20", "--delta-omega", "1e-7"]
+        # the interior level lam * delta_omega / 2 = 2.5e-17 is inside the
+        # round-off bound N eps ||H_watch|| = 2.2e-15: the chain is zeroth
+        # order with d0 = 3 and runs on its zeroth-order cycle, 2 pi. (At
+        # delta_omega = 1e-7, which this test ran before, the level 2.5e-9 is
+        # outside the bound, and the chain is first order with d0 = 2.)
+        chain = ["--n", "5", "--lambda-inv", "20", "--delta-omega", "1e-15"]
         out = tmp_path / "d"
         assert run_cli("simulate", *chain, "--steps", "50", "--out", str(out)) == 0
         assert json.loads((tmp_path / "d.json").read_text())["classification_order"] == "zeroth"
@@ -403,27 +408,85 @@ class TestEnergyUnitEdges:
         assert capsys.readouterr().err.startswith("error: delta_omega: ")
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("n, delta_omega, d0", [
-        (9, "1e10", 8), (5, "1e10", 4), (6, "1e10", 5), (31, "1e12", 30),
-    ])
-    def test_shift_merging_interior_levels_names_delta_omega(
-        self, tmp_path, capsys, n, delta_omega, d0
+    @pytest.mark.parametrize("command", ["classify", "simulate", "effective"])
+    @pytest.mark.parametrize("n, delta_omega", [(5, "1e308"), (4, "-1.7e308")])
+    def test_shift_near_the_double_limit_names_delta_omega(
+        self, tmp_path, capsys, command, n, delta_omega
     ):
-        # printed higher_or_none with a zero level of d0 dimensions, exit 0:
-        # the grouping tolerance next to the shift took in interior levels
+        # the unit watch's entry lam * delta_omega / k is past 2^1023, where
+        # scaling H_watch's Frobenius norm by 2^1024 raised OverflowError
+        argv = [command, "--n", str(n), "--lambda-inv", "1", "--delta-omega", delta_omega]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "s")]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: delta_omega: ")
+        assert not list(tmp_path.iterdir())
+
+    @staticmethod
+    def _zero_levels(n: int, delta_omega: float) -> tuple[int, float]:
+        """The number of 50-digit watch levels within N eps ||H_watch|| of zero,
+        and the smallest |level| outside, over that bound."""
+        h = build_chain(ChainSpec(n, 20.0, delta_omega=delta_omega)).unit.h_watch
+        tol = n * np.finfo(float).eps * h.frobenius_norm()
+        levels = [abs(x) for x in mp_watch_levels(h)]
+        return sum(x <= tol for x in levels), float(min(x for x in levels if x > tol) / tol)
+
+    @pytest.mark.parametrize("n, delta_omega, d0", [
+        (5, "1e9", 2), (5, "2e9", 2), (9, "1e9", 2),
+        (9, "1e10", 2), (5, "1e10", 2), (6, "1e10", 3), (31, "1e12", 2),
+    ])
+    def test_large_shift_keeps_the_interior_levels_apart(self, capsys, n, delta_omega, d0):
+        # every chain here answered wrongly or exited before: the 1e-8
+        # grouping tolerance next to the shift took in interior levels (d0
+        # 3 and higher_or_none at N = 5, 2e9; exit 1 at N = 9, 1e9; d0 4-30
+        # and exit 1 from 1e10 on), or called the real order-1 block round-off
+        # (N = 5, 1e9). The 50-digit levels confirm d0, and the order is the
+        # one the chain order theorem gives for it
+        got = self._json(capsys, "classify", "--n", str(n), "--delta-omega", delta_omega)
+        count, margin = self._zero_levels(n, float(delta_omega))
+        assert got["zero_level_dimension"] == count == d0
+        assert margin > 100.0
+        assert got["order"] == {2: "first", 3: "zeroth"}[d0]
+
+    def test_shift_merging_interior_levels_exits_before_any_vector(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 1585 interior levels lie within the bound: two of one irreducible
+        # block name delta_omega before any eigenvector or effective block is
+        # formed (6.5 s to reject d0 = 1585 before)
+        def formed(*args):
+            raise AssertionError("formed before the rejection")
+
+        for name in ("eigvecs_sym_tridiag", "hqzd_order0", "hqzd_order1"):
+            monkeypatch.setattr(qzd, name, formed)
+        out = tmp_path / "c"
+        assert run_cli(
+            "classify", "--n", "1586", "--delta-omega", "1.4989759905676188e+16", "--out", str(out)
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta_omega: ") and "ambiguous zero level" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("n, delta_omega", [(4, "2e16"), (5, "1e16")])
+    def test_coupling_at_round_off_names_delta_omega(self, tmp_path, capsys, n, delta_omega):
+        # the shift decouples |1> so far that the commutator the chain order
+        # theorem says is nonzero reads as round-off: order-0 at d0 = 3 (N = 4),
+        # order-1 at d0 = 2 (N = 5); both printed higher_or_none before
         out = tmp_path / "c"
         argv = ["classify", "--n", str(n), "--delta-omega", delta_omega, "--out", str(out)]
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: delta_omega: ")
-        assert f"zero level has {d0} > 3 dimensions" in err
+        assert err.startswith("error: delta_omega: ") and "round-off" in err
         assert not list(tmp_path.iterdir())
 
     def test_near_zero_interior_level_of_a_shifted_chain_still_classifies(self, capsys):
-        # N = 4's interior level near -1/shift genuinely lies within the tolerance
+        # N = 4's interior level near -1/shift genuinely lies within the
+        # bound, and its end component moves |1> at order 0 (higher_or_none
+        # before, when the 1e-8 floor called that commutator round-off)
         got = self._json(capsys, "classify", "--n", "4", "--delta-omega", "1e12")
-        assert got["zero_level_dimension"] == 3
-        assert got["order"] == "higher_or_none"
+        assert got["zero_level_dimension"] == 3 == self._zero_levels(4, 1e12)[0]
+        assert got["order"] == "zeroth"
 
     @pytest.mark.parametrize("argv, name", [
         (["fluctuate", "--n", "10", "--lambda-inv", "1e300"], "lambda_inv"),  # printed NaN

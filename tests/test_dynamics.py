@@ -16,9 +16,10 @@ from zenochain.dynamics import TimeGrid, leakage_trace, measure_leakage, observe
 from zenochain.errors import UnsupportedConfigurationError, ValidationError
 from zenochain.harness import effective_reports, run_scenario
 from zenochain.linalg import SpectralDecomposition, SymTridiagMatrix, eig_sym_tridiag, evolve_grid
-from zenochain.perturbation import default_grouping_tolerance, group_levels
+from zenochain.perturbation import group_levels
 
 from .oracles import (
+    default_grouping_tolerance,
     direct_exp_evolve,
     dominant_angular_frequency,
     first_order_corrections,

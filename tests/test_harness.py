@@ -47,13 +47,11 @@ from zenochain.linalg import (
     SymTridiagMatrix,
     TimeGrid,
     eig_sym_tridiag,
-    eigvals_sym_tridiag,
     eigvecs_sym_tridiag,
 )
-from zenochain.perturbation import GROUPING_RTOL, default_grouping_tolerance
 from zenochain.qzd import QzdOrder, analyze_watch
 
-from .oracles import dense_scenario, dominant_effective_matrix, group_levels_by_loop
+from .oracles import dense_scenario, dominant_effective_matrix, zero_level_by_loop
 
 
 class TestSlopeFit:
@@ -297,13 +295,23 @@ class TestScenario:
         assert result.leakage.delta == pytest.approx(delta, rel=1e-12)
 
     def test_shift_inside_tolerance_runs_on_its_zeroth_window(self):
-        # the shift lam * delta_omega = 5e-9 lies inside the grouping
-        # tolerance, so the chain is zeroth order with d0 = 3, and its window
-        # is the unshifted odd chain's zeroth-order cycle pi sqrt(N-1) / k
-        result = run_scenario(ChainSpec(5, 20.0, delta_omega=1e-7), n_steps=200)
+        # the interior level lam * delta_omega / 2 = 2.5e-17 lies inside the
+        # round-off bound N eps ||H_watch|| = 2.2e-15, so the chain is zeroth
+        # order with d0 = 3, and its window is the unshifted odd chain's
+        # zeroth-order cycle pi sqrt(N-1) / k
+        result = run_scenario(ChainSpec(5, 20.0, delta_omega=1e-15), n_steps=200)
         assert result.classification.order is QzdOrder.ZEROTH
         assert result.zero_basis.shape == (5, 3)
         assert result.grid.t_max == pytest.approx(2.0 * np.pi, rel=1e-12)
+
+    def test_shift_outside_tolerance_runs_on_its_first_order_window(self):
+        # at delta_omega = 1e-7 the interior level 2.5e-9 lies outside the
+        # bound (inside the 1e-8 grouping tolerance, zeroth before): d0 = 2,
+        # first order, on the shifted odd chain's cycle pi delta_omega / k^2
+        result = run_scenario(ChainSpec(5, 20.0, delta_omega=1e-7), n_steps=200)
+        assert result.classification.order is QzdOrder.FIRST
+        assert result.zero_basis.shape == (5, 2)
+        assert result.grid.t_max == pytest.approx(np.pi * 1e-7, rel=1e-6)
 
     @pytest.mark.parametrize("order", [QzdOrder.NO_DYNAMICS, QzdOrder.HIGHER_OR_NONE])
     def test_orders_without_a_cycle_need_an_explicit_window(self, order):
@@ -370,9 +378,10 @@ class TestEnergyUnit:
         unit_spec = replace(unit_spec, delta_omega=None if shift is None else shift / k)
         base = run_scenario(unit_spec, n_steps=200)
         c0 = base.classification
-        # values at or below GROUPING_RTOL times their scale are round-off
+        # values at or below N eps times their scale are round-off
         scales = effective_reports(build_chain(unit_spec)).scales
-        floor0, floor1 = (GROUPING_RTOL * s for s in (scales[0], unit_spec.lam * scales[1]))
+        rtol = unit_spec.n_sites * np.finfo(float).eps
+        floor0, floor1 = (rtol * s for s in (scales[0], unit_spec.lam * scales[1]))
         energies = [
             (base.order0.block, floor0), (base.order1.block, floor1),
             (base.order0.eta1_common or 0.0, floor0),
@@ -431,11 +440,11 @@ class TestEnergyUnit:
 
 @st.composite
 def shifted_chains(draw):
-    """Even, odd and fluctuating chains of 4-101 sites with a shift of either
+    """Even, odd and fluctuating chains of 4-301 sites with a shift of either
     sign whose log10 lies anywhere in [-300, 300]."""
     family = draw(st.sampled_from(["even", "odd", "fluctuating"]))
     odd = family == "odd" or (family == "fluctuating" and draw(st.booleans()))
-    n = 2 * draw(st.integers(2, 50)) + odd
+    n = 2 * draw(st.integers(2, 150)) + odd
     noise = CouplingFluctuation(0.1, n) if family == "fluctuating" else None
     shift = 10.0 ** draw(st.floats(-300.0, 300.0)) * draw(st.sampled_from([1.0, -1.0]))
     return ChainSpec(n, 20.0, delta_omega=shift, fluctuation=noise)
@@ -457,6 +466,48 @@ class TestZeroLevelDimension:
 
 
 @st.composite
+def theorem_chains(draw):
+    """Even, odd, shifted (either sign, log10|delta_omega| in [-7, 9]) and
+    fluctuating chains of 4-301 sites at lambda_inv anywhere in [2.5, 1e4]."""
+    family = draw(st.sampled_from(["even", "odd", "shifted", "fluctuating"]))
+    n = draw(st.integers(4, 301))
+    if family in ("even", "odd"):
+        n = 2 * draw(st.integers(2, 150)) + (family == "odd")
+    shift = noise = None
+    if family == "shifted":
+        shift = 10.0 ** draw(st.floats(-7.0, 9.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if family == "fluctuating":
+        noise = CouplingFluctuation(draw(st.floats(0.0, 0.2)), draw(st.integers(0, 2**16)))
+    lambda_inv = 10.0 ** draw(st.floats(np.log10(2.5), 4.0))
+    return ChainSpec(n, lambda_inv, delta_omega=shift, fluctuation=noise)
+
+
+class TestChainOrderTheorem:
+    """For |1> on a chain, d0 fixes the order. With d0 = 2 the order-0 block
+    is exactly 0 and the order-1 block's (1, N) entry is k^2 times the corner
+    of the interior block's inverse, nonzero: first. With d0 = 3 the interior
+    zero mode has a nonzero end component (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 7), which the order-0 block couples to |1>: zeroth."""
+
+    @given(theorem_chains())
+    @example(ChainSpec(5, 20.0, delta_omega=1e9))  # higher_or_none with d0 = 2 before
+    @example(ChainSpec(5, 20.0, delta_omega=2e9))  # higher_or_none with d0 = 3 before
+    @example(ChainSpec(9, 20.0, delta_omega=1e9))  # "ambiguous zero level" before
+    @settings(max_examples=300, deadline=None)
+    def test_zero_level_dimension_fixes_the_order(self, spec):
+        # the analysis' own class of |1>, not the run's, which also checks it
+        try:
+            analysis = effective_reports(build_chain(spec))
+        except ValidationError as exc:
+            assert spec.is_modified and str(exc).startswith("delta_omega: ")
+            return
+        c = analysis.classify(site_one(spec.n_sites))
+        assert (c.zero_level_dimension, c.order) in {(2, QzdOrder.FIRST), (3, QzdOrder.ZEROTH)}
+        if c.zero_level_dimension == 2:
+            assert not np.any(analysis.blocks[0].block)
+
+
+@st.composite
 def zero_level_chains(draw):
     """``shifted_chains``, or unshifted and fluctuating chains of 4-101 sites
     with lambda_inv anywhere in [2.5, 1e4]."""
@@ -471,54 +522,53 @@ def zero_level_chains(draw):
 
 
 class TestZeroLevelRule:
-    """The analysis reads its zero level off the sorted spectrum; the loop
-    referee groups the spectrum level by level."""
+    """The analysis reads its zero level off the watch's irreducible blocks
+    with a Sturm count and bisection; the loop referee splits the watch bond
+    by bond and solves each block densely."""
 
     @given(zero_level_chains())
     @example(ChainSpec(61, 7.0, delta_omega=1e7))  # a far cluster raised before
-    @example(ChainSpec(11, 2.5, delta_omega=1e8))  # a neighbour within tol
+    @example(ChainSpec(11, 2.5, delta_omega=1e8))  # a neighbour within the 1e-8 tol
     @example(ChainSpec(38, 2.5, delta_omega=1e7))  # a near-zero interior level joins
+    @example(ChainSpec(1586, 20.0, delta_omega=1.4989759905676188e16))  # 1585 levels
     @settings(max_examples=300, deadline=None)
     def test_matches_the_loop_referee(self, spec):
-        hams = build_chain(spec)
-        w = eigvals_sym_tridiag(hams.h_watch)
-        tol = default_grouping_tolerance(w)
-        read = []  # the eigenvalue index ranges whose eigenvectors the analysis asks for
-
-        def recording(m, lo, hi):
-            read.append((lo, hi))
-            return eigvecs_sym_tridiag(m, lo, hi)
-
-        with mock.patch.object(qzd, "eigvecs_sym_tridiag", recording):
-            try:
-                analysis = analyze_watch(hams.h_watch, hams.h_weak, spec.lam)
-            except ClusteringError:
-                # ambiguous only when the eigenvalues within tol of zero span
-                # more than tol or a neighbour lies within tol of them
-                inside, outside = w[np.abs(w) < tol], w[np.abs(w) >= tol]
-                assert inside.size and not read
-                gaps = np.maximum(inside.min() - outside, outside - inside.max())
-                assert np.ptp(inside) > tol or np.min(gaps, initial=np.inf) <= tol
+        eps = np.finfo(float).eps
+        h = build_chain(spec).unit.h_watch
+        tol = spec.n_sites * eps * h.frobenius_norm()
+        members, outside, scale = [], [], 0.0
+        for lo, w, v in zero_level_by_loop(h):
+            # both solvers fix a level to a few eps times its block's norm: a
+            # level that close to the bound may fall either side
+            err = 8.0 * eps * np.max(np.abs(w))
+            scale = max(scale, err)
+            if np.any(np.abs(np.abs(w) - tol) <= err):
                 return
-            except NumericalFailureError:
-                # the order-1 solve of an extreme shift fails after the zero
-                # level was read (the CLI names delta_omega)
-                assert read and spec.is_modified
-                analysis = None
-        # a zero level (mean within tol, at most tol wide) and every level
-        # within tol of it lie inside 2 tol of zero: the referee groups
-        # that window, so a cluster far from zero cannot stop it
-        near = np.flatnonzero(np.abs(w) < 2.0 * tol)
-        levels, zero = group_levels_by_loop(w[near], tol) if near.size else ([], None)
-        if zero is None:
-            assert not read and analysis.zero_basis.shape[1] == 0
+            inside = np.abs(w) <= tol
+            if np.count_nonzero(inside) > 1:
+                with pytest.raises(ClusteringError, match="ambiguous zero level"):
+                    analyze_watch(h, build_chain(spec).unit.h_weak)
+                return
+            for j in np.flatnonzero(inside):
+                # a vector is fixed to about eps ||block|| over its gap
+                gap = np.min(np.abs(np.delete(w, j) - w[j]), initial=np.inf)
+                members.append((lo, v[:, j], 1e-8 + (100.0 * err / gap) ** 2))
+            outside += np.abs(w[~inside]).tolist()
+        try:
+            analysis = analyze_watch(h, build_chain(spec).unit.h_weak)
+        except NumericalFailureError:
+            # the order-1 solve of an extreme shift fails after the zero
+            # level was read (the CLI names delta_omega)
+            assert spec.is_modified
             return
-        members = near[list(levels[zero][1])]
-        lo, hi = members[0], members[-1] + 1
-        assert read == [(lo, hi)]
-        if analysis is not None:
-            want = eigvecs_sym_tridiag(hams.h_watch, lo, hi)
-            assert np.array_equal(analysis.zero_basis, want)
+        v0 = analysis.zero_basis
+        assert v0.shape == (spec.n_sites, len(members))
+        # the same vectors, up to sign
+        for lo, v, within in members:
+            assert np.min(np.abs(np.abs(v @ v0[lo : lo + v.size]) - 1.0)) <= within
+        delta = min(outside, default=np.inf)
+        norm = build_chain(spec).unit.h_weak.frobenius_norm()
+        assert norm**2 / analysis.scales[1] == pytest.approx(delta, rel=1e-12, abs=2.0 * scale)
 
 
 @st.composite
@@ -653,8 +703,9 @@ class TestOneWatchAnalysis:
         ids=["even", "odd", "modified", "even-split", "odd-split"],
     )
     def test_scenario_solves_and_groups_the_watch_once(self, spec, monkeypatch):
-        # one eigendecomposition, of H_total; H_watch gets one eigenvalue
-        # solve and its zero-level eigenvectors only, no level grouping, whichever
+        # one eigendecomposition, of H_total; H_watch gets one Sturm count and
+        # bisection of its interior block's levels next to zero, and its
+        # zero-level eigenvectors only, no level grouping, whichever
         # module binding a caller goes through; the N x (steps+1) states are
         # evolved only on the first read of .trace, from the H_total spectrum
         # the run already holds, around the leakage series the run computed
@@ -669,7 +720,7 @@ class TestOneWatchAnalysis:
 
         names = (
             "eig_sym_tridiag",
-            "eigvals_sym_tridiag",
+            "_eigvals_near_zero",
             "eigvecs_sym_tridiag",
             "group_levels",
             "evolve_grid",
@@ -680,17 +731,17 @@ class TestOneWatchAnalysis:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
         result = run_scenario(spec, n_steps=50)
-        once = {
+        once = Counter({
             "eig_sym_tridiag": 1,
-            "eigvals_sym_tridiag": 1,
+            "_eigvals_near_zero": 1,
             "eigvecs_sym_tridiag": 1,
             "observe": 1,
-        }
+        })
         assert calls == once
         assert "group_levels" not in calls
         trace = result.trace
         assert result.trace is trace
-        assert calls == {**once, "evolve_grid": 1}
+        assert calls == once + Counter(evolve_grid=1)
 
     @pytest.mark.parametrize(
         "spec",
@@ -783,7 +834,7 @@ class TestPublicSurface:
         "check_prerequisite_ii", "QzdOrder",
         "phi_mid", "f_of_n", "lambda_bound",
         "AssumptionViolationError", "ClusteringError", "NumericalFailureError",
-        "SingularMatrixError", "UnsupportedConfigurationError", "ValidationError",
+        "UnsupportedConfigurationError", "ValidationError",
         "ZenoChainError",
     }
     # names the package no longer re-exports, at the module that defines them
@@ -801,8 +852,7 @@ class TestPublicSurface:
         "harness": ["fit_slope_through_origin"],
         "linalg": [
             "SpectralDecomposition", "SymTridiagMatrix", "TimeGrid", "eig_sym_tridiag",
-            "eigvals_sym_tridiag", "eigvecs_sym_tridiag", "evolve_grid",
-            "inverse_corner_tridiag", "solve_bordered_tridiag",
+            "eigvecs_sym_tridiag", "evolve_grid", "solve_bordered_tridiag",
         ],
         "perturbation": [
             "DegenerateLevel", "EffectiveHamiltonianReport", "ProjectorSet", "group_levels",
@@ -821,7 +871,7 @@ class TestPublicSurface:
         }
         assert public == self.SUPPORTED
         dropped = [(mod, name) for mod, names in self.FROM_MODULE.items() for name in names]
-        assert len(dropped) == 40
+        assert len(dropped) == 38
         for mod_name, name in dropped:
             mod = importlib.import_module(f"zenochain.{mod_name}")
             assert hasattr(mod, name), f"zenochain.{mod_name}.{name}"

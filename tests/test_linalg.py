@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
-from zenochain.errors import NumericalFailureError, SingularMatrixError, ValidationError
+from zenochain.errors import NumericalFailureError, ValidationError
 from zenochain.harness import run_scenario
 from zenochain.qzd import analyze_watch
 from zenochain import linalg
@@ -23,10 +23,8 @@ from zenochain.linalg import (
     TimeGrid,
     check_state,
     eig_sym_tridiag,
-    eigvals_sym_tridiag,
     eigvecs_sym_tridiag,
     evolve_grid,
-    inverse_corner_tridiag,
     orthonormal_columns,
     solve_bordered_tridiag,
 )
@@ -57,6 +55,24 @@ ORACLE_IDS = ["even4", "even40", "odd5", "odd95", "shifted5", "shifted95"]
 
 def tridiag(diag, offdiag) -> SymTridiagMatrix:
     return SymTridiagMatrix(np.asarray(diag, float), np.asarray(offdiag, float))
+
+
+def watch_around(block: SymTridiagMatrix):
+    """The watch analysis of ``block`` as the interior of a chain: zero end
+    sites, bonds 0 to them in H_watch and 1 in H_weak."""
+    n = block.size + 2
+    watch = tridiag(np.r_[0.0, block.diag, 0.0], np.r_[0.0, block.offdiag, 0.0])
+    weak = np.zeros(n - 1)
+    weak[[0, -1]] = 1.0
+    return analyze_watch(watch, tridiag(np.zeros(n), weak))
+
+
+def order1_corner(block: SymTridiagMatrix) -> float:
+    """Element (0, N-1) of block's inverse as the fluctuation trials read it:
+    minus the (1, N) entry of the order-1 block of ``watch_around(block)``."""
+    analysis = watch_around(block)
+    assert analysis.zero_basis.shape[1] == 2
+    return -analysis.blocks[1].block[0, 1]
 
 
 @st.composite
@@ -130,7 +146,7 @@ class TestEig:
             shifts = [None] if n % 2 == 0 else [None, 20.0, -20.0, 1e3, -1e3, 1e7, -1e7]
             for delta_omega in shifts:
                 h = build_chain(ChainSpec(n, 20.0, delta_omega=delta_omega)).unit.h_watch
-                got, want = eigvals_sym_tridiag(h).tolist(), mp_watch_levels(h)
+                got, want = eig_sym_tridiag(h).eigenvalues.tolist(), mp_watch_levels(h)
                 err = max(abs(mpmath.mpf(g) - w) for g, w in zip(got, want))
                 assert err <= 8.0 * eps * h.max_abs_entry(), (n, delta_omega)
 
@@ -214,7 +230,6 @@ class TestParitySplit:
         assert np.max(np.abs(w - want)) <= 1e-13 * scale
         assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
         assert np.max(np.abs((v * w) @ v.T - m.to_dense())) <= 1e-12 * scale
-        assert np.max(np.abs(eigvals_sym_tridiag(m) - w)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("n", [PARITY_MIN_SIZE, PARITY_MIN_SIZE + 1, 212, 293])
     def test_mirror_chains_get_parity_eigenvectors(self, n):
@@ -246,8 +261,6 @@ class TestParitySplit:
             d = eig_sym_tridiag(h)
             assert np.array_equal(d.eigenvalues, w)
             assert np.array_equal(d.eigenvectors, v)
-            w0, _, _ = scipy.linalg.lapack.dstevd(h.diag, h.offdiag, compute_v=0)
-            assert np.array_equal(eigvals_sym_tridiag(h), w0)
 
     @pytest.mark.parametrize("n", [PARITY_MIN_SIZE, PARITY_MIN_SIZE + 1])
     def test_block_failure_names_the_full_size(self, n, monkeypatch):
@@ -260,11 +273,10 @@ class TestParitySplit:
 
         h = build_chain(ChainSpec(n, 20.0)).h_total
         monkeypatch.setattr(linalg.lapack, "dstevd", fail_second)
-        for solve in (eig_sym_tridiag, eigvals_sym_tridiag):
-            calls = []
-            with pytest.raises(NumericalFailureError, match=f"on a {n}x{n} matrix"):
-                solve(h)
-            assert calls == [n - n // 2, n // 2]
+        calls = []
+        with pytest.raises(NumericalFailureError, match=f"on a {n}x{n} matrix"):
+            eig_sym_tridiag(h)
+        assert calls == [n - n // 2, n // 2]
 
 
 class TestPartialEig:
@@ -272,7 +284,12 @@ class TestPartialEig:
     def test_match_full_decomposition(self, spec):
         h = build_chain(spec).h_watch
         d = eig_sym_tridiag(h)
-        assert_allclose(eigvals_sym_tridiag(h), d.eigenvalues, rtol=0.0, atol=1e-14)
+        # the interior block's levels next to zero, by a Sturm count and bisection
+        block = interior_block(h)
+        w, first = linalg._eigvals_near_zero(block)
+        full = eig_sym_tridiag(block).eigenvalues
+        assert np.sum(full < 0.0) in (first + 2, first + 1, first) and w.size == min(4, full.size)
+        assert_allclose(w, full[first : first + w.size], rtol=0.0, atol=1e-14)
         # the d0 columns of the watch's zero level span its zero eigenspace
         lo, hi = np.searchsorted(d.eigenvalues, [-1e-9, 1e-9])
         v = eigvecs_sym_tridiag(h, lo, hi)
@@ -285,7 +302,8 @@ class TestPartialEig:
 
     def test_size_one(self):
         m = tridiag([3.0], [])
-        assert_allclose(eigvals_sym_tridiag(m), [3.0])
+        w, first = linalg._eigvals_near_zero(m)
+        assert first == 0 and w.tolist() == [3.0]
         assert_allclose(eigvecs_sym_tridiag(m, 0, 1), [[1.0]])
 
 
@@ -435,8 +453,11 @@ class TestEvolve:
 
 
 class TestInvert:
+    """The corner of the interior block's inverse is the order-1 block's (1, N)
+    entry per k^2: the fluctuation trials read it there."""
+
     def test_two_site(self):
-        assert inverse_corner_tridiag(tridiag([0.0, 0.0], [K])) == 1.0 / K
+        assert order1_corner(tridiag([0.0, 0.0], [K])) == 1.0 / K
 
     @pytest.mark.parametrize("n_sites", range(4, 21, 2))
     def test_even_interior_corner_elements(self, n_sites):
@@ -446,14 +467,14 @@ class TestInvert:
         inv = gaussian_elimination_inverse(block.to_dense())
         sign = (-1.0) ** (n_sites // 2 - 1)
         assert_allclose(-inv[0, -1], sign / K, atol=1e-12)
-        assert_allclose(-inverse_corner_tridiag(block), sign / K, atol=1e-12)
+        assert_allclose(-order1_corner(block), sign / K, atol=1e-12)
         assert_allclose(inv[0, 0], 0.0, atol=1e-12)
         assert_allclose(inv[-1, -1], 0.0, atol=1e-12)
 
     def test_odd_interior_block_is_singular(self):
+        # its zero mode joins |1> and |N> in the zero level: no corner to read
         block = interior_block(build_chain(ChainSpec(5, 5.0)).h_watch)
-        with pytest.raises(SingularMatrixError):
-            inverse_corner_tridiag(block)
+        assert watch_around(block).zero_basis.shape[1] == 3
 
 
 class TestInverseCorner:
@@ -464,10 +485,11 @@ class TestInverseCorner:
         # corner (draws reach 2.4e-312) holds fewer than 12 significant digits
         corner = gaussian_elimination_inverse(m.to_dense())[0, -1]
         bound = 1e-12 * max(abs(corner), np.finfo(float).tiny)
-        assert abs(inverse_corner_tridiag(m) - corner) <= bound
+        assert abs(order1_corner(m) - corner) <= bound
 
     def test_singular_guard_is_the_inverse_guard(self):
-        # the corner raises exactly where the referee inverse meets a zero pivot
+        # where the referee inverse meets a zero pivot, the block has a level
+        # at zero, which the watch analysis takes into the zero level
         for m in (
             interior_block(build_chain(ChainSpec(5, 5.0)).h_watch),
             tridiag([1.0, 1.0], [1.0]),
@@ -476,8 +498,7 @@ class TestInverseCorner:
         ):
             with pytest.raises(ZeroDivisionError):
                 gaussian_elimination_inverse(m.to_dense())
-            with pytest.raises(SingularMatrixError, match="singular"):
-                inverse_corner_tridiag(m)
+            assert watch_around(m).zero_basis.shape[1] > 2
 
     @pytest.mark.parametrize(
         "n_sites, k, amplitude",
@@ -490,7 +511,7 @@ class TestInverseCorner:
             spec = ChainSpec(n_sites, 20.0, k=k, fluctuation=CouplingFluctuation(amplitude, seed))
             block = interior_block(build_chain(spec).h_watch)
             want = np.linalg.inv(block.to_dense())[0, -1]
-            assert abs(inverse_corner_tridiag(block) - want) <= 1e-12 * abs(want)
+            assert abs(order1_corner(block) - want) <= 1e-12 * abs(want)
 
 
 class TestDet:
@@ -560,6 +581,19 @@ class TestDet:
             return
         assert np.sign(det) == sign
         assert abs(np.log(abs(det)) - logdet) <= 1e-12
+
+
+class TestFrobeniusNorm:
+    @given(mirror_tridiag())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_dense_norm(self, m):
+        assert m.frobenius_norm() == pytest.approx(np.linalg.norm(m.to_dense()), rel=1e-14)
+
+    @pytest.mark.parametrize("big", [1.7e308, -1.7e308, 2.0**1023, np.finfo(float).max])
+    def test_past_2_to_1023_reads_inf_or_its_value(self, big):
+        # max|entry| at or past 2^1023 raised OverflowError, scaling by 2^1024
+        assert tridiag([big, 1.0], [1.0]).frobenius_norm() == abs(big)
+        assert tridiag([big, big], [big]).frobenius_norm() == np.inf
 
 
 class TestValidation:

@@ -27,7 +27,6 @@ from zenochain.linalg import (
     eig_sym_tridiag,
 )
 from zenochain.perturbation import (
-    default_grouping_tolerance,
     group_levels,
     hqzd_order0,
     hqzd_order1,
@@ -35,6 +34,7 @@ from zenochain.perturbation import (
 )
 
 from .oracles import (
+    default_grouping_tolerance,
     first_order_corrections,
     gaussian_elimination_inverse,
     group_levels_by_loop,
