@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -195,12 +196,22 @@ def _out_paths(args: argparse.Namespace, default_prefix: str) -> tuple[Path, Pat
     return Path(prefix + ".csv"), Path(prefix + ".json")
 
 
+def _print(text: str) -> None:
+    # each command prints last, after its files are written: a reader that
+    # closed stdout early ends the run quietly, and what is left of stdout's
+    # buffer goes to devnull instead of failing the flush at exit
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit_json(path: Path | str | None, payload: dict) -> None:
     """Print the payload and, given a path, write the same text there."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
         Path(path).write_text(text + "\n")
-    print(text)
+    _print(text)
 
 
 def _mantissa_words(m: np.ndarray, places: tuple[int, ...], tables: tuple) -> list[np.ndarray]:
@@ -363,7 +374,7 @@ def cmd_effective(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    print(FLOAT_FORMAT % analytic.lambda_bound(_n_sites(args), args.delta0))
+    _print(FLOAT_FORMAT % analytic.lambda_bound(_n_sites(args), args.delta0))
     return 0
 
 

@@ -1,7 +1,7 @@
 """Real-symmetric tridiagonal linear algebra.
 
-Eigendecomposition (full, or the eigenvalues next to zero and a few
-eigenvectors), a bordered tridiagonal solve and spectral time evolution over
+Eigendecomposition (full, or the eigenvalues next to zero and one
+eigenvector), a bordered tridiagonal solve and spectral time evolution over
 a uniform ``TimeGrid``. Every
 Hamiltonian in this package is real symmetric, so eigenvectors are real
 (``SpectralDecomposition`` rejects complex ones), a real state stays real,
@@ -202,12 +202,12 @@ def eig_sym_tridiag(m: SymTridiagMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(w[order], rows.T)
 
 
-def _eigvals_near_zero(m: SymTridiagMatrix) -> tuple[np.ndarray, int]:
-    """(w, first): m's eigenvalues first, first + 1, ... (ascending order), the
-    two below zero and the two at or above it where m has them. A Sturm count
-    at 0, the negative pivots of m's LDL^T (one below pivmin taken as -pivmin,
-    as in LAPACK's bisection), gives the index c of the first level >= 0, and
-    ``dstebz`` bisects levels c-2..c+1 only. O(N)."""
+def _eigvals_near_zero(m: SymTridiagMatrix) -> np.ndarray:
+    """m's eigenvalues next to zero (ascending order): the two below zero and
+    the two at or above it where m has them. A Sturm count at 0, the negative
+    pivots of m's LDL^T (one below pivmin taken as -pivmin, as in LAPACK's
+    bisection), gives the index c of the first level >= 0, and ``dstebz``
+    bisects levels c-2..c+1 only. O(N)."""
     e2 = [b * b for b in m.offdiag.tolist()]
     pivmin = np.finfo(float).tiny * max([1.0, *e2])
     count, q = 0, 1.0
@@ -221,27 +221,18 @@ def _eigvals_near_zero(m: SymTridiagMatrix) -> tuple[np.ndarray, int]:
     found, w, *_, info = lapack.dstebz(m.diag, e, 2, 0.0, 0.0, first + 1, last, 0.0, "E")
     if info != 0:
         raise NumericalFailureError(f"tridiagonal bisection failed on a {m.size}x{m.size} matrix")
-    return w[:found], first
+    return w[:found]
 
 
-def eigvecs_sym_tridiag(m: SymTridiagMatrix, lo: int, hi: int) -> np.ndarray:
-    """Eigenvectors of eigenvalues lo..hi-1 (ascending order), N x (hi - lo).
-
-    Bisection (``dstebz``) and inverse iteration (``dstein``) for those
-    eigenvalues only; columns are ascending.
-    """
-    e = _lapack_offdiag(m)
-    count, w, block, split, info = lapack.dstebz(m.diag, e, 2, 0.0, 0.0, lo + 1, hi, 0.0, "B")
-    if info == 0:
-        order = np.argsort(w[:count], kind="stable")
-        v, info = lapack.dstein(m.diag, e, w[:count], block, split)
-    # with info 0, dstein can return NaN columns (next to a 5e298 entry), or
-    # columns that are not orthonormal (a cluster of 1754 levels); NaN fails too
-    if info != 0 or not np.linalg.norm(v.T @ v - np.eye(v.shape[1])) <= 1e-10:
-        raise NumericalFailureError(
-            f"tridiagonal eigenvector solver failed on a {m.size}x{m.size} matrix"
-        )
-    return v[:, order]
+def _eigvec_at(m: SymTridiagMatrix, w: float) -> np.ndarray:
+    """The unit eigenvector of an irreducible m at its simple eigenvalue w, by
+    one ``dstein`` inverse iteration; its largest-magnitude entry is positive."""
+    n = m.size  # one block: every level in block 1, which ends at n
+    v, info = lapack.dstein(m.diag, _lapack_offdiag(m), [w], np.ones(n), np.full(n, n))
+    # with info 0, dstein can return a NaN column (next to a 5e298 entry)
+    if info != 0 or not np.all(np.isfinite(v)):
+        raise NumericalFailureError(f"tridiagonal eigenvector solver failed on a {n}x{n} matrix")
+    return v[:, 0]
 
 
 def solve_bordered_tridiag(m: SymTridiagMatrix, v: np.ndarray, b: np.ndarray) -> np.ndarray:

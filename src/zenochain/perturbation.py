@@ -12,8 +12,9 @@ zero level and expanded to the N x N site basis only on request. Both take
 V0 and the tridiagonal perturbation H and form H V0 in O(N d0). The order-1
 block needs Qtilde only on the d0 columns of H V0, which one bordered
 tridiagonal solve gives without any eigenvector of a nonzero level, and
-the watch analysis (``qzd.analyze_watch``) finds the zero level from the
-watch's irreducible blocks, with no level grouping and no fitted tolerance.
+the watch analysis (``qzd.analyze_watch``) finds the zero level and V0 in
+one pass over the watch's irreducible blocks, with no level grouping and,
+like ``hqzd_order0``'s c * P0 test, no fitted tolerance.
 
 Level grouping (``group_levels``, ``ProjectorSet``, ``DegenerateLevel``) and
 the dense ``reduced_resolvent`` are test referees: no program path calls
@@ -34,8 +35,6 @@ from .linalg import (
     orthonormal_columns,
     solve_bordered_tridiag,
 )
-
-PROPORTIONALITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,16 +155,16 @@ def hqzd_order0(v0: np.ndarray, h: SymTridiagMatrix) -> EffectiveHamiltonianRepo
     """Order-0 effective Hamiltonian P0 H P0, as the block V0^T H V0.
 
     ``v0`` (N x d0) is an orthonormal basis of the zero level. The block
-    counts as c * P0 when ||V0^T H V0 - c 1|| <= PROPORTIONALITY_RTOL * ||H||
-    (Frobenius norms), so the test is the same at every energy scale.
+    counts as c * P0 when ||V0^T H V0 - c 1|| <= N eps ||H|| (Frobenius
+    norms; every zero test's round-off rule, the same at any energy scale).
     """
     v0 = orthonormal_columns(v0, h.size, "v0")
     block = _symmetric(v0.T @ h.matvec(v0))
-    dim0 = block.shape[0]
     eta1_common: float | None = None
-    if dim0:
-        c = float(np.trace(block)) / dim0
-        if np.linalg.norm(block - c * np.eye(dim0)) <= PROPORTIONALITY_RTOL * h.frobenius_norm():
+    if block.size:
+        c = float(np.trace(block)) / len(block)
+        round_off = h.size * np.finfo(float).eps * h.frobenius_norm()
+        if np.linalg.norm(block - c * np.eye(len(block))) <= round_off:
             eta1_common = c
     return EffectiveHamiltonianReport(block, v0, eta1_common)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (
     AssumptionViolationError, ClusteringError, UnsupportedConfigurationError, ValidationError
 )
-from .linalg import SymTridiagMatrix, _eigvals_near_zero, check_state, eigvecs_sym_tridiag
+from .linalg import SymTridiagMatrix, _eigvals_near_zero, _eigvec_at, check_state
 from .perturbation import EffectiveHamiltonianReport, hqzd_order0, hqzd_order1
 
 # Unused here, but perfbench/spans.py BINDINGS patches these names on this module.
@@ -83,13 +83,13 @@ class PrerequisiteIIResult:
 class WatchAnalysis:
     """Everything the watch spectrum fixes for one chain, computed once.
 
-    The solves see H_watch and H_weak in units of k. ``zero_basis``
-    (N x d0, d0 >= 1) spans the zero level of H_watch; ``blocks`` are the
-    effective Hamiltonians of H_weak there, order 1 per unit lam, and
-    ``scales`` their scales, ||H_weak|| and ||H_weak||^2 / Delta, with Delta
-    the smallest |eta| outside the zero level (Frobenius norms). ``order0``,
-    ``order1`` and the commutator norms of ``classify`` read order n times
-    k lam^n, where values at or below N eps times the scale are round-off;
+    The solves see H_watch and H_weak in units of k. ``zero_basis`` (N x d0,
+    d0 >= 1, columns in site order) spans H_watch's zero level; ``blocks`` are
+    the effective Hamiltonians of H_weak there, order 1 per unit lam, and
+    ``scales`` their scales, ||H_weak|| and ||H_weak||^2 / Delta, with Delta the
+    smallest |eta| outside the zero level (Frobenius norms). ``order0``,
+    ``order1`` and the commutator norms of ``classify`` read order n times k
+    lam^n, where values at or below N eps times the scale are round-off;
     ``cycle`` reads a time over lam^n, in units of 1/k.
     """
 
@@ -211,37 +211,37 @@ def analyze_watch(
     H_watch splits at its zero bonds into irreducible blocks, whose levels
     are simple (Parlett, The Symmetric Eigenvalue Problem, ch. 7). Each
     block's level nearest zero (``_eigvals_near_zero``) joins the zero level
-    when |eta| <= N eps ||H_watch||_F; two levels of one block raise
-    ClusteringError, none at all AssumptionViolationError. Delta, the
-    smallest |eta| outside it, comes from the same neighbours of zero. Then
-    ``eigvecs_sym_tridiag`` for the zero level only, H_weak V0 and one
-    bordered solve: O(N), no N x N array.
+    when |eta| <= N eps ||H_watch||_F, and V0 takes in site order a 1 x 1
+    block's unit vector or one inverse iteration (``_eigvec_at``); two
+    levels of one block raise ClusteringError, none AssumptionViolationError.
+    Delta, the smallest |eta| outside, comes from the same neighbours of
+    zero. Then H_weak V0 and one bordered solve: O(N), no N x N array.
     """
     n = h_watch.size
     tol = n * _EPS * h_watch.frobenius_norm()
     cuts = (np.flatnonzero(h_watch.offdiag == 0.0) + 1).tolist()
-    below, dim0, delta = 0, 0, np.inf
+    columns, delta = [], np.inf
     for lo, hi in zip([0, *cuts], [*cuts, n]):
-        w, first = h_watch.diag[lo:hi], 0
-        if hi - lo > 1:
-            w, first = _eigvals_near_zero(SymTridiagMatrix(w, h_watch.offdiag[lo : hi - 1]))
+        block = SymTridiagMatrix(h_watch.diag[lo:hi], h_watch.offdiag[lo : hi - 1])
+        w = block.diag if hi - lo == 1 else _eigvals_near_zero(block)
         member = np.abs(w) <= tol
         if np.count_nonzero(member) > 1:
             raise ClusteringError(
                 f"ambiguous zero level: {np.count_nonzero(member)} of the levels next to zero "
                 f"of the irreducible block of sites {lo + 1}..{hi} lie within tol={tol:.3e}"
             )
-        below += first + np.count_nonzero(w < -tol)
-        dim0 += np.count_nonzero(member)
         delta = min(delta, np.min(np.abs(w[~member]), initial=np.inf))
-    if not dim0:
+        if member.any():
+            # a 1 x 1 block's vector is exactly its unit vector
+            columns.append(np.zeros(n))
+            columns[-1][lo:hi] = 1.0 if hi - lo == 1 else _eigvec_at(block, w[member][0])
+    if not columns:
         raise AssumptionViolationError(
             f"H_watch has no zero level (no |eta| <= tol={tol:.3e}); "
             "the watched-subspace framework does not apply"
         )
-    # no other level lies within tol of zero, so the zero level is H_watch's
-    # levels below..below + d0 - 1; a 1 x 1 block's vector is exactly a unit vector
-    v0 = eigvecs_sym_tridiag(h_watch, below, below + dim0)
+    # blocks have disjoint supports, so the unit columns are orthonormal
+    v0 = np.column_stack(columns)
     blocks = hqzd_order0(v0, h_weak), hqzd_order1(v0, h_weak, h_watch)
     norm = h_weak.frobenius_norm()
     return WatchAnalysis(h_watch, v0, blocks, (norm, norm**2 / delta), lam, k)

@@ -458,7 +458,7 @@ class TestEnergyUnitEdges:
         def formed(*args):
             raise AssertionError("formed before the rejection")
 
-        for name in ("eigvecs_sym_tridiag", "hqzd_order0", "hqzd_order1"):
+        for name in ("_eigvec_at", "hqzd_order0", "hqzd_order1"):
             monkeypatch.setattr(qzd, name, formed)
         out = tmp_path / "c"
         assert run_cli(
@@ -881,11 +881,15 @@ class TestBound:
 class TestEntryPoint:
     """``python -m zenochain`` runs the same ``main`` as the installed script."""
 
-    def run_module(self, *argv: str) -> subprocess.CompletedProcess:
+    @staticmethod
+    def env() -> dict[str, str]:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return env
+
+    def run_module(self, *argv: str) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, "-m", "zenochain", *argv], env=env,
+            [sys.executable, "-m", "zenochain", *argv], env=self.env(),
             capture_output=True, text=True, timeout=120,
         )
 
@@ -900,6 +904,29 @@ class TestEntryPoint:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.startswith("error: n: required")
+
+    @pytest.mark.parametrize("argv, taken", [
+        (["effective", "--n", "2001"], 10),  # 147 kB: more than a pipe holds
+        (["classify", "--n", "5", "--delta-omega", "1e9"], 0),
+    ], ids=["head", "closed"])
+    def test_reader_closing_stdout_early_ends_quietly(self, tmp_path, capsys, argv, taken):
+        # as `| head -c 10`, or a pipe whose reader closed before the run: the
+        # print meets a closed pipe after the file is written, and the run
+        # ends as one that printed (it was "i/o error: [Errno 32] Broken
+        # pipe", exit 3), with no "Exception ignored" at the exit flush
+        out = tmp_path / "run.json"
+        read, write = os.pipe()
+        with os.fdopen(read, "rb") as reader:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "zenochain", *argv, "--out", str(out)],
+                env=self.env(), stdout=write, stderr=subprocess.PIPE,
+            )
+            os.close(write)
+            assert len(reader.read(taken)) == taken
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert run_cli(*argv, "--out", str(tmp_path / "ref.json")) == 0
+        assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 class TestSweep:
@@ -1195,10 +1222,16 @@ class TestExitCodes:
         (["fluctuate", "--n", "10", "--steps", "0"], "steps"),
         (["fluctuate", "--n", "10", "--seed", "-1"], "seed"),
         (["fluctuate", "--n", "10", "--amplitude", "0.3"], "amplitude"),
+        ([
+            "classify", "--n", "1755", "--k", "10", "--lambda-inv", "10",
+            "--delta-omega", "1212531831769200.0",
+        ], "delta_omega"),
     ])
     def test_library_field_error_names_the_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
         # read n_sites, n_steps, fluctuation.rng_seed or
-        # fluctuation.relative_amplitude: fields of the library, no flags
+        # fluctuation.relative_amplitude: fields of the library, no flags;
+        # and a shift the watch analysis cannot take, which once printed
+        # "error: v0: columns must be orthonormal", naming no input
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv) == 1
         lines = capsys.readouterr().err.splitlines()

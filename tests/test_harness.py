@@ -47,7 +47,6 @@ from zenochain.linalg import (
     SymTridiagMatrix,
     TimeGrid,
     eig_sym_tridiag,
-    eigvecs_sym_tridiag,
 )
 from zenochain.qzd import QzdOrder, analyze_watch
 
@@ -641,17 +640,17 @@ class TestEigenvectorSigns:
     def test_outputs_are_free_of_column_signs(self, drawn):
         spec, seed = drawn
         rng = np.random.default_rng(seed)
-        eig, eigvecs = harness.eig_sym_tridiag, qzd.eigvecs_sym_tridiag
+        eig, eigvec = harness.eig_sym_tridiag, qzd._eigvec_at
 
-        def negate(v):
-            return v * rng.choice([-1.0, 1.0], v.shape[1])
+        def negate(v):  # each column of a matrix, or a vector as a whole
+            return v * rng.choice([-1.0, 1.0], v.shape[1:])
 
         def flipped_eig(m):
             d = eig(m)
             return SpectralDecomposition(d.eigenvalues, negate(d.eigenvectors))
 
-        def flipped_eigvecs(m, lo, hi):
-            return negate(eigvecs(m, lo, hi))
+        def flipped_eigvec(m, w):
+            return negate(eigvec(m, w))
 
         argv = ["--n", str(spec.n_sites), "--lambda-inv", repr(spec.lambda_inv)]
         if spec.delta_omega is not None:
@@ -682,7 +681,7 @@ class TestEigenvectorSigns:
         with tempfile.TemporaryDirectory() as directory:
             plain = outputs(directory)
             with mock.patch.object(harness, "eig_sym_tridiag", flipped_eig), mock.patch.object(
-                qzd, "eigvecs_sym_tridiag", flipped_eigvecs
+                qzd, "_eigvec_at", flipped_eigvec
             ):
                 flipped = outputs(directory)
         assert len(flipped) == len(plain)
@@ -692,21 +691,22 @@ class TestEigenvectorSigns:
 
 class TestOneWatchAnalysis:
     @pytest.mark.parametrize(
-        "spec",
+        "spec, interior_mode",
         [
-            ChainSpec(6, 5.0),
-            ChainSpec(7, 5.0),
-            ChainSpec(7, 20.0, delta_omega=20.0),
-            ChainSpec(PARITY_MIN_SIZE, 5.0),
-            ChainSpec(PARITY_MIN_SIZE + 1, 5.0),
+            (ChainSpec(6, 5.0), 0),
+            (ChainSpec(7, 5.0), 1),
+            (ChainSpec(7, 20.0, delta_omega=20.0), 0),
+            (ChainSpec(PARITY_MIN_SIZE, 5.0), 0),
+            (ChainSpec(PARITY_MIN_SIZE + 1, 5.0), 1),
         ],
         ids=["even", "odd", "modified", "even-split", "odd-split"],
     )
-    def test_scenario_solves_and_groups_the_watch_once(self, spec, monkeypatch):
+    def test_scenario_solves_and_groups_the_watch_once(self, spec, interior_mode, monkeypatch):
         # one eigendecomposition, of H_total; H_watch gets one Sturm count and
-        # bisection of its interior block's levels next to zero, and its
-        # zero-level eigenvectors only, no level grouping, whichever
-        # module binding a caller goes through; the N x (steps+1) states are
+        # bisection of its interior block's levels next to zero, and one
+        # inverse iteration only when that block holds a zero mode (the end
+        # sites' 1 x 1 blocks take their unit vectors), no level grouping,
+        # whichever module binding a caller goes through; the N x (steps+1) states are
         # evolved only on the first read of .trace, from the H_total spectrum
         # the run already holds, around the leakage series the run computed
         calls = Counter()
@@ -721,7 +721,7 @@ class TestOneWatchAnalysis:
         names = (
             "eig_sym_tridiag",
             "_eigvals_near_zero",
-            "eigvecs_sym_tridiag",
+            "_eigvec_at",
             "group_levels",
             "evolve_grid",
             "observe",
@@ -734,7 +734,7 @@ class TestOneWatchAnalysis:
         once = Counter({
             "eig_sym_tridiag": 1,
             "_eigvals_near_zero": 1,
-            "eigvecs_sym_tridiag": 1,
+            "_eigvec_at": interior_mode,
             "observe": 1,
         })
         assert calls == once
@@ -742,6 +742,26 @@ class TestOneWatchAnalysis:
         trace = result.trace
         assert result.trace is trace
         assert calls == once + Counter(evolve_grid=1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChainSpec(40, 20.0),
+            ChainSpec(40, 20.0, fluctuation=CouplingFluctuation(0.2, 7)),
+            ChainSpec(41, 20.0, delta_omega=20.0),
+        ],
+        ids=["even", "fluctuating", "shifted"],
+    )
+    def test_end_modes_need_no_eigenvector_solver(self, spec, monkeypatch):
+        # d0 = 2: the zero level is the end sites' 1 x 1 blocks, whose modes
+        # are exactly their unit vectors, in site order, with no dstein call
+        def solver(*args):
+            raise AssertionError("dstein called")
+
+        monkeypatch.setattr(linalg.lapack, "dstein", solver)
+        want = np.zeros((spec.n_sites, 2))
+        want[0, 0] = want[-1, 1] = 1.0
+        assert np.array_equal(effective_reports(build_chain(spec)).zero_basis, want)
 
     @pytest.mark.parametrize(
         "spec",
@@ -852,7 +872,7 @@ class TestPublicSurface:
         "harness": ["fit_slope_through_origin"],
         "linalg": [
             "SpectralDecomposition", "SymTridiagMatrix", "TimeGrid", "eig_sym_tridiag",
-            "eigvecs_sym_tridiag", "evolve_grid", "solve_bordered_tridiag",
+            "evolve_grid", "solve_bordered_tridiag",
         ],
         "perturbation": [
             "DegenerateLevel", "EffectiveHamiltonianReport", "ProjectorSet", "group_levels",
@@ -871,7 +891,7 @@ class TestPublicSurface:
         }
         assert public == self.SUPPORTED
         dropped = [(mod, name) for mod, names in self.FROM_MODULE.items() for name in names]
-        assert len(dropped) == 38
+        assert len(dropped) == 37
         for mod_name, name in dropped:
             mod = importlib.import_module(f"zenochain.{mod_name}")
             assert hasattr(mod, name), f"zenochain.{mod_name}.{name}"

@@ -23,7 +23,6 @@ from zenochain.linalg import (
     TimeGrid,
     check_state,
     eig_sym_tridiag,
-    eigvecs_sym_tridiag,
     evolve_grid,
     orthonormal_columns,
     solve_bordered_tridiag,
@@ -94,27 +93,12 @@ def well_conditioned_tridiag(draw, max_size: int = 50):
 
 class TestEig:
     def test_non_finite_vectors_are_a_failure(self):
-        # next to a 5e298 diagonal entry dstein returns NaN columns with info 0;
-        # they passed on to the effective Hamiltonians
-        m = tridiag([0.0, 5e298, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0])
+        # next to a 5e298 diagonal entry dstein returns a NaN column with info 0;
+        # it passed on to the effective Hamiltonians
+        m = tridiag([5e298, 0.0, 0.0], [1.0, 1.0])
+        level = linalg._eigvals_near_zero(m)[0]
         with pytest.raises(NumericalFailureError, match="^tridiagonal eigenvector solver failed"):
-            eigvecs_sym_tridiag(m, 0, 4)
-
-    def test_vectors_off_orthonormal_are_a_failure(self, monkeypatch):
-        # dstein returned the 1754-column zero level of classify --n 1755 --k 10
-        # --lambda-inv 10 --delta-omega 1.2125e15 with info 0, 3e-10 from
-        # orthonormal: "error: v0: columns must be orthonormal", no input named
-        dstein = linalg.lapack.dstein
-
-        def skewed(*args):
-            v, info = dstein(*args)
-            v[:, 0] += 1e-9 * v[:, 1]
-            return v, info
-
-        monkeypatch.setattr(linalg.lapack, "dstein", skewed)
-        m = tridiag([0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-        with pytest.raises(NumericalFailureError, match="^tridiagonal eigenvector solver failed"):
-            eigvecs_sym_tridiag(m, 0, 2)
+            linalg._eigvec_at(m, level)
 
     def test_two_site(self):
         d = eig_sym_tridiag(tridiag([0.0, 0.0], [K]))
@@ -282,29 +266,37 @@ class TestParitySplit:
 class TestPartialEig:
     @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
     def test_match_full_decomposition(self, spec):
-        h = build_chain(spec).h_watch
-        d = eig_sym_tridiag(h)
+        hams = build_chain(spec)
         # the interior block's levels next to zero, by a Sturm count and bisection
-        block = interior_block(h)
-        w, first = linalg._eigvals_near_zero(block)
-        full = eig_sym_tridiag(block).eigenvalues
-        assert np.sum(full < 0.0) in (first + 2, first + 1, first) and w.size == min(4, full.size)
-        assert_allclose(w, full[first : first + w.size], rtol=0.0, atol=1e-14)
-        # the d0 columns of the watch's zero level span its zero eigenspace
+        block = interior_block(hams.h_watch)
+        w = linalg._eigvals_near_zero(block)
+        full = eig_sym_tridiag(block)
+        first = int(np.argmin(np.abs(full.eigenvalues - w[0])))
+        negative = np.sum(full.eigenvalues < 0.0)
+        assert negative in (first + 2, first + 1, first) and w.size == min(4, block.size)
+        assert_allclose(w, full.eigenvalues[first : first + w.size], rtol=0.0, atol=1e-14)
+        # one inverse iteration per level gives that level's unit eigenvector,
+        # with dstein's sign: its largest-magnitude entry (up to round-off,
+        # which decides a tie) is positive
+        for i, level in enumerate(w, start=first):
+            v = linalg._eigvec_at(block, level)
+            assert v.shape == (block.size,) and abs(v @ v - 1.0) < 1e-14
+            assert np.max(v) > np.max(np.abs(v)) - 1e-15
+            u = full.eigenvectors[:, i]
+            assert np.max(np.abs(v - np.sign(u @ v) * u)) < 1e-13
+        # the watch's zero basis built from them spans its zero eigenspace
+        d = eig_sym_tridiag(hams.h_watch)
         lo, hi = np.searchsorted(d.eigenvalues, [-1e-9, 1e-9])
-        v = eigvecs_sym_tridiag(h, lo, hi)
+        v = analyze_watch(hams.h_watch, hams.h_weak).zero_basis
         assert v.shape == (spec.n_sites, hi - lo)
         assert np.max(np.abs(v.T @ v - np.eye(hi - lo))) < 1e-14
         p, want = v @ v.T, d.eigenvectors[:, lo:hi] @ d.eigenvectors[:, lo:hi].T
         assert np.max(np.abs(p - want)) < 1e-13
-        # dstein's sign: each column's largest-magnitude entry is positive
-        assert np.all(v[np.argmax(np.abs(v), axis=0), np.arange(hi - lo)] > 0)
 
     def test_size_one(self):
         m = tridiag([3.0], [])
-        w, first = linalg._eigvals_near_zero(m)
-        assert first == 0 and w.tolist() == [3.0]
-        assert_allclose(eigvecs_sym_tridiag(m, 0, 1), [[1.0]])
+        assert linalg._eigvals_near_zero(m).tolist() == [3.0]
+        assert linalg._eigvec_at(m, 3.0).tolist() == [1.0]
 
 
 @st.composite
