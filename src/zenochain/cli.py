@@ -304,14 +304,15 @@ def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> No
         fh.write(b"\n")
 
 
-def _matrix_nonzeros(rep: EffectiveHamiltonianReport, cut: float) -> list[list]:
-    """Entries [i, j, value] (1-based, upper triangle) with |value| > cut of the
-    report's site-basis matrix M = V0 B V0^T. As
-    |M_ij| <= max|B| ||V0_i||_1 ||V0_j||_1 and ||V0_j||_1 <= d0, only the rows R
-    with d0 max|B| ||V0_i||_1 > cut / 2 (2 covers rounding) are formed, as
-    V0[R] B V0[R]^T; absolute sums, unlike squares, do not underflow at tiny k.
+def _matrix_nonzeros(rep: EffectiveHamiltonianReport) -> list[list]:
+    """Entries [i, j, value] (1-based, upper triangle) of the report's
+    site-basis matrix M = V0 B V0^T above its round-off floor, |value| > cut
+    for cut = ``rep.round_off``. As |M_ij| <= max|B| ||V0_i||_1 ||V0_j||_1 and
+    ||V0_j||_1 <= d0, only the rows R with d0 max|B| ||V0_i||_1 > cut / 2
+    (2 covers rounding) are formed, as V0[R] B V0[R]^T; absolute sums, unlike
+    squares, do not underflow at tiny k.
     """
-    v0, block = rep.basis, rep.block
+    v0, block, cut = rep.basis, rep.block, rep.round_off
     bound = block.shape[0] * np.max(np.abs(block), initial=0.0) * np.abs(v0).sum(axis=1)
     rows = np.flatnonzero(bound > 0.5 * cut)
     matrix = v0[rows] @ block @ v0[rows].T
@@ -336,13 +337,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     order = result.classification.order
     # the report of the classified order; no other order lists an entry
     rep = {QzdOrder.ZEROTH: result.order0, QzdOrder.FIRST: result.order1}[order]
-    # relative to the weak coupling k, times lam for the order-1 matrix
-    cut = 1e-12 * spec.k * (spec.lam if order is QzdOrder.FIRST else 1.0)
     summary = {
         "delta": result.leakage.delta,
         "attained_at": result.leakage.attained_at,
         "classification_order": order.value,
-        "effective_matrix_nonzeros": _matrix_nonzeros(rep, cut),
+        "effective_matrix_nonzeros": _matrix_nonzeros(rep),
     }
     _emit_json(json_path, summary)
     return 0
@@ -356,18 +355,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_effective(args: argparse.Namespace) -> int:
-    spec = _chain_spec(args)
-    analysis = effective_reports(build_chain(spec))
+    analysis = effective_reports(build_chain(_chain_spec(args)))
     rep0, rep1 = analysis.order0, analysis.order1
-    cut = 1e-10 * spec.k  # relative to the weak coupling k, times lam at order 1
     payload = {
-        "order0": {
-            "nonzeros": _matrix_nonzeros(rep0, cut),
-            "eta1_common": rep0.eta1_common,
-        },
-        "order1_times_lambda": {
-            "nonzeros": _matrix_nonzeros(rep1, cut * spec.lam),
-        },
+        "order0": {"nonzeros": _matrix_nonzeros(rep0), "eta1_common": rep0.eta1_common},
+        "order1_times_lambda": {"nonzeros": _matrix_nonzeros(rep1)},
     }
     _emit_json(args.out, payload)
     return 0

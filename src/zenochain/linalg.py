@@ -204,22 +204,16 @@ def eig_sym_tridiag(m: SymTridiagMatrix) -> SpectralDecomposition:
 
 def _eigvals_near_zero(m: SymTridiagMatrix) -> np.ndarray:
     """m's eigenvalues next to zero (ascending order): the two below zero and
-    the two at or above it where m has them. A Sturm count at 0, the negative
-    pivots of m's LDL^T (one below pivmin taken as -pivmin, as in LAPACK's
-    bisection), gives the index c of the first level >= 0, and ``dstebz``
-    bisects levels c-2..c+1 only. O(N)."""
-    e2 = [b * b for b in m.offdiag.tolist()]
-    pivmin = np.finfo(float).tiny * max([1.0, *e2])
-    count, q = 0, 1.0
-    for a, b2 in zip(m.diag.tolist(), [0.0, *e2]):
-        q = a - b2 / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        count += q < 0.0
-    first, last = max(count - 2, 0), min(count + 2, m.size)
+    the two at or above it where m has them. A value-range ``dstebz`` gives the
+    index c of the first level >= 0 (a zero pivot counts as negative, LAPACK's
+    pivmin rule), and an index-range ``dstebz`` bisects levels c-2..c+1 only. O(N)."""
     e = _lapack_offdiag(m)
+    # with abstol = inf every interval counts as located at once: nothing is
+    # bisected, and count is the Sturm count of the levels in (-inf, 0]
+    count, *_, count_info = lapack.dstebz(m.diag, e, 1, -np.inf, 0.0, 0, 0, np.inf, "E")
+    first, last = max(count - 2, 0), min(count + 2, m.size)
     found, w, *_, info = lapack.dstebz(m.diag, e, 2, 0.0, 0.0, first + 1, last, 0.0, "E")
-    if info != 0:
+    if count_info != 0 or info != 0:
         raise NumericalFailureError(f"tridiagonal bisection failed on a {m.size}x{m.size} matrix")
     return w[:found]
 

@@ -127,12 +127,15 @@ class EffectiveHamiltonianReport:
     ``block`` is the d0 x d0 matrix in the zero-level basis ``basis`` (N x d0).
     ``eta1_common`` is set (order 0 only) when the block is a multiple c * 1
     of the identity, i.e. the matrix is c * P0; c is then the common
-    first-order shift.
+    first-order shift. ``round_off`` is the block's round-off floor, N eps
+    times its scale: a value of either matrix, or a commutator with it, at or
+    below the floor is zero (0 lists every nonzero entry).
     """
 
     block: np.ndarray
     basis: np.ndarray
     eta1_common: float | None = None
+    round_off: float = 0.0
 
     @property
     def matrix(self) -> np.ndarray:
@@ -154,19 +157,20 @@ def _symmetric(block: np.ndarray) -> np.ndarray:
 def hqzd_order0(v0: np.ndarray, h: SymTridiagMatrix) -> EffectiveHamiltonianReport:
     """Order-0 effective Hamiltonian P0 H P0, as the block V0^T H V0.
 
-    ``v0`` (N x d0) is an orthonormal basis of the zero level. The block
-    counts as c * P0 when ||V0^T H V0 - c 1|| <= N eps ||H|| (Frobenius
-    norms; every zero test's round-off rule, the same at any energy scale).
+    ``v0`` (N x d0) is an orthonormal basis of the zero level. The block's
+    round-off floor is N eps ||H|| (Frobenius norm; every zero test's
+    round-off rule, the same at any energy scale), and the block counts as
+    c * P0 when ||V0^T H V0 - c 1|| lies at or below it.
     """
     v0 = orthonormal_columns(v0, h.size, "v0")
     block = _symmetric(v0.T @ h.matvec(v0))
+    round_off = h.size * np.finfo(float).eps * h.frobenius_norm()
     eta1_common: float | None = None
     if block.size:
         c = float(np.trace(block)) / len(block)
-        round_off = h.size * np.finfo(float).eps * h.frobenius_norm()
         if np.linalg.norm(block - c * np.eye(len(block))) <= round_off:
             eta1_common = c
-    return EffectiveHamiltonianReport(block, v0, eta1_common)
+    return EffectiveHamiltonianReport(block, v0, eta1_common, round_off)
 
 
 def reduced_resolvent(ps: ProjectorSet) -> np.ndarray:
@@ -191,7 +195,8 @@ def hqzd_order1(
     u u^T b / eta, the solution of the bordered system [[H_watch, V0],
     [V0^T, 0]] [x; y] = [b; 0] (``solve_bordered_tridiag``). The block is
     -b^T x: O(N d0^2) once the zero level is known, and no eigenvector
-    of a nonzero level is needed. V0 must span H_watch's zero level.
+    of a nonzero level is needed. V0 must span H_watch's zero level. The
+    floor, which needs H_watch's gap, is left 0 (``analyze_watch`` sets it).
     """
     v0 = orthonormal_columns(v0, h.size, "v0")
     hv0 = h.matvec(v0)

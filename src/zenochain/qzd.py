@@ -85,18 +85,18 @@ class WatchAnalysis:
 
     The solves see H_watch and H_weak in units of k. ``zero_basis`` (N x d0,
     d0 >= 1, columns in site order) spans H_watch's zero level; ``blocks`` are
-    the effective Hamiltonians of H_weak there, order 1 per unit lam, and
-    ``scales`` their scales, ||H_weak|| and ||H_weak||^2 / Delta, with Delta the
-    smallest |eta| outside the zero level (Frobenius norms). ``order0``,
-    ``order1`` and the commutator norms of ``classify`` read order n times k
-    lam^n, where values at or below N eps times the scale are round-off;
-    ``cycle`` reads a time over lam^n, in units of 1/k.
+    the effective Hamiltonians of H_weak there, order 1 per unit lam, each
+    with its round-off floor N eps times its scale: ||H_weak|| at order 0 and
+    ||H_weak||^2 / Delta at order 1, with Delta the smallest |eta| outside the
+    zero level (Frobenius norms). ``order0``, ``order1`` (block and floor) and
+    the commutator norms of ``classify`` read order n times k lam^n, where
+    values at or below the floor are round-off; ``cycle`` reads a time over
+    lam^n, in units of 1/k.
     """
 
     h_watch: SymTridiagMatrix
     zero_basis: np.ndarray
     blocks: tuple[EffectiveHamiltonianReport, EffectiveHamiltonianReport]
-    scales: tuple[float, float]
     lam: float
     k: float
 
@@ -107,12 +107,16 @@ class WatchAnalysis:
 
     def _energy(self, value, order: int):
         s = self.lam**order
-        return from_units_of_k(s * value, self.k, 1, s * self._round_off * self.scales[order])
+        return from_units_of_k(s * value, self.k, 1, s * self.blocks[order].round_off)
 
     def _read(self, order: int) -> EffectiveHamiltonianReport:
         rep = self.blocks[order]
         common = None if rep.eta1_common is None else self._energy(rep.eta1_common, order)
-        return replace(rep, block=self._energy(rep.block, order), eta1_common=common)
+        # a floor is round-off by definition: its read never raises
+        with np.errstate(over="ignore", under="ignore"):
+            floor = rep.round_off * self.lam**order * self.k
+        block = self._energy(rep.block, order)
+        return replace(rep, block=block, eta1_common=common, round_off=floor)
 
     @cached_property
     def order0(self) -> EffectiveHamiltonianReport:
@@ -141,10 +145,8 @@ class WatchAnalysis:
             a = self.zero_basis.T @ psi0
             rho0 = np.outer(a, a.conj())
             comms = [float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in self.blocks]
-            # each order's scale bounds its block; a commutator at or below
-            # N eps times its scale is round-off, reported as 0.0
-            floors = (self._round_off * s for s in self.scales)
-            comm0, comm1 = (c if c > f else 0.0 for c, f in zip(comms, floors))
+            # a commutator at or below its block's floor is round-off, reported as 0.0
+            comm0, comm1 = (c if c > r.round_off else 0.0 for c, r in zip(comms, self.blocks))
             proportional = self.blocks[0].eta1_common is not None
         prerequisite_i = proportional and comm1 > 0.0
 
@@ -215,7 +217,8 @@ def analyze_watch(
     block's unit vector or one inverse iteration (``_eigvec_at``); two
     levels of one block raise ClusteringError, none AssumptionViolationError.
     Delta, the smallest |eta| outside, comes from the same neighbours of
-    zero. Then H_weak V0 and one bordered solve: O(N), no N x N array.
+    zero and sets the order-1 block's floor N eps ||H_weak||_F^2 / Delta.
+    Then H_weak V0 and one bordered solve: O(N), no N x N array.
     """
     n = h_watch.size
     tol = n * _EPS * h_watch.frobenius_norm()
@@ -242,9 +245,9 @@ def analyze_watch(
         )
     # blocks have disjoint supports, so the unit columns are orthonormal
     v0 = np.column_stack(columns)
-    blocks = hqzd_order0(v0, h_weak), hqzd_order1(v0, h_weak, h_watch)
-    norm = h_weak.frobenius_norm()
-    return WatchAnalysis(h_watch, v0, blocks, (norm, norm**2 / delta), lam, k)
+    floor1 = n * _EPS * (h_weak.frobenius_norm() ** 2 / delta)
+    order1 = replace(hqzd_order1(v0, h_weak, h_watch), round_off=floor1)
+    return WatchAnalysis(h_watch, v0, (hqzd_order0(v0, h_weak), order1), lam, k)
 
 
 def classify(
@@ -262,10 +265,11 @@ def classify(
     higher_or_none.
 
     The zero level is ``analyze_watch``'s, and a commutator counts as
-    nonvanishing when its Frobenius norm exceeds N eps times its order's
-    scale, ||H_weak|| for order 0 and ||H_weak||^2 / Delta for order 1 (per
-    unit lam), both in units of k = max|H_weak|, over which the matrices
-    are solved; one that does not is reported as 0.0.
+    nonvanishing when its Frobenius norm exceeds its block's round-off
+    floor, N eps times its order's scale: ||H_weak|| for order 0 and
+    ||H_weak||^2 / Delta for order 1 (per unit lam), both in units of
+    k = max|H_weak|, over which the matrices are solved; one that does not
+    is reported as 0.0.
     Proportionality to P0 is the one test of ``hqzd_order0``, relative to
     the norm of H_weak.
     """

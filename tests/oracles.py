@@ -6,10 +6,11 @@ propagator or one exponential per sample time, inversion via Gaussian
 elimination with partial pivoting, determinants via cofactor expansion or
 the continuant recursion, CSV text one formatted cell at a time, matrix
 listings by a double loop over the entries of the dense N x N effective
-Hamiltonian (``dominant_effective_matrix``), eigenvalue grouping one Python
-level at a time, effective Hamiltonians as eigenvector sums over a dense
-eigendecomposition, the leakage series and the watch levels in 50-digit
-``mpmath`` arithmetic.
+Hamiltonian (``dominant_listing``), a Sturm count at zero by the LDL^T
+pivots one Python step at a time (``sturm_count_at_zero``), eigenvalue
+grouping one Python level at a time, effective Hamiltonians as eigenvector
+sums over a dense eigendecomposition, the leakage series and the watch
+levels in 50-digit ``mpmath`` arithmetic.
 
 The perturbative picture of the leakage is a referee for the exact delta:
 first-order eigenstate corrections (``first_order_corrections``), the
@@ -131,6 +132,21 @@ def zero_level_by_loop(h_watch: SymTridiagMatrix) -> list[tuple[int, np.ndarray,
             blocks.append((lo, *np.linalg.eigh(dense)))
             lo = i + 1
     return blocks
+
+
+def sturm_count_at_zero(m: SymTridiagMatrix) -> int:
+    """The number of m's levels in (-inf, 0]: the negative pivots of m's LDL^T,
+    one Python step per row, a pivot below pivmin in magnitude taken as -pivmin
+    (LAPACK's bisection rule, so an exact zero level counts)."""
+    e2 = [b * b for b in m.offdiag.tolist()]
+    pivmin = np.finfo(float).tiny * max([1.0, *e2])
+    count, q = 0, 1.0
+    for a, b2 in zip(m.diag.tolist(), [0.0, *e2]):
+        q = a - b2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0.0
+    return count
 
 
 def gaussian_elimination_inverse(a: np.ndarray) -> np.ndarray:
@@ -300,14 +316,25 @@ def double_loop_nonzeros(matrix: np.ndarray, cut: float) -> list[list]:
     return out
 
 
+def _dominant_report(result):
+    """The effective Hamiltonian report of a ``ScenarioResult``'s classified
+    order (None for an order without one)."""
+    reports = {QzdOrder.ZEROTH: result.order0, QzdOrder.FIRST: result.order1}
+    return reports.get(result.classification.order)
+
+
 def dominant_effective_matrix(result) -> np.ndarray:
     """The dense N x N effective Hamiltonian of a ``ScenarioResult``'s
     classified order (zeros for an order without one)."""
-    if result.classification.order is QzdOrder.ZEROTH:
-        return result.order0.matrix
-    if result.classification.order is QzdOrder.FIRST:
-        return result.order1.matrix
-    return np.zeros_like(result.order0.matrix)
+    rep = _dominant_report(result)
+    return np.zeros_like(result.order0.matrix) if rep is None else rep.matrix
+
+
+def dominant_listing(result) -> list[list]:
+    """The double-loop listing of ``dominant_effective_matrix`` above the
+    round-off floor of the classified order's report ([] without one)."""
+    rep = _dominant_report(result)
+    return [] if rep is None else double_loop_nonzeros(rep.matrix, rep.round_off)
 
 
 def align_signs(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -14,24 +14,24 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zenochain import cli, harness, qzd
-from zenochain.analytic import lambda_bound
+from zenochain.analytic import hqzd1_odd_modified, lambda_bound
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
 from zenochain.cli import main, read_config_file
 from zenochain.errors import ValidationError
 from zenochain.harness import effective_reports, run_fluctuation_trials, run_scenario, run_sweep
 from zenochain.perturbation import EffectiveHamiltonianReport
 
-from .oracles import (
-    dominant_effective_matrix, double_loop_nonzeros, mp_watch_levels, per_value_csv
-)
+from .oracles import dominant_listing, double_loop_nonzeros, mp_watch_levels, per_value_csv
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -64,7 +64,7 @@ class TestSimulate:
         assert float(rows[1][1]) == 1.0
 
     def test_order1_listing_at_a_weak_coupling(self, tmp_path):
-        # the order-1 matrix scales as lam k, and so does the listing's cut
+        # the order-1 matrix scales as lam k, and so does its round-off floor
         out = tmp_path / "weak"
         argv = ("--n", "4", "--lambda-inv", "1e13", "--steps", "10", "--out", str(out))
         assert run_cli("simulate", *argv) == 0
@@ -266,7 +266,7 @@ class TestEffective:
     @pytest.mark.parametrize("lambda_inv", [1e5, 1e11, 1e100])
     @pytest.mark.parametrize("n_sites", [4, 6])
     def test_order1_listing_at_any_lambda(self, capsys, n_sites, lambda_inv):
-        # the order-1 block scales as lam k, and so does the listing's cut
+        # the order-1 block scales as lam k, and so does its round-off floor
         assert run_cli("effective", "--n", str(n_sites), "--lambda-inv", repr(lambda_inv)) == 0
         payload = json.loads(capsys.readouterr().out)
         entries = {(i, j): v for i, j, v in payload["order1_times_lambda"]["nonzeros"]}
@@ -282,9 +282,20 @@ class TestEffective:
         assert (1, 5) not in entries
         assert payload["order0"]["eta1_common"] is None
 
+    @pytest.mark.parametrize("delta_omega", [1e11, 1e13, 1e15])
+    def test_shifted_odd_order1_listing_is_the_closed_form(self, capsys, delta_omega):
+        # entries k^2 / delta_omega lie far above the block's round-off floor;
+        # a fixed cut of 1e-10 k lam listed none of them from 1e13 on
+        assert run_cli("effective", "--n", "5", "--delta-omega", repr(delta_omega)) == 0
+        listed = json.loads(capsys.readouterr().out)["order1_times_lambda"]["nonzeros"]
+        want = double_loop_nonzeros(hqzd1_odd_modified(5, 1.0, delta_omega), 0.0)
+        assert len(want) == 3
+        assert [e[:2] for e in listed] == [e[:2] for e in want]
+        assert [e[2] for e in listed] == pytest.approx([e[2] for e in want], rel=1e-12)
+
 
 class TestSmallEnergyScale:
-    """Nonzero cut-offs and the order-0 proportionality test scale with k."""
+    """Round-off floors and the order-0 proportionality test scale with k."""
 
     CHAINS = [
         (["--n", "4"], None),
@@ -581,9 +592,7 @@ class TestOutputBytes:
         summary_text = (tmp_path / "s.json").read_text()
         assert capsys.readouterr().out == summary_text
         summary = json.loads(summary_text)
-        assert summary["effective_matrix_nonzeros"] == double_loop_nonzeros(
-            dominant_effective_matrix(result), 1e-12
-        )
+        assert summary["effective_matrix_nonzeros"] == dominant_listing(result)
 
     def test_sweep(self, tmp_path, capsys):
         out = tmp_path / "sw"
@@ -641,13 +650,14 @@ class TestOutputBytes:
 
         analysis = effective_reports(build_chain(spec))
         rep0, rep1 = analysis.order0, analysis.order1
-        assert payload["order0"]["nonzeros"] == double_loop_nonzeros(rep0.matrix, 1e-10)
+        assert payload["order0"]["nonzeros"] == double_loop_nonzeros(rep0.matrix, rep0.round_off)
         assert payload["order1_times_lambda"]["nonzeros"] == double_loop_nonzeros(
-            rep1.matrix, 1e-10
+            rep1.matrix, rep1.round_off
         )
-        # with no cut every round-off entry is listed, in the same order
+        # with a floor of 0 every round-off entry is listed, in the same order
         for rep in (rep0, rep1):
-            assert cli._matrix_nonzeros(rep, 0.0) == double_loop_nonzeros(rep.matrix, 0.0)
+            got = cli._matrix_nonzeros(replace(rep, round_off=0.0))
+            assert got == double_loop_nonzeros(rep.matrix, 0.0)
 
     @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513])
     def test_table_in_blocks(self, tmp_path, n_rows):
@@ -763,16 +773,17 @@ class TestOutputBytes:
         rng = np.random.default_rng(0)
         basis = np.linalg.qr(rng.normal(size=(9, 3)))[0]
         block = rng.normal(size=(3, 3))
-        rep = EffectiveHamiltonianReport(3.0 * (block + block.T), basis)
         for cut in (0.0, 0.5, 2.0):
-            assert cli._matrix_nonzeros(rep, cut) == double_loop_nonzeros(rep.matrix, cut)
+            rep = EffectiveHamiltonianReport(3.0 * (block + block.T), basis, round_off=cut)
+            assert cli._matrix_nonzeros(rep) == double_loop_nonzeros(rep.matrix, cut)
 
 
 class TestNonzeroListing:
     """The listings form only the rows of V0 that can carry an entry above
-    the cut, and list what the dense N x N matrix lists."""
+    the report's round-off floor, and list what the dense N x N matrix lists:
+    at the report's own floor and at floors of 0, 1e-12 and 1e-10."""
 
-    @pytest.mark.parametrize("cut", [0.0, 1e-12, 1e-10])
+    @pytest.mark.parametrize("cut", ["own", 0.0, 1e-12, 1e-10])
     @pytest.mark.parametrize(
         "spec",
         [
@@ -792,7 +803,9 @@ class TestNonzeroListing:
     def test_rows_of_the_zero_basis_list_the_dense_matrix(self, spec, cut):
         analysis = effective_reports(build_chain(spec))
         for rep in (analysis.order0, analysis.order1):
-            assert cli._matrix_nonzeros(rep, cut) == double_loop_nonzeros(rep.matrix, cut)
+            if cut != "own":
+                rep = replace(rep, round_off=cut)
+            assert cli._matrix_nonzeros(rep) == double_loop_nonzeros(rep.matrix, rep.round_off)
 
     def test_tiny_energy_unit_lists_every_entry(self, tmp_path):
         # a row bound from squares underflows here and lists nothing
@@ -800,7 +813,7 @@ class TestNonzeroListing:
         assert run_cli("simulate", *argv) == 0
         summary = json.loads((tmp_path / "tiny.json").read_text())
         result = run_scenario(ChainSpec(5, 20.0, k=1e-300), n_steps=20)
-        want = double_loop_nonzeros(dominant_effective_matrix(result), 1e-12 * 1e-300)
+        want = dominant_listing(result)
         assert len(want) == 4
         assert summary["effective_matrix_nonzeros"] == want
 
@@ -815,6 +828,62 @@ class TestNonzeroListing:
             tracemalloc.stop()
         assert json.loads(capsys.readouterr().out)["order1_times_lambda"]["nonzeros"]
         assert peak < 8 * 2**20
+
+
+@st.composite
+def listed_chains(draw) -> ChainSpec:
+    """Even, odd, fluctuating and shifted chains of 4-301 sites, lambda_inv
+    2.5-1e4, k 1e-3-1e3 and shifts of either sign with log10|delta_omega| in
+    [-7, 15]."""
+    n = draw(st.integers(4, 301))
+    lambda_inv = 10.0 ** draw(st.floats(np.log10(2.5), 4.0))
+    k = 10.0 ** draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["plain", "fluctuating", "shifted"]))
+    shift, noise = None, None
+    if kind == "shifted":
+        shift = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-7.0, 15.0))
+    elif kind == "fluctuating":
+        noise = CouplingFluctuation(draw(st.floats(0.0, 0.2)), draw(st.integers(0, 2**16)))
+    return ChainSpec(n, lambda_inv, k, shift, noise)
+
+
+class TestOneZeroRule:
+    """simulate and effective read one round-off floor per block: simulate
+    lists exactly what effective lists for the classified order."""
+
+    @staticmethod
+    def _run(spec: ChainSpec, *argv: str) -> tuple[int, str]:
+        chain = ["--n", str(spec.n_sites), "--lambda-inv", repr(spec.lambda_inv)]
+        chain += ["--k", repr(spec.k)]
+        if spec.delta_omega is not None:
+            chain += ["--delta-omega", repr(spec.delta_omega)]
+        # no flag sets the bond noise; the chain the flags give takes it on
+        parsed = cli._chain_spec
+        with_noise = mock.patch.object(
+            cli, "_chain_spec", lambda args: replace(parsed(args), fluctuation=spec.fluctuation)
+        )
+        out, quiet = io.StringIO(), contextlib.redirect_stderr(io.StringIO())
+        with with_noise, quiet, contextlib.redirect_stdout(out):
+            code = main([argv[0], *chain, *argv[1:]])
+        return code, out.getvalue()
+
+    @given(listed_chains())
+    # a fixed cut of 1e-12 k lam in simulate against 1e-10 k lam in effective
+    # listed this chain's order-1 entries (1e-12) in simulate only
+    @example(ChainSpec(5, 20.0, delta_omega=1e12))
+    @settings(max_examples=60, deadline=None)
+    def test_simulate_lists_what_effective_lists(self, spec):
+        with tempfile.TemporaryDirectory() as work:
+            code, summary = self._run(spec, "simulate", "--steps", "10", "--out", f"{work}/s")
+        assume(code == 0)
+        code, payload = self._run(spec, "effective")
+        assert code == 0
+        summary, payload = json.loads(summary), json.loads(payload)
+        key = {"zeroth": "order0", "first": "order1_times_lambda"}.get(
+            summary["classification_order"]
+        )
+        want = [] if key is None else payload[key]["nonzeros"]
+        assert summary["effective_matrix_nonzeros"] == want
 
 
 class TestWriteTable:
@@ -1040,7 +1109,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=4\ndelta0=0.1\n")
         assert run_cli("bound", "--config", str(cfg), "--n", "6") == 0
-        from zenochain.analytic import lambda_bound
+        from zenochain.analytic import hqzd1_odd_modified, lambda_bound
 
         assert float(capsys.readouterr().out) == pytest.approx(
             lambda_bound(6, 0.1), abs=1e-9

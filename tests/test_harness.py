@@ -377,10 +377,8 @@ class TestEnergyUnit:
         unit_spec = replace(unit_spec, delta_omega=None if shift is None else shift / k)
         base = run_scenario(unit_spec, n_steps=200)
         c0 = base.classification
-        # values at or below N eps times their scale are round-off
-        scales = effective_reports(build_chain(unit_spec)).scales
-        rtol = unit_spec.n_sites * np.finfo(float).eps
-        floor0, floor1 = (rtol * s for s in (scales[0], unit_spec.lam * scales[1]))
+        # values at or below their block's round-off floor are round-off
+        floor0, floor1 = base.order0.round_off, base.order1.round_off
         energies = [
             (base.order0.block, floor0), (base.order1.block, floor1),
             (base.order0.eta1_common or 0.0, floor0),
@@ -566,8 +564,10 @@ class TestZeroLevelRule:
         for lo, v, within in members:
             assert np.min(np.abs(np.abs(v @ v0[lo : lo + v.size]) - 1.0)) <= within
         delta = min(outside, default=np.inf)
+        # the order-1 floor is N eps ||H_weak||^2 / Delta
         norm = build_chain(spec).unit.h_weak.frobenius_norm()
-        assert norm**2 / analysis.scales[1] == pytest.approx(delta, rel=1e-12, abs=2.0 * scale)
+        got = spec.n_sites * eps * norm**2 / analysis.blocks[1].round_off
+        assert got == pytest.approx(delta, rel=1e-12, abs=2.0 * scale)
 
 
 @st.composite

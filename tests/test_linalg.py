@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import lapack
 
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
 from zenochain.errors import NumericalFailureError, ValidationError
@@ -36,6 +37,7 @@ from .oracles import (
     gaussian_elimination_inverse,
     mp_watch_levels,
     rk4_evolve,
+    sturm_count_at_zero,
 )
 
 K = 1.0
@@ -263,7 +265,43 @@ class TestParitySplit:
         assert calls == [n - n // 2, n // 2]
 
 
+@st.composite
+def watch_blocks(draw) -> SymTridiagMatrix:
+    """Irreducible blocks as the watch analysis meets them: the interior
+    blocks of even, odd, fluctuating and shifted chains of 4-801 sites in
+    units of k (an unshifted odd one has an exact zero level), and random
+    blocks of 1-300 sites at scales 1e-9 to 1e9, half of them with a zero
+    diagonal (an exact zero level at odd size)."""
+    if draw(st.booleans()):
+        noise = None
+        if draw(st.booleans()):
+            noise = CouplingFluctuation(draw(st.floats(0.0, 0.2)), draw(st.integers(0, 2**16)))
+        shift = None
+        if draw(st.booleans()):
+            shift = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-7.0, 15.0))
+        lambda_inv = 10.0 ** draw(st.floats(np.log10(2.5), 4.0))
+        spec = ChainSpec(draw(st.integers(4, 801)), lambda_inv, 1.0, shift, noise)
+        return interior_block(build_chain(spec).unit.h_watch)
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-9, 9))
+    diag = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([0.0, 1.0]))
+    return tridiag(scale * diag, scale * rng.uniform(0.5, 1.0, n - 1))
+
+
 class TestPartialEig:
+    @given(watch_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_sturm_count_from_lapack(self, m):
+        # the levels next to zero are the ones the count by LDL^T pivots
+        # (LAPACK's pivmin rule) locates: the same bisected bytes
+        count = sturm_count_at_zero(m)
+        first, last = max(count - 2, 0), min(count + 2, m.size)
+        e = m.offdiag if m.size > 1 else np.zeros(1)
+        found, w, *_, info = lapack.dstebz(m.diag, e, 2, 0.0, 0.0, first + 1, last, 0.0, "E")
+        assert info == 0
+        assert linalg._eigvals_near_zero(m).tolist() == w[:found].tolist()
+
     @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
     def test_match_full_decomposition(self, spec):
         hams = build_chain(spec)
