@@ -16,11 +16,17 @@ with N (about 3.96 at N=4, 4.56-4.68 at N=30 for G <= 0.1, rising toward
 pi^2/2 ~ 4.93 for small G), so grids reaching longer chains land on the
 nominal 4.3 while short-chain grids fit lower (about 4.007 on the stated
 grid G in {0.05..0.2} x even N 4-30, where the G=0.2 line also saturates).
+
+The per-N ratio has a derived ceiling: to first order delta <= 2 (N-2) lam^2
+(``analytic.leakage_bound``), which over G reads c(N) G^2 with
+c(N) = 2 (N-2) / f(N)^2, 4 at N=4 rising toward pi^2/2. Each per-N line
+prints delta/G^2 at every G beside c(N).
 """
 
 import numpy as np
 
 from zenochain import ChainSpec, f_of_n, lambda_bound, run_scenario, run_sweep
+from zenochain.analytic import leakage_bound
 
 
 def sweep(g_list, n_list, label: str) -> None:
@@ -30,6 +36,11 @@ def sweep(g_list, n_list, label: str) -> None:
     for g, mean, flat in zip(result.g_values, result.mean_delta, result.flatness):
         print(f"  {g:.2f}  {mean:10.4f}  {4.3 * g * g:8.4f}  {flat:8.3f}")
     print(f"fitted slope of mean delta vs G^2: {result.slope:.3f}")
+    print("  N    c(N)   delta/G^2 at G = " + ", ".join(f"{g:.2f}" for g in result.g_values))
+    ratios = result.delta / result.g_values[:, None] ** 2
+    for j, n in enumerate(result.n_values):
+        c = leakage_bound(n, 1.0 / f_of_n(n))
+        print(f"  {n:<3d}  {c:5.3f}  " + "  ".join(f"{r:5.3f}" for r in ratios[:, j]))
 
 
 def bound_check() -> None:

@@ -133,6 +133,30 @@ def big_g(n_sites: int, lam: float) -> float:
     return lam * f_of_n(n_sites)
 
 
+def leakage_bound(n_sites: int, lam: float) -> float:
+    """First-order bound 2 (N-2) lam^2 on the peak leakage of an even chain.
+
+    Interior mode n (eta_n = 2 (k/lam) cos(n pi / (N-1)), amplitude
+    sqrt(2/(N-1)) sin(n pi / (N-1)) on sites 2 and N-1) couples to the
+    zero-level state with |<n|H_weak|psi_P>| = k |u_n(2)| while psi_P
+    rotates in span{|1>, |N>} (parity), so to first order it holds at most
+    |e^{-i eta_n t} - 1|^2 (k u_n(2) / eta_n)^2 <= 2 g_n^2, with g_n of
+    ``g_n``. The leakage is then at most 2 sum_n g_n^2 = (2 lam^2 / (N-1))
+    sum_{n=1}^{N-2} tan^2(n pi / (N-1)), and for odd M = N-1,
+    sum_{n=1}^{M-1} tan^2(n pi / M) = M (M-1): terms n and M-n are equal,
+    and the (M-1)/2 distinct values are the roots in x = tan^2 of
+    tan(M theta) / tan(theta) = 0, a polynomial of degree (M-1)/2 in x whose
+    roots sum to M (M-1) / 2. So the bound is 2 (N-2) lam^2: G and f(N)
+    cancel. Over G = lam f(N) it reads c(N) G^2 with
+    c(N) = 2 (N-2) / f(N)^2, which is 4 at N = 4 and tends to pi^2/2; the
+    paper's fitted DELTA_FIT_COEFF lies within the range of c(N) on even
+    N 4-50. The four-site chain's exact 4 lam^2 / (1 + 4 lam^2) lies below
+    it.
+    """
+    _require_even(n_sites)
+    return 2.0 * (n_sites - 2) * lam * lam
+
+
 def delta_estimate(n_sites: int, lam: float) -> float:
     """Estimated peak leakage DELTA_FIT_COEFF * G(N, lam)^2."""
     g = big_g(n_sites, lam)

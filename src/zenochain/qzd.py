@@ -84,26 +84,22 @@ class WatchAnalysis:
     """Everything the watch spectrum fixes for one chain, computed once.
 
     The solves see H_watch and H_weak in units of k. ``zero_basis`` (N x d0,
-    d0 >= 1, columns in site order) spans H_watch's zero level; ``blocks`` are
-    the effective Hamiltonians of H_weak there, order 1 per unit lam, each
-    with its round-off floor N eps times its scale: ||H_weak|| at order 0 and
-    ||H_weak||^2 / Delta at order 1, with Delta the smallest |eta| outside the
-    zero level (Frobenius norms). ``order0``, ``order1`` (block and floor) and
-    the commutator norms of ``classify`` read order n times k lam^n, where
-    values at or below the floor are round-off; ``cycle`` reads a time over
-    lam^n, in units of 1/k.
+    d0 >= 1, columns in site order) spans the zero level of H_watch, whose
+    floor ``tol`` = N eps ||H_watch|| decided membership; ``blocks`` are the
+    effective Hamiltonians of H_weak there, order 1 per unit lam, each with
+    its floor N eps times its scale: ||H_weak|| at order 0, ||H_weak||^2 /
+    Delta at order 1 (Delta the smallest |eta| outside the zero level;
+    Frobenius norms). Every zero test reads one of these floors. ``order0``,
+    ``order1`` (block and floor) and the commutator norms of ``classify``
+    read order n times k lam^n; ``cycle`` reads a time over lam^n (1/k).
     """
 
     h_watch: SymTridiagMatrix
+    tol: float
     zero_basis: np.ndarray
     blocks: tuple[EffectiveHamiltonianReport, EffectiveHamiltonianReport]
     lam: float
     k: float
-
-    @property
-    def _round_off(self) -> float:
-        """N eps: a value at or below it times its own scale is round-off."""
-        return self.h_watch.size * _EPS
 
     def _energy(self, value, order: int):
         s = self.lam**order
@@ -131,23 +127,24 @@ class WatchAnalysis:
         psi0 = check_state(psi0, self.h_watch.size, "psi0")
 
         residual = float(np.linalg.norm(self.h_watch.matvec(psi0)))
-        if residual > self._round_off * self.h_watch.frobenius_norm():
+        if residual > self.tol:
             raise AssumptionViolationError(
                 f"H_watch does not annihilate psi0 (|H_w psi0| = {residual:.3e}); "
                 "the watched-subspace framework does not apply"
             )
 
         dim0 = self.zero_basis.shape[1]
-        comm0, comm1, proportional = 0.0, 0.0, False
-        if dim0 >= 2:
-            # V0 is an isometry, so Frobenius norms of the d0 x d0 blocks and of
-            # their commutators with |a><a|, a = V0^T psi0, equal the N x N ones
-            a = self.zero_basis.T @ psi0
-            rho0 = np.outer(a, a.conj())
-            comms = [float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in self.blocks]
-            # a commutator at or below its block's floor is round-off, reported as 0.0
-            comm0, comm1 = (c if c > r.round_off else 0.0 for c, r in zip(comms, self.blocks))
-            proportional = self.blocks[0].eta1_common is not None
+        # V0 is an isometry, so Frobenius norms of the d0 x d0 blocks and of
+        # their commutators with |a><a|, a = V0^T psi0, equal the N x N ones
+        # (at d0 = 1 both commutators are exactly 0)
+        a = self.zero_basis.T @ psi0
+        rho0 = np.outer(a, a.conj())
+        comms = [float(np.linalg.norm(r.block @ rho0 - rho0 @ r.block)) for r in self.blocks]
+        # for Hermitian B and unit a, ||[B, |a><a|]||_F = sqrt2 |(1 - |a><a|) B a|,
+        # the couplings of a that the listings read: a commutator at or below
+        # sqrt2 times its block's floor is round-off, reported as 0.0
+        comm0, comm1 = (c if c > 2**0.5 * r.round_off else 0.0 for c, r in zip(comms, self.blocks))
+        proportional = self.blocks[0].eta1_common is not None
         prerequisite_i = proportional and comm1 > 0.0
 
         if dim0 < 2:
@@ -186,13 +183,14 @@ class WatchAnalysis:
         """2 pi over the smallest nonzero level gap of ``order``'s block, in units of 1/k.
 
         The block is ``order0``'s (zeroth) or ``order1``'s (first); levels at
-        most N eps times its largest |level| apart count as one. Other
-        orders, and a block of one level, raise UnsupportedConfigurationError.
+        most its round-off floor apart count as one. Other orders, and a
+        block of one level, raise UnsupportedConfigurationError.
         """
         n = {QzdOrder.ZEROTH: 0, QzdOrder.FIRST: 1}.get(order)
-        e = np.zeros(1) if n is None else np.linalg.eigvalsh(self.blocks[n].block)
-        gaps = np.diff(e)
-        gaps = gaps[gaps > self._round_off * np.max(np.abs(e))]
+        gaps = np.zeros(0)
+        if n is not None:
+            gaps = np.diff(np.linalg.eigvalsh(self.blocks[n].block))
+            gaps = gaps[gaps > self.blocks[n].round_off]
         if not gaps.size:
             raise UnsupportedConfigurationError(
                 f"{order.value} order has no effective cycle to set the default "
@@ -213,12 +211,13 @@ def analyze_watch(
     H_watch splits at its zero bonds into irreducible blocks, whose levels
     are simple (Parlett, The Symmetric Eigenvalue Problem, ch. 7). Each
     block's level nearest zero (``_eigvals_near_zero``) joins the zero level
-    when |eta| <= N eps ||H_watch||_F, and V0 takes in site order a 1 x 1
-    block's unit vector or one inverse iteration (``_eigvec_at``); two
-    levels of one block raise ClusteringError, none AssumptionViolationError.
-    Delta, the smallest |eta| outside, comes from the same neighbours of
-    zero and sets the order-1 block's floor N eps ||H_weak||_F^2 / Delta.
-    Then H_weak V0 and one bordered solve: O(N), no N x N array.
+    when |eta| <= ``tol`` = N eps ||H_watch||_F, which the analysis keeps for
+    the psi0 check, and V0 takes in site order a 1 x 1 block's unit vector or
+    one inverse iteration (``_eigvec_at``); two levels of one block raise
+    ClusteringError, none AssumptionViolationError. Delta, the smallest |eta|
+    outside, comes from the same neighbours of zero and sets the order-1
+    block's floor N eps ||H_weak||_F^2 / Delta. Then H_weak V0 and one
+    bordered solve: O(N), no N x N array.
     """
     n = h_watch.size
     tol = n * _EPS * h_watch.frobenius_norm()
@@ -247,7 +246,7 @@ def analyze_watch(
     v0 = np.column_stack(columns)
     floor1 = n * _EPS * (h_weak.frobenius_norm() ** 2 / delta)
     order1 = replace(hqzd_order1(v0, h_weak, h_watch), round_off=floor1)
-    return WatchAnalysis(h_watch, v0, (hqzd_order0(v0, h_weak), order1), lam, k)
+    return WatchAnalysis(h_watch, tol, v0, (hqzd_order0(v0, h_weak), order1), lam, k)
 
 
 def classify(
@@ -265,11 +264,13 @@ def classify(
     higher_or_none.
 
     The zero level is ``analyze_watch``'s, and a commutator counts as
-    nonvanishing when its Frobenius norm exceeds its block's round-off
-    floor, N eps times its order's scale: ||H_weak|| for order 0 and
-    ||H_weak||^2 / Delta for order 1 (per unit lam), both in units of
+    nonvanishing when its Frobenius norm exceeds sqrt2 times its block's
+    round-off floor, N eps times its order's scale: ||H_weak|| for order 0
+    and ||H_weak||^2 / Delta for order 1 (per unit lam), both in units of
     k = max|H_weak|, over which the matrices are solved; one that does not
-    is reported as 0.0.
+    is reported as 0.0. The commutator is sqrt2 times the couplings of
+    V0^T psi0 to the rest of the zero level, so this is the floor the
+    nonzero listings read.
     Proportionality to P0 is the one test of ``hqzd_order0``, relative to
     the norm of H_weak.
     """

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zenochain.analytic import (
@@ -17,6 +19,7 @@ from zenochain.analytic import (
     hqzd1_even,
     hqzd1_odd_modified,
     lambda_bound,
+    leakage_bound,
     phi_mid,
     qtilde_fluctuating_corner,
     toeplitz_eigenpair,
@@ -221,6 +224,58 @@ class TestMixingProfile:
         for delta0 in (1e-4, 1e-3, 1e-2, 0.1):
             spec = ChainSpec(n, float(np.sqrt(2.0 * (n - 2) / delta0)))
             assert run_scenario(spec, 16000).leakage.delta <= 0.99991 * delta0
+
+
+class TestLeakageBound:
+    """The first-order leakage law 2 (N-2) lam^2 of even chains, derived."""
+
+    def test_tan_squared_sum(self):
+        # sum_{n=1}^{N-2} tan^2(n pi / (N-1)) = (N-1)(N-2) at every even N
+        for n_sites in range(4, 2001, 2):
+            m = n_sites - 1
+            total = np.sum(np.tan(np.arange(1, n_sites - 1) * np.pi / m) ** 2)
+            assert total == pytest.approx(m * (n_sites - 2), rel=1e-12), n_sites
+
+    @pytest.mark.parametrize("n_sites", [4, 6, 30, 800])
+    def test_twice_the_mixing_coefficients_squared(self, n_sites):
+        lam = 0.01
+        total = 2.0 * sum(g_n(n_sites, lam, n) ** 2 for n in range(1, n_sites - 1))
+        assert leakage_bound(n_sites, lam) == pytest.approx(total, rel=1e-12)
+
+    def test_over_g_squared_is_c_of_n(self):
+        # c(N) = 2 (N-2) / f(N)^2: 4 at N = 4, rising toward pi^2 / 2
+        c = [leakage_bound(n, 1.0 / f_of_n(n)) for n in (4, 8, 30, 100, 800)]
+        assert_allclose(c, [4.0, 4.376, 4.774, 4.886, 4.929], atol=1e-3)
+        assert all(a < b < np.pi**2 / 2 for a, b in zip(c, c[1:]))
+
+    def test_four_site_exact_peak_lies_below(self):
+        for lam in (1e-4, 0.05, 0.5):
+            assert delta_exact_n4(lam) < leakage_bound(4, lam)
+            assert delta_exact_n4(lam) / leakage_bound(4, lam) == pytest.approx(
+                1.0 / (1.0 + 4.0 * lam * lam), rel=1e-14
+            )
+
+    def test_odd_chain_rejected(self):
+        with pytest.raises(ValidationError, match="^n_sites: "):
+            leakage_bound(5, 0.01)
+
+    @given(st.integers(2, 400), st.floats(-3.0, np.log10(0.2)))
+    @example(2, -3.0)
+    @example(2, np.log10(0.003))
+    @example(400, np.log10(0.2))
+    @settings(max_examples=40, deadline=None)
+    def test_bounds_the_measured_leakage(self, half, log_g):
+        # delta / bound over even N 4-800 and G in [1e-3, 0.2] read at most
+        # 0.999996 (N = 4, G = 1e-3). The sampled peak of the window's 1/lam^2
+        # fast oscillations reads low: at G <= 0.003 it is at least 0.9996 of
+        # the bound at N = 4 but dips to 0.997 at N = 6 and 0.973 at N = 8
+        n_sites, g = 2 * half, 10.0**log_g
+        lam = g / f_of_n(n_sites)
+        delta = run_scenario(ChainSpec(n_sites, 1.0 / lam)).leakage.delta
+        ratio = delta / leakage_bound(n_sites, lam)
+        assert ratio <= 1.0
+        if n_sites == 4 and g <= 0.003:
+            assert ratio >= 0.999
 
 
 FOUR_SITE_CASES = [(1.0, 20.0), (2.0, 7.0), (0.3, 3.0), (5.0, 1.5)]

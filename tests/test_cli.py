@@ -23,11 +23,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from zenochain import cli, harness, qzd
+from zenochain import cli, harness, linalg, qzd
 from zenochain.analytic import hqzd1_odd_modified, lambda_bound
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
 from zenochain.cli import main, read_config_file
-from zenochain.errors import ValidationError
+from zenochain.errors import NumericalFailureError, ValidationError
 from zenochain.harness import effective_reports, run_fluctuation_trials, run_scenario, run_sweep
 from zenochain.perturbation import EffectiveHamiltonianReport
 
@@ -847,12 +847,23 @@ def listed_chains(draw) -> ChainSpec:
     return ChainSpec(n, lambda_inv, k, shift, noise)
 
 
+@st.composite
+def far_shifted_chains(draw) -> ChainSpec:
+    """Shifted chains of 4-301 sites, lambda_inv 2.5-1e4 and shifts of either
+    sign with log10|delta_omega| in [9, 16]."""
+    n = draw(st.integers(4, 301))
+    lambda_inv = float(10.0 ** draw(st.floats(np.log10(2.5), 4.0)))
+    shift = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(9.0, 16.0))
+    return ChainSpec(n, lambda_inv, delta_omega=shift)
+
+
 class TestOneZeroRule:
     """simulate and effective read one round-off floor per block: simulate
-    lists exactly what effective lists for the classified order."""
+    lists exactly what effective lists for the classified order, and a
+    chain classified first lists its order-1 (1, N) entry."""
 
     @staticmethod
-    def _run(spec: ChainSpec, *argv: str) -> tuple[int, str]:
+    def _run(spec: ChainSpec, *argv: str) -> tuple[int, str, str]:
         chain = ["--n", str(spec.n_sites), "--lambda-inv", repr(spec.lambda_inv)]
         chain += ["--k", repr(spec.k)]
         if spec.delta_omega is not None:
@@ -862,10 +873,10 @@ class TestOneZeroRule:
         with_noise = mock.patch.object(
             cli, "_chain_spec", lambda args: replace(parsed(args), fluctuation=spec.fluctuation)
         )
-        out, quiet = io.StringIO(), contextlib.redirect_stderr(io.StringIO())
-        with with_noise, quiet, contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with with_noise, contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
             code = main([argv[0], *chain, *argv[1:]])
-        return code, out.getvalue()
+        return code, out.getvalue(), err.getvalue()
 
     @given(listed_chains())
     # a fixed cut of 1e-12 k lam in simulate against 1e-10 k lam in effective
@@ -874,9 +885,9 @@ class TestOneZeroRule:
     @settings(max_examples=60, deadline=None)
     def test_simulate_lists_what_effective_lists(self, spec):
         with tempfile.TemporaryDirectory() as work:
-            code, summary = self._run(spec, "simulate", "--steps", "10", "--out", f"{work}/s")
+            code, summary, _ = self._run(spec, "simulate", "--steps", "10", "--out", f"{work}/s")
         assume(code == 0)
-        code, payload = self._run(spec, "effective")
+        code, payload, _ = self._run(spec, "effective")
         assert code == 0
         summary, payload = json.loads(summary), json.loads(payload)
         key = {"zeroth": "order0", "first": "order1_times_lambda"}.get(
@@ -884,6 +895,57 @@ class TestOneZeroRule:
         )
         want = [] if key is None else payload[key]["nonzeros"]
         assert summary["effective_matrix_nonzeros"] == want
+
+    @staticmethod
+    def _names_delta_omega(code: int, out: str, err: str) -> bool:
+        """Exit 1 with nothing on stdout and one stderr line naming delta_omega."""
+        return code == 1 and out == "" and err.count("\n") == 1 and err.startswith(
+            "error: delta_omega: "
+        )
+
+    @given(far_shifted_chains())
+    # in a band about sqrt2 wide below the shift where classify exits 1, the
+    # commutator (sqrt2 times the coupling) passed the floor while the listed
+    # coupling did not: first with no order-1 entry, or zeroth with none in
+    # the |1> row
+    @example(ChainSpec(11, 20.0, delta_omega=1e15))
+    @example(ChainSpec(18, 20.0, delta_omega=1e15))
+    @example(ChainSpec(31, 2.5, delta_omega=1e13))
+    @example(ChainSpec(31, 2.5, delta_omega=-1e13))
+    @settings(max_examples=60, deadline=None)
+    def test_a_first_order_chain_lists_its_end_to_end_entry(self, spec):
+        n = spec.n_sites
+        code, out, err = self._run(spec, "classify")
+        if code != 0:
+            assert self._names_delta_omega(code, out, err)
+            return
+        order = json.loads(out)["order"]
+        assert order in ("zeroth", "first")
+        if order == "zeroth":
+            return
+        _, payload, _ = self._run(spec, "effective")
+        listed = json.loads(payload)["order1_times_lambda"]["nonzeros"]
+        assert [1, n] in [entry[:2] for entry in listed]
+        with tempfile.TemporaryDirectory() as work:
+            code, summary, _ = self._run(spec, "simulate", "--steps", "10", "--out", f"{work}/s")
+        assert code == 0
+        summary = json.loads(summary)
+        assert summary["classification_order"] == "first"
+        assert [1, n] in [entry[:2] for entry in summary["effective_matrix_nonzeros"]]
+
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(11, 20.0, delta_omega=1e15),
+        ChainSpec(18, 20.0, delta_omega=1e15),
+        ChainSpec(31, 2.5, delta_omega=1e13),
+        ChainSpec(31, 2.5, delta_omega=-1e13),
+    ], ids=["odd11", "even18", "odd31", "odd31-negative"])
+    def test_coupling_at_the_listing_floor_names_delta_omega(self, spec):
+        # first (or zeroth, N = 18) with an empty listing before
+        assert self._names_delta_omega(*self._run(spec, "classify"))
+        with tempfile.TemporaryDirectory() as work:
+            argv = ["simulate", "--steps", "10", "--out", f"{work}/s"]
+            assert self._names_delta_omega(*self._run(spec, *argv))
+            assert not os.listdir(work)
 
 
 class TestWriteTable:
@@ -1363,6 +1425,41 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_scenario", exhausted)
         assert run_cli("simulate", "--n", "4", "--out", str(tmp_path / "m")) == 2
         assert capsys.readouterr().err == line + "\n"
+        assert not list(tmp_path.iterdir())
+
+    @staticmethod
+    def _failing(monkeypatch, module, name: str) -> None:
+        def failed(*args, **kwargs):
+            raise NumericalFailureError(f"{name} failed")
+
+        monkeypatch.setattr(module, name, failed)
+
+    @pytest.mark.parametrize("argv, step", [
+        (["simulate", "--n", "9"], (qzd, "_eigvals_near_zero")),
+        (["classify", "--n", "9"], (qzd, "_eigvals_near_zero")),
+        (["effective", "--n", "10"], (qzd, "_eigvals_near_zero")),
+        (["simulate", "--n", "10"], (linalg, "_dstevd")),  # the h_total eigensolve
+    ])
+    def test_numerical_failure_of_an_unshifted_chain_is_2(
+        self, tmp_path, capsys, monkeypatch, argv, step
+    ):
+        self._failing(monkeypatch, *step)
+        assert run_cli(*argv, "--out", str(tmp_path / "f")) == 2
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: {step[1]} failed\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "classify", "effective"])
+    def test_watch_failure_of_a_shifted_chain_names_delta_omega(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # the shift is what the watch analysis could not take: exit 1, not 2
+        self._failing(monkeypatch, qzd, "_eigvals_near_zero")
+        argv = [command, "--n", "9", "--delta-omega", "20", "--out", str(tmp_path / "f")]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: delta_omega: ")
+        assert "_eigvals_near_zero failed" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
 from zenochain.dynamics import LeakageReport, simulate
-from zenochain.errors import AssumptionViolationError, ValidationError
+from zenochain.errors import AssumptionViolationError, ClusteringError, ValidationError
 from zenochain.harness import run_scenario
 from zenochain.linalg import SymTridiagMatrix
 from zenochain.qzd import QzdOrder, analyze_watch, check_prerequisite_ii, classify
@@ -134,6 +134,56 @@ ENERGY_SCALE_CHAINS = {
     "odd": (lambda k: ChainSpec(5, 20.0, k=k), QzdOrder.ZEROTH),
     "modified": (lambda k: ChainSpec(5, 20.0, k=k, delta_omega=20.0 * k), QzdOrder.FIRST),
 }
+
+
+class TestWatchFloors:
+    """Every zero test past the zero level reads a floor the analysis holds:
+    ``tol`` for the psi0 check, its block's ``round_off`` for ``cycle`` and
+    sqrt2 times it for each commutator."""
+
+    def test_psi0_check_reads_the_zero_level_floor(self):
+        hams = build_chain(ChainSpec(6, 5.0))
+        analysis = analyze_watch(hams.h_watch, hams.h_weak)
+        assert analysis.tol == 6 * np.finfo(float).eps * hams.h_watch.frobenius_norm()
+        # psi0 = c |1> + s |3> leaves |H_watch psi0| = s |H_watch e_3|
+        column = np.linalg.norm(hams.h_watch.matvec(e_k(6, 2)))
+        s = 0.5 * analysis.tol / column
+        analysis.classify(np.sqrt(1.0 - s * s) * e_k(6, 0) + s * e_k(6, 2))
+        s = 2.0 * analysis.tol / column
+        with pytest.raises(AssumptionViolationError):
+            analysis.classify(np.sqrt(1.0 - s * s) * e_k(6, 0) + s * e_k(6, 2))
+
+    @pytest.mark.parametrize("split, merged", [(0.5, True), (2.0, False)])
+    def test_cycle_counts_levels_within_the_floor_as_one(self, split, merged):
+        hams = build_chain(ChainSpec(6, 20.0))
+        analysis = analyze_watch(hams.h_watch, hams.h_weak, hams.spec.lam)
+        rep = analysis.blocks[1]
+        gap = split * rep.round_off
+        levels = dataclasses.replace(rep, block=np.diag([0.0, gap, 1.0]))
+        probe = dataclasses.replace(analysis, blocks=(analysis.blocks[0], levels))
+        smallest = 1.0 - gap if merged else gap
+        assert probe.cycle(QzdOrder.FIRST) == pytest.approx(
+            2.0 * np.pi / smallest / hams.spec.lam, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [5, 11, 31])
+    def test_first_order_iff_the_listed_coupling_clears_the_floor(self, n):
+        # the order-1 commutator of |1> is sqrt2 |B_1N|: across the band where
+        # it clears the floor but B_1N does not, the decision follows B_1N
+        for shift in np.geomspace(1e10, 1e15, 51):
+            hams = build_chain(ChainSpec(n, 2.5, delta_omega=float(shift))).unit
+            try:
+                analysis = analyze_watch(hams.h_watch, hams.h_weak, hams.spec.lam)
+            except ClusteringError:  # a shift that takes in an interior level
+                continue
+            c = analysis.classify(e_k(n, 0))
+            rep = analysis.blocks[1]
+            coupling = abs(rep.block[0, 1])
+            assert (c.order is QzdOrder.FIRST) == (coupling > rep.round_off)
+            if c.order is QzdOrder.FIRST:
+                assert c.commutator_norm_order1 == pytest.approx(
+                    np.sqrt(2.0) * coupling * hams.spec.lam, rel=1e-14
+                )
 
 
 class TestEnergyScale:
