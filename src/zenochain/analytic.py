@@ -2,9 +2,10 @@
 
 Most functions here have a numerical counterpart elsewhere in the package
 and are its oracles in the test suite; no program path takes one in place of
-a numerical route. ``phi_mid``, ``f_of_n`` and ``lambda_bound`` are
-definitions the program reads: the odd chain's mid state, the sweep's map
-from G to lambda, and the ``bound`` subcommand.
+a numerical route. ``f_of_n`` and ``lambda_bound`` are definitions the
+program reads: the sweep's map from G to lambda, and the ``bound``
+subcommand. ``phi_mid``, the uniform odd chain's mid state, is a public
+definition and the referee of the watch's interior zero mode.
 Site indices in formulas are 1-based to match the ket labels |1>..|N>.
 """
 

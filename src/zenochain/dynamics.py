@@ -4,13 +4,14 @@ Evolution is spectral (no time-step error beyond the eigensolver). The
 leakage at time t is the population outside the watched zero-level subspace,
 1 - ||V^T psi(t)||^2 for an orthonormal basis V of that subspace; its
 maximum over the observation window is delta. ``observe`` computes it from
-the d0 watched amplitudes alone, in one ``Observation`` with their weights,
-the slow set and its margin, its peak dated on its own window; the N-site
-states are built only for a trace (``simulate``, ``leakage_trace``), from the
-observation's own start state, spectrum and window, so a trace's populations
-and leakage share one spectrum and one grid. No k enters this module: the
-window is set by the one window step of ``harness``, in units of 1/k, and
-only the benchmark referee's ``default_time_grid`` returns it at k.
+the d0 watched amplitudes alone, in one ``Observation`` with their weights
+and populations, the slow set and its margin, its peak dated on its own
+window; the N-site states are built only for a trace (``simulate``,
+``leakage_trace``), from the observation's own start state, spectrum and
+window, so a trace's populations and leakage share one spectrum and one
+grid. No k enters this module: the window is set by the one window step of
+``harness``, in units of 1/k, and only the benchmark referee's
+``default_time_grid`` returns it at k.
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ class EvolutionTrace:
     """Per-time site populations and watched-subspace bookkeeping.
 
     ``populations[j]`` is the length-N array |<i|psi(t_j)>|^2; ``leakage``
-    is the population outside the watched subspace. ``mid_overlap`` tracks
-    |<phi_mid|psi(t)>|^2 when a mid state was supplied.
+    is the population outside the watched subspace. ``mid_overlap``, the
+    interior zero mode's, is set by ``ScenarioResult.trace`` only.
     """
 
     grid: TimeGrid
     populations: np.ndarray
     leakage: np.ndarray
-    mid_overlap: np.ndarray | None
+    mid_overlap: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class LeakageReport:
 
 @dataclass(frozen=True, eq=False)
 class Observation:
-    """A start state psi0 under one spectrum, watched on a basis V0 (N x d0).
+    """A start state psi0 under one spectrum, watched on a basis V0 (N x d0) column by column.
     Eigenvector n weighs ||V0^T u_n||^2; the weight margin is a report, not a check."""
 
     spectrum: SpectralDecomposition  # eta and U, in units of k on every program path
@@ -69,7 +70,8 @@ class Observation:
     w: np.ndarray  # (V0^T U) * c, d0 x N: watched amplitude a is sum_n w[a, n] exp(-i eta_n t)
     slow: np.ndarray  # the d0 columns of largest weight, ascending; a tie goes to the lower index
     weight_margin: float  # the d0-th largest weight less the next one
-    series: np.ndarray  # the leakage at every window time
+    watched: np.ndarray  # |a|^2 of every watched amplitude at every window time, d0 x (steps+1)
+    series: np.ndarray  # the leakage, 1 - sum of watched, at every window time
     peak: LeakageReport
 
 
@@ -85,25 +87,20 @@ def simulate(
     psi0: np.ndarray,
     grid: TimeGrid,
     basis: np.ndarray,
-    mid_state: np.ndarray | None = None,
 ) -> EvolutionTrace:
     """Evolve psi0 under the tridiagonal h across the grid and record populations.
 
     ``basis`` (N x d, orthonormal columns) spans the watched subspace whose
     population sets the leakage.
     """
-    return leakage_trace(observe(eig_sym_tridiag(h), psi0, basis, grid), mid_state)
+    return leakage_trace(observe(eig_sym_tridiag(h), psi0, basis, grid))
 
 
-def leakage_trace(obs: Observation, mid_state: np.ndarray | None = None) -> EvolutionTrace:
+def leakage_trace(obs: Observation) -> EvolutionTrace:
     """The trace of ``obs.psi0`` under ``obs.spectrum`` over ``obs.window``;
     its leakage is ``obs.series``."""
     states = evolve_grid(obs.spectrum, obs.psi0, obs.window)
-    mid_overlap = None
-    if mid_state is not None:
-        mid_state = check_state(mid_state, obs.spectrum.size, "mid_state")
-        mid_overlap = np.abs(mid_state.conj() @ states) ** 2
-    return EvolutionTrace(obs.window, np.abs(states.T) ** 2, obs.series, mid_overlap)
+    return EvolutionTrace(obs.window, np.abs(states.T) ** 2, obs.series)
 
 
 def observe(
@@ -130,12 +127,12 @@ def observe(
 
     coarse, fine = grid_phase_factors(d.eigenvalues, window)  # ceil(T/B) x N, N x B
     amps = (w[:, None, :] * coarse).reshape(-1, d.size) @ fine
-    amps = amps.reshape(d0, -1)[:, : window.n_steps + 1]
+    watched = np.abs(amps.reshape(d0, -1)[:, : window.n_steps + 1]) ** 2
     # strip float dust so leakage stays a population in [0, 1]
-    series = np.clip(1.0 - np.sum(np.abs(amps) ** 2, axis=0), 0.0, 1.0)
+    series = np.clip(1.0 - np.sum(watched, axis=0), 0.0, 1.0)
     margin = float(weight[rank[d0 - 1]] - weight[rank[d0]])
     peak = peak_report(series, window)
-    return Observation(d, psi0, window, c, w, np.sort(rank[:d0]), margin, series, peak)
+    return Observation(d, psi0, window, c, w, np.sort(rank[:d0]), margin, watched, series, peak)
 
 
 def peak_report(leakage: np.ndarray, grid: TimeGrid) -> LeakageReport:

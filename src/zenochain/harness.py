@@ -53,7 +53,9 @@ class ScenarioResult:
     chain's; ``leakage`` is its peak sample dated on ``grid``, the window at
     k. ``trace``, every site's population at every ``grid`` time, is the
     observation's trace (``leakage_trace``) labelled with ``grid``, built on
-    first read and then kept; k enters none of its phases.
+    first read and then kept; k enters none of its phases. At d0 = 3 (columns
+    |1>, interior zero mode, |N>) its ``mid_overlap`` is the observation's
+    ``watched`` row 1, the interior mode's population.
     """
 
     hams: ChainHamiltonians
@@ -67,11 +69,9 @@ class ScenarioResult:
 
     @cached_property
     def trace(self) -> EvolutionTrace:
-        spec = self.hams.spec
-        mid = None
-        if spec.n_sites % 2 == 1 and not spec.is_modified:
-            mid = analytic.phi_mid(spec.n_sites)
-        return replace(leakage_trace(self.observation, mid), grid=self.grid)
+        watched = self.observation.watched
+        mid = watched[1] if len(watched) == 3 else None
+        return replace(leakage_trace(self.observation), grid=self.grid, mid_overlap=mid)
 
 
 def effective_reports(hams: ChainHamiltonians) -> WatchAnalysis:

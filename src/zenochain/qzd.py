@@ -244,9 +244,12 @@ def analyze_watch(
         )
     # blocks have disjoint supports, so the unit columns are orthonormal
     v0 = np.column_stack(columns)
-    floor1 = n * _EPS * (h_weak.frobenius_norm() ** 2 / delta)
+    order0 = hqzd_order0(v0, h_weak)
+    # order 0's floor is N eps ||H_weak||_F, so order 1's N eps ||H_weak||_F^2 / Delta
+    # is its square over N eps Delta
+    floor1 = order0.round_off**2 / (n * _EPS * delta)
     order1 = replace(hqzd_order1(v0, h_weak, h_watch), round_off=floor1)
-    return WatchAnalysis(h_watch, tol, v0, (hqzd_order0(v0, h_weak), order1), lam, k)
+    return WatchAnalysis(h_watch, tol, v0, (order0, order1), lam, k)
 
 
 def classify(

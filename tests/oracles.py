@@ -7,7 +7,8 @@ elimination with partial pivoting, determinants via cofactor expansion or
 the continuant recursion, CSV text one formatted cell at a time, matrix
 listings by a double loop over the entries of the dense N x N effective
 Hamiltonian (``dominant_listing``), a Sturm count at zero by the LDL^T
-pivots one Python step at a time (``sturm_count_at_zero``), eigenvalue
+pivots one Python step at a time (``sturm_count_at_zero``), the interior
+zero mode from a dense eigendecomposition (``interior_zero_mode``), eigenvalue
 grouping one Python level at a time, effective Hamiltonians as eigenvector
 sums over a dense eigendecomposition, the leakage series and the watch
 levels in 50-digit ``mpmath`` arithmetic.
@@ -132,6 +133,16 @@ def zero_level_by_loop(h_watch: SymTridiagMatrix) -> list[tuple[int, np.ndarray,
             blocks.append((lo, *np.linalg.eigh(dense)))
             lo = i + 1
     return blocks
+
+
+def interior_zero_mode(h_watch: SymTridiagMatrix) -> np.ndarray:
+    """The eigenvector of the watch's interior block (sites 2..N-1) whose
+    level lies nearest zero, from a dense ``numpy.linalg.eigh`` of the block,
+    as a vector on the whole chain."""
+    w, v = np.linalg.eigh(h_watch.to_dense()[1:-1, 1:-1])
+    mode = np.zeros(h_watch.size)
+    mode[1:-1] = v[:, np.argmin(np.abs(w))]
+    return mode
 
 
 def sturm_count_at_zero(m: SymTridiagMatrix) -> int:

@@ -133,14 +133,16 @@ class TestSimulate:
         # round-off bound N eps ||H_watch|| = 2.2e-15: the chain is zeroth
         # order with d0 = 3 and runs on its zeroth-order cycle, 2 pi. (At
         # delta_omega = 1e-7, which this test ran before, the level 2.5e-9 is
-        # outside the bound, and the chain is first order with d0 = 2.)
+        # outside the bound, and the chain is first order with d0 = 2.) Its
+        # zero level has an interior mode, whose population is the
+        # mid_overlap column.
         chain = ["--n", "5", "--lambda-inv", "20", "--delta-omega", "1e-15"]
         out = tmp_path / "d"
         assert run_cli("simulate", *chain, "--steps", "50", "--out", str(out)) == 0
         assert json.loads((tmp_path / "d.json").read_text())["classification_order"] == "zeroth"
         with open(tmp_path / "d.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert "mid_overlap" not in rows[0]
+        assert rows[0][-1] == "mid_overlap"
         assert rows[-1][0] == f"{2.0 * np.pi:.12g}"
         capsys.readouterr()
         assert run_cli("classify", *chain) == 0
@@ -584,7 +586,7 @@ class TestOutputBytes:
             [t, *p, leak]
             for t, p, leak in zip(trace.grid.times, trace.populations, trace.leakage)
         ]
-        if spec.n_sites % 2 == 1 and spec.delta_omega is None:
+        if result.zero_basis.shape[1] == 3:  # the interior zero mode's population
             header.append("mid_overlap")
             rows = [row + [m] for row, m in zip(rows, trace.mid_overlap)]
         assert (tmp_path / "s.csv").read_bytes() == per_value_csv(header, rows).encode()
@@ -1357,12 +1359,14 @@ class TestExitCodes:
             "classify", "--n", "1755", "--k", "10", "--lambda-inv", "10",
             "--delta-omega", "1212531831769200.0",
         ], "delta_omega"),
+        (["classify", "--n", "5", "--lambda-inv", "1e300", "--delta-omega", "1e-300"], "delta_omega"),
     ])
     def test_library_field_error_names_the_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
         # read n_sites, n_steps, fluctuation.rng_seed or
         # fluctuation.relative_amplitude: fields of the library, no flags;
-        # and a shift the watch analysis cannot take, which once printed
-        # "error: v0: columns must be orthonormal", naming no input
+        # a shift the watch analysis cannot take, which once printed
+        # "error: v0: columns must be orthonormal", naming no input; and a
+        # shift whose lam * delta_omega underflows to 0
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv) == 1
         lines = capsys.readouterr().err.splitlines()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zenochain.analytic import delta_estimate, g_n, phi_mid
-from zenochain.chain import ChainSpec, build_chain
+from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
 from zenochain.dynamics import TimeGrid, leakage_trace, measure_leakage, observe, simulate
 from zenochain.errors import UnsupportedConfigurationError, ValidationError
 from zenochain.harness import effective_reports, run_scenario
@@ -23,6 +23,7 @@ from .oracles import (
     direct_exp_evolve,
     dominant_angular_frequency,
     first_order_corrections,
+    interior_zero_mode,
     leakage_frequency_estimate,
     mp_leakage_series,
     u1_correction_trace,
@@ -119,6 +120,54 @@ class TestSimulate:
             simulate(hams.h_total, np.eye(5)[0], grid, end_sites(5))
         with pytest.raises(ValidationError):
             simulate(hams.h_total, np.eye(4)[0], grid, end_sites(6))
+
+
+@st.composite
+def odd_chains(draw):
+    """Unshifted odd chains of 5-301 sites at lambda_inv 2.5-1e4, with 0-20%
+    bond noise under a drawn seed; a zero amplitude draws the uniform chain."""
+    n = 2 * draw(st.integers(2, 150)) + 1
+    lambda_inv = 10.0 ** draw(st.floats(np.log10(2.5), 4.0))
+    amplitude = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+    noise = CouplingFluctuation(amplitude, draw(st.integers(0, 2**32 - 1))) if amplitude else None
+    return ChainSpec(n, lambda_inv, fluctuation=noise)
+
+
+class TestInteriorMode:
+    """``mid_overlap`` is the population of the chain's own interior zero mode,
+    the observation's watched row 1, wherever the zero level has one."""
+
+    @given(odd_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_watched_populations_sum_to_one(self, spec):
+        # |1>, the interior mode and |N> span the zero level, so their
+        # populations and the leakage share out the whole population
+        trace = run_scenario(spec, 400).trace
+        p = trace.populations
+        total = p[:, 0] + p[:, -1] + trace.mid_overlap + trace.leakage
+        assert np.max(np.abs(total - 1.0)) <= 1e-12, spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChainSpec(9, 20.0, fluctuation=CouplingFluctuation(0.05, 1)),
+            ChainSpec(31, 2.5, fluctuation=CouplingFluctuation(0.2, 7)),
+            ChainSpec(101, 1e4, fluctuation=CouplingFluctuation(0.1, 3)),
+            ChainSpec(31, 7.0),
+            ChainSpec(5, 1e10, delta_omega=1e-10),
+            ChainSpec(5, 20.0, delta_omega=1e-15),
+        ],
+        ids=["noisy9", "noisy31", "noisy101", "uniform31", "shifted5_1e-10", "shifted5_1e-15"],
+    )
+    def test_mid_overlap_is_the_interior_zero_mode(self, spec):
+        result = run_scenario(spec, 400)
+        d, times = result.observation.spectrum, result.observation.window.times
+        states = direct_exp_evolve(d.eigenvectors, d.eigenvalues, np.eye(spec.n_sites)[0], times)
+        mode = interior_zero_mode(build_chain(spec).unit.h_watch)
+        want = np.abs(mode @ states) ** 2
+        assert np.max(np.abs(result.trace.mid_overlap - want)) <= 1e-12
+        # the trace of an observation alone carries no interior mode
+        assert leakage_trace(result.observation).mid_overlap is None
 
 
 @st.composite
@@ -242,22 +291,21 @@ class TestObservation:
     @pytest.mark.parametrize("spec", ORACLE_CHAINS, ids=ORACLE_IDS)
     def test_site_one_real_or_complex(self, spec):
         # U^T e1 is exact in both dtypes, and numpy multiplies a float operand
-        # as x + 0j: c, w, the series, the peak and the states agree to the
-        # bit (a complex c or w has zero imaginary parts of either sign)
+        # as x + 0j: c, w, the watched populations, the series, the peak and
+        # the states agree to the bit (a complex c or w has zero imaginary
+        # parts of either sign)
         result = run_scenario(spec, 37)
         d, basis, grid = result.observation.spectrum, result.zero_basis, result.grid
-        n = spec.n_sites
-        e1, mid = np.eye(n)[0], np.full(n, n**-0.5)
+        e1 = np.eye(spec.n_sites)[0]
         real, cplx = observe(d, e1, basis, grid), observe(d, e1 + 0j, basis, grid)
         for a, b in ((real.c, cplx.c), (real.w, cplx.w)):
             assert a.dtype == float and a.tobytes() == b.real.tobytes() and not np.any(b.imag)
+        assert real.watched.dtype == cplx.watched.dtype == float
+        assert real.watched.shape == (basis.shape[1], grid.n_steps + 1)
+        assert real.watched.tobytes() == cplx.watched.tobytes()
         assert real.series.tobytes() == cplx.series.tobytes()
         assert real.peak == cplx.peak
         assert evolve_grid(d, e1, grid).tobytes() == evolve_grid(d, e1 + 0j, grid).tobytes()
-        want = leakage_trace(real, mid).mid_overlap
-        for obs, mid_state in ((cplx, mid), (real, mid + 0j)):
-            got = leakage_trace(obs, mid_state).mid_overlap
-            assert got.tobytes() == want.tobytes()
 
     def test_rejects_complex_basis(self):
         # a complex basis is refused, not cast to its real part
@@ -275,9 +323,6 @@ class TestObservation:
             observe(d, nan_state, basis, grid)
         with pytest.raises(ValidationError, match="^basis: columns must be orthonormal$"):
             observe(d, e1, np.where(basis == 1.0, np.nan, basis), grid)
-        obs = observe(d, e1, basis, grid)
-        with pytest.raises(ValidationError, match="^mid_state: must have unit norm within 1e-12$"):
-            leakage_trace(obs, nan_state)
 
     def test_tie_goes_to_the_lower_index(self):
         # one watched vector split evenly over eigenvectors 1 and 2

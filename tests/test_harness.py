@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 
 import zenochain
 from zenochain import cli, dynamics, harness, linalg, perturbation, qzd
-from zenochain.analytic import f_of_n, qtilde_fluctuating_corner
-from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain
+from zenochain.analytic import f_of_n, g_n, qtilde_fluctuating_corner, toeplitz_eigenpair
+from zenochain.chain import ChainSpec, CouplingFluctuation, build_chain, interior_block
 from zenochain.dynamics import (
     Observation, default_time_grid, measure_leakage, observe, peak_report, site_one
 )
 from zenochain.errors import (
+    AssumptionViolationError,
     ClusteringError,
     NumericalFailureError,
     UnsupportedConfigurationError,
@@ -51,6 +52,46 @@ from zenochain.linalg import (
 from zenochain.qzd import QzdOrder, analyze_watch
 
 from .oracles import dense_scenario, dominant_effective_matrix, zero_level_by_loop
+
+
+class TestGuards:
+    """Each guard raises its class with a message that starts with the input
+    it names."""
+
+    @pytest.mark.parametrize(
+        "call, error, prefix",
+        [
+            (  # every site of the watch carries an on-site energy of 1
+                lambda: qzd.classify(
+                    SymTridiagMatrix(np.ones(4), np.zeros(3)),
+                    SymTridiagMatrix(np.zeros(4), np.ones(3)),
+                    site_one(4),
+                ),
+                AssumptionViolationError, "H_watch has no zero level",
+            ),
+            (lambda: SymTridiagMatrix(np.zeros(0), np.zeros(0)), ValidationError, "diag: "),
+            (lambda: fit_slope_through_origin([0.0, 0.0], [1.0, 2.0]), ValidationError, "fit: "),
+            (lambda: toeplitz_eigenpair(3, 1.0, 1), ValidationError, "n_sites: "),
+            (lambda: g_n(6, 0.1, 5), ValidationError, "n: "),
+            (
+                lambda: interior_block(SymTridiagMatrix(np.zeros(3), np.ones(2))),
+                ValidationError, "interior_block: ",
+            ),
+            (
+                lambda: perturbation.group_levels(
+                    SpectralDecomposition(np.array([1.0, 2.0]), np.eye(2)), 1e-8
+                ).zero_level,
+                ValidationError, "projector set has no zero level",
+            ),
+        ],
+        ids=["no_zero_level", "empty_diag", "zero_abscissae", "toeplitz_n_sites", "g_n_index",
+             "interior_block", "no_zero_projector"],
+    )
+    def test_raises_naming_its_input(self, call, error, prefix):
+        with pytest.raises(error) as raised:
+            call()
+        assert type(raised.value) is error
+        assert str(raised.value).startswith(prefix)
 
 
 class TestSlopeFit:
@@ -255,11 +296,20 @@ class TestScenario:
         assert zeroth.classification.order is QzdOrder.ZEROTH
         assert np.array_equal(dominant_effective_matrix(zeroth), zeroth.order0.matrix)
 
-    def test_mid_overlap_only_for_unmodified_odd(self):
-        assert run_scenario(ChainSpec(5, 20.0), n_steps=50).trace.mid_overlap is not None
-        assert run_scenario(ChainSpec(4, 20.0), n_steps=50).trace.mid_overlap is None
-        modified = run_scenario(ChainSpec(5, 20.0, delta_omega=20.0), n_steps=50)
-        assert modified.trace.mid_overlap is None
+    def test_mid_overlap_only_with_an_interior_zero_mode(self):
+        # the column is the watched row of the interior mode (d0 = 3, shifted
+        # or not) and None where the zero level is the ends (d0 = 2)
+        for spec, d0 in (
+            (ChainSpec(5, 20.0), 3), (ChainSpec(5, 1e10, delta_omega=1e-10), 3),
+            (ChainSpec(4, 20.0), 2), (ChainSpec(5, 20.0, delta_omega=20.0), 2),
+        ):
+            result = run_scenario(spec, n_steps=50)
+            mid = result.trace.mid_overlap
+            assert result.zero_basis.shape[1] == d0, spec
+            if d0 == 3:
+                assert mid.tobytes() == result.observation.watched[1].tobytes(), spec
+            else:
+                assert mid is None, spec
 
     @pytest.mark.parametrize(
         "spec",
